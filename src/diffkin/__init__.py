@@ -9,7 +9,7 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .autodiff import DiffScalar, batch_jacobian, jacobian, lift, seed_vector  # noqa: E402
+from .autodiff import DiffScalar, DualArray, batch_jacobian, jacobian, lift, seed_array, seed_vector  # noqa: E402
 from .bench import BenchReport, run_bench  # noqa: E402
 from .identify import (  # noqa: E402
     IdentificationResult,

@@ -1,15 +1,22 @@
-"""Forward-mode automatic differentiation for scalar pipelines.
+"""Forward-mode automatic differentiation.
 
-The differentiable scalar is a dual number whose derivative part is a numpy
-tangent vector: seeding the j-th input with the j-th basis vector makes every
-downstream value carry the gradient row d(value)/d(inputs).  A constant
-carries the scalar tangent ``0.0``, which broadcasts against any seeded
-width, so mixed float/DiffScalar arithmetic needs no width bookkeeping.
+Two dual types carry tangents alongside values:
 
-Value semantics: every operation computes its primal with the same python
-``math`` call and the same evaluation order as plain-float code, so the
-``value`` component of any expression is bit-for-bit identical to evaluating
-the expression without derivatives.
+``DualArray`` is the vector forward mode (Griewank & Walther, *Evaluating
+Derivatives*, 2008, section 3) that the kinematics pipeline runs on: one
+primal ndarray plus a tangent ndarray with the tangent axis leading, shape
+``(k,) + primal.shape``.  It implements numpy's ``__array_ufunc__`` and
+``__array_function__`` protocols for exactly the operations the FK and
+pose-extraction kernels use, so those kernels run unchanged on it; every
+other ufunc or function, and any conversion to a plain ndarray, raises
+instead of silently dropping the tangent.  Primals are computed by the same
+numpy calls as the float kernels, so they are bitwise equal to a float run.
+
+``DiffScalar`` is a scalar dual number whose derivative part is a numpy
+tangent vector.  A constant carries the scalar tangent ``0.0``, which
+broadcasts against any seeded width.  Its primal uses the same python
+``math`` call and evaluation order as plain-float code.  The scalar-generic
+rotation metrics still run on it.
 """
 
 from __future__ import annotations
@@ -19,6 +26,9 @@ import math
 import numpy as np
 
 __all__ = [
+    "DualArray",
+    "seed_array",
+    "primal_of",
     "DiffScalar",
     "lift",
     "seed_vector",
@@ -325,3 +335,259 @@ def batch_jacobian(f, thetas, dof, batch_size=None):
             jac[i] = _row_of(y, dof, f"batch {k}, row {i}")
         jacs.append(jac)
     return jacs
+
+
+# -- vector forward mode over arrays -----------------------------------------
+
+
+class DualArray(np.lib.mixins.NDArrayOperatorsMixin):
+    """A primal ndarray plus k tangents: ``tangent[j]`` is d(primal)/d(input j).
+
+    ``tangent`` has shape ``(k,) + primal.shape``.  numpy ufuncs and
+    functions, and the arithmetic and comparison operators (which the mixin
+    maps to ufuncs), dispatch here through ``__array_ufunc__`` and
+    ``__array_function__``; only the operations in ``_UFUNC_RULES`` and
+    ``_FUNCTIONS``, and ``np.zeros``/``np.empty`` with ``like=`` a
+    DualArray, are supported.  Anything else raises ``TypeError``.
+    """
+
+    __slots__ = ("primal", "tangent")
+
+    def __init__(self, primal, tangent):
+        primal = np.asarray(primal)
+        tangent = np.asarray(tangent)
+        if tangent.shape[1:] != primal.shape:
+            raise ValueError(f"tangent shape {tangent.shape} is not (k,) + primal shape {primal.shape}")
+        self.primal = primal
+        self.tangent = tangent
+
+    @classmethod
+    def from_scalars(cls, values):
+        """DualArray from an array of floats and DiffScalars of one tangent width."""
+        values = np.asarray(values, dtype=object)
+        flat = values.ravel()
+        widths = {v.grad.size for v in flat if isinstance(v, DiffScalar) and isinstance(v.grad, np.ndarray)}
+        if len(widths) > 1:
+            raise ValueError(f"DiffScalar tangents of mixed widths {sorted(widths)}")
+        k = widths.pop() if widths else 0
+        primal = np.array([value_of(v) for v in flat], dtype=float).reshape(values.shape)
+        tangent = np.array([tangent_of(v, k) for v in flat], dtype=float).reshape(flat.size, k)
+        return cls(primal, tangent.T.reshape((k,) + values.shape))
+
+    def to_scalars(self):
+        """Object array of DiffScalars (constants when the tangent width is 0)."""
+        k = self.width
+        rows = np.ascontiguousarray(self.tangent.reshape(k, self.size).T)
+        out = np.empty(self.shape, dtype=object)
+        for i, (value, grad) in enumerate(zip(self.primal.ravel().tolist(), rows)):
+            out.flat[i] = DiffScalar(value, grad if k else 0.0)
+        return out
+
+    shape = property(lambda self: self.primal.shape)
+    ndim = property(lambda self: self.primal.ndim)
+    size = property(lambda self: self.primal.size)
+    dtype = property(lambda self: self.primal.dtype)
+    width = property(lambda self: self.tangent.shape[0], doc="Number of tangents k.")
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a DualArray has no plain-array form; use .primal and .tangent")
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        rule = _UFUNC_RULES.get(ufunc)
+        if method != "__call__" or rule is None or kwargs:
+            what = ufunc.__name__ if method == "__call__" else f"{ufunc.__name__}.{method}"
+            raise TypeError(f"DualArray does not support numpy.{what}" + (f" with {sorted(kwargs)}" if kwargs else ""))
+        result = rule(ufunc, *inputs)
+        if out is None:
+            return result
+        out[0][...] = result
+        return out[0]
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in (np.zeros, np.empty):
+            # creation with like=self: a new array with k tangents of its shape
+            primal = func(*args, **kwargs)
+            return DualArray(primal, func((self.width,) + primal.shape, dtype=primal.dtype))
+        impl = _FUNCTIONS.get(func)
+        if impl is None:
+            raise TypeError(f"DualArray does not support numpy.{func.__name__}")
+        return impl(*args, **kwargs)
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        return DualArray(self.primal[key], self.tangent[(slice(None),) + key])
+
+    def __setitem__(self, key, value):
+        key = key if isinstance(key, tuple) else (key,)
+        primal, tangent = _split(value)
+        self.primal[key] = primal
+        tkey = (slice(None),) + key
+        self.tangent[tkey] = 0 if tangent is None else _aligned(tangent, np.ndim(self.primal[key]))
+
+    def reshape(self, *shape):
+        primal = self.primal.reshape(*shape)
+        return DualArray(primal, self.tangent.reshape((self.width,) + primal.shape))
+
+    def astype(self, dtype, copy=True):
+        return DualArray(self.primal.astype(dtype, copy=copy), self.tangent.astype(dtype, copy=copy))
+
+    def _reduce(self, name, axis):
+        axes = range(self.ndim) if axis is None else (axis if isinstance(axis, tuple) else (axis,))
+        shifted = tuple(a % self.ndim + 1 for a in axes)
+        return DualArray(getattr(self.primal, name)(axis=axis), getattr(self.tangent, name)(axis=shifted))
+
+    def sum(self, axis=None):
+        return self._reduce("sum", axis)
+
+    def mean(self, axis=None):
+        return self._reduce("mean", axis)
+
+    def __repr__(self):
+        return f"DualArray(primal={self.primal!r}, tangent={self.tangent!r})"
+
+
+def seed_array(values):
+    """DualArray seeding each index of the last axis as an independent input.
+
+    ``values`` of shape (..., k) gets k tangents, tangent j being one at
+    [..., j] and zero elsewhere: every row of a batch shares one k-wide
+    tangent space, since its outputs depend on that row alone.
+    """
+    values = np.asarray(values)
+    k = values.shape[-1]
+    tangent = np.zeros((k,) + values.shape, dtype=values.dtype)
+    idx = np.arange(k)
+    tangent[idx, ..., idx] = 1
+    return DualArray(values, tangent)
+
+
+def primal_of(x):
+    """The primal ndarray of a DualArray; anything else unchanged."""
+    return x.primal if isinstance(x, DualArray) else x
+
+
+def _split(x):
+    """(primal, tangent) of a DualArray; (x, None) of a constant.
+
+    Constants pass through unconverted, so a python scalar stays weakly
+    typed and a float32 primal stays float32, as in the float kernels.
+    """
+    if isinstance(x, DualArray):
+        return x.primal, x.tangent
+    return x, None
+
+
+def _aligned(tangent, ndim):
+    """``tangent`` with singleton axes inserted after the tangent axis, so its
+    primal axes broadcast against a rank-``ndim`` primal."""
+    extra = ndim - (tangent.ndim - 1)
+    if extra <= 0:
+        return tangent
+    return tangent.reshape(tangent.shape[:1] + (1,) * extra + tangent.shape[1:])
+
+
+def _dual(primal, terms):
+    """DualArray whose tangent is the sum of ``terms``, broadcast to full shape."""
+    tangent = terms[0]
+    for term in terms[1:]:
+        tangent = tangent + term
+    shape = tangent.shape[:1] + np.shape(primal)
+    if tangent.shape != shape:
+        tangent = np.broadcast_to(tangent, shape).copy()
+    return DualArray(primal, tangent)
+
+
+def _elementwise(partials):
+    """Rule for an elementwise ufunc: ``partials(result, *primals)`` gives one
+    factor per input, None standing for 1."""
+
+    def rule(ufunc, *inputs):
+        parts = [_split(x) for x in inputs]
+        primals = [p for p, _ in parts]
+        result = ufunc(*primals)
+        ndim = np.ndim(result)
+        terms = []
+        for (_, tangent), factor in zip(parts, partials(result, *primals)):
+            if tangent is not None:
+                term = _aligned(tangent, ndim)
+                terms.append(term if factor is None else term * factor)
+        return _dual(result, terms)
+
+    return rule
+
+
+def _capped_ratio(c, d):
+    """c / d, capped at _DERIVATIVE_CAP where d <= c / cap, as in DiffScalar."""
+    limit = c / _DERIVATIVE_CAP
+    return np.where(d > limit, c / np.maximum(d, limit), _DERIVATIVE_CAP)
+
+
+def _arctan2_partials(result, y, x):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = y * y + x * x
+        return x / denom, -y / denom
+
+
+def _hypot_partials(result, a, b):
+    # d sqrt(a^2 + b^2), with the capped sqrt derivative of DiffScalar.sqrt
+    scale = 2.0 * _capped_ratio(0.5, result)
+    return a * scale, b * scale
+
+
+def _arcsin_scale(x):
+    return _capped_ratio(1.0, np.sqrt(np.maximum(1.0 - x * x, 0.0)))
+
+
+def _matmul(ufunc, a, b):
+    (pa, ta), (pb, tb) = _split(a), _split(b)
+    if np.ndim(pa) < 2 or np.ndim(pb) < 2:
+        raise TypeError("DualArray matmul needs operands of rank 2 or more")
+    result = np.matmul(pa, pb)
+    terms = []
+    if ta is not None:
+        terms.append(np.matmul(_aligned(ta, result.ndim), pb))
+    if tb is not None:
+        terms.append(np.matmul(pa, _aligned(tb, result.ndim)))
+    return _dual(result, terms)
+
+
+_UFUNC_RULES = {
+    np.add: _elementwise(lambda r, a, b: (None, None)),
+    np.subtract: _elementwise(lambda r, a, b: (None, -1.0)),
+    np.multiply: _elementwise(lambda r, a, b: (b, a)),
+    np.negative: _elementwise(lambda r, a: (-1.0,)),
+    np.sin: _elementwise(lambda r, a: (np.cos(a),)),
+    np.cos: _elementwise(lambda r, a: (-np.sin(a),)),
+    np.sqrt: _elementwise(lambda r, a: (_capped_ratio(0.5, r),)),
+    np.arcsin: _elementwise(lambda r, a: (_arcsin_scale(a),)),
+    np.arccos: _elementwise(lambda r, a: (-_arcsin_scale(a),)),
+    np.arctan2: _elementwise(_arctan2_partials),
+    np.hypot: _elementwise(_hypot_partials),
+    np.matmul: _matmul,
+}
+
+
+def _where(condition, x, y):
+    if isinstance(condition, DualArray):
+        raise TypeError("numpy.where needs a plain boolean condition")
+    (px, tx), (py, ty) = _split(x), _split(y)
+    result = np.where(condition, px, py)
+    ndim = result.ndim
+    tx = 0.0 if tx is None else _aligned(tx, ndim)
+    ty = 0.0 if ty is None else _aligned(ty, ndim)
+    return _dual(result, [np.where(condition, tx, ty)])
+
+
+def _stack(arrays, axis=0):
+    parts = [_split(a) for a in arrays]
+    ref = next(t for _, t in parts if t is not None)
+    tangents = [np.zeros(ref.shape[:1] + np.shape(p), ref.dtype) if t is None else t for p, t in parts]
+    primal = np.stack([p for p, _ in parts], axis=axis)
+    return DualArray(primal, np.stack(tangents, axis=axis + 1 if axis >= 0 else axis))
+
+
+_FUNCTIONS = {
+    np.where: _where,
+    np.stack: _stack,
+    np.size: lambda a, axis=None: np.size(a.primal, axis),  # a shape query carries no derivative
+}

@@ -86,9 +86,14 @@ def _best_timed_loop(call, pool, min_seconds, min_iterations, repeats):
     # that would otherwise make throughput curves non-reproducible.
     best = None
     for _ in range(max(int(repeats), 1)):
-        iterations, seconds = _timed_loop(call, pool, min_seconds, min_iterations)
-        if best is None or iterations / seconds > best[0] / best[1]:
-            best = (iterations, seconds)
+        best = _faster(best, _timed_loop(call, pool, min_seconds, min_iterations))
+    return best
+
+
+def _faster(best, measured):
+    """The higher-throughput of two (iterations, seconds) measurements."""
+    if best is None or measured[0] / measured[1] > best[0] / best[1]:
+        return measured
     return best
 
 
@@ -116,26 +121,25 @@ def run_bench(
     ``engine_factory`` maps a batch size to a ready FkEngine; constructing
     the engine, drawing the input pool, and warm-up all happen outside the
     timed region.  Each batch size is measured ``repeats`` times and the
-    fastest repetition is reported.
+    fastest repetition is reported.  The repetitions are interleaved: each
+    one measures every batch size once, so a burst of host load slows one
+    repetition of several sizes rather than every repetition of one size.
     """
-    measurements = []
-    chain = None
-    for b in sorted(int(b) for b in batch_sizes):
+    sizes = sorted(int(b) for b in batch_sizes)
+    for b in sizes:
         if b < 1:
             raise ValueError(f"batch size must be positive, got {b}")
-        engine = engine_factory(b)
-        chain = engine.chain
-        rng = np.random.default_rng(rng_seed)
-        pool = _theta_pool(rng, b, engine.m)
-        iterations, seconds = _best_timed_loop(engine.forward, pool, min_seconds, min_iterations, repeats)
-        measurements.append(
-            BenchMeasurement(
-                batch_size=b,
-                iterations=iterations,
-                seconds=seconds,
-                ops_per_sec=b * iterations / seconds,
-            )
-        )
+    engines = [engine_factory(b) for b in sizes]
+    pools = [_theta_pool(np.random.default_rng(rng_seed), b, e.m) for b, e in zip(sizes, engines)]
+    best = [None] * len(sizes)
+    for _ in range(max(int(repeats), 1)):
+        for i, (engine, pool) in enumerate(zip(engines, pools)):
+            best[i] = _faster(best[i], _timed_loop(engine.forward, pool, min_seconds, min_iterations))
+    measurements = [
+        BenchMeasurement(batch_size=b, iterations=it, seconds=sec, ops_per_sec=b * it / sec)
+        for b, (it, sec) in zip(sizes, best)
+    ]
+    chain = engines[-1].chain if engines else None
     baseline = None
     if with_baseline and chain is not None:
         baseline = measure_baseline(

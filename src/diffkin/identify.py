@@ -143,10 +143,10 @@ class ParamEstimator:
     The loss is the batch mean of squared translation error plus
     ``rotation_weight`` times the squared Frobenius deviation of the rotation
     (the square of the phi5 metric, so the surface is smooth at the optimum).
-    Each step seeds the six parameters as forward-mode tangents, runs the
-    substituted chain's differentiable forward pass, and applies one
-    fixed-step (or Adam) update.  Only the six parameters ever change;
-    sampled joint values are inputs.
+    Each step seeds the six parameters as the tangents of a DualArray, runs
+    one dual forward pass of the substituted chain and the same vectorized
+    loss, and applies one fixed-step (or Adam) update.  Only the six
+    parameters ever change; sampled joint values are inputs.
     """
 
     def __init__(
@@ -204,45 +204,33 @@ class ParamEstimator:
         return thetas, target_poses
 
     def _flat_sub_thetas(self, thetas, params_row):
-        """Substituted-chain theta batch with ``params_row`` spliced in."""
-        b = self.engine.batch_size
-        out = np.empty((b, self.engine.m), dtype=np.asarray(params_row).dtype)
+        """Substituted-chain theta batch with ``params_row`` (floats or a
+        DualArray) spliced in."""
+        out = np.empty((self.engine.batch_size, self.engine.m), dtype=params_row.dtype, like=params_row)
         for col, (kind, idx) in enumerate(self._mapping):
             out[:, col] = thetas[:, idx] if kind == "sample" else params_row[idx]
         return out
+
+    def _loss(self, finals, target_poses):
+        dp = finals[:, :3, 3] - target_poses[:, :3, 3]
+        d = np.eye(3) - finals[:, :3, :3] @ target_poses[:, :3, :3].transpose(0, 2, 1)
+        return (dp * dp).sum(axis=1).mean() + self.rotation_weight * (d * d).sum(axis=(1, 2)).mean()
 
     def loss_value(self, thetas, target_poses):
         """Loss at the current parameters (plain float path)."""
         thetas, target_poses = self._check_shapes(thetas, target_poses)
         finals = self.engine.forward(self._flat_sub_thetas(thetas, self.params))
-        dp = finals[:, :3, 3] - target_poses[:, :3, 3]
-        d = np.eye(3) - finals[:, :3, :3] @ target_poses[:, :3, :3].transpose(0, 2, 1)
-        return float((dp * dp).sum(axis=1).mean() + self.rotation_weight * (d * d).sum(axis=(1, 2)).mean())
+        return float(self._loss(finals, target_poses))
 
     def loss_gradient(self, thetas, target_poses):
         """(loss, d loss / d params) at the current parameters, no update."""
         thetas, target_poses = self._check_shapes(thetas, target_poses)
-        seeded = np.array(ad.seed_vector(self.params), dtype=object)
-        flat = self._flat_sub_thetas(thetas, seeded)
-        finals = self.engine.forward(flat)
-        total = 0.0
-        for k in range(self.engine.batch_size):
-            rows, target = finals[k], target_poses[k]
-            for i in range(3):
-                dt = rows[i][3] - target[i, 3]
-                total = total + dt * dt
-            acc = 0.0
-            for i in range(3):
-                for j in range(3):
-                    entry = rows[i][0] * target[j, 0] + rows[i][1] * target[j, 1] + rows[i][2] * target[j, 2]
-                    dr = (1.0 - entry) if i == j else -entry
-                    acc = acc + dr * dr
-            total = total + self.rotation_weight * acc
-        loss = total / self.engine.batch_size
-        value = ad.value_of(loss)
+        flat = self._flat_sub_thetas(thetas, ad.seed_array(self.params))
+        loss = self._loss(self.engine._evaluate(flat), target_poses)
+        value = float(loss.primal)
         if not np.isfinite(value):
             raise ValueError(f"non-finite identification loss at params {self.params.tolist()}")
-        return value, ad.tangent_of(loss, 6)
+        return value, loss.tangent
 
     def step(self, thetas, target_poses):
         """One update of the six parameters.

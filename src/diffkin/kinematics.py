@@ -7,9 +7,11 @@ transform; each joint transform is premultiplied by its segment's static
 link transform; and an inclusive cumulative matrix product along the chain
 axis yields every intermediate (and the final) base-to-frame transform.
 
-Two execution paths share that structure: a vectorized numpy path for plain
-float batches, and a scalar path over nested lists for object inputs, where
-any DiffScalar entries propagate derivatives through the same math.
+One pipeline serves values and derivatives: every stage is written in numpy
+operations that autodiff.DualArray also implements, so a DualArray theta
+batch runs the same function bodies as a float batch and carries its
+tangents (vector forward mode) through all of them.  pose_jacobian is one
+such pass with the m joint columns seeded.
 
 Joints with an arbitrary axis are handled by conjugation: motion about axis
 ``a`` equals R_align . canonical-slot-motion . R_align^T, where R_align maps
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import transforms
 from .urdf import JointType, KinematicChain
 
@@ -54,13 +57,6 @@ _AXIS_TOL = 1e-9
 # and per-sample cost climbs.  Blocking changes no arithmetic (batch elements
 # never interact), so results are bitwise identical to a single pass.
 _BLOCK_ROWS = 256
-
-_IDENTITY_ROWS = (
-    (1.0, 0.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0, 0.0),
-    (0.0, 0.0, 1.0, 0.0),
-    (0.0, 0.0, 0.0, 1.0),
-)
 
 
 def _aligned_axis(axis):
@@ -104,13 +100,10 @@ class _Segment:
     pre: np.ndarray  # 4x4 static transform: origin with any alignment folded in
     slots: tuple  # Q slots written by this joint's dof, in theta order
     scales: tuple  # per-dof sign/scale applied to theta before scatter
-    offsets: tuple  # per-dof index into a single configuration's theta vector
     post: np.ndarray | None  # alignment inverse pending after this joint
-    pre_rows: tuple  # same matrices as nested tuples for the scalar path
-    post_rows: tuple | None
 
 
-def _build_segment(joint, dof_offset):
+def _build_segment(joint):
     pre = transforms.sixdof_to_transform(joint.origin_params()).astype(float)
     jt = joint.joint_type
     align = None
@@ -136,8 +129,7 @@ def _build_segment(joint, dof_offset):
             a = np.asarray(joint.axis, dtype=float)
             u, v = plane_basis(a)
             align = _align_rotation((u, v, a))
-    offsets = tuple(range(dof_offset, dof_offset + len(slots)))
-    return pre, align, slots, scales, offsets
+    return pre, align, slots, scales
 
 
 class FkEngine:
@@ -161,10 +153,8 @@ class FkEngine:
 
         segments = []
         carry = None  # alignment inverse awaiting the next static transform
-        dof_offset = 0
         for _, joint in chain.segments:
-            pre, align, slots, scales, offsets = _build_segment(joint, dof_offset)
-            dof_offset += len(slots)
+            pre, align, slots, scales = _build_segment(joint)
             if carry is not None:
                 pre = carry @ pre
             post = None
@@ -172,18 +162,7 @@ class FkEngine:
                 pre = pre @ align
                 post = align.T.copy()
             carry = post
-            segments.append(
-                _Segment(
-                    pre=pre,
-                    slots=slots,
-                    scales=scales,
-                    offsets=offsets,
-                    post=post,
-                    pre_rows=tuple(tuple(row) for row in pre),
-                    post_rows=tuple(tuple(row) for row in post) if post is not None else None,
-                )
-            )
-        self._segments = tuple(segments)
+            segments.append(_Segment(pre=pre, slots=slots, scales=scales, post=post))
 
         b, n, m = self.batch_size, self.n, self.m
         if n:
@@ -207,13 +186,13 @@ class FkEngine:
             ]
         )
         self._scale_tile = np.tile(scale_per_dof, b).astype(self.dtype)
-        # per-row post-corrections for the float path, applied after the scan
-        self._float_posts = tuple(
+        # per-row post-corrections, applied after the scan
+        self._posts = tuple(
             (i, seg.post.astype(self.dtype)) for i, seg in enumerate(segments) if seg.post is not None
         )
         self._final_post = None
-        if self._float_posts and self._float_posts[-1][0] == self.n - 1:
-            self._final_post = self._float_posts[-1][1]
+        if self._posts and self._posts[-1][0] == self.n - 1:
+            self._final_post = self._posts[-1][1]
 
     # aliases matching the tensor-pipeline notation
     @property
@@ -230,7 +209,7 @@ class FkEngine:
         """The precomputed static per-segment transforms, shape (n, 4, 4)."""
         return self._tl.copy()
 
-    # -- pipeline stages (float path) ---------------------------------------
+    # -- pipeline stages ------------------------------------------------------
 
     def _check_flat(self, flat):
         if flat.size != self.batch_size * self.m:
@@ -261,39 +240,50 @@ class FkEngine:
         """Full pipeline: scatter -> joint transforms -> combine -> scan.
 
         Returns the (b, 4, 4) final transforms, or all cumulative
-        (b, n, 4, 4) transforms with ``want_intermediates``.  Object-dtype
-        input (e.g. containing DiffScalar entries) runs the scalar path and
-        is differentiable end-to-end.
+        (b, n, 4, 4) transforms with ``want_intermediates``.  A DualArray
+        batch returns a DualArray whose primal is bitwise equal to the float
+        result and whose tangents are pushed through the same kernels.
+        Object-dtype input (floats and seeded DiffScalars) is converted to a
+        DualArray at entry and back to DiffScalars at exit.
         """
+        if isinstance(thetas, ad.DualArray):
+            return self._evaluate(thetas, want_intermediates)
         arr = thetas if isinstance(thetas, np.ndarray) else np.asarray(thetas)
         if arr.dtype == object:
-            return self._forward_generic(arr.ravel().tolist(), want_intermediates)
-        flat = np.asarray(arr, dtype=self.dtype).ravel()
-        self._check_flat(flat)
-        if flat.size and not np.isfinite(flat).all():
+            return self._evaluate(ad.DualArray.from_scalars(arr), want_intermediates).to_scalars()
+        return self._evaluate(arr, want_intermediates)
+
+    def _evaluate(self, thetas, want_intermediates=False):
+        """forward() on a float ndarray or DualArray batch."""
+        thetas = thetas.astype(self.dtype, copy=False)
+        self._check_flat(thetas)
+        values = ad.primal_of(thetas)
+        if values.size and not np.isfinite(values).all():
             raise ValueError("non-finite joint value in theta batch")
         b, n, m = self.batch_size, self.n, self.m
+        flat2d = thetas.reshape(b, m)
         if n == 0:
             if want_intermediates:
-                return np.empty((b, 0, 4, 4), dtype=self.dtype)
-            return np.broadcast_to(np.eye(4, dtype=self.dtype), (b, 4, 4)).copy()
-        flat2d = flat.reshape(b, m)
+                return np.empty((b, 0, 4, 4), dtype=self.dtype, like=flat2d)
+            out = np.zeros((b, 4, 4), dtype=self.dtype, like=flat2d)
+            out[...] = np.eye(4)
+            return out
         if want_intermediates:
             if b <= _BLOCK_ROWS:
                 return self._intermediates_block(flat2d)
-            out = np.empty((b, n, 4, 4), dtype=self.dtype)
+            out = np.empty((b, n, 4, 4), dtype=self.dtype, like=flat2d)
             for start in range(0, b, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, b)
                 out[start:stop] = self._intermediates_block(flat2d[start:stop])
             return out
-        out = np.empty((b, 4, 4), dtype=self.dtype)
+        out = np.empty((b, 4, 4), dtype=self.dtype, like=flat2d)
         for start in range(0, b, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, b)
             self._finals_block(flat2d[start:stop], out[start:stop])
         return out
 
     def _joint_transforms_block(self, flat2d):
-        q = np.zeros((flat2d.shape[0], self.n, 6), dtype=self.dtype)
+        q = np.zeros((flat2d.shape[0], self.n, 6), dtype=self.dtype, like=flat2d)
         if self.m:
             q[:, self._rows_per_dof, self._slots_per_dof] = flat2d * self._scale_per_dof
         return transforms.sixdof_batch_to_transforms(q)
@@ -301,7 +291,7 @@ class FkEngine:
     def _intermediates_block(self, flat2d):
         tj = self._joint_transforms_block(flat2d)
         cum = scan_compose(self.combine_link_joint(tj))
-        for i, post in self._float_posts:
+        for i, post in self._posts:
             cum[:, i] = cum[:, i] @ post
         return cum
 
@@ -322,58 +312,6 @@ class FkEngine:
             cur = cur @ term
         np.matmul(cur, post, out=out)
 
-    # -- scalar path ---------------------------------------------------------
-
-    def _forward_generic(self, flat, want_intermediates):
-        b, m, n = self.batch_size, self.m, self.n
-        if len(flat) != b * m:
-            raise ShapeError(
-                f"expected {b * m} joint values (batch {b} x dof {m}), got {len(flat)}"
-            )
-        shape = (b, n, 4, 4) if want_intermediates else (b, 4, 4)
-        out = np.empty(shape, dtype=object)
-        for k in range(b):
-            config = flat[k * m : (k + 1) * m]
-            cum = None
-            for i, seg in enumerate(self._segments):
-                cell = seg.pre_rows
-                if seg.slots:
-                    params = [0.0] * 6
-                    for slot, scale, off in zip(seg.slots, seg.scales, seg.offsets):
-                        v = config[off]
-                        params[slot] = v if scale == 1.0 else v * scale
-                    cell = _mm4(cell, transforms.sixdof_rows(params))
-                cum = cell if cum is None else _mm4(cum, cell)
-                if want_intermediates:
-                    rows = cum if seg.post_rows is None else _mm4(cum, seg.post_rows)
-                    out[k, i] = np.array(rows, dtype=object)
-            if not want_intermediates:
-                if n == 0:
-                    out[k] = np.array(_IDENTITY_ROWS, dtype=object)
-                else:
-                    last = self._segments[-1]
-                    rows = cum if last.post_rows is None else _mm4(cum, last.post_rows)
-                    out[k] = np.array(rows, dtype=object)
-        return out
-
-
-def _mm4(a, b):
-    """4x4 matrix product over nested rows of plain or differentiable scalars."""
-    b0, b1, b2, b3 = b
-    out = []
-    for row in a:
-        a0, a1, a2, a3 = row
-        out.append(
-            [
-                a0 * b0[0] + a1 * b1[0] + a2 * b2[0] + a3 * b3[0],
-                a0 * b0[1] + a1 * b1[1] + a2 * b2[1] + a3 * b3[1],
-                a0 * b0[2] + a1 * b1[2] + a2 * b2[2] + a3 * b3[2],
-                a0 * b0[3] + a1 * b1[3] + a2 * b2[3] + a3 * b3[3],
-            ]
-        )
-    return out
-
-
 # -- module-level operation wrappers ----------------------------------------
 
 
@@ -387,13 +325,6 @@ def scatter_thetas(engine: FkEngine, thetas):
 
 def joint_transforms(q):
     """Expand every (batch, joint) parameter row of Q into its 4x4 transform."""
-    q = np.asarray(q)
-    if q.dtype == object:
-        lead = q.shape[:-1]
-        out = np.empty(lead + (4, 4), dtype=object)
-        for idx in np.ndindex(lead):
-            out[idx] = np.array(transforms.sixdof_rows(list(q[idx])), dtype=object)
-        return out
     return transforms.sixdof_batch_to_transforms(q)
 
 
@@ -403,9 +334,10 @@ def combine_link_joint(engine: FkEngine, tj):
 
 def scan_compose(tlj):
     """Inclusive cumulative matrix product along the chain axis (axis -3)."""
-    tlj = np.asarray(tlj)
+    if not isinstance(tlj, ad.DualArray):
+        tlj = np.asarray(tlj)
     n = tlj.shape[-3]
-    out = np.empty_like(tlj)
+    out = np.empty(tlj.shape, dtype=tlj.dtype, like=tlj)
     if n == 0:
         return out
     out[..., 0, :, :] = tlj[..., 0, :, :]
@@ -419,22 +351,26 @@ def forward(engine: FkEngine, thetas, want_intermediates=False):
 
 
 def pose_jacobian(engine: FkEngine, thetas):
-    """6 x m pose Jacobians, one per batch configuration.
+    """(b, 6, m) pose Jacobians, one per batch configuration.
 
     Rows follow the pose layout (x, y, z, alpha, beta, gamma); columns follow
-    the chain's theta layout.  Computed in a single seeded forward pass: all
-    configurations share the m-wide tangent space because cross-configuration
-    derivatives are structurally zero.
+    the chain's theta layout.  Computed by one DualArray forward pass with
+    the m joint columns seeded, followed by the same pose extraction the
+    float path uses: all configurations share the m-wide tangent space
+    because cross-configuration derivatives are structurally zero.  The
+    Jacobian has the engine's dtype.
     """
-    from . import autodiff as ad
-
-    flat = np.asarray(thetas, dtype=float).ravel()
-
-    def pipeline(seeded):
-        finals = engine._forward_generic(list(seeded), want_intermediates=False)
-        return [transforms.pose_values_from_transform(finals[k]) for k in range(engine.batch_size)]
-
-    return ad.batch_jacobian(pipeline, flat, engine.m, batch_size=engine.batch_size)
+    flat = np.asarray(thetas, dtype=engine.dtype).ravel()
+    engine._check_flat(flat)
+    b, m = engine.batch_size, engine.m
+    # _evaluate is forward() without its input coercion; wrappers around
+    # forward (perfbench's tracer) expect array-like thetas
+    finals = engine._evaluate(ad.seed_array(flat.reshape(b, m)))
+    poses, _ = transforms.pose_batch_from_transforms(finals)
+    jac = np.moveaxis(poses.tangent, 0, -1)
+    if not np.isfinite(jac).all():
+        raise ValueError("non-finite derivative in jacobian output")
+    return jac
 
 
 def limit_violations(chain: KinematicChain, thetas):

@@ -2,9 +2,12 @@
 
 A pose is a six-vector [x, y, z, alpha, beta, gamma]: translation followed by
 fixed-axis roll/pitch/yaw, composed as R = Rz(gamma) @ Ry(beta) @ Rx(alpha).
-Every function here has two flavors where it matters: a scalar-generic one
-that accepts floats or DiffScalars element-wise, and a vectorized float one
-for batches.
+
+The batch kernels (sixdof_batch_to_transforms, pose_batch_from_transforms)
+are what the kinematics pipeline runs, on float arrays and on
+autodiff.DualArray alike.  The single-transform helpers build or read one
+4x4 at a time; rot_*, rpy_to_rotation and the *_values_* extractors also
+accept DiffScalar entries, for the scalar-generic rotation metrics.
 """
 
 from __future__ import annotations
@@ -128,21 +131,18 @@ def rpy_to_rotation(alpha, beta, gamma):
     return np.array(rpy_rotation_rows(alpha, beta, gamma))
 
 
-def sixdof_rows(params):
-    """4x4 nested-list transform for [x, y, z, alpha, beta, gamma]."""
-    x, y, z, alpha, beta, gamma = params
-    r = rpy_rotation_rows(alpha, beta, gamma)
-    return [
-        [r[0][0], r[0][1], r[0][2], x],
-        [r[1][0], r[1][1], r[1][2], y],
-        [r[2][0], r[2][1], r[2][2], z],
-        [0.0, 0.0, 0.0, 1.0],
-    ]
-
-
 def sixdof_to_transform(params):
     """4x4 homogeneous transform for a [x, y, z, alpha, beta, gamma] six-vector."""
-    return np.array(sixdof_rows(params))
+    x, y, z, alpha, beta, gamma = params
+    r = rpy_rotation_rows(alpha, beta, gamma)
+    return np.array(
+        [
+            [r[0][0], r[0][1], r[0][2], x],
+            [r[1][0], r[1][1], r[1][2], y],
+            [r[2][0], r[2][1], r[2][2], z],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
 
 
 def compose(a, b):
@@ -151,16 +151,20 @@ def compose(a, b):
 
 
 def sixdof_batch_to_transforms(params):
-    """Vectorized transform construction, (..., 6) floats -> (..., 4, 4)."""
-    params = np.asarray(params)
-    if params.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        params = params.astype(float)
+    """Vectorized transform construction, (..., 6) -> (..., 4, 4).
+
+    ``params`` is a float array or a DualArray; the result is of the same kind.
+    """
+    if not isinstance(params, ad.DualArray):
+        params = np.asarray(params)
+        if params.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+            params = params.astype(float)
     lead = params.shape[:-1]
     x, y, z = params[..., 0], params[..., 1], params[..., 2]
     ca, sa = np.cos(params[..., 3]), np.sin(params[..., 3])
     cb, sb = np.cos(params[..., 4]), np.sin(params[..., 4])
     cg, sg = np.cos(params[..., 5]), np.sin(params[..., 5])
-    out = np.zeros(lead + (4, 4), dtype=params.dtype)
+    out = np.zeros(lead + (4, 4), dtype=params.dtype, like=params)
     out[..., 0, 0] = cg * cb
     out[..., 0, 1] = cg * sb * sa - sg * ca
     out[..., 0, 2] = cg * sb * ca + sg * sa
@@ -209,24 +213,26 @@ def pose_from_transform(t, check=True):
 
 
 def pose_batch_from_transforms(ts):
-    """Vectorized pose extraction: (..., 4, 4) -> ((..., 6) poses, bool degenerate mask)."""
-    ts = np.asarray(ts)
-    if ts.dtype not in (np.float32, np.float64):
-        ts = ts.astype(float)
-    lead = ts.shape[:-2]
-    poses = np.empty(lead + (6,), dtype=ts.dtype)
-    poses[..., 0] = ts[..., 0, 3]
-    poses[..., 1] = ts[..., 1, 3]
-    poses[..., 2] = ts[..., 2, 3]
+    """Vectorized pose extraction: (..., 4, 4) -> ((..., 6) poses, bool degenerate mask).
+
+    ``ts`` is a float array or a DualArray; the poses are of the same kind.
+    On a DualArray the derivative of cos(beta) = hypot(r00, r10) is capped
+    like DiffScalar.sqrt, so at gimbal lock d(beta) stays finite.
+    """
+    if not isinstance(ts, ad.DualArray):
+        ts = np.asarray(ts)
+        if ts.dtype not in (np.float32, np.float64):
+            ts = ts.astype(float)
     cb = np.hypot(ts[..., 0, 0], ts[..., 1, 0])
-    degenerate = cb <= _GIMBAL_COS_TOL
-    poses[..., 4] = np.arctan2(-ts[..., 2, 0], cb)
-    poses[..., 3] = np.where(degenerate, 0.0, np.arctan2(ts[..., 2, 1], ts[..., 2, 2]))
-    poses[..., 5] = np.where(
+    degenerate = ad.primal_of(cb) <= _GIMBAL_COS_TOL
+    beta = np.arctan2(-ts[..., 2, 0], cb)
+    alpha = np.where(degenerate, 0.0, np.arctan2(ts[..., 2, 1], ts[..., 2, 2]))
+    gamma = np.where(
         degenerate,
         np.arctan2(-ts[..., 0, 1], ts[..., 1, 1]),
         np.arctan2(ts[..., 1, 0], ts[..., 0, 0]),
     )
+    poses = np.stack([ts[..., 0, 3], ts[..., 1, 3], ts[..., 2, 3], alpha, beta, gamma], axis=-1)
     return poses, degenerate
 
 

@@ -166,3 +166,92 @@ def test_chain_rule_property(x, y):
 def test_hash_disabled():
     with pytest.raises(TypeError):
         hash(ad.DiffScalar(1.0, np.zeros(1)))
+
+
+# -- DualArray ----------------------------------------------------------------
+
+
+def _seeded_pair(xs, ys):
+    """x and y as DualArrays with tangents d/dx, d/dy, and as DiffScalar arrays."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    zero, one = np.zeros_like(xs), np.ones_like(xs)
+    x = ad.DualArray(xs, np.stack([one, zero]))
+    y = ad.DualArray(ys, np.stack([zero, one]))
+    return x, y, x.to_scalars(), y.to_scalars()
+
+
+def _assert_dual_matches(got, scalars):
+    want = ad.DualArray.from_scalars(scalars)
+    np.testing.assert_allclose(got.primal, want.primal, rtol=1e-14, atol=1e-300)
+    np.testing.assert_allclose(got.tangent, want.tangent, rtol=1e-12, atol=1e-12)
+
+
+XS = [0.3, -0.7, 1.3, 0.0]
+YS = [0.5, 0.2, -0.4, 1.1]
+
+
+@pytest.mark.parametrize(
+    "dual_fn, scalar_fn, xs, ys",
+    [
+        (lambda a, b: a * b + a - b * 2.0 - (-a), None, XS, YS),
+        (lambda a, b: np.sin(a) * np.cos(b), None, XS, YS),
+        (lambda a, b: np.arctan2(a, b), None, XS, YS),
+        # sqrt and hypot at zero take DiffScalar.sqrt's capped derivative
+        (lambda a, b: np.sqrt(a) * b, None, [0.0, 1e-20, 0.25, 4.0], YS),
+        (np.hypot, lambda a, b: np.sqrt(a * a + b * b), [0.0, 1e-20, 0.3, -2.0], [0.0, 0.0, 0.4, 1.0]),
+        # arcsin/arccos at +-1 likewise
+        (lambda a, b: np.arcsin(a) + np.arccos(b), None, [-1.0, -0.5, 0.0, 1.0], [1.0, 0.5, -1.0, 0.2]),
+    ],
+)
+def test_dual_array_elementwise_matches_diffscalar(dual_fn, scalar_fn, xs, ys):
+    x, y, sx, sy = _seeded_pair(xs, ys)
+    _assert_dual_matches(dual_fn(x, y), (scalar_fn or dual_fn)(sx, sy))
+
+
+def test_dual_array_structural_ops_match_diffscalar(rng):
+    a = ad.DualArray(rng.normal(size=(2, 3, 3)), rng.normal(size=(4, 2, 3, 3)))
+    b = ad.DualArray(rng.normal(size=(3, 3)), rng.normal(size=(4, 3, 3)))
+    c = rng.normal(size=(2, 3, 3))
+    cond = rng.random((2, 3, 3)) < 0.5
+
+    def f(x, y):
+        z = x @ y + c @ y - x @ c
+        w = np.where(cond, z, 0.5)
+        s = np.stack([w[:, 0], x[:, 1, :], c[:, 2]], axis=-1)
+        out = np.zeros((2, 3, 3), dtype=s.dtype, like=s)
+        out[...] = s
+        out[1, :, 0] = y[0, 0]
+        return (out * out).sum(axis=(0, 2)) + out.mean(axis=1)[0]
+
+    _assert_dual_matches(f(a, b), f(a.to_scalars(), b.to_scalars()))
+
+
+def test_dual_array_refuses_to_drop_tangents():
+    x = ad.seed_array(np.array([0.3, 0.4]))
+    plain = np.zeros(2)
+    refused = [
+        lambda: np.asarray(x),
+        lambda: np.exp(x),
+        lambda: np.isfinite(x),
+        lambda: np.add.reduce(x),
+        lambda: np.add(x, x, where=True),
+        lambda: np.concatenate([x, x]),
+        lambda: np.linalg.norm(x),
+        lambda: x / 2.0,
+        lambda: x == x,
+        lambda: plain.__setitem__(slice(None), x),
+    ]
+    for op in refused:
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError, match="widths"):
+        ad.DualArray.from_scalars([ad.lift(1.0, 0, 2), ad.lift(2.0, 0, 3)])
+
+
+def test_seed_array_shares_one_tangent_space():
+    x = ad.seed_array(np.arange(6.0).reshape(2, 3))
+    assert x.width == 3 and x.tangent.shape == (3, 2, 3)
+    for j in range(3):
+        want = np.zeros((2, 3))
+        want[:, j] = 1.0
+        np.testing.assert_array_equal(x.tangent[j], want)

@@ -72,6 +72,38 @@ def test_generic_path_matches_float(mixed_chain, rng):
     assert np.abs(vals - flt).max() < 1e-12
 
 
+@pytest.mark.parametrize("want_intermediates", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", ["mixed", "mixed_blocked", "zero_dof"])
+def test_dual_forward_matches_float_and_central_differences(case, dtype, want_intermediates, mixed_chain, arm2r, rng):
+    """Dual primal is bitwise the float result; tangents are the derivatives."""
+    chain, b = {
+        "mixed": (mixed_chain, 3),
+        "mixed_blocked": (mixed_chain, kinematics._BLOCK_ROWS + 44),
+        "zero_dof": (urdf.extract_chain(arm2r, "lower", "tip"), 4),
+    }[case]
+    eng = FkEngine(chain, batch_size=b, dtype=dtype)
+    thetas = rng.uniform(-1.0, 1.0, size=(b, chain.m))
+    dual = eng.forward(ad.seed_array(thetas), want_intermediates=want_intermediates)
+    assert dual.primal.dtype == dtype and dual.width == chain.m
+    flt = eng.forward(thetas, want_intermediates=want_intermediates)
+    np.testing.assert_array_equal(dual.primal, flt)
+    poses, degenerate = transforms.pose_batch_from_transforms(dual)
+    want_poses, want_degenerate = transforms.pose_batch_from_transforms(flt)
+    assert poses.primal.dtype == dtype
+    np.testing.assert_array_equal(poses.primal, want_poses)
+    np.testing.assert_array_equal(degenerate, want_degenerate)
+    ref = FkEngine(chain, batch_size=b)
+    h = 1e-6
+    for j in range(chain.m):
+        step = np.zeros_like(thetas)
+        step[:, j] = h
+        up = ref.forward(thetas + step, want_intermediates=want_intermediates)
+        dn = ref.forward(thetas - step, want_intermediates=want_intermediates)
+        tol = 1e-8 if dtype is np.float64 else 2e-5
+        np.testing.assert_allclose(dual.tangent[j], (up - dn) / (2 * h), rtol=0, atol=tol)
+
+
 def test_index_matrix_shape_and_invariants(mixed_chain):
     b = 3
     eng = FkEngine(mixed_chain, batch_size=b)
@@ -254,6 +286,31 @@ def test_pose_jacobian_matches_finite_differences(arm4_chain, rng):
             err = np.abs(jacs[k][:, j] - fd_col)
             tol = 1e-5 * np.maximum(np.abs(fd_col), 1.0) + 1e-8
             assert (err < tol).all()
+
+
+def test_pose_jacobian_at_gimbal_lock(arm4_chain):
+    """At pitch pi/2 the capped sqrt derivative keeps d(beta) finite and tiny.
+
+    An uncapped hypot derivative would give d(beta)/d(j2) near 1 here.  The
+    capped value is _DERIVATIVE_CAP times the rounding residue of cos(beta),
+    about 1e-8, so only its magnitude is pinned; every other row is pinned.
+    """
+    eng = FkEngine(arm4_chain, batch_size=1)
+    jac = kinematics.pose_jacobian(eng, [0.3, 1.0, np.pi / 2 - 1.0, 0.2])
+    assert jac.shape == (1, 6, 4)
+    want = np.array(
+        [
+            [-1.8207618230043621e-01, -7.0368977018121925e-01, -3.8213459565024238e-01, 0.0],
+            [5.8860279883205757e-01, -2.1767675439651604e-01, -1.1820808266453581e-01, 0.0],
+            [0.0, -2.1612092234725594e-01, -4.4408920985006264e-17, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0606365664918082e-08, 1.0606365664918082e-08, 0.0],
+            [1.0, -1.0973267386642720e-17, -1.0973267386642720e-17, -1.0],
+        ]
+    )
+    rows = [0, 1, 2, 3, 5]
+    np.testing.assert_allclose(jac[0][rows], want[rows], rtol=0, atol=1e-12)
+    assert np.abs(jac[0, 4]).max() < 1e-7
 
 
 def test_limit_violations(arm2r_chain):
