@@ -9,28 +9,22 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .autodiff import DiffScalar, DualArray, batch_jacobian, jacobian, lift, seed_array, seed_vector  # noqa: E402
+from .autodiff import DiffScalar, DualArray, batch_jacobian, seed_array  # noqa: E402
 from .bench import BenchReport, run_bench  # noqa: E402
 from .identify import (  # noqa: E402
     IdentificationResult,
     IdentifyConfig,
     ParamEstimator,
     SampleGenerator,
-    estimator_step,
-    make_generator,
     run_identification,
 )
 from .kinematics import (  # noqa: E402
     FkEngine,
     ShapeError,
-    combine_link_joint,
-    forward,
     joint_transforms,
     limit_violations,
-    new_engine,
     pose_jacobian,
     scan_compose,
-    scatter_thetas,
 )
 from .metrics import (  # noqa: E402
     phi1,
@@ -47,7 +41,6 @@ from .metrics import (  # noqa: E402
 from .transforms import (  # noqa: E402
     PoseQuaternion,
     PoseRPY,
-    compose,
     pose_from_transform,
     quaternion_from_rotation,
     rot_x,

@@ -1,27 +1,23 @@
-"""Forward-mode automatic differentiation.
-
-Two dual types carry tangents alongside values:
+"""Forward-mode automatic differentiation over arrays.
 
 ``DualArray`` is the vector forward mode (Griewank & Walther, *Evaluating
-Derivatives*, 2008, section 3) that the kinematics pipeline runs on: one
-primal ndarray plus a tangent ndarray with the tangent axis leading, shape
+Derivatives*, 2008, section 3) that the library's kernels run on: one primal
+ndarray plus a tangent ndarray with the tangent axis leading, shape
 ``(k,) + primal.shape``.  It implements numpy's ``__array_ufunc__`` and
-``__array_function__`` protocols for exactly the operations the FK and
-pose-extraction kernels use, so those kernels run unchanged on it; every
-other ufunc or function, and any conversion to a plain ndarray, raises
-instead of silently dropping the tangent.  Primals are computed by the same
-numpy calls as the float kernels, so they are bitwise equal to a float run.
+``__array_function__`` protocols for exactly the operations the FK, pose,
+quaternion and metric kernels use, so those kernels run unchanged on it;
+every other ufunc or function, and any conversion to a plain ndarray,
+raises instead of silently dropping the tangent.  Primals are computed by
+the same numpy calls as the float kernels, so they are bitwise equal to a
+float run.
 
-``DiffScalar`` is a scalar dual number whose derivative part is a numpy
-tangent vector.  A constant carries the scalar tangent ``0.0``, which
-broadcasts against any seeded width.  Its primal uses the same python
-``math`` call and evaluation order as plain-float code.  The scalar-generic
-rotation metrics still run on it.
+``batch_jacobian`` turns a batched map into per-row Jacobians with one
+seeded pass.  ``DiffScalar`` is only a (value, tangent) record, the
+element type of the object arrays that ``FkEngine.forward`` converts at
+its boundary.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -30,33 +26,20 @@ __all__ = [
     "seed_array",
     "primal_of",
     "DiffScalar",
-    "lift",
-    "seed_vector",
-    "value_of",
-    "tangent_of",
-    "sin",
-    "cos",
-    "sqrt",
-    "asin",
-    "acos",
-    "atan2",
-    "absolute",
-    "minimum",
-    "maximum",
-    "jacobian",
     "batch_jacobian",
 ]
 
 # Cap for one-sided derivatives where the true derivative diverges
-# (acos/asin at |u|=1, sqrt at 0).  Keeps optimization loops finite.
+# (arccos/arcsin at |u|=1, sqrt at 0).  Keeps optimization loops finite.
 _DERIVATIVE_CAP = 1e8
 
 
 class DiffScalar:
-    """Dual number: a float value plus a tangent vector d(value)/d(seeds).
+    """A value and its tangent vector d(value)/d(seeds), as one record.
 
-    ``grad`` is either a numpy vector of the seeded input width or the
-    scalar ``0.0`` for quantities with no input dependence.
+    ``grad`` is a numpy vector of the seeded input width, or the scalar
+    ``0.0`` for a constant.  ``FkEngine.forward`` accepts object arrays of
+    these and converts them to and from a DualArray at its boundary.
     """
 
     __slots__ = ("value", "grad")
@@ -65,276 +48,28 @@ class DiffScalar:
         self.value = float(value)
         self.grad = grad
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, DiffScalar):
-            return DiffScalar(self.value + other.value, self.grad + other.grad)
-        return DiffScalar(self.value + other, self.grad)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, DiffScalar):
-            return DiffScalar(self.value - other.value, self.grad - other.grad)
-        return DiffScalar(self.value - other, self.grad)
-
-    def __rsub__(self, other):
-        return DiffScalar(other - self.value, -self.grad)
-
-    def __mul__(self, other):
-        if isinstance(other, DiffScalar):
-            return DiffScalar(
-                self.value * other.value,
-                self.grad * other.value + other.grad * self.value,
-            )
-        return DiffScalar(self.value * other, self.grad * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DiffScalar):
-            ov = other.value
-            return DiffScalar(
-                self.value / ov,
-                (self.grad * ov - other.grad * self.value) / (ov * ov),
-            )
-        return DiffScalar(self.value / other, self.grad / other)
-
-    def __rtruediv__(self, other):
-        v = self.value
-        return DiffScalar(other / v, self.grad * (-other / (v * v)))
-
-    def __neg__(self):
-        return DiffScalar(-self.value, -self.grad)
-
-    def __pos__(self):
-        return self
-
-    def __pow__(self, exponent):
-        v = self.value
-        return DiffScalar(v**exponent, self.grad * (exponent * v ** (exponent - 1)))
-
-    def __abs__(self):
-        # Kink at 0 resolves to the positive branch: d|x|/dx = +1.
-        if self.value < 0:
-            return DiffScalar(-self.value, -self.grad)
-        return DiffScalar(self.value, self.grad)
-
-    # -- comparisons (on the primal value) ----------------------------------
-
-    def __lt__(self, other):
-        return self.value < value_of(other)
-
-    def __le__(self, other):
-        return self.value <= value_of(other)
-
-    def __gt__(self, other):
-        return self.value > value_of(other)
-
-    def __ge__(self, other):
-        return self.value >= value_of(other)
-
-    def __eq__(self, other):
-        return self.value == value_of(other)
-
-    __hash__ = None
-
-    # -- transcendental methods (named after numpy ufuncs so object-dtype
-    #    arrays dispatch here) ----------------------------------------------
-
-    def sin(self):
-        return DiffScalar(math.sin(self.value), self.grad * math.cos(self.value))
-
-    def cos(self):
-        return DiffScalar(math.cos(self.value), self.grad * -math.sin(self.value))
-
-    def sqrt(self):
-        r = math.sqrt(self.value)
-        scale = 0.5 / r if r > 0.5 / _DERIVATIVE_CAP else _DERIVATIVE_CAP
-        return DiffScalar(r, self.grad * scale)
-
-    def arcsin(self):
-        v = self.value
-        d = math.sqrt(max(1.0 - v * v, 0.0))
-        scale = 1.0 / d if d > 1.0 / _DERIVATIVE_CAP else _DERIVATIVE_CAP
-        return DiffScalar(math.asin(v), self.grad * scale)
-
-    def arccos(self):
-        v = self.value
-        d = math.sqrt(max(1.0 - v * v, 0.0))
-        scale = 1.0 / d if d > 1.0 / _DERIVATIVE_CAP else _DERIVATIVE_CAP
-        return DiffScalar(math.acos(v), self.grad * -scale)
-
-    def arctan2(self, other):
-        if isinstance(other, DiffScalar):
-            ov, og = other.value, other.grad
-        else:
-            ov, og = other, 0.0
-        denom = self.value * self.value + ov * ov
-        return DiffScalar(
-            math.atan2(self.value, ov),
-            (self.grad * ov - og * self.value) / denom,
-        )
-
     def __repr__(self):
         return f"DiffScalar({self.value!r}, grad={self.grad!r})"
 
 
-# -- float/DiffScalar dispatch helpers --------------------------------------
+def batch_jacobian(f, thetas):
+    """(b, p, k) Jacobians of a batched map, one per row of ``thetas``.
 
-
-def value_of(x):
-    """Primal value of a plain number or DiffScalar."""
-    if isinstance(x, DiffScalar):
-        return x.value
-    return float(x)
-
-
-def tangent_of(x, width):
-    """Tangent vector of ``x`` as a dense length-``width`` array."""
-    if isinstance(x, DiffScalar):
-        g = x.grad
-        if isinstance(g, np.ndarray):
-            return np.asarray(g, dtype=float)
-        return np.full(width, float(g))
-    return np.zeros(width)
-
-
-def lift(x, seed_index=None, num_inputs=None):
-    """Wrap a float as a constant, or as the ``seed_index``-th independent input."""
-    if seed_index is None:
-        return DiffScalar(x, 0.0)
-    if num_inputs is None:
-        raise ValueError("num_inputs is required when seeding an input")
-    if not 0 <= seed_index < num_inputs:
-        raise IndexError(f"seed_index {seed_index} out of range for {num_inputs} inputs")
-    g = np.zeros(num_inputs)
-    g[seed_index] = 1.0
-    return DiffScalar(x, g)
-
-
-def seed_vector(values):
-    """Seed each element of ``values`` as an independent input (width = len)."""
-    values = np.asarray(values, dtype=float).ravel()
-    k = values.size
-    out = []
-    for j, v in enumerate(values):
-        g = np.zeros(k)
-        g[j] = 1.0
-        out.append(DiffScalar(v, g))
-    return out
-
-
-def sin(x):
-    return x.sin() if isinstance(x, DiffScalar) else math.sin(x)
-
-
-def cos(x):
-    return x.cos() if isinstance(x, DiffScalar) else math.cos(x)
-
-
-def sqrt(x):
-    return x.sqrt() if isinstance(x, DiffScalar) else math.sqrt(x)
-
-
-def asin(x):
-    return x.arcsin() if isinstance(x, DiffScalar) else math.asin(x)
-
-
-def acos(x):
-    return x.arccos() if isinstance(x, DiffScalar) else math.acos(x)
-
-
-def atan2(y, x):
-    if isinstance(y, DiffScalar):
-        return y.arctan2(x)
-    if isinstance(x, DiffScalar):
-        denom = y * y + x.value * x.value
-        return DiffScalar(math.atan2(y, x.value), x.grad * (-y / denom))
-    return math.atan2(y, x)
-
-
-def absolute(x):
-    return abs(x)
-
-
-def minimum(a, b):
-    """Smaller argument by value; ties resolve to the first argument."""
-    return a if value_of(a) <= value_of(b) else b
-
-
-def maximum(a, b):
-    """Larger argument by value; ties resolve to the first argument."""
-    return a if value_of(a) >= value_of(b) else b
-
-
-# -- Jacobian drivers --------------------------------------------------------
-
-
-def _row_of(y, width, label):
-    v = value_of(y)
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value in jacobian output {label}")
-    row = tangent_of(y, width)
-    if not np.all(np.isfinite(row)):
-        raise ValueError(f"non-finite derivative in jacobian output {label}")
-    return row
-
-
-def jacobian(f, x):
-    """Dense Jacobian J[i][j] = d f_i / d x_j from one seeded forward pass.
-
-    ``f`` receives a 1-D object array of seeded DiffScalars and returns a
-    sequence (any nesting) of outputs; the result has one row per flattened
-    output.
+    ``thetas`` of shape (b, k) is seeded with seed_array, so every row
+    shares one k-wide tangent space: output row i depends on input row i
+    alone, and the cross-row blocks are structurally zero.  ``f`` maps the
+    (b, k) DualArray to a (b, p) DualArray.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    inputs = np.array(seed_vector(x), dtype=object)
-    outputs = np.ravel(np.asarray(f(inputs), dtype=object))
-    jac = np.empty((outputs.size, x.size))
-    for i, y in enumerate(outputs):
-        jac[i] = _row_of(y, x.size, f"row {i}")
+    thetas = np.asarray(thetas)
+    if thetas.ndim != 2:
+        raise ValueError(f"thetas must be a (b, k) batch, got shape {thetas.shape}")
+    out = f(seed_array(thetas))
+    if not np.isfinite(out.primal).all():
+        raise ValueError("non-finite value in jacobian output")
+    jac = np.moveaxis(out.tangent, 0, -1)
+    if not np.isfinite(jac).all():
+        raise ValueError("non-finite derivative in jacobian output")
     return jac
-
-
-def batch_jacobian(f, thetas, dof, batch_size=None):
-    """Per-configuration Jacobians of a batched map, one per batch element.
-
-    Every configuration is seeded in the same ``dof``-wide tangent space.
-    Output element k depends only on configuration k, so a single forward
-    evaluation yields all per-element Jacobians; the cross-element blocks
-    are identically zero and never materialized.
-
-    ``f`` maps a flat (b*dof,) object array to a (b, p) array of outputs;
-    returns a list of b arrays of shape (p, dof).
-    """
-    flat = np.asarray(thetas, dtype=float).ravel()
-    if dof == 0:
-        if batch_size is None:
-            raise ValueError("batch_size is required when dof == 0")
-        b = batch_size
-        inputs = np.array([], dtype=object)
-    else:
-        if flat.size % dof:
-            raise ValueError(f"theta batch of length {flat.size} is not a multiple of dof {dof}")
-        b = flat.size // dof
-        if batch_size is not None and batch_size != b:
-            raise ValueError(f"batch_size {batch_size} inconsistent with {flat.size} thetas of dof {dof}")
-        seeds = []
-        for j, v in enumerate(flat):
-            g = np.zeros(dof)
-            g[j % dof] = 1.0
-            seeds.append(DiffScalar(v, g))
-        inputs = np.array(seeds, dtype=object)
-    outputs = np.asarray(f(inputs), dtype=object).reshape(b, -1)
-    jacs = []
-    for k in range(b):
-        jac = np.empty((outputs.shape[1], dof))
-        for i, y in enumerate(outputs[k]):
-            jac[i] = _row_of(y, dof, f"batch {k}, row {i}")
-        jacs.append(jac)
-    return jacs
 
 
 # -- vector forward mode over arrays -----------------------------------------
@@ -365,13 +100,15 @@ class DualArray(np.lib.mixins.NDArrayOperatorsMixin):
     def from_scalars(cls, values):
         """DualArray from an array of floats and DiffScalars of one tangent width."""
         values = np.asarray(values, dtype=object)
-        flat = values.ravel()
-        widths = {v.grad.size for v in flat if isinstance(v, DiffScalar) and isinstance(v.grad, np.ndarray)}
+        flat = [v if isinstance(v, DiffScalar) else DiffScalar(v) for v in values.ravel()]
+        widths = {v.grad.size for v in flat if isinstance(v.grad, np.ndarray)}
         if len(widths) > 1:
             raise ValueError(f"DiffScalar tangents of mixed widths {sorted(widths)}")
         k = widths.pop() if widths else 0
-        primal = np.array([value_of(v) for v in flat], dtype=float).reshape(values.shape)
-        tangent = np.array([tangent_of(v, k) for v in flat], dtype=float).reshape(flat.size, k)
+        primal = np.array([v.value for v in flat], dtype=float).reshape(values.shape)
+        tangent = np.zeros((len(flat), k))
+        for row, v in zip(tangent, flat):
+            row[...] = v.grad
         return cls(primal, tangent.T.reshape((k,) + values.shape))
 
     def to_scalars(self):
@@ -431,13 +168,16 @@ class DualArray(np.lib.mixins.NDArrayOperatorsMixin):
     def astype(self, dtype, copy=True):
         return DualArray(self.primal.astype(dtype, copy=copy), self.tangent.astype(dtype, copy=copy))
 
-    def _reduce(self, name, axis):
+    def _reduce(self, name, axis, keepdims=False):
         axes = range(self.ndim) if axis is None else (axis if isinstance(axis, tuple) else (axis,))
         shifted = tuple(a % self.ndim + 1 for a in axes)
-        return DualArray(getattr(self.primal, name)(axis=axis), getattr(self.tangent, name)(axis=shifted))
+        return DualArray(
+            getattr(self.primal, name)(axis=axis, keepdims=keepdims),
+            getattr(self.tangent, name)(axis=shifted, keepdims=keepdims),
+        )
 
-    def sum(self, axis=None):
-        return self._reduce("sum", axis)
+    def sum(self, axis=None, keepdims=False):
+        return self._reduce("sum", axis, keepdims)
 
     def mean(self, axis=None):
         return self._reduce("mean", axis)
@@ -517,7 +257,7 @@ def _elementwise(partials):
 
 
 def _capped_ratio(c, d):
-    """c / d, capped at _DERIVATIVE_CAP where d <= c / cap, as in DiffScalar."""
+    """c / d, capped at _DERIVATIVE_CAP where d <= c / cap."""
     limit = c / _DERIVATIVE_CAP
     return np.where(d > limit, c / np.maximum(d, limit), _DERIVATIVE_CAP)
 
@@ -529,7 +269,7 @@ def _arctan2_partials(result, y, x):
 
 
 def _hypot_partials(result, a, b):
-    # d sqrt(a^2 + b^2), with the capped sqrt derivative of DiffScalar.sqrt
+    # d sqrt(a^2 + b^2), with the capped derivative of np.sqrt
     scale = 2.0 * _capped_ratio(0.5, result)
     return a * scale, b * scale
 
@@ -551,11 +291,36 @@ def _matmul(ufunc, a, b):
     return _dual(result, terms)
 
 
+def _selected(condition, x, y, ndim):
+    """Tangent of x where ``condition`` holds and of y elsewhere."""
+    (_, tx), (_, ty) = _split(x), _split(y)
+    tx = 0.0 if tx is None else _aligned(tx, ndim)
+    ty = 0.0 if ty is None else _aligned(ty, ndim)
+    return np.where(condition, tx, ty)
+
+
+def _extremum(first_wins):
+    """Rule for minimum/maximum: the tangent of the argument the primal picks,
+    the first one on a tie."""
+
+    def rule(ufunc, a, b):
+        pa, pb = primal_of(a), primal_of(b)
+        result = ufunc(pa, pb)
+        return _dual(result, [_selected(first_wins(pa, pb), a, b, np.ndim(result))])
+
+    return rule
+
+
 _UFUNC_RULES = {
     np.add: _elementwise(lambda r, a, b: (None, None)),
     np.subtract: _elementwise(lambda r, a, b: (None, -1.0)),
     np.multiply: _elementwise(lambda r, a, b: (b, a)),
+    np.divide: _elementwise(lambda r, a, b: (1.0 / b, -r / b)),
     np.negative: _elementwise(lambda r, a: (-1.0,)),
+    # the kink at 0 takes the positive branch
+    np.absolute: _elementwise(lambda r, a: (np.where(a < 0, -1.0, 1.0),)),
+    np.minimum: _extremum(np.less_equal),
+    np.maximum: _extremum(np.greater_equal),
     np.sin: _elementwise(lambda r, a: (np.cos(a),)),
     np.cos: _elementwise(lambda r, a: (-np.sin(a),)),
     np.sqrt: _elementwise(lambda r, a: (_capped_ratio(0.5, r),)),
@@ -567,15 +332,16 @@ _UFUNC_RULES = {
 }
 
 
+def _tangent_axis(axis):
+    """The tangent's axis for primal axis ``axis``: the tangent axis leads."""
+    return axis + 1 if axis >= 0 else axis
+
+
 def _where(condition, x, y):
     if isinstance(condition, DualArray):
         raise TypeError("numpy.where needs a plain boolean condition")
-    (px, tx), (py, ty) = _split(x), _split(y)
-    result = np.where(condition, px, py)
-    ndim = result.ndim
-    tx = 0.0 if tx is None else _aligned(tx, ndim)
-    ty = 0.0 if ty is None else _aligned(ty, ndim)
-    return _dual(result, [np.where(condition, tx, ty)])
+    result = np.where(condition, primal_of(x), primal_of(y))
+    return _dual(result, [_selected(condition, x, y, result.ndim)])
 
 
 def _stack(arrays, axis=0):
@@ -583,11 +349,25 @@ def _stack(arrays, axis=0):
     ref = next(t for _, t in parts if t is not None)
     tangents = [np.zeros(ref.shape[:1] + np.shape(p), ref.dtype) if t is None else t for p, t in parts]
     primal = np.stack([p for p, _ in parts], axis=axis)
-    return DualArray(primal, np.stack(tangents, axis=axis + 1 if axis >= 0 else axis))
+    return DualArray(primal, np.stack(tangents, axis=_tangent_axis(axis)))
+
+
+def _take_along_axis(arr, indices, axis):
+    if isinstance(indices, DualArray):
+        raise TypeError("numpy.take_along_axis needs plain integer indices")
+    primal = np.take_along_axis(arr.primal, indices, axis=axis)
+    return DualArray(primal, np.take_along_axis(arr.tangent, indices[None], axis=_tangent_axis(axis)))
+
+
+def _swapaxes(a, axis1, axis2):
+    tangent = np.swapaxes(a.tangent, _tangent_axis(axis1), _tangent_axis(axis2))
+    return DualArray(np.swapaxes(a.primal, axis1, axis2), tangent)
 
 
 _FUNCTIONS = {
     np.where: _where,
     np.stack: _stack,
+    np.take_along_axis: _take_along_axis,
+    np.swapaxes: _swapaxes,
     np.size: lambda a, axis=None: np.size(a.primal, axis),  # a shape query carries no derivative
 }

@@ -28,9 +28,7 @@ __all__ = [
     "IdentifyConfig",
     "IdentificationResult",
     "SampleGenerator",
-    "make_generator",
     "ParamEstimator",
-    "estimator_step",
     "run_identification",
 ]
 
@@ -118,11 +116,6 @@ class SampleGenerator:
         """(thetas, poses): configurations plus their exact forward transforms."""
         thetas = self.joint_samples()
         return thetas, self.engine.forward(thetas)
-
-
-def make_generator(model: RobotModel, base: str, end: str, batch_size: int, rng_seed: int = 0) -> SampleGenerator:
-    chain = extract_chain(model, base, end)
-    return SampleGenerator(FkEngine(chain, batch_size), np.random.default_rng(rng_seed))
 
 
 # -- estimation --------------------------------------------------------------
@@ -250,10 +243,6 @@ class ParamEstimator:
         else:
             self.params = self.params - self.learning_rate * grad
         return self.loss_value(thetas, target_poses), grad_norm
-
-
-def estimator_step(estimator: ParamEstimator, thetas, target_poses):
-    return estimator.step(thetas, target_poses)
 
 
 # -- end-to-end driver -------------------------------------------------------

@@ -35,12 +35,8 @@ from .urdf import JointType, KinematicChain
 __all__ = [
     "ShapeError",
     "FkEngine",
-    "new_engine",
-    "scatter_thetas",
     "joint_transforms",
-    "combine_link_joint",
     "scan_compose",
-    "forward",
     "pose_jacobian",
     "limit_violations",
 ]
@@ -164,8 +160,7 @@ class FkEngine:
             carry = post
             segments.append(_Segment(pre=pre, slots=slots, scales=scales, post=post))
 
-        b, n, m = self.batch_size, self.n, self.m
-        if n:
+        if self.n:
             self._tl = np.stack([seg.pre for seg in segments]).astype(self.dtype)
         else:
             self._tl = np.empty((0, 4, 4), dtype=self.dtype)
@@ -178,14 +173,6 @@ class FkEngine:
         self._rows_per_dof = row_per_dof
         self._slots_per_dof = slot_per_dof
         self._scale_per_dof = scale_per_dof.astype(self.dtype)
-        self._index_matrix = np.column_stack(
-            [
-                np.repeat(np.arange(b, dtype=np.intp), m),
-                np.tile(row_per_dof, b),
-                np.tile(slot_per_dof, b),
-            ]
-        )
-        self._scale_tile = np.tile(scale_per_dof, b).astype(self.dtype)
         # per-row post-corrections, applied after the scan
         self._posts = tuple(
             (i, seg.post.astype(self.dtype)) for i, seg in enumerate(segments) if seg.post is not None
@@ -194,15 +181,17 @@ class FkEngine:
         if self._posts and self._posts[-1][0] == self.n - 1:
             self._final_post = self._posts[-1][1]
 
-    # aliases matching the tensor-pipeline notation
-    @property
-    def b(self):
-        return self.batch_size
-
     @property
     def index_matrix(self):
         """(b*m, 3) rows of (batch index, joint row, parameter slot)."""
-        return self._index_matrix.copy()
+        b = self.batch_size
+        return np.column_stack(
+            [
+                np.repeat(np.arange(b, dtype=np.intp), self.m),
+                np.tile(self._rows_per_dof, b),
+                np.tile(self._slots_per_dof, b),
+            ]
+        )
 
     @property
     def link_transforms(self):
@@ -226,10 +215,13 @@ class FkEngine:
         """
         flat = np.asarray(thetas, dtype=self.dtype).ravel()
         self._check_flat(flat)
-        q = np.zeros((self.batch_size, self.n, 6), dtype=self.dtype)
-        if flat.size:
-            p = self._index_matrix
-            q[p[:, 0], p[:, 1], p[:, 2]] = flat * self._scale_tile
+        return self._scatter(flat.reshape(self.batch_size, self.m))
+
+    def _scatter(self, flat2d):
+        """scatter_thetas() on a (rows, m) float ndarray or DualArray block."""
+        q = np.zeros((flat2d.shape[0], self.n, 6), dtype=self.dtype, like=flat2d)
+        if self.m:
+            q[:, self._rows_per_dof, self._slots_per_dof] = flat2d * self._scale_per_dof
         return q
 
     def combine_link_joint(self, tj):
@@ -283,10 +275,7 @@ class FkEngine:
         return out
 
     def _joint_transforms_block(self, flat2d):
-        q = np.zeros((flat2d.shape[0], self.n, 6), dtype=self.dtype, like=flat2d)
-        if self.m:
-            q[:, self._rows_per_dof, self._slots_per_dof] = flat2d * self._scale_per_dof
-        return transforms.sixdof_batch_to_transforms(q)
+        return transforms.sixdof_batch_to_transforms(self._scatter(flat2d))
 
     def _intermediates_block(self, flat2d):
         tj = self._joint_transforms_block(flat2d)
@@ -312,24 +301,13 @@ class FkEngine:
             cur = cur @ term
         np.matmul(cur, post, out=out)
 
-# -- module-level operation wrappers ----------------------------------------
 
-
-def new_engine(chain: KinematicChain, batch_size: int, dtype=np.float64) -> FkEngine:
-    return FkEngine(chain, batch_size, dtype=dtype)
-
-
-def scatter_thetas(engine: FkEngine, thetas):
-    return engine.scatter_thetas(thetas)
+# -- module-level stages and derivatives ------------------------------------
 
 
 def joint_transforms(q):
     """Expand every (batch, joint) parameter row of Q into its 4x4 transform."""
     return transforms.sixdof_batch_to_transforms(q)
-
-
-def combine_link_joint(engine: FkEngine, tj):
-    return engine.combine_link_joint(tj)
 
 
 def scan_compose(tlj):
@@ -346,10 +324,6 @@ def scan_compose(tlj):
     return out
 
 
-def forward(engine: FkEngine, thetas, want_intermediates=False):
-    return engine.forward(thetas, want_intermediates=want_intermediates)
-
-
 def pose_jacobian(engine: FkEngine, thetas):
     """(b, 6, m) pose Jacobians, one per batch configuration.
 
@@ -362,15 +336,13 @@ def pose_jacobian(engine: FkEngine, thetas):
     """
     flat = np.asarray(thetas, dtype=engine.dtype).ravel()
     engine._check_flat(flat)
-    b, m = engine.batch_size, engine.m
-    # _evaluate is forward() without its input coercion; wrappers around
-    # forward (perfbench's tracer) expect array-like thetas
-    finals = engine._evaluate(ad.seed_array(flat.reshape(b, m)))
-    poses, _ = transforms.pose_batch_from_transforms(finals)
-    jac = np.moveaxis(poses.tangent, 0, -1)
-    if not np.isfinite(jac).all():
-        raise ValueError("non-finite derivative in jacobian output")
-    return jac
+
+    def poses(seeded):
+        # _evaluate is forward() without its input coercion; wrappers around
+        # forward (perfbench's tracer) expect array-like thetas
+        return transforms.pose_batch_from_transforms(engine._evaluate(seeded))[0]
+
+    return ad.batch_jacobian(poses, flat.reshape(engine.batch_size, engine.m))
 
 
 def limit_violations(chain: KinematicChain, thetas):

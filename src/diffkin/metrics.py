@@ -10,8 +10,9 @@ Five distances with different tradeoffs:
   phi5_loss           || I - R Rhat^T ||_F, [0, 2 sqrt 2]
 
 All ignore translation.  Inputs are single 4x4 transforms (scalar result)
-or (b, 4, 4) batches (length-b vector); object-dtype inputs (DiffScalar
-cells) run a scalar path and stay differentiable.
+or (b, 4, 4) batches (length-b vector).  Every metric is one batch kernel
+that also runs on autodiff.DualArray inputs, giving the metric's tangents
+alongside a primal bitwise equal to the float result.
 """
 
 from __future__ import annotations
@@ -38,31 +39,27 @@ __all__ = [
 ]
 
 
-def _dispatch(t, t_hat, scalar_fn, batch_fn):
-    t = t if isinstance(t, np.ndarray) else np.asarray(t)
-    t_hat = t_hat if isinstance(t_hat, np.ndarray) else np.asarray(t_hat)
+def _operand(x):
+    return x if isinstance(x, (np.ndarray, ad.DualArray)) else np.asarray(x)
+
+
+def _first(x):
+    """Element 0 of a length-1 batch; a python scalar unless it is a DualArray."""
+    x = x[0]
+    return x if isinstance(x, ad.DualArray) else x.item()
+
+
+def _dispatch(t, t_hat, batch_fn):
+    t, t_hat = _operand(t), _operand(t_hat)
     if t.shape != t_hat.shape:
         raise ValueError(f"mismatched transform shapes {t.shape} vs {t_hat.shape}")
-    if t.dtype == object or t_hat.dtype == object:
-        if t.ndim == 2:
-            return scalar_fn(t, t_hat)
-        out = np.empty(t.shape[0], dtype=object)
-        for k in range(t.shape[0]):
-            out[k] = scalar_fn(t[k], t_hat[k])
-        return out
     if t.ndim == 2:
-        return float(batch_fn(t[None], t_hat[None])[0])
+        out = batch_fn(t[None], t_hat[None])
+        return tuple(map(_first, out)) if isinstance(out, tuple) else _first(out)
     return batch_fn(t, t_hat)
 
 
 # -- phi1: Euler-angle distance ---------------------------------------------
-
-
-def _phi1_scalar(t, t_hat):
-    a = transforms.pose_values_from_transform(t)
-    b = transforms.pose_values_from_transform(t_hat)
-    d3, d4, d5 = a[3] - b[3], a[4] - b[4], a[5] - b[5]
-    return ad.sqrt(d3 * d3 + d4 * d4 + d5 * d5)
 
 
 def rotation_with_rmse(t, t_hat, return_degenerate=False):
@@ -79,18 +76,7 @@ def rotation_with_rmse(t, t_hat, return_degenerate=False):
         diff = pa[..., 3:] - pb[..., 3:]
         return np.sqrt((diff * diff).sum(axis=-1)), da | db
 
-    t_arr = t if isinstance(t, np.ndarray) else np.asarray(t)
-    if t_arr.dtype == object or np.asarray(t_hat).dtype == object:
-        value = _dispatch(t, t_hat, _phi1_scalar, None)
-        if return_degenerate:
-            raise ValueError("degenerate flags are only available on the float path")
-        return value
-    t_arr = np.asarray(t, dtype=float)
-    hat_arr = np.asarray(t_hat, dtype=float)
-    if t_arr.ndim == 2:
-        value, flag = batch(t_arr[None], hat_arr[None])
-        return (float(value[0]), bool(flag[0])) if return_degenerate else float(value[0])
-    value, flag = batch(t_arr, hat_arr)
+    value, flag = _dispatch(t, t_hat, batch)
     return (value, flag) if return_degenerate else value
 
 
@@ -99,24 +85,9 @@ def rotation_with_rmse(t, t_hat, return_degenerate=False):
 
 def phi2_quat(q, q_hat):
     """min(||q - qhat||, ||q + qhat||) over (..., 4) quaternion arrays."""
-    q = np.asarray(q)
-    q_hat = np.asarray(q_hat)
-    if q.dtype == object or q_hat.dtype == object:
-        dm = sum((a - b) * (a - b) for a, b in zip(q, q_hat))
-        dp = sum((a + b) * (a + b) for a, b in zip(q, q_hat))
-        return ad.minimum(ad.sqrt(dm), ad.sqrt(dp))
-    dm = np.linalg.norm(q - q_hat, axis=-1)
-    dp = np.linalg.norm(q + q_hat, axis=-1)
-    return np.minimum(dm, dp)
-
-
-def _quat_dot_abs(q, q_hat):
-    q = np.asarray(q)
-    q_hat = np.asarray(q_hat)
-    if q.dtype == object or q_hat.dtype == object:
-        dot = sum(a * b for a, b in zip(q, q_hat))
-        return ad.minimum(abs(dot), 1.0)
-    return np.minimum(np.abs((q * q_hat).sum(axis=-1)), 1.0)
+    q, q_hat = _operand(q), _operand(q_hat)
+    dm, dp = q - q_hat, q + q_hat
+    return np.minimum(np.sqrt((dm * dm).sum(axis=-1)), np.sqrt((dp * dp).sum(axis=-1)))
 
 
 def phi3_quat(q, q_hat):
@@ -127,85 +98,53 @@ def phi3_quat(q, q_hat):
     exactly zero instead of ~1e-8 of arccos noise.
     """
     half = phi2_quat(q, q_hat) * 0.5
-    if isinstance(half, ad.DiffScalar):
-        return 2.0 * ad.asin(ad.minimum(half, 1.0))
     return 2.0 * np.arcsin(np.minimum(half, 1.0))
 
 
 def phi4_quat(q, q_hat):
     """1 - |q . qhat|."""
-    return 1.0 - _quat_dot_abs(q, q_hat)
+    q, q_hat = _operand(q), _operand(q_hat)
+    return 1.0 - np.minimum(np.abs((q * q_hat).sum(axis=-1)), 1.0)
 
 
-def _quat_pair_scalar(t, t_hat, fn):
-    q = transforms.quaternion_values_from_rotation(t)
-    q_hat = transforms.quaternion_values_from_rotation(t_hat)
-    return fn(np.array(q, dtype=object), np.array(q_hat, dtype=object))
+def _quat_metric(quat_fn):
+    """Batch kernel of a transform metric that compares quaternions."""
+
+    def batch(ts, ts_hat):
+        q = transforms.quaternion_batch_from_rotations(ts)
+        return quat_fn(q, transforms.quaternion_batch_from_rotations(ts_hat))
+
+    return batch
 
 
 def phi2_loss(t, t_hat):
     """Quaternion Euclidean distance modulo sign; range [0, sqrt 2]."""
-    return _dispatch(
-        t,
-        t_hat,
-        lambda a, b: _quat_pair_scalar(a, b, phi2_quat),
-        lambda a, b: phi2_quat(
-            transforms.quaternion_batch_from_rotations(a),
-            transforms.quaternion_batch_from_rotations(b),
-        ),
-    )
+    return _dispatch(t, t_hat, _quat_metric(phi2_quat))
 
 
 def phi3_loss(t, t_hat):
     """Quaternion inner-product angle; range [0, pi/2]."""
-    return _dispatch(
-        t,
-        t_hat,
-        lambda a, b: _quat_pair_scalar(a, b, phi3_quat),
-        lambda a, b: phi3_quat(
-            transforms.quaternion_batch_from_rotations(a),
-            transforms.quaternion_batch_from_rotations(b),
-        ),
-    )
+    return _dispatch(t, t_hat, _quat_metric(phi3_quat))
 
 
 def phi4_loss(t, t_hat):
     """Complement of the absolute quaternion inner product; range [0, 1]."""
-    return _dispatch(
-        t,
-        t_hat,
-        lambda a, b: _quat_pair_scalar(a, b, phi4_quat),
-        lambda a, b: phi4_quat(
-            transforms.quaternion_batch_from_rotations(a),
-            transforms.quaternion_batch_from_rotations(b),
-        ),
-    )
+    return _dispatch(t, t_hat, _quat_metric(phi4_quat))
 
 
 # -- phi5: Frobenius deviation from identity --------------------------------
 
 
-def _phi5_scalar(t, t_hat):
-    acc = 0.0
-    for i in range(3):
-        for j in range(3):
-            # (I - R Rhat^T)[i][j]; Rhat^T[l][j] = t_hat[j][l]
-            entry = t[i][0] * t_hat[j][0] + t[i][1] * t_hat[j][1] + t[i][2] * t_hat[j][2]
-            d = (1.0 - entry) if i == j else -entry
-            acc = acc + d * d
-    return ad.sqrt(acc)
+def _phi5_batch(a, b):
+    r = a[..., :3, :3]
+    r_hat = b[..., :3, :3]
+    d = np.eye(3) - r @ np.swapaxes(r_hat, -1, -2)
+    return np.sqrt((d * d).sum(axis=(-1, -2)))
 
 
 def phi5_loss(t, t_hat):
     """Frobenius norm of I - R Rhat^T; range [0, 2 sqrt 2]."""
-
-    def batch(a, b):
-        r = a[..., :3, :3]
-        r_hat = b[..., :3, :3]
-        d = np.eye(3) - r @ np.swapaxes(r_hat, -1, -2)
-        return np.sqrt((d * d).sum(axis=(-1, -2)))
-
-    return _dispatch(t, t_hat, _phi5_scalar, batch)
+    return _dispatch(t, t_hat, _phi5_batch)
 
 
 # short aliases

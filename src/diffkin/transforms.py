@@ -3,11 +3,11 @@
 A pose is a six-vector [x, y, z, alpha, beta, gamma]: translation followed by
 fixed-axis roll/pitch/yaw, composed as R = Rz(gamma) @ Ry(beta) @ Rx(alpha).
 
-The batch kernels (sixdof_batch_to_transforms, pose_batch_from_transforms)
-are what the kinematics pipeline runs, on float arrays and on
-autodiff.DualArray alike.  The single-transform helpers build or read one
-4x4 at a time; rot_*, rpy_to_rotation and the *_values_* extractors also
-accept DiffScalar entries, for the scalar-generic rotation metrics.
+Each formula exists once, as a batch kernel (sixdof_batch_to_transforms,
+pose_batch_from_transforms, quaternion_batch_from_rotations) that runs on
+float arrays and on autodiff.DualArray alike.  The single-transform helpers
+(sixdof_to_transform, rpy_to_rotation, pose_from_transform,
+quaternion_from_rotation) check their float input and call the kernel on it.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ __all__ = [
     "rpy_to_rotation",
     "sixdof_to_transform",
     "sixdof_batch_to_transforms",
-    "compose",
     "pose_from_transform",
     "pose_batch_from_transforms",
     "pose_values_from_transform",
     "quaternion_from_rotation",
     "quaternion_batch_from_rotations",
-    "quaternion_values_from_rotation",
 ]
 
 # cos(pitch) below this is treated as the gimbal-locked configuration.
@@ -73,14 +71,9 @@ class PoseQuaternion:
         return np.array([self.x, self.y, self.z, self.qx, self.qy, self.qz, self.qw])
 
 
-def _as_transform(rows):
-    """4x4 array from nested lists; object dtype iff any cell is a DiffScalar."""
-    return np.array(rows)
-
-
 def rot_x(angle):
-    c, s = ad.cos(angle), ad.sin(angle)
-    return _as_transform(
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
             [0.0, c, -s, 0.0],
@@ -91,8 +84,8 @@ def rot_x(angle):
 
 
 def rot_y(angle):
-    c, s = ad.cos(angle), ad.sin(angle)
-    return _as_transform(
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array(
         [
             [c, 0.0, s, 0.0],
             [0.0, 1.0, 0.0, 0.0],
@@ -103,8 +96,8 @@ def rot_y(angle):
 
 
 def rot_z(angle):
-    c, s = ad.cos(angle), ad.sin(angle)
-    return _as_transform(
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array(
         [
             [c, -s, 0.0, 0.0],
             [s, c, 0.0, 0.0],
@@ -114,40 +107,14 @@ def rot_z(angle):
     )
 
 
-def rpy_rotation_rows(alpha, beta, gamma):
-    """3x3 rows of Rz(gamma) @ Ry(beta) @ Rx(alpha), expanded in closed form."""
-    ca, sa = ad.cos(alpha), ad.sin(alpha)
-    cb, sb = ad.cos(beta), ad.sin(beta)
-    cg, sg = ad.cos(gamma), ad.sin(gamma)
-    return [
-        [cg * cb, cg * sb * sa - sg * ca, cg * sb * ca + sg * sa],
-        [sg * cb, sg * sb * sa + cg * ca, sg * sb * ca - cg * sa],
-        [-sb, cb * sa, cb * ca],
-    ]
-
-
 def rpy_to_rotation(alpha, beta, gamma):
     """3x3 rotation for fixed-axis rpy angles (z-yaw about the world frame last)."""
-    return np.array(rpy_rotation_rows(alpha, beta, gamma))
+    return sixdof_to_transform([0.0, 0.0, 0.0, alpha, beta, gamma])[:3, :3]
 
 
 def sixdof_to_transform(params):
     """4x4 homogeneous transform for a [x, y, z, alpha, beta, gamma] six-vector."""
-    x, y, z, alpha, beta, gamma = params
-    r = rpy_rotation_rows(alpha, beta, gamma)
-    return np.array(
-        [
-            [r[0][0], r[0][1], r[0][2], x],
-            [r[1][0], r[1][1], r[1][2], y],
-            [r[2][0], r[2][1], r[2][2], z],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def compose(a, b):
-    """Matrix product of two transforms (works elementwise on batches)."""
-    return np.asarray(a) @ np.asarray(b)
+    return sixdof_batch_to_transforms(np.asarray(params, dtype=float))
 
 
 def sixdof_batch_to_transforms(params):
@@ -199,17 +166,15 @@ def pose_from_transform(t, check=True):
     t = np.asarray(t, dtype=float)
     if check:
         _check_rotation_block(t)
-    r00, r10, r20 = t[0, 0], t[1, 0], t[2, 0]
-    cb = np.hypot(r00, r10)
-    beta = np.arctan2(-r20, cb)
-    if cb <= _GIMBAL_COS_TOL:
-        # beta = +-pi/2: only alpha -+ gamma is observable.
-        alpha = 0.0
-        gamma = np.arctan2(-t[0, 1], t[1, 1])
-        return PoseRPY(t[0, 3], t[1, 3], t[2, 3], alpha, float(beta), float(gamma), degenerate=True)
-    alpha = np.arctan2(t[2, 1], t[2, 2])
-    gamma = np.arctan2(r10, r00)
-    return PoseRPY(t[0, 3], t[1, 3], t[2, 3], float(alpha), float(beta), float(gamma))
+    poses, degenerate = pose_batch_from_transforms(t[None])
+    return PoseRPY(*poses[0].tolist(), degenerate=bool(degenerate[0]))
+
+
+def pose_values_from_transform(t, with_flag=False):
+    """[x, y, z, alpha, beta, gamma] of one 4x4 float transform, as a list;
+    with ``with_flag``, also whether the extraction is gimbal-locked."""
+    poses, degenerate = pose_batch_from_transforms(np.asarray(t, dtype=float)[None])
+    return (poses[0].tolist(), bool(degenerate[0])) if with_flag else poses[0].tolist()
 
 
 def pose_batch_from_transforms(ts):
@@ -217,7 +182,7 @@ def pose_batch_from_transforms(ts):
 
     ``ts`` is a float array or a DualArray; the poses are of the same kind.
     On a DualArray the derivative of cos(beta) = hypot(r00, r10) is capped
-    like DiffScalar.sqrt, so at gimbal lock d(beta) stays finite.
+    like that of np.sqrt, so at gimbal lock d(beta) stays finite.
     """
     if not isinstance(ts, ad.DualArray):
         ts = np.asarray(ts)
@@ -237,38 +202,22 @@ def pose_batch_from_transforms(ts):
 
 
 def quaternion_from_rotation(t, check=True):
-    """Unit quaternion (x, y, z, w) with w >= 0 from a transform or 3x3 rotation.
-
-    Uses the largest of the four Shepperd candidates so the square root is
-    always well-conditioned.
-    """
+    """Unit quaternion (x, y, z, w) with w >= 0 from a transform or 3x3 rotation."""
     t = np.asarray(t, dtype=float)
-    r = t[:3, :3]
     if check:
-        err = np.abs(r @ r.T - np.eye(3)).max()
-        if err > _ORTHONORMAL_TOL or np.linalg.det(r) < 0:
-            raise ValueError(f"rotation block is not orthonormal (defect {err:.3g})")
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    cands = np.array([1.0 + tr, 1.0 + r[0, 0] - r[1, 1] - r[2, 2], 1.0 - r[0, 0] + r[1, 1] - r[2, 2], 1.0 - r[0, 0] - r[1, 1] + r[2, 2]])
-    i = int(np.argmax(cands))
-    s = 2.0 * np.sqrt(max(cands[i], 0.0))
-    if i == 0:
-        q = np.array([(r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s, s / 4.0])
-    elif i == 1:
-        q = np.array([s / 4.0, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s, (r[2, 1] - r[1, 2]) / s])
-    elif i == 2:
-        q = np.array([(r[0, 1] + r[1, 0]) / s, s / 4.0, (r[1, 2] + r[2, 1]) / s, (r[0, 2] - r[2, 0]) / s])
-    else:
-        q = np.array([(r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, s / 4.0, (r[1, 0] - r[0, 1]) / s])
-    q /= np.linalg.norm(q)
-    if q[3] < 0:
-        q = -q
-    return q
+        _check_rotation_block(t)
+    return quaternion_batch_from_rotations(t)
 
 
 def quaternion_batch_from_rotations(ts):
-    """Vectorized quaternion extraction, (..., 4, 4) or (..., 3, 3) -> (..., 4)."""
-    ts = np.asarray(ts, dtype=float)
+    """Vectorized quaternion extraction, (..., 4, 4) or (..., 3, 3) -> (..., 4).
+
+    Uses the largest of the four Shepperd candidates so the square root is
+    always well-conditioned.  ``ts`` is a float array or a DualArray; the
+    branch choice and the w >= 0 sign follow the primal values.
+    """
+    if not isinstance(ts, ad.DualArray):
+        ts = np.asarray(ts, dtype=float)
     r = ts[..., :3, :3]
     lead = r.shape[:-2]
     c0 = 1.0 + r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2]
@@ -276,7 +225,7 @@ def quaternion_batch_from_rotations(ts):
     c2 = 1.0 - r[..., 0, 0] + r[..., 1, 1] - r[..., 2, 2]
     c3 = 1.0 - r[..., 0, 0] - r[..., 1, 1] + r[..., 2, 2]
     cands = np.stack([c0, c1, c2, c3], axis=-1)
-    best = np.argmax(cands, axis=-1)
+    best = np.argmax(ad.primal_of(cands), axis=-1)
     s = 2.0 * np.sqrt(np.maximum(np.take_along_axis(cands, best[..., None], axis=-1)[..., 0], 0.0))
     # All four candidate quaternions computed dense, then selected; the
     # rejected branches may divide by small s, which is fine to discard.
@@ -299,56 +248,5 @@ def quaternion_batch_from_rotations(ts):
         ) / s[..., None]
     all_q = np.stack([q0, q1, q2, q3], axis=-2)
     q = np.take_along_axis(all_q, best[..., None, None], axis=-2).reshape(lead + (4,))
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    return np.where(q[..., 3:4] < 0, -q, q)
-
-
-# -- scalar-generic extraction (floats or DiffScalars) -----------------------
-
-
-def pose_values_from_transform(t, with_flag=False):
-    """Pose [x, y, z, alpha, beta, gamma] from a 4x4 of plain or
-    differentiable scalars, with the same gimbal convention as
-    pose_from_transform.  Differentiable away from the lock."""
-    r00, r10, r20 = t[0][0], t[1][0], t[2][0]
-    cb = ad.sqrt(r00 * r00 + r10 * r10)
-    beta = ad.atan2(-r20, cb)
-    degenerate = ad.value_of(cb) <= _GIMBAL_COS_TOL
-    if degenerate:
-        alpha = 0.0
-        gamma = ad.atan2(-t[0][1], t[1][1])
-    else:
-        alpha = ad.atan2(t[2][1], t[2][2])
-        gamma = ad.atan2(r10, r00)
-    values = [t[0][3], t[1][3], t[2][3], alpha, beta, gamma]
-    if with_flag:
-        return values, degenerate
-    return values
-
-
-def quaternion_values_from_rotation(t):
-    """Unit quaternion [x, y, z, w] (w >= 0 by value) from a 4x4 or 3x3 of
-    plain or differentiable scalars; branch choice follows the primal values."""
-    r = t
-    cands = [
-        1.0 + r[0][0] + r[1][1] + r[2][2],
-        1.0 + r[0][0] - r[1][1] - r[2][2],
-        1.0 - r[0][0] + r[1][1] - r[2][2],
-        1.0 - r[0][0] - r[1][1] + r[2][2],
-    ]
-    values = [ad.value_of(c) for c in cands]
-    i = values.index(max(values))
-    s = 2.0 * ad.sqrt(cands[i])
-    if i == 0:
-        q = [(r[2][1] - r[1][2]) / s, (r[0][2] - r[2][0]) / s, (r[1][0] - r[0][1]) / s, s / 4.0]
-    elif i == 1:
-        q = [s / 4.0, (r[0][1] + r[1][0]) / s, (r[0][2] + r[2][0]) / s, (r[2][1] - r[1][2]) / s]
-    elif i == 2:
-        q = [(r[0][1] + r[1][0]) / s, s / 4.0, (r[1][2] + r[2][1]) / s, (r[0][2] - r[2][0]) / s]
-    else:
-        q = [(r[0][2] + r[2][0]) / s, (r[1][2] + r[2][1]) / s, s / 4.0, (r[1][0] - r[0][1]) / s]
-    norm = ad.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    q = [component / norm for component in q]
-    if ad.value_of(q[3]) < 0:
-        q = [-component for component in q]
-    return q
+    q = q / np.sqrt((q * q).sum(axis=-1, keepdims=True))
+    return np.where(ad.primal_of(q)[..., 3:4] < 0, -q, q)

@@ -72,7 +72,7 @@ def test_fk_floats_roundtrip_exactly(capsys, arm2r_file, tmp_path):
     doc = json.loads(out)
     chain = urdf.extract_chain(urdf.parse_urdf(ARM2R), "base", "tip")
     eng = kinematics.FkEngine(chain, batch_size=1)
-    want = kinematics.forward(eng, thetas)[0]
+    want = eng.forward(thetas)[0]
     got = np.array(doc["results"][0]["transform"]).reshape(4, 4)
     np.testing.assert_array_equal(got, want)  # 17 significant digits: exact
 
@@ -237,6 +237,6 @@ def test_mixed_chain_fk_against_library(capsys, tmp_path, rng):
     _, out, _ = run_cli(capsys, "fk", str(up), "base", "l6", str(cfg), "--no-timing")
     doc = json.loads(out)
     eng = kinematics.FkEngine(chain, batch_size=2)
-    want = kinematics.forward(eng, thetas.ravel())
+    want = eng.forward(thetas.ravel())
     for k, entry in enumerate(doc["results"]):
         np.testing.assert_array_equal(np.array(entry["transform"]).reshape(4, 4), want[k])

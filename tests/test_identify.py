@@ -98,7 +98,7 @@ def test_first_step_decreases_loss(cam_arm):
     thetas, targets = _dataset(cam_arm, 8, seed=2)
     est = ParamEstimator(cam_arm, "camera", "base", "camera", 8)
     before = est.loss_value(thetas, targets)
-    after, grad_norm = identify.estimator_step(est, thetas, targets)
+    after, grad_norm = est.step(thetas, targets)
     assert after < before
     assert grad_norm > 0
     assert est.steps_taken == 1
@@ -116,12 +116,13 @@ def test_sample_generator_respects_limits_and_pins(cam_arm):
     assert (np.abs(s[:, 2]) <= 2.0).all()
 
 
-def test_make_generator(cam_arm):
-    gen = identify.make_generator(cam_arm, "base", "camera", 7, rng_seed=4)
+def test_sample_batch_poses_are_forward(cam_arm):
+    chain = urdf.extract_chain(cam_arm, "base", "camera")
+    gen = SampleGenerator(kinematics.FkEngine(chain, 7), np.random.default_rng(4))
     thetas, poses = gen.sample_batch()
     assert thetas.shape == (7, 3) and poses.shape == (7, 4, 4)
     np.testing.assert_allclose(
-        poses, kinematics.forward(gen.engine, thetas.ravel()), atol=0
+        poses, gen.engine.forward(thetas.ravel()), atol=0
     )
 
 

@@ -21,7 +21,7 @@ def test_two_link_closed_form(arm2r_chain):
             [-1.2, 2.1],
         ]
     )
-    out = kinematics.forward(eng, thetas.ravel())
+    out = eng.forward(thetas.ravel())
     for row, (t1, t2) in zip(out, thetas):
         x = np.cos(t1) + np.cos(t1 + t2)
         y = np.sin(t1) + np.sin(t1 + t2)
@@ -33,7 +33,7 @@ def test_matches_naive_oracle(mixed_chain, rng):
     b = 37
     eng = FkEngine(mixed_chain, batch_size=b)
     thetas = rng.uniform(-1.0, 1.0, size=b * eng.m)
-    got = kinematics.forward(eng, thetas)
+    got = eng.forward(thetas)
     want = np.array(naive.fk_batch(mixed_chain, thetas.reshape(b, eng.m).tolist()))
     assert np.abs(got - want).max() < 1e-12
 
@@ -42,8 +42,8 @@ def test_intermediates_consistent(mixed_chain, rng):
     b = 5
     eng = FkEngine(mixed_chain, batch_size=b)
     thetas = rng.uniform(-1.0, 1.0, size=b * eng.m)
-    finals = kinematics.forward(eng, thetas)
-    inters = kinematics.forward(eng, thetas, want_intermediates=True)
+    finals = eng.forward(thetas)
+    inters = eng.forward(thetas, want_intermediates=True)
     assert inters.shape == (b, mixed_chain.n, 4, 4)
     np.testing.assert_array_equal(inters[:, -1], finals)
     want = naive.fk_batch(mixed_chain, thetas.reshape(b, eng.m).tolist(), want_intermediates=True)
@@ -55,20 +55,20 @@ def test_blocked_batches_bitwise_identical(arm4_chain, rng):
     b = 700
     eng = FkEngine(arm4_chain, batch_size=b)
     thetas = rng.uniform(-2.0, 2.0, size=(b, eng.m))
-    big = kinematics.forward(eng, thetas.ravel())
+    big = eng.forward(thetas.ravel())
     one = FkEngine(arm4_chain, batch_size=1)
     for k in (0, 255, 256, 511, 512, 699):
-        np.testing.assert_array_equal(big[k], kinematics.forward(one, thetas[k])[0])
+        np.testing.assert_array_equal(big[k], one.forward(thetas[k])[0])
 
 
 def test_generic_path_matches_float(mixed_chain, rng):
     b = 3
     eng = FkEngine(mixed_chain, batch_size=b)
     thetas = rng.uniform(-1.0, 1.0, size=b * eng.m)
-    flt = kinematics.forward(eng, thetas)
-    obj = np.array([ad.lift(v) for v in thetas], dtype=object)
-    gen = kinematics.forward(eng, obj)
-    vals = np.array([[[ad.value_of(c) for c in row] for row in mat] for mat in gen])
+    flt = eng.forward(thetas)
+    obj = np.array([ad.DiffScalar(v) for v in thetas], dtype=object)
+    gen = eng.forward(obj)
+    vals = np.array([[[c.value for c in row] for row in mat] for mat in gen])
     assert np.abs(vals - flt).max() < 1e-12
 
 
@@ -162,7 +162,7 @@ def test_axis_sign_folded_into_scale():
     </robot>"""
     chain = urdf.extract_chain(urdf.parse_urdf(text), "a", "b")
     eng = FkEngine(chain, batch_size=1)
-    out = kinematics.forward(eng, [0.7])
+    out = eng.forward([0.7])
     np.testing.assert_allclose(out[0], transforms.rot_z(-0.7), atol=1e-15)
 
 
@@ -176,7 +176,7 @@ def test_arbitrary_axis_matches_rodrigues(rng):
     chain = urdf.extract_chain(urdf.parse_urdf(text), "a", "b")
     eng = FkEngine(chain, batch_size=1)
     for theta in rng.uniform(-3, 3, size=5):
-        out = kinematics.forward(eng, [theta])[0]
+        out = eng.forward([theta])[0]
         k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
         want = np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k)
         np.testing.assert_allclose(out[:3, :3], want, atol=1e-12)
@@ -194,7 +194,7 @@ def test_all_fixed_chain_has_no_dof():
     chain = urdf.extract_chain(urdf.parse_urdf(text), "a", "c")
     assert chain.m == 0
     eng = FkEngine(chain, batch_size=3)
-    out = kinematics.forward(eng, [])
+    out = eng.forward([])
     assert out.shape == (3, 4, 4)
     want = np.array(naive.fk_single(chain, []))
     for k in range(3):
@@ -204,24 +204,24 @@ def test_all_fixed_chain_has_no_dof():
 def test_empty_chain_is_identity(mixed):
     chain = urdf.extract_chain(mixed, "l2", "l2")
     eng = FkEngine(chain, batch_size=2)
-    out = kinematics.forward(eng, [])
+    out = eng.forward([])
     np.testing.assert_array_equal(out, np.broadcast_to(np.eye(4), (2, 4, 4)))
-    inter = kinematics.forward(eng, [], want_intermediates=True)
+    inter = eng.forward([], want_intermediates=True)
     assert inter.shape == (2, 0, 4, 4)
 
 
 def test_shape_error_message(arm2r_chain):
     eng = FkEngine(arm2r_chain, batch_size=3)
     with pytest.raises(ShapeError, match="expected 6 joint values"):
-        kinematics.forward(eng, [0.1, 0.2, 0.3])
+        eng.forward([0.1, 0.2, 0.3])
     with pytest.raises(ShapeError, match="batch 3 x dof 2"):
-        kinematics.forward(eng, np.zeros(7))
+        eng.forward(np.zeros(7))
 
 
 def test_nonfinite_theta_rejected(arm2r_chain):
     eng = FkEngine(arm2r_chain, batch_size=1)
     with pytest.raises(ValueError, match="non-finite"):
-        kinematics.forward(eng, [np.nan, 0.0])
+        eng.forward([np.nan, 0.0])
 
 
 def test_engine_validation(arm2r_chain):
@@ -236,8 +236,8 @@ def test_float32_supported(mixed_chain, rng):
     eng64 = FkEngine(mixed_chain, batch_size=b)
     eng32 = FkEngine(mixed_chain, batch_size=b, dtype=np.float32)
     thetas = rng.uniform(-1, 1, size=b * eng64.m)
-    out64 = kinematics.forward(eng64, thetas)
-    out32 = kinematics.forward(eng32, thetas.astype(np.float32))
+    out64 = eng64.forward(thetas)
+    out32 = eng32.forward(thetas.astype(np.float32))
     assert out32.dtype == np.float32
     assert np.abs(out64 - out32).max() < 1e-5
 
@@ -247,12 +247,12 @@ def test_pipeline_stage_functions(arm2r_chain, rng):
     b = 6
     eng = FkEngine(arm2r_chain, batch_size=b)
     thetas = rng.uniform(-2, 2, size=b * eng.m)
-    q = kinematics.scatter_thetas(eng, thetas)
+    q = eng.scatter_thetas(thetas)
     tj = kinematics.joint_transforms(q)
-    tlj = kinematics.combine_link_joint(eng, tj)
+    tlj = eng.combine_link_joint(tj)
     cum = kinematics.scan_compose(tlj)
-    np.testing.assert_allclose(cum[:, -1], kinematics.forward(eng, thetas), atol=1e-14)
-    np.testing.assert_allclose(cum, kinematics.forward(eng, thetas, want_intermediates=True), atol=1e-14)
+    np.testing.assert_allclose(cum[:, -1], eng.forward(thetas), atol=1e-14)
+    np.testing.assert_allclose(cum, eng.forward(thetas, want_intermediates=True), atol=1e-14)
 
 
 def test_link_transforms_property(arm2r_chain):
@@ -278,8 +278,8 @@ def test_pose_jacobian_matches_finite_differences(arm4_chain, rng):
             dn = thetas[k].copy()
             up[j] += h
             dn[j] -= h
-            pu, _ = transforms.pose_batch_from_transforms(kinematics.forward(single, up))
-            pd, _ = transforms.pose_batch_from_transforms(kinematics.forward(single, dn))
+            pu, _ = transforms.pose_batch_from_transforms(single.forward(up))
+            pd, _ = transforms.pose_batch_from_transforms(single.forward(dn))
             d = pu[0] - pd[0]
             d[3:] = (d[3:] + np.pi) % (2 * np.pi) - np.pi
             fd_col = d / (2 * h)
@@ -332,6 +332,6 @@ def test_random_tree_oracle_property(seed):
     b = int(rng.integers(1, 9))
     eng = FkEngine(chain, batch_size=b)
     thetas = treegen.sample_thetas(chain, b, rng)
-    got = kinematics.forward(eng, thetas.ravel())
+    got = eng.forward(thetas.ravel())
     want = np.array(naive.fk_batch(chain, thetas.tolist()))
     assert np.abs(got - want).max() < 1e-9

@@ -140,31 +140,66 @@ def test_object_path_is_differentiable(rng):
     t = _random_transform(rng)
     t_hat = _random_transform(rng)
 
-    def wrap(mat, grad_width=0):
-        return np.array(
-            [[ad.DiffScalar(v, np.zeros(1)) for v in row] for row in mat], dtype=object
-        )
+    def wrap(mat):
+        return ad.DualArray(mat, np.zeros((1,) + mat.shape))
 
     for fn in (metrics.rotation_with_rmse, metrics.phi2_loss, metrics.phi3_loss, metrics.phi4_loss, metrics.phi5_loss):
         out = fn(wrap(t), wrap(t_hat))
-        assert isinstance(out, ad.DiffScalar)
-        assert out.value == pytest.approx(fn(t, t_hat), abs=1e-6)
+        assert isinstance(out, ad.DualArray) and out.shape == ()
+        assert out.primal == pytest.approx(fn(t, t_hat), abs=1e-6)
 
 
 def test_phi5_gradient_flows(rng):
     """d phi5 / d theta through a rotation built from a seeded angle."""
-    theta = ad.lift(0.8, seed_index=0, num_inputs=1)
-    t = tf.rot_z(theta)
-    target = np.array(
-        [[ad.DiffScalar(v, np.zeros(1)) for v in row] for row in tf.rot_z(0.3)], dtype=object
-    )
+    theta = ad.DualArray(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.8]), np.eye(6)[5:])
+    t = tf.sixdof_batch_to_transforms(theta)
+    target = ad.DualArray(tf.rot_z(0.3), np.zeros((1, 4, 4)))
     loss = metrics.phi5_loss(t, target)
     h = 1e-6
     want = (
         metrics.phi5_loss(tf.rot_z(0.8 + h), tf.rot_z(0.3))
         - metrics.phi5_loss(tf.rot_z(0.8 - h), tf.rot_z(0.3))
     ) / (2 * h)
-    assert ad.tangent_of(loss, 1)[0] == pytest.approx(want, rel=1e-5)
+    assert loss.tangent[0] == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("b", [1, 16])
+def test_metrics_on_dual_arrays_match_central_differences(rng, b):
+    """Every metric on DualArray transforms: primal bitwise equal to the
+    float metric, tangents equal to central differences of the float metric.
+
+    Rows 0 and 1 of a 16-batch compare a rotation with itself (the sqrt cap
+    at 0; row 1 is the identity, where |q . qhat| ties with 1 exactly), and
+    row 2 is gimbal-locked.
+    """
+    params = np.column_stack([rng.uniform(-1, 1, (b, 3)), rng.uniform(-np.pi, np.pi, (b, 3))])
+    params_hat = np.column_stack([rng.uniform(-1, 1, (b, 3)), rng.uniform(-np.pi, np.pi, (b, 3))])
+    if b > 1:
+        params[1, 3:] = 0.0
+        params_hat[:2] = params[:2]
+        params[2, 4] = np.pi / 2
+    t_hat = tf.sixdof_batch_to_transforms(params_hat)
+    locked = tf.pose_batch_from_transforms(tf.sixdof_batch_to_transforms(params))[1]
+    np.testing.assert_array_equal(np.flatnonzero(locked), [2] if b > 1 else [])
+    h = 1e-6
+    for fn in (metrics.rotation_with_rmse, metrics.phi2_loss, metrics.phi3_loss, metrics.phi4_loss, metrics.phi5_loss):
+        dual = fn(tf.sixdof_batch_to_transforms(ad.seed_array(params)), t_hat)
+        if b == 1:  # the single-transform form
+            single = fn(tf.sixdof_batch_to_transforms(ad.seed_array(params[0])), t_hat[0])
+            assert single.shape == () and single.primal == dual.primal[0]
+            np.testing.assert_array_equal(single.tangent, dual.tangent[:, 0])
+        np.testing.assert_array_equal(dual.primal, fn(tf.sixdof_batch_to_transforms(params), t_hat))
+        assert np.isfinite(dual.tangent).all()
+        for j in range(6):
+            step = np.zeros(6)
+            step[j] = h
+            up = fn(tf.sixdof_batch_to_transforms(params + step), t_hat)
+            down = fn(tf.sixdof_batch_to_transforms(params - step), t_hat)
+            fd = (up - down) / (2 * h)
+            # phi1's Euler extraction jumps across the gimbal lock, where no
+            # central difference exists
+            rows = ~locked if fn is metrics.rotation_with_rmse else slice(None)
+            np.testing.assert_allclose(dual.tangent[j][rows], fd[rows], rtol=1e-6, atol=1e-7)
 
 
 @settings(max_examples=50, deadline=None)

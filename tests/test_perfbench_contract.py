@@ -1,0 +1,48 @@
+"""The names the benchmark under perfbench/ reaches into must keep working."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from diffkin import autodiff as ad
+from diffkin import kinematics
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    for module_name, attr, _ in _load_tracing().TARGETS:
+        holder = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            holder = vars(holder)[cls_name]
+        assert callable(vars(holder)[attr]), f"{module_name}.{attr}"
+
+
+def test_forward_on_seeded_diffscalars(arm2r_chain, rng):
+    """FkEngine.forward on an object array of DiffScalar(v, g), as the
+    jacobian workload's replay builds it: values and tangents equal a
+    DualArray pass."""
+    b = 3
+    eng = kinematics.FkEngine(arm2r_chain, batch_size=b)
+    m = eng.m
+    flat = rng.uniform(-2, 2, size=b * m)
+    seeded = np.empty(flat.size, dtype=object)
+    for j, v in enumerate(flat):
+        g = np.zeros(m)
+        g[j % m] = 1.0
+        seeded[j] = ad.DiffScalar(v, g)
+    out = eng.forward(seeded)
+    want = eng.forward(ad.seed_array(flat.reshape(b, m)))
+    assert out.shape == (b, 4, 4) and out.dtype == object
+    np.testing.assert_array_equal([c.value for c in out.ravel()], want.primal.ravel())
+    np.testing.assert_array_equal(np.stack([c.grad for c in out.ravel()]), want.tangent.reshape(m, -1).T)

@@ -162,18 +162,18 @@ def test_float32_dtype_preserved(rng):
 def test_generic_pose_extraction_matches_float(rng):
     pose = rng.uniform(-1, 1, size=6)
     t = tf.sixdof_to_transform(pose)
-    rows = [[ad.DiffScalar(v, np.zeros(1)) for v in row] for row in t]
-    values = tf.pose_values_from_transform(rows)
-    np.testing.assert_allclose([ad.value_of(v) for v in values], pose, atol=1e-12)
+    poses, degenerate = tf.pose_batch_from_transforms(ad.DualArray(t, np.zeros((1, 4, 4))))
+    assert poses.shape == (6,) and not degenerate
+    np.testing.assert_allclose(poses.primal, pose, atol=1e-12)
+    np.testing.assert_allclose(tf.pose_values_from_transform(t), pose, atol=1e-12)
 
 
 def test_generic_quaternion_matches_float(rng):
     for r in _random_rotations(rng, 8):
         t = np.eye(4)
         t[:3, :3] = r
-        rows = [[ad.DiffScalar(v, np.zeros(1)) for v in row] for row in t]
-        q_gen = np.array([ad.value_of(v) for v in tf.quaternion_values_from_rotation(rows)])
-        np.testing.assert_allclose(q_gen, tf.quaternion_from_rotation(t), atol=1e-9)
+        q_gen = tf.quaternion_batch_from_rotations(ad.DualArray(t, np.zeros((1, 4, 4))))
+        np.testing.assert_allclose(q_gen.primal, tf.quaternion_from_rotation(t), atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
