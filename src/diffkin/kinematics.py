@@ -1,13 +1,35 @@
 """Batched forward kinematics over a kinematic chain.
 
-The pipeline mirrors a scatter/map/scan structure: a flat joint-value batch
-theta (b*m,) is scattered through a precomputed index matrix P into the
-6-DoF parameter tensor Q (b, n, 6); every Q row is expanded into a joint
-transform; each joint transform is premultiplied by its segment's static
-link transform; and an inclusive cumulative matrix product along the chain
-axis yields every intermediate (and the final) base-to-frame transform.
+An FkEngine compiles its chain once into F = m one-dof factors: a static 4x4
+transform S_f followed by one elementary motion M_f, a rotation about or a
+translation along a canonical axis, so the chain's transform is
+S_0 M_0 S_1 M_1 ... S_{F-1} M_{F-1} S_F.  A revolute, continuous or
+prismatic joint gives one factor, a planar joint two (Tx Ty), a floating
+joint six, in the order Tx Ty Tz Rz Ry Rx of sixdof_batch_to_transforms.
+Joint origins, fixed joints and alignment inverses fold into the static
+transforms; what follows the last factor is the trailing S_F.
 
-One pipeline serves values and derivatives: every stage is written in numpy
+Every entry of S_f M_f is linear in (cos, sin) of a rotation angle or in
+(d, 1) of a translation, so forward scales theta, takes cos and sin of the
+rotational dofs only, and gets the whole (rows, F, 4, 4) factor stack of a
+block from one matmul of the per-row coefficients with a precomputed basis.
+It then multiplies along the factor axis; intermediates are snapshots of the
+running product at each segment's last factor, times the static pending
+there.
+
+The reference pipeline is the scatter/map/scan form of the same chain: a
+flat theta batch (b*m,) is scattered through the index matrix P into the
+6-DoF parameter tensor Q (b, n, 6) (scatter_thetas), every Q row is expanded
+into a joint transform (joint_transforms), premultiplied by its segment's
+static link transform (combine_link_joint), and an inclusive cumulative
+product along the chain axis (scan_compose), then the post-corrections,
+gives every intermediate and the final transform.  forward does not call
+these stages; they are the oracle it is tested against.  Where every static
+transform's rotation is axis-aligned (arm4, cam_arm) all coefficient
+products are exact and forward equals the reference bit for bit; elsewhere
+they round differently, within a few ulps.
+
+One pipeline serves values and derivatives: every step is written in numpy
 operations that autodiff.DualArray also implements, so a DualArray theta
 batch runs the same function bodies as a float batch and carries its
 tangents (vector forward mode) through all of them.  pose_jacobian is one
@@ -16,15 +38,12 @@ such pass with the m joint columns seeded.
 Joints with an arbitrary axis are handled by conjugation: motion about axis
 ``a`` equals R_align . canonical-slot-motion . R_align^T, where R_align maps
 the canonical axis onto ``a``.  R_align is folded into the segment's static
-transform and R_align^T into the following segment's, so the scatter/scan
-pipeline itself only ever sees canonical slots.  Axis-aligned joints
-(axis = +-e_i) use their slot directly with the sign folded into the theta
-scaling.
+transform and R_align^T into the following one, so the factors only ever
+see canonical slots.  Axis-aligned joints (axis = +-e_i) use their slot
+directly with the sign folded into the theta scaling.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,23 +67,24 @@ class ShapeError(ValueError):
 
 _AXIS_TOL = 1e-9
 
-# Large batches run through the float pipeline in blocks of this many
-# configurations: beyond it the (b, n, 4, 4) working set falls out of cache
-# and per-sample cost climbs.  Blocking changes no arithmetic (batch elements
-# never interact), so results are bitwise identical to a single pass.
-_BLOCK_ROWS = 256
+# Large batches run in blocks of this many configurations: smaller blocks pay
+# more per-call overhead, and from 1024 rows on the (rows, F, 4, 4) factor
+# stack and its products fall out of cache (arm4: 512 is the fastest of 128,
+# 256, 512 and 1024 at b = 1024, 2048 and 4096 in float64 and float32).
+# Blocking changes no arithmetic (batch elements never interact), so results
+# are bitwise identical to a single pass.
+_BLOCK_ROWS = 512
 
 
 def _aligned_axis(axis):
     """(coordinate index, sign) if axis is +-e_i within tolerance, else None."""
-    a = np.asarray(axis, dtype=float)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        if np.abs(a - e).max() <= _AXIS_TOL:
-            return i, 1.0
-        if np.abs(a + e).max() <= _AXIS_TOL:
-            return i, -1.0
+    x, y, z = axis
+    for i, (lead, u, v) in enumerate(((x, y, z), (y, x, z), (z, x, y))):
+        if abs(u) <= _AXIS_TOL and abs(v) <= _AXIS_TOL:
+            if abs(lead - 1.0) <= _AXIS_TOL:
+                return i, 1.0
+            if abs(lead + 1.0) <= _AXIS_TOL:
+                return i, -1.0
     return None
 
 
@@ -91,49 +111,50 @@ def _align_rotation(columns):
     return r
 
 
-@dataclass(frozen=True)
-class _Segment:
-    pre: np.ndarray  # 4x4 static transform: origin with any alignment folded in
-    slots: tuple  # Q slots written by this joint's dof, in theta order
-    scales: tuple  # per-dof sign/scale applied to theta before scatter
-    post: np.ndarray | None  # alignment inverse pending after this joint
-
-
-def _build_segment(joint):
-    pre = transforms.sixdof_to_transform(joint.origin_params()).astype(float)
+def _joint_motion(joint):
+    """(alignment or None, parameter slots, per-dof theta scales) of a joint."""
     jt = joint.joint_type
-    align = None
     if jt is JointType.FIXED:
-        slots, scales = (), ()
-    elif jt is JointType.FLOATING:
-        slots, scales = (0, 1, 2, 3, 4, 5), (1.0,) * 6
-    elif jt is JointType.PLANAR:
+        return None, (), ()
+    if jt is JointType.FLOATING:
+        return None, (0, 1, 2, 3, 4, 5), (1.0,) * 6
+    if jt is JointType.PLANAR:
         u, v = plane_basis(joint.axis)
-        slots, scales = (0, 1), (1.0, 1.0)
         r = _align_rotation((u, v, np.asarray(joint.axis, dtype=float)))
-        if not np.array_equal(r, np.eye(4)):
-            align = r
-    else:  # revolute, continuous, prismatic: one dof about/along `axis`
-        hit = _aligned_axis(joint.axis)
-        rotational = jt is not JointType.PRISMATIC
-        if hit is not None:
-            i, sign = hit
-            slots, scales = ((3 + i,) if rotational else (i,)), (sign,)
-        else:
-            # canonical z slot, conjugated onto the actual axis
-            slots, scales = ((5,) if rotational else (2,)), (1.0,)
-            a = np.asarray(joint.axis, dtype=float)
-            u, v = plane_basis(a)
-            align = _align_rotation((u, v, a))
-    return pre, align, slots, scales
+        return (None if np.array_equal(r, np.eye(4)) else r), (0, 1), (1.0, 1.0)
+    # revolute, continuous, prismatic: one dof about/along `axis`
+    rotational = jt is not JointType.PRISMATIC
+    hit = _aligned_axis(joint.axis)
+    if hit is not None:
+        i, sign = hit
+        return None, ((3 + i,) if rotational else (i,)), (sign,)
+    # canonical z slot, conjugated onto the actual axis
+    a = np.asarray(joint.axis, dtype=float)
+    u, v = plane_basis(a)
+    return _align_rotation((u, v, a)), ((5,) if rotational else (2,)), (1.0,)
+
+
+# Position of each parameter slot in a factor sequence: a six-vector is the
+# motion Tx Ty Tz Rz Ry Rx (sixdof_batch_to_transforms' composition order).
+_FACTOR_ORDER = (0, 1, 2, 5, 4, 3)
+# Columns (i, j) that a rotation about x, y, z mixes.
+_MIXED_I = np.array([1, 2, 0])
+_MIXED_J = np.array([2, 0, 1])
 
 
 class FkEngine:
     """Immutable forward-kinematics evaluator for one chain at one batch size.
 
-    All shape-independent work (static transforms, the index matrix, axis
-    alignment) happens at construction; forward calls only scatter, build
-    joint transforms, and scan.
+    Construction compiles the chain into one-dof factors (see the module
+    docstring): the basis that maps a row of (cos, sin, translation, 1)
+    coefficients to the row's factor stack, which theta columns feed those
+    coefficients, and the static transforms pending at each snapshot.
+    forward scales theta, takes cos/sin of the rotational dofs, makes the
+    factors with one matmul per block and multiplies them in order.
+
+    scatter_thetas, combine_link_joint, index_matrix and link_transforms,
+    with the module's joint_transforms and scan_compose, are the reference
+    pipeline; forward does not call them.
     """
 
     def __init__(self, chain: KinematicChain, batch_size: int, dtype=np.float64):
@@ -147,39 +168,73 @@ class FkEngine:
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(f"unsupported dtype {dtype!r}")
 
-        segments = []
+        joints = [joint for _, joint in chain.segments]
+        origins = transforms.sixdof_batch_to_transforms(
+            np.array([joint.origin_params() for joint in joints], dtype=float).reshape(-1, 6)
+        )
+        eye = np.eye(4)
+        tl, posts, dof_rows, dof_slots, dof_scales = [], [], [], [], []
+        factors = []  # (static, theta column, slot) in product order, one per dof
+        marks = []  # (last factor so far, segment, static pending after it)
         carry = None  # alignment inverse awaiting the next static transform
-        for _, joint in chain.segments:
-            pre, align, slots, scales = _build_segment(joint)
-            if carry is not None:
-                pre = carry @ pre
-            post = None
+        fixed = None  # product of the statics since the last factor
+        for i, joint in enumerate(joints):
+            align, joint_slots, joint_scales = _joint_motion(joint)
+            pre = origins[i] if carry is None else carry @ origins[i]
+            carry = None
             if align is not None:
                 pre = pre @ align
-                post = align.T.copy()
-            carry = post
-            segments.append(_Segment(pre=pre, slots=slots, scales=scales, post=post))
+                carry = align.T.copy()
+                posts.append((i, carry.astype(self.dtype)))
+            tl.append(pre)
+            if joint_slots:
+                col = len(dof_slots)
+                static = pre if fixed is None else fixed @ pre
+                for k in sorted(range(len(joint_slots)), key=lambda k: _FACTOR_ORDER[joint_slots[k]]):
+                    factors.append((static, col + k, joint_slots[k]))
+                    static = eye
+                fixed = None
+                pending = carry
+            else:
+                fixed = pending = pre if fixed is None else fixed @ pre
+            dof_rows.extend([i] * len(joint_slots))
+            dof_slots.extend(joint_slots)
+            dof_scales.extend(joint_scales)
+            marks.append((len(factors) - 1, i, pending))
 
-        if self.n:
-            self._tl = np.stack([seg.pre for seg in segments]).astype(self.dtype)
-        else:
-            self._tl = np.empty((0, 4, 4), dtype=self.dtype)
+        dt = self.dtype
+        self._tl = np.array(tl, dtype=dt).reshape(-1, 4, 4)
+        self._rows_per_dof = np.array(dof_rows, dtype=np.intp)
+        self._slots_per_dof = np.array(dof_slots, dtype=np.intp)
+        self._scale_per_dof = np.array(dof_scales, dtype=dt)
+        # per-row post-corrections, applied after the reference pipeline's scan
+        self._posts = tuple(posts)
 
-        slot_per_dof = np.array([s for seg in segments for s in seg.slots], dtype=np.intp)
-        row_per_dof = np.array(
-            [i for i, seg in enumerate(segments) for _ in seg.slots], dtype=np.intp
-        )
-        scale_per_dof = np.array([s for seg in segments for s in seg.scales])
-        self._rows_per_dof = row_per_dof
-        self._slots_per_dof = slot_per_dof
-        self._scale_per_dof = scale_per_dof.astype(self.dtype)
-        # per-row post-corrections, applied after the scan
-        self._posts = tuple(
-            (i, seg.post.astype(self.dtype)) for i, seg in enumerate(segments) if seg.post is not None
-        )
-        self._final_post = None
-        if self._posts and self._posts[-1][0] == self.n - 1:
-            self._final_post = self._posts[-1][1]
+        # Every factor entry is linear in the block's coefficient row
+        # (cos of the rotational dofs, their sin, the translational dofs, 1):
+        # S @ R(theta) has column i = c*S_i + s*S_j and column j =
+        # c*S_j - s*S_i, S @ T(d) has column 3 = S_3 + d*S_a, and the rest is
+        # S.  _basis holds those coefficients, one row per coefficient.
+        stack = np.array([static for static, _, _ in factors]).reshape(self.m, 4, 4)
+        cols = np.array([col for _, col, _ in factors], dtype=np.intp)
+        slots = np.array([slot for _, _, slot in factors], dtype=np.intp)
+        rot, trans = np.flatnonzero(slots >= 3), np.flatnonzero(slots < 3)
+        n_r, n_t = rot.size, trans.size
+        ci, cj = _MIXED_I[slots[rot] - 3], _MIXED_J[slots[rot] - 3]
+        r3, k = np.arange(3)[:, None], np.arange(n_r)
+        si, sj = stack[rot, r3, ci], stack[rot, r3, cj]
+        basis = np.zeros((2 * n_r + n_t + 1, self.m, 4, 4))
+        basis[-1] = stack
+        basis[-1, rot, r3, ci] = basis[-1, rot, r3, cj] = 0.0
+        basis[k, rot, r3, ci], basis[k, rot, r3, cj] = si, sj
+        basis[n_r + k, rot, r3, ci], basis[n_r + k, rot, r3, cj] = sj, -si
+        basis[2 * n_r + np.arange(n_t), trans, r3, 3] = stack[trans, r3, slots[trans]]
+        self._basis = basis.reshape(len(basis), -1).astype(dt)
+        self._rot_cols, self._trans_cols = cols[rot], cols[trans]
+        # snapshots: intermediates at every segment, finals after the chain
+        marks.append((self.m - 1, 0, marks[-1][2] if self.n else eye))
+        marks = [(f, i, None if p is None else p.astype(dt)) for f, i, p in marks]
+        self._marks, self._final_marks = tuple(marks[:-1]), (marks[-1],)
 
     @property
     def index_matrix(self):
@@ -198,7 +253,7 @@ class FkEngine:
         """The precomputed static per-segment transforms, shape (n, 4, 4)."""
         return self._tl.copy()
 
-    # -- pipeline stages ------------------------------------------------------
+    # -- reference pipeline stages --------------------------------------------
 
     def _check_flat(self, flat):
         if flat.size != self.batch_size * self.m:
@@ -215,11 +270,8 @@ class FkEngine:
         """
         flat = np.asarray(thetas, dtype=self.dtype).ravel()
         self._check_flat(flat)
-        return self._scatter(flat.reshape(self.batch_size, self.m))
-
-    def _scatter(self, flat2d):
-        """scatter_thetas() on a (rows, m) float ndarray or DualArray block."""
-        q = np.zeros((flat2d.shape[0], self.n, 6), dtype=self.dtype, like=flat2d)
+        flat2d = flat.reshape(self.batch_size, self.m)
+        q = np.zeros((self.batch_size, self.n, 6), dtype=self.dtype)
         if self.m:
             q[:, self._rows_per_dof, self._slots_per_dof] = flat2d * self._scale_per_dof
         return q
@@ -228,8 +280,10 @@ class FkEngine:
         """Per-cell static-times-joint product: TLJ[k, i] = TL[i] @ TJ[k, i]."""
         return np.matmul(self._tl, tj)
 
+    # -- evaluation -------------------------------------------------------------
+
     def forward(self, thetas, want_intermediates=False):
-        """Full pipeline: scatter -> joint transforms -> combine -> scan.
+        """Evaluate the compiled factors for a flat (b*m,) theta batch.
 
         Returns the (b, 4, 4) final transforms, or all cumulative
         (b, n, 4, 4) transforms with ``want_intermediates``.  A DualArray
@@ -252,54 +306,50 @@ class FkEngine:
         values = ad.primal_of(thetas)
         if values.size and not np.isfinite(values).all():
             raise ValueError("non-finite joint value in theta batch")
-        b, n, m = self.batch_size, self.n, self.m
-        flat2d = thetas.reshape(b, m)
-        if n == 0:
-            if want_intermediates:
-                return np.empty((b, 0, 4, 4), dtype=self.dtype, like=flat2d)
-            out = np.zeros((b, 4, 4), dtype=self.dtype, like=flat2d)
-            out[...] = np.eye(4)
-            return out
+        b = self.batch_size
+        flat2d = thetas.reshape(b, self.m)
         if want_intermediates:
-            if b <= _BLOCK_ROWS:
-                return self._intermediates_block(flat2d)
-            out = np.empty((b, n, 4, 4), dtype=self.dtype, like=flat2d)
-            for start in range(0, b, _BLOCK_ROWS):
-                stop = min(start + _BLOCK_ROWS, b)
-                out[start:stop] = self._intermediates_block(flat2d[start:stop])
-            return out
-        out = np.empty((b, 4, 4), dtype=self.dtype, like=flat2d)
+            out = np.empty((b, self.n, 4, 4), dtype=self.dtype, like=flat2d)
+            snapshots, marks = out, self._marks
+        else:
+            out = np.empty((b, 4, 4), dtype=self.dtype, like=flat2d)
+            snapshots, marks = out[:, None], self._final_marks
         for start in range(0, b, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, b)
-            self._finals_block(flat2d[start:stop], out[start:stop])
+            self._product_block(self._factors(flat2d[start:stop]), snapshots[start:stop], marks)
         return out
 
-    def _joint_transforms_block(self, flat2d):
-        return transforms.sixdof_batch_to_transforms(self._scatter(flat2d))
+    def _factors(self, flat2d):
+        """(rows, F, 4, 4) factor transforms of a (rows, m) theta block."""
+        rows = flat2d.shape[0]
+        if rows == 1:
+            # numpy runs a one-row matmul as gemv, which rounds unlike gemm;
+            # a repeated row keeps each row's value independent of its block
+            return self._factors(flat2d[[0, 0]])[:1]
+        q = flat2d * self._scale_per_dof
+        r = self._rot_cols.size
+        coef = np.empty((rows, self._basis.shape[0]), dtype=self.dtype, like=q)
+        a = q[:, self._rot_cols]
+        coef[:, :r] = np.cos(a)
+        coef[:, r : 2 * r] = np.sin(a)
+        coef[:, 2 * r : -1] = q[:, self._trans_cols]
+        coef[:, -1] = 1.0
+        return (coef @ self._basis).reshape(rows, self.m, 4, 4)
 
-    def _intermediates_block(self, flat2d):
-        tj = self._joint_transforms_block(flat2d)
-        cum = scan_compose(self.combine_link_joint(tj))
-        for i, post in self._posts:
-            cum[:, i] = cum[:, i] @ post
-        return cum
-
-    def _finals_block(self, flat2d, out):
-        # finals only: fold the running product directly into the output
-        # slice, without materializing the (b, n, 4, 4) cumulative tensor
-        tj = self._joint_transforms_block(flat2d)
-        n, post = self.n, self._final_post
-        if n == 1 and post is None:
-            np.matmul(self._tl[0], tj[:, 0], out=out)
-            return
-        cur = np.matmul(self._tl[0], tj[:, 0])
-        for i in range(1, n):
-            term = np.matmul(self._tl[i], tj[:, i])
-            if i == n - 1 and post is None:
-                np.matmul(cur, term, out=out)
-                return
-            cur = cur @ term
-        np.matmul(cur, post, out=out)
+    def _product_block(self, g, out, marks):
+        """Multiply the factors in order; for each mark (f, i, pending) write
+        out[:, i] = (product of factors 0..f) @ pending."""
+        cur, done = None, 0  # the product of the first `done` factors
+        for f, i, pending in marks:
+            while done <= f:
+                cur = g[:, 0] if done == 0 else cur @ g[:, done]
+                done += 1
+            if cur is None:
+                out[:, i] = pending
+            elif pending is None:
+                out[:, i] = cur
+            else:
+                np.matmul(cur, pending, out=out[:, i])
 
 
 # -- module-level stages and derivatives ------------------------------------

@@ -61,6 +61,17 @@ def test_blocked_batches_bitwise_identical(arm4_chain, rng):
         np.testing.assert_array_equal(big[k], one.forward(thetas[k])[0])
 
 
+def test_blocked_batches_bitwise_identical_off_axis(mixed_chain, rng):
+    """A row's value does not depend on its block, off-axis statics included."""
+    b = 700
+    eng = FkEngine(mixed_chain, batch_size=b)
+    thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
+    big = eng.forward(thetas.ravel(), want_intermediates=True)
+    one = FkEngine(mixed_chain, batch_size=1)
+    for k in (0, 1, 255, 256, 257, 699):
+        _assert_bits_equal(big[k], one.forward(thetas[k], want_intermediates=True)[0])
+
+
 def test_generic_path_matches_float(mixed_chain, rng):
     b = 3
     eng = FkEngine(mixed_chain, batch_size=b)
@@ -253,6 +264,148 @@ def test_pipeline_stage_functions(arm2r_chain, rng):
     cum = kinematics.scan_compose(tlj)
     np.testing.assert_allclose(cum[:, -1], eng.forward(thetas), atol=1e-14)
     np.testing.assert_allclose(cum, eng.forward(thetas, want_intermediates=True), atol=1e-14)
+
+
+def _stage_pipeline(eng, thetas):
+    """The reference pipeline: scatter -> joint transforms -> combine -> scan,
+    then the post-corrections.  ``thetas`` is a (b, m) float or DualArray."""
+    b, p = eng.batch_size, eng.index_matrix
+    scale = eng.scatter_thetas(np.ones(b * eng.m))[p[:, 0], p[:, 1], p[:, 2]]
+    q = np.zeros((b, eng.n, 6), dtype=eng.dtype, like=thetas)
+    q[p[:, 0], p[:, 1], p[:, 2]] = thetas.reshape(b * eng.m) * scale
+    cum = kinematics.scan_compose(eng.combine_link_joint(kinematics.joint_transforms(q)))
+    for i, post in eng._posts:
+        cum[:, i] = cum[:, i] @ post
+    return cum
+
+
+def _assert_bits_equal(got, want):
+    """Bitwise equality, signed zeros included."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+# Bound of forward against the stage pipeline where the two round
+# differently: folded fixed joints, multi-dof joints, and static transforms
+# whose rotation is not axis-aligned.  Per transform, in units of the dtype's
+# eps times max(1, the largest entry of the reference transform).  The
+# largest seen (x86_64, OpenBLAS) over 500 random trees and mixed_chain is 10.
+_STAGE_ULPS = 32
+
+
+def _assert_within_stage_ulps(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    scale = np.maximum(np.abs(want).max(axis=(-2, -1), keepdims=True), 1.0)
+    ulps = np.abs(got - want) / (np.finfo(want.dtype).eps * scale)
+    assert ulps.max() <= _STAGE_ULPS
+
+
+@pytest.mark.parametrize("b", [1, 255, 256, 257, 700])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("robot", ["arm4", "cam_arm"])
+def test_forward_bitwise_equals_stage_pipeline(robot, dtype, b, arm4_chain, cam_arm, rng):
+    """On axis-aligned statics every factor product is exact, so the compiled
+    factors reproduce the stage pipeline bit for bit, tangents included."""
+    chain = arm4_chain if robot == "arm4" else urdf.extract_chain(cam_arm, "base", "camera")
+    eng = FkEngine(chain, batch_size=b, dtype=dtype)
+    thetas = rng.uniform(-3.0, 3.0, size=(b, chain.m)).astype(dtype)
+    want = _stage_pipeline(eng, thetas)
+    _assert_bits_equal(eng.forward(thetas.ravel(), want_intermediates=True), want)
+    _assert_bits_equal(eng.forward(thetas.ravel()), want[:, -1])
+    seeded = ad.seed_array(thetas)
+    want_dual = _stage_pipeline(eng, seeded)
+    for inter, expect in ((True, want_dual), (False, want_dual[:, -1])):
+        dual = eng.forward(seeded, want_intermediates=inter)
+        _assert_bits_equal(dual.primal, expect.primal)
+        _assert_bits_equal(dual.tangent, expect.tangent)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("b", [1, 300])
+def test_mixed_chain_matches_stage_pipeline(mixed_chain, dtype, b, rng):
+    eng = FkEngine(mixed_chain, batch_size=b, dtype=dtype)
+    thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m)).astype(dtype)
+    inters = eng.forward(thetas.ravel(), want_intermediates=True)
+    _assert_within_stage_ulps(inters, _stage_pipeline(eng, thetas))
+    seeded = ad.seed_array(thetas)
+    dual = eng.forward(seeded, want_intermediates=True)
+    want = _stage_pipeline(eng, seeded)
+    scale = np.abs(want.tangent).max() + 1.0
+    assert np.abs(dual.tangent - want.tangent).max() <= _STAGE_ULPS * np.finfo(dtype).eps * scale
+    if dtype is np.float64:
+        naive_inters = naive.fk_batch(mixed_chain, thetas.tolist(), want_intermediates=True)
+        assert np.abs(inters - np.array(naive_inters)).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2000))
+def test_random_tree_matches_stage_pipeline(seed):
+    _, model, leaf = treegen.random_tree(seed)
+    chain = urdf.extract_chain(model, model.root_link, leaf)
+    rng = np.random.default_rng(seed + 78)
+    b = int(rng.integers(1, 9))
+    thetas = treegen.sample_thetas(chain, b, rng)
+    for dtype in (np.float32, np.float64):
+        eng = FkEngine(chain, batch_size=b, dtype=dtype)
+        inters = eng.forward(thetas.astype(dtype).ravel(), want_intermediates=True)
+        _assert_within_stage_ulps(inters, _stage_pipeline(eng, thetas.astype(dtype)))
+    want = np.array(naive.fk_batch(chain, thetas.tolist(), want_intermediates=True))
+    assert np.abs(inters - want.reshape(inters.shape)).max() < 1e-9
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_all_fixed_and_empty_chains_match_stage_pipeline(dtype, mixed):
+    text = """
+    <robot name="r"><link name="a"/><link name="b"/><link name="c"/>
+    <joint name="j1" type="fixed"><parent link="a"/><child link="b"/>
+    <origin xyz="1 0 0" rpy="0.3 0 0"/></joint>
+    <joint name="j2" type="fixed"><parent link="b"/><child link="c"/>
+    <origin xyz="0 2 0" rpy="0 0 1.2"/></joint>
+    </robot>"""
+    fixed = urdf.extract_chain(urdf.parse_urdf(text), "a", "c")
+    eng = FkEngine(fixed, batch_size=3, dtype=dtype)
+    want = _stage_pipeline(eng, np.empty((3, 0), dtype=dtype))
+    inters = eng.forward([], want_intermediates=True)
+    _assert_within_stage_ulps(inters, want)
+    _assert_bits_equal(eng.forward([]), inters[:, -1])
+    dual = eng.forward(ad.seed_array(np.empty((3, 0), dtype=dtype)), want_intermediates=True)
+    _assert_bits_equal(dual.primal, inters)
+    assert dual.tangent.shape == (0, 3, 2, 4, 4)
+
+    empty = FkEngine(urdf.extract_chain(mixed, "l2", "l2"), batch_size=3, dtype=dtype)
+    assert _stage_pipeline(empty, np.empty((3, 0), dtype=dtype)).shape == (3, 0, 4, 4)
+    assert empty.forward([], want_intermediates=True).shape == (3, 0, 4, 4)
+    _assert_bits_equal(empty.forward([]), np.broadcast_to(np.eye(4, dtype=dtype), (3, 4, 4)))
+
+
+def test_trig_only_on_rotational_dofs(mixed_chain, monkeypatch, rng):
+    """Each block takes one cos and one sin, over (rows, rotational dofs)."""
+    calls = []
+
+    def counting(rule):
+        def wrapped(ufunc, *inputs):
+            calls.append((ufunc.__name__, inputs[0].shape))
+            return rule(ufunc, *inputs)
+
+        return wrapped
+
+    for ufunc in (np.cos, np.sin):
+        monkeypatch.setitem(ad._UFUNC_RULES, ufunc, counting(ad._UFUNC_RULES[ufunc]))
+    b = kinematics._BLOCK_ROWS + 44
+    eng = FkEngine(mixed_chain, batch_size=b)
+    eng.forward(ad.seed_array(rng.uniform(-1.0, 1.0, size=(b, eng.m))))
+    # revolute, continuous and the floating joint's three angles
+    m_rot = 5
+    rows = (kinematics._BLOCK_ROWS, 44)
+    assert sorted(calls) == sorted((name, (r, m_rot)) for r in rows for name in ("cos", "sin"))
+
+
+def test_aligned_axis_tolerance():
+    assert kinematics._aligned_axis((0.0, 1.0, 0.0)) == (1, 1.0)
+    assert kinematics._aligned_axis((1e-10, 0.0, -1.0)) == (2, -1.0)
+    assert kinematics._aligned_axis((-1.0 + 1e-10, -1e-10, 0.0)) == (0, -1.0)
+    assert kinematics._aligned_axis((1e-8, 0.0, 1.0)) is None
+    assert kinematics._aligned_axis((0.6, 0.8, 0.0)) is None
 
 
 def test_link_transforms_property(arm2r_chain):
