@@ -39,7 +39,6 @@ from .metrics import (  # noqa: E402
     rotation_with_rmse,
 )
 from .transforms import (  # noqa: E402
-    PoseQuaternion,
     PoseRPY,
     pose_from_transform,
     quaternion_from_rotation,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import naive
+from .kinematics import FkEngine
 
 __all__ = ["BenchMeasurement", "BenchReport", "run_bench", "measure_baseline"]
 
@@ -108,7 +109,7 @@ def measure_baseline(chain, min_seconds=0.5, min_iterations=10, rng_seed=0, repe
 
 
 def run_bench(
-    engine_factory,
+    chain,
     batch_sizes,
     min_seconds=0.5,
     min_iterations=10,
@@ -116,21 +117,21 @@ def run_bench(
     with_baseline=True,
     repeats=3,
 ) -> BenchReport:
-    """Measure forward throughput for each batch size.
+    """Measure ``chain``'s forward throughput for each batch size.
 
-    ``engine_factory`` maps a batch size to a ready FkEngine; constructing
-    the engine, drawing the input pool, and warm-up all happen outside the
-    timed region.  Each batch size is measured ``repeats`` times and the
-    fastest repetition is reported.  The repetitions are interleaved: each
-    one measures every batch size once, so a burst of host load slows one
-    repetition of several sizes rather than every repetition of one size.
+    Building each size's FkEngine, drawing the input pool, and warm-up all
+    happen outside the timed region.  Each batch size is measured
+    ``repeats`` times and the fastest repetition is reported.  The
+    repetitions are interleaved: each one measures every batch size once, so
+    a burst of host load slows one repetition of several sizes rather than
+    every repetition of one size.
     """
     sizes = sorted(int(b) for b in batch_sizes)
     for b in sizes:
         if b < 1:
             raise ValueError(f"batch size must be positive, got {b}")
-    engines = [engine_factory(b) for b in sizes]
-    pools = [_theta_pool(np.random.default_rng(rng_seed), b, e.m) for b, e in zip(sizes, engines)]
+    engines = [FkEngine(chain, b) for b in sizes]
+    pools = [_theta_pool(np.random.default_rng(rng_seed), b, chain.m) for b in sizes]
     best = [None] * len(sizes)
     for _ in range(max(int(repeats), 1)):
         for i, (engine, pool) in enumerate(zip(engines, pools)):
@@ -139,9 +140,8 @@ def run_bench(
         BenchMeasurement(batch_size=b, iterations=it, seconds=sec, ops_per_sec=b * it / sec)
         for b, (it, sec) in zip(sizes, best)
     ]
-    chain = engines[-1].chain if engines else None
     baseline = None
-    if with_baseline and chain is not None:
+    if with_baseline:
         baseline = measure_baseline(
             chain, min_seconds=min_seconds, min_iterations=min_iterations, rng_seed=rng_seed, repeats=repeats
         )

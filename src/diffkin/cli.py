@@ -144,15 +144,10 @@ def _cmd_validate(args):
         }
         for j in model.joints
     ]
-    chains = []
-    for leaf in sorted(model.leaf_links()):
-        path, link = [], leaf
-        while link != model.root_link:
-            parent = model.parent_joint_of(link)
-            path.append(link)
-            link = parent.parent_link
-        path.append(model.root_link)
-        chains.append(list(reversed(path)))
+    chains = [
+        [model.root_link] + [j.child_link for j in extract_chain(model, model.root_link, leaf).joints]
+        for leaf in sorted(model.leaf_links())
+    ]
     doc = {
         "schema": 1,
         "command": "validate",
@@ -292,7 +287,7 @@ def _cmd_bench(args):
     if not batch_sizes:
         raise ShapeError("at least one batch size is required")
     report = run_bench(
-        lambda b: FkEngine(chain, b),
+        chain,
         batch_sizes,
         min_seconds=args.seconds,
         rng_seed=_seed_of(args),

@@ -15,12 +15,13 @@ joint motion cannot be explained by one constant 6-DoF transform.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .kinematics import FkEngine
+from .metrics import phi5_squared_batch
 from .transforms import pose_batch_from_transforms
 from .urdf import RobotModel, extract_chain, substitute_link_with_joint
 
@@ -44,7 +45,6 @@ class IdentifyConfig:
     epsilon: float = 1e-8
     grad_epsilon: float = 1e-10
     seed: int = 0
-    num_configurations: int | None = None
     rotation_weight: float = 1.0
     optimizer: str = "gd"  # or "adam"
 
@@ -100,10 +100,6 @@ class SampleGenerator:
         self._lo = np.array(lo)
         self._hi = np.array(hi)
 
-    @property
-    def batch_size(self):
-        return self.engine.batch_size
-
     def joint_samples(self):
         """One (b, m) batch of configurations."""
         b, m = self.engine.batch_size, self.engine.m
@@ -121,15 +117,6 @@ class SampleGenerator:
 # -- estimation --------------------------------------------------------------
 
 
-def _target_dof_offsets(chain, target_joint_name):
-    offsets, off = [], 0
-    for _, joint in chain.segments:
-        if joint.name == target_joint_name:
-            offsets = list(range(off, off + joint.dof))
-        off += joint.dof
-    return offsets
-
-
 class ParamEstimator:
     """Gradient-descent estimator for one substituted joint's six parameters.
 
@@ -140,6 +127,10 @@ class ParamEstimator:
     one dual forward pass of the substituted chain and the same vectorized
     loss, and applies one fixed-step (or Adam) update.  Only the six
     parameters ever change; sampled joint values are inputs.
+
+    The estimator owns the substituted chain's layout: its theta columns are
+    the original chain's, with the replaced joint's ``target_dofs`` columns
+    (original-chain offsets) swapped for the six parameters.
     """
 
     def __init__(
@@ -161,8 +152,25 @@ class ParamEstimator:
         self.init_hint = np.array(model_sub.init_hints[self.target_joint])
         self.chain_orig = extract_chain(model, base, end)
         self.chain = extract_chain(model_sub, base, end)
-        if self.target_joint not in {j.name for j in self.chain.joints}:
+
+        # substituted column <- original column for the sampled dofs; the
+        # six parameter columns sit where the replaced joint's dofs were
+        sub_cols, orig_cols, self.target_dofs = [], [], None
+        sub_col = orig_col = 0
+        for _, joint in self.chain_orig.segments:
+            if joint.name == self.target_joint:
+                self.target_dofs = tuple(range(orig_col, orig_col + joint.dof))
+                self._param_cols = slice(sub_col, sub_col + 6)
+                sub_col += 6
+            else:
+                sub_cols.extend(range(sub_col, sub_col + joint.dof))
+                orig_cols.extend(range(orig_col, orig_col + joint.dof))
+                sub_col += joint.dof
+            orig_col += joint.dof
+        if self.target_dofs is None:
             raise ValueError(f"substituted joint {self.target_joint!r} is not on the chain {base!r} -> {end!r}")
+        self._sub_cols = np.array(sub_cols, dtype=np.intp)
+        self._orig_cols = np.array(orig_cols, dtype=np.intp)
         self.engine = FkEngine(self.chain, batch_size)
         self.learning_rate = float(learning_rate)
         self.rotation_weight = float(rotation_weight)
@@ -171,18 +179,6 @@ class ParamEstimator:
         self.steps_taken = 0
         self._adam_m = np.zeros(6)
         self._adam_v = np.zeros(6)
-
-        # column map from (original-chain thetas | the six parameters) into
-        # the substituted chain's theta layout
-        mapping, orig_off = [], 0
-        for _, joint in self.chain_orig.segments:
-            if joint.name == self.target_joint:
-                mapping.extend(("param", i) for i in range(6))
-            else:
-                mapping.extend(("sample", orig_off + d) for d in range(joint.dof))
-            orig_off += joint.dof
-        self._mapping = tuple(mapping)
-        assert len(self._mapping) == self.engine.m
 
     def _check_shapes(self, thetas, target_poses):
         b = self.engine.batch_size
@@ -200,14 +196,14 @@ class ParamEstimator:
         """Substituted-chain theta batch with ``params_row`` (floats or a
         DualArray) spliced in."""
         out = np.empty((self.engine.batch_size, self.engine.m), dtype=params_row.dtype, like=params_row)
-        for col, (kind, idx) in enumerate(self._mapping):
-            out[:, col] = thetas[:, idx] if kind == "sample" else params_row[idx]
+        out[:, self._sub_cols] = thetas[:, self._orig_cols]
+        out[:, self._param_cols] = params_row
         return out
 
     def _loss(self, finals, target_poses):
         dp = finals[:, :3, 3] - target_poses[:, :3, 3]
-        d = np.eye(3) - finals[:, :3, :3] @ target_poses[:, :3, :3].transpose(0, 2, 1)
-        return (dp * dp).sum(axis=1).mean() + self.rotation_weight * (d * d).sum(axis=(1, 2)).mean()
+        rot = phi5_squared_batch(finals, target_poses)
+        return (dp * dp).sum(axis=1).mean() + self.rotation_weight * rot.mean()
 
     def loss_value(self, thetas, target_poses):
         """Loss at the current parameters (plain float path)."""
@@ -251,47 +247,41 @@ class ParamEstimator:
 def run_identification(model: RobotModel, target_link: str, base: str, end: str, config: IdentifyConfig = IdentifyConfig()) -> IdentificationResult:
     """Substitute, sample, descend; see the module docstring for the protocol.
 
-    The dataset is ``num_configurations`` (default: ``batch_size``) joint
-    samples drawn once from the unmodified model, with the replaced joint's
-    own dof pinned to zero; every step is a full-batch update against it.
+    ``target_link``, ``base`` and ``end`` are the arguments; the fields of
+    the same names in ``config`` are not read.  The dataset is
+    ``config.batch_size`` joint samples drawn once from the unmodified model
+    with ``config.seed``, the replaced joint's own dof pinned to zero; every
+    step is a full-batch update against it, until the loss falls below
+    ``epsilon``, the gradient norm below ``grad_epsilon``, or ``max_steps``
+    steps are spent.
     """
-    cfg = replace(config, target_link=target_link, base=base, end=end)
-    n_configs = cfg.num_configurations if cfg.num_configurations is not None else cfg.batch_size
-    if n_configs < 1:
-        raise ValueError("need at least one configuration")
-
     start = time.perf_counter()
-    chain_orig = extract_chain(model, base, end)
-    target_joint = model.parent_joint_of(target_link)
-    if target_joint is None:
-        # root link; substitute_link_with_joint raises the canonical error
-        substitute_link_with_joint(model, target_link)
-    generator = SampleGenerator(
-        FkEngine(chain_orig, n_configs),
-        np.random.default_rng(cfg.seed),
-        zero_dofs=tuple(_target_dof_offsets(chain_orig, target_joint.name)),
-    )
-    thetas, targets = generator.sample_batch()
-
     estimator = ParamEstimator(
         model,
         target_link,
         base,
         end,
-        batch_size=n_configs,
-        learning_rate=cfg.learning_rate,
-        rotation_weight=cfg.rotation_weight,
-        optimizer=cfg.optimizer,
+        batch_size=config.batch_size,
+        learning_rate=config.learning_rate,
+        rotation_weight=config.rotation_weight,
+        optimizer=config.optimizer,
     )
+    generator = SampleGenerator(
+        FkEngine(estimator.chain_orig, config.batch_size),
+        np.random.default_rng(config.seed),
+        zero_dofs=estimator.target_dofs,
+    )
+    thetas, targets = generator.sample_batch()
+
     loss = estimator.loss_value(thetas, targets)
     status = "budget_exhausted"
-    while estimator.steps_taken < cfg.max_steps:
+    while estimator.steps_taken < config.max_steps:
         loss, grad_norm = estimator.step(thetas, targets)
-        if loss < cfg.epsilon or grad_norm < cfg.grad_epsilon:
+        if loss < config.epsilon or grad_norm < config.grad_epsilon:
             status = "converged"
             break
 
-    finals = estimator.engine.forward(estimator._flat_sub_thetas(np.asarray(thetas), estimator.params))
+    finals = estimator.engine.forward(estimator._flat_sub_thetas(thetas, estimator.params))
     got, _ = pose_batch_from_transforms(finals)
     want, _ = pose_batch_from_transforms(targets)
     diff = got - want

@@ -28,6 +28,7 @@ __all__ = [
     "phi3_loss",
     "phi4_loss",
     "phi5_loss",
+    "phi5_squared_batch",
     "phi2_quat",
     "phi3_quat",
     "phi4_quat",
@@ -135,16 +136,16 @@ def phi4_loss(t, t_hat):
 # -- phi5: Frobenius deviation from identity --------------------------------
 
 
-def _phi5_batch(a, b):
-    r = a[..., :3, :3]
-    r_hat = b[..., :3, :3]
-    d = np.eye(3) - r @ np.swapaxes(r_hat, -1, -2)
-    return np.sqrt((d * d).sum(axis=(-1, -2)))
+def phi5_squared_batch(a, b):
+    """||I - R Rhat^T||_F^2 over (..., 4, 4) batches: phi5 without its root,
+    smooth where the rotations coincide."""
+    d = np.eye(3) - a[..., :3, :3] @ np.swapaxes(b[..., :3, :3], -1, -2)
+    return (d * d).sum(axis=(-1, -2))
 
 
 def phi5_loss(t, t_hat):
     """Frobenius norm of I - R Rhat^T; range [0, 2 sqrt 2]."""
-    return _dispatch(t, t_hat, _phi5_batch)
+    return _dispatch(t, t_hat, lambda a, b: np.sqrt(phi5_squared_batch(a, b)))
 
 
 # short aliases

@@ -20,7 +20,6 @@ from . import autodiff as ad
 
 __all__ = [
     "PoseRPY",
-    "PoseQuaternion",
     "rot_x",
     "rot_y",
     "rot_z",
@@ -53,22 +52,6 @@ class PoseRPY:
 
     def as_array(self):
         return np.array([self.x, self.y, self.z, self.alpha, self.beta, self.gamma])
-
-
-@dataclass(frozen=True)
-class PoseQuaternion:
-    """Translation plus unit quaternion (x, y, z, w), w >= 0."""
-
-    x: float
-    y: float
-    z: float
-    qx: float
-    qy: float
-    qz: float
-    qw: float
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.z, self.qx, self.qy, self.qz, self.qw])
 
 
 def rot_x(angle):

@@ -194,12 +194,11 @@ def test_criterion_4_metric_ranges_and_symmetries():
 def test_criterion_5_throughput_scales_with_batch_size():
     model = urdf.parse_urdf(ARM4)
     chain = urdf.extract_chain(model, "base", "tool")
-    factory = lambda b: kinematics.FkEngine(chain, batch_size=b)
     sizes = [1, 256, 1024, 4096]
 
     def ops(batch_sizes, repeats):
         report = bench.run_bench(
-            factory, batch_sizes, min_seconds=0.2, repeats=repeats, rng_seed=0, with_baseline=False
+            chain, batch_sizes, min_seconds=0.2, repeats=repeats, rng_seed=0, with_baseline=False
         )
         return np.array([m.ops_per_sec for m in report.measurements])
 

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from diffkin import bench, kinematics
-
-
-def _factory(chain):
-    return lambda b: kinematics.FkEngine(chain, batch_size=b)
+from diffkin import bench
 
 
 def test_report_invariants(arm4_chain):
     report = bench.run_bench(
-        _factory(arm4_chain),
+        arm4_chain,
         [64, 1, 16],
         min_seconds=0.05,
         min_iterations=5,
@@ -33,7 +29,7 @@ def test_report_invariants(arm4_chain):
 
 def test_no_baseline(arm4_chain):
     report = bench.run_bench(
-        _factory(arm4_chain),
+        arm4_chain,
         [4],
         min_seconds=0.02,
         min_iterations=3,
@@ -46,7 +42,7 @@ def test_no_baseline(arm4_chain):
 
 def test_rejects_nonpositive_batch(arm4_chain):
     with pytest.raises(ValueError, match="positive"):
-        bench.run_bench(_factory(arm4_chain), [4, 0], min_seconds=0.01, min_iterations=1)
+        bench.run_bench(arm4_chain, [4, 0], min_seconds=0.01, min_iterations=1)
 
 
 def test_baseline_measure(arm4_chain):
@@ -57,7 +53,7 @@ def test_baseline_measure(arm4_chain):
 def test_batched_beats_baseline(arm4_chain):
     """Even a small batch amortizes enough to outrun the sequential loop."""
     report = bench.run_bench(
-        _factory(arm4_chain), [256], min_seconds=0.1, min_iterations=5, repeats=2
+        arm4_chain, [256], min_seconds=0.1, min_iterations=5, repeats=2
     )
     assert report.ratios()[0] > 3.0
 
@@ -73,7 +69,7 @@ def test_repeats_keep_best(arm4_chain, monkeypatch):
 
     monkeypatch.setattr(bench, "_timed_loop", spy)
     report = bench.run_bench(
-        _factory(arm4_chain),
+        arm4_chain,
         [8],
         min_seconds=0.02,
         min_iterations=2,

@@ -150,6 +150,16 @@ def test_identify_missing_keys(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_identify_rejects_num_configurations(capsys, tmp_path):
+    urdf_path = tmp_path / "cam.urdf"
+    urdf_path.write_text(CAM_ARM)
+    cfg = tmp_path / "id.json"
+    cfg.write_text(json.dumps({"target_link": "camera", "base": "base", "end": "camera", "num_configurations": 12}))
+    code, _, err = run_cli(capsys, "identify", str(urdf_path), str(cfg))
+    assert code == 4
+    assert "num_configurations" in err
+
+
 def test_bench_document(capsys, arm2r_file):
     code, out, _ = run_cli(
         capsys,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from diffkin import identify, kinematics, urdf
+from diffkin import autodiff as ad
+from diffkin import identify, kinematics, metrics, urdf
 from diffkin.identify import IdentifyConfig, ParamEstimator, SampleGenerator
 
 
@@ -68,6 +69,17 @@ def test_loss_zero_at_truth(cam_arm):
         cam_arm, "camera", "base", "camera", 5, init_params=[0.3, 0, 0.1, 0, 0, np.pi / 4]
     )
     assert est.loss_value(thetas, targets) < 1e-20
+
+
+def test_loss_is_translation_plus_weighted_phi5_squared(cam_arm):
+    thetas, targets = _dataset(cam_arm, 4, seed=6)
+    est = ParamEstimator(
+        cam_arm, "camera", "base", "camera", 4, rotation_weight=0.5, init_params=[0.1, 0.2, -0.1, 0.3, 0.0, -0.2]
+    )
+    finals = est.engine.forward(est._flat_sub_thetas(thetas, est.params))
+    dp = finals[:, :3, 3] - targets[:, :3, 3]
+    want = (dp * dp).sum(axis=1).mean() + 0.5 * (metrics.phi5_loss(finals, targets) ** 2).mean()
+    assert est.loss_value(thetas, targets) == pytest.approx(want, rel=1e-12)
 
 
 def test_gradient_matches_finite_differences(cam_arm):
@@ -160,8 +172,26 @@ def test_shape_validation(cam_arm):
         est.loss_value(thetas, targets[:2])
 
 
-def test_num_configurations_overrides_batch_size(cam_arm):
-    cfg = IdentifyConfig(batch_size=2, num_configurations=12, max_steps=150)
-    res = identify.run_identification(cam_arm, "camera", "base", "camera", cfg)
-    # a 12-sample dataset constrains all six parameters
-    assert res.params.shape == (6,)
+def test_num_configurations_key_is_rejected():
+    # the dataset size is batch_size; there is no second knob for it
+    with pytest.raises(ValueError, match="num_configurations"):
+        IdentifyConfig.from_mapping({"num_configurations": 12})
+
+
+def test_splice_of_mid_chain_joint(cam_arm):
+    """link2's parent joint j2 has a dof of its own in mid-chain: the six
+    parameters take its column, the sampled columns keep their order."""
+    thetas, _ = _dataset(cam_arm, 5, seed=1)
+    est = ParamEstimator(cam_arm, "link2", "base", "camera", 5)
+    assert est.target_dofs == (1,)
+    assert est.engine.m == 8  # j1 | six parameters | j3
+    params = np.array([0.1, -0.2, 0.3, 0.4, -0.5, 0.6])
+    flat = est._flat_sub_thetas(thetas, ad.seed_array(params))
+    np.testing.assert_array_equal(flat.primal[:, [0, 7]], thetas[:, [0, 2]])
+    np.testing.assert_array_equal(flat.primal[:, 1:7], np.tile(params, (5, 1)))
+    np.testing.assert_array_equal(est._flat_sub_thetas(thetas, params), flat.primal)
+    # tangent j is 1 on parameter column 1 + j and 0 everywhere else
+    expected = np.zeros((6, 5, 8))
+    for j in range(6):
+        expected[j, :, 1 + j] = 1.0
+    np.testing.assert_array_equal(flat.tangent, expected)
