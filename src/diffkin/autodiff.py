@@ -4,12 +4,16 @@
 Derivatives*, 2008, section 3) that the library's kernels run on: one primal
 ndarray plus a tangent ndarray with the tangent axis leading, shape
 ``(k,) + primal.shape``.  It implements numpy's ``__array_ufunc__`` and
-``__array_function__`` protocols for exactly the operations the FK, pose,
+``__array_function__`` protocols for exactly the operations the pose,
 quaternion and metric kernels use, so those kernels run unchanged on it;
 every other ufunc or function, and any conversion to a plain ndarray,
 raises instead of silently dropping the tangent.  Primals are computed by
 the same numpy calls as the float kernels, so they are bitwise equal to a
-float run.
+float run.  ``FkEngine.forward`` takes a DualArray too, but builds the
+tangents of its factor product from the twists of the float prefix
+products instead of pushing them through every 4x4 product (see
+``kinematics``); run through the engine's factor kernels, a DualArray gives
+that dense product, the oracle of the twist tangents.
 
 ``batch_jacobian`` turns a batched map into per-row Jacobians with one
 seeded pass.  ``DiffScalar`` is only a (value, tangent) record, the

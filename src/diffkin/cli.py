@@ -250,20 +250,23 @@ def _cmd_identify(args):
         raise ShapeError(f"config file {args.config}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ShapeError(f"config file {args.config}: expected a JSON object")
+    # the target and the chain are run_identification's arguments; the rest
+    # of the object is the IdentifyConfig
+    target_link, base, end = (raw.pop(key, None) for key in ("target_link", "base", "end"))
     try:
         cfg = IdentifyConfig.from_mapping(raw)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"config file {args.config}: {exc}") from None
-    if not (cfg.target_link and cfg.base and cfg.end):
+    if not (target_link and base and end):
         raise ShapeError(f"config file {args.config}: target_link, base and end are required")
     cfg = replace(cfg, seed=_seed_of(args, cfg.seed))
-    result = run_identification(model, cfg.target_link, cfg.base, cfg.end, cfg)
+    result = run_identification(model, target_link, base, end, cfg)
     doc = {
         "schema": 1,
         "command": "identify",
         "seed": cfg.seed,
-        "target_link": cfg.target_link,
-        "chain": {"base": cfg.base, "end": cfg.end},
+        "target_link": target_link,
+        "chain": {"base": base, "end": end},
         "status": result.status,
         "steps": result.steps,
         "final_loss": result.final_loss,

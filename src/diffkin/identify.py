@@ -36,9 +36,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IdentifyConfig:
-    target_link: str | None = None
-    base: str | None = None
-    end: str | None = None
     batch_size: int = 10
     learning_rate: float = 1e-2
     max_steps: int = 5000
@@ -123,10 +120,12 @@ class ParamEstimator:
     The loss is the batch mean of squared translation error plus
     ``rotation_weight`` times the squared Frobenius deviation of the rotation
     (the square of the phi5 metric, so the surface is smooth at the optimum).
-    Each step seeds the six parameters as the tangents of a DualArray, runs
-    one dual forward pass of the substituted chain and the same vectorized
-    loss, and applies one fixed-step (or Adam) update.  Only the six
-    parameters ever change; sampled joint values are inputs.
+    Each step seeds the six parameters as the tangents of a DualArray,
+    evaluates the substituted chain on it (the six floating-joint factors'
+    twists give the transforms' derivatives, see kinematics) and the same
+    vectorized loss on the result, and applies one fixed-step (or Adam)
+    update.  Only the six parameters ever change; sampled joint values are
+    inputs.
 
     The estimator owns the substituted chain's layout: its theta columns are
     the original chain's, with the replaced joint's ``target_dofs`` columns
@@ -247,13 +246,11 @@ class ParamEstimator:
 def run_identification(model: RobotModel, target_link: str, base: str, end: str, config: IdentifyConfig = IdentifyConfig()) -> IdentificationResult:
     """Substitute, sample, descend; see the module docstring for the protocol.
 
-    ``target_link``, ``base`` and ``end`` are the arguments; the fields of
-    the same names in ``config`` are not read.  The dataset is
-    ``config.batch_size`` joint samples drawn once from the unmodified model
-    with ``config.seed``, the replaced joint's own dof pinned to zero; every
-    step is a full-batch update against it, until the loss falls below
-    ``epsilon``, the gradient norm below ``grad_epsilon``, or ``max_steps``
-    steps are spent.
+    The dataset is ``config.batch_size`` joint samples drawn once from the
+    unmodified model with ``config.seed``, the replaced joint's own dof
+    pinned to zero; every step is a full-batch update against it, until the
+    loss falls below ``epsilon``, the gradient norm below ``grad_epsilon``,
+    or ``max_steps`` steps are spent.
     """
     start = time.perf_counter()
     estimator = ParamEstimator(

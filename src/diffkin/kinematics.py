@@ -29,11 +29,21 @@ transform's rotation is axis-aligned (arm4, cam_arm) all coefficient
 products are exact and forward equals the reference bit for bit; elsewhere
 they round differently, within a few ulps.
 
-One pipeline serves values and derivatives: every step is written in numpy
-operations that autodiff.DualArray also implements, so a DualArray theta
-batch runs the same function bodies as a float batch and carries its
-tangents (vector forward mode) through all of them.  pose_jacobian is one
-such pass with the m joint columns seeded.
+One product serves values and derivatives.  A DualArray theta batch runs
+the float factors and product on its primal, so its primal result is the
+float result bit for bit, and keeps the running product P_f after every
+factor.  Factor f moves one theta column about or along one canonical axis
+of P_f, so that column's derivative of every later transform T is a twist
+of P_f applied to T: for a rotation with w = R(P_f)[:, a],
+dR_T = w x R_T and dp_T = w x (p_T - p(P_f)); for a translation dp_T = w
+(Orin & Schrader 1984).  These per-column twists are contracted with the
+input tangents, so forward carries any tangents (vector forward mode) at
+the cost of a few products per block, whatever their number.  The kernels
+downstream (pose and quaternion extraction, metrics, the identification
+loss) run on the resulting DualArray unchanged.  _factors and
+_product_block stay numpy-generic: run on a DualArray they are the dense
+pass, which carries every tangent through every product, and the tests use
+it as the oracle of the twist tangents.
 
 Joints with an arbitrary axis are handled by conjugation: motion about axis
 ``a`` equals R_align . canonical-slot-motion . R_align^T, where R_align maps
@@ -44,6 +54,8 @@ directly with the sign folded into the theta scaling.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -105,6 +117,15 @@ def plane_basis(axis):
     return u, v
 
 
+def _unit(axis):
+    """``axis`` scaled to unit length.  The parser keeps an axis within 1e-12
+    of unit length as written, but an alignment built from it must be
+    orthonormal to rounding: every factor is then a rigid motion, which the
+    twist tangents of FkEngine._tangent_block rely on."""
+    a = np.asarray(axis, dtype=float)
+    return a / np.sqrt(a @ a)
+
+
 def _align_rotation(columns):
     r = np.eye(4)
     r[:3, :3] = np.column_stack(columns)
@@ -119,8 +140,9 @@ def _joint_motion(joint):
     if jt is JointType.FLOATING:
         return None, (0, 1, 2, 3, 4, 5), (1.0,) * 6
     if jt is JointType.PLANAR:
-        u, v = plane_basis(joint.axis)
-        r = _align_rotation((u, v, np.asarray(joint.axis, dtype=float)))
+        a = _unit(joint.axis)
+        u, v = plane_basis(a)
+        r = _align_rotation((u, v, a))
         return (None if np.array_equal(r, np.eye(4)) else r), (0, 1), (1.0, 1.0)
     # revolute, continuous, prismatic: one dof about/along `axis`
     rotational = jt is not JointType.PRISMATIC
@@ -129,7 +151,7 @@ def _joint_motion(joint):
         i, sign = hit
         return None, ((3 + i,) if rotational else (i,)), (sign,)
     # canonical z slot, conjugated onto the actual axis
-    a = np.asarray(joint.axis, dtype=float)
+    a = _unit(joint.axis)
     u, v = plane_basis(a)
     return _align_rotation((u, v, a)), ((5,) if rotational else (2,)), (1.0,)
 
@@ -140,6 +162,11 @@ _FACTOR_ORDER = (0, 1, 2, 5, 4, 3)
 # Columns (i, j) that a rotation about x, y, z mixes.
 _MIXED_I = np.array([1, 2, 0])
 _MIXED_J = np.array([2, 0, 1])
+_XYZ = np.arange(3)
+# A twist (w, v) as its 4x4 matrix [[w]x | v; 0 0 0 0], flattened row-major.
+_TWIST_MATRIX = np.zeros((6, 16))
+_TWIST_MATRIX[[2, 1, 2, 0, 1, 0], [1, 2, 4, 6, 8, 9]] = [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
+_TWIST_MATRIX[[3, 4, 5], [3, 7, 11]] = 1.0
 
 
 class FkEngine:
@@ -231,10 +258,41 @@ class FkEngine:
         basis[2 * n_r + np.arange(n_t), trans, r3, 3] = stack[trans, r3, slots[trans]]
         self._basis = basis.reshape(len(basis), -1).astype(dt)
         self._rot_cols, self._trans_cols = cols[rot], cols[trans]
+        self._factor_cols, self._factor_slots = cols, slots
         # snapshots: intermediates at every segment, finals after the chain
         marks.append((self.m - 1, 0, marks[-1][2] if self.n else eye))
         marks = [(f, i, None if p is None else p.astype(dt)) for f, i, p in marks]
         self._marks, self._final_marks = tuple(marks[:-1]), (marks[-1],)
+
+    @functools.cached_property
+    def _twist_tables(self):
+        """(src, weights) of the twist tangents, built on the first DualArray
+        evaluation, so that a float-only engine never pays for them.
+
+        ``src`` (m, 5, 3): for theta column c, whose factor f moves about or
+        along canonical axis a, flat indices into a block's (rows, 16 F)
+        prefix products of five triples (w, x, y, z, u), such that c's twist
+        per unit theta scale is (w, x * y - z * u).  A rotation gathers
+        (R[:, a], p[I], R[J, a], p[J], R[I, a]) of P_f, with I = (1, 2, 0)
+        and J = (2, 0, 1), so its moment is p x R[:, a]; a translation
+        gathers (0, R[:, a], 1, 0, 0), the zeros and ones from P_f's bottom
+        row, which is exactly (0, 0, 0, 1) in every product of the factors.
+        ``weights``: each column's theta scale, as (m,) for the finals and
+        (n, 1, m) for the intermediates, zero where c's factor comes after
+        intermediate j's mark.
+        """
+        col_factor = np.argsort(self._factor_cols)
+        slots = self._factor_slots[col_factor]
+        frame = 16 * col_factor[:, None]
+        axis = frame + 4 * _XYZ + slots[:, None] % 3
+        origin = frame + 4 * _XYZ + 3
+        zero, one = (np.broadcast_to(frame + entry, axis.shape) for entry in (12, 15))
+        rot = np.stack([axis, origin[:, _MIXED_I], axis[:, _MIXED_J], origin[:, _MIXED_J], axis[:, _MIXED_I]], axis=1)
+        trans = np.stack([zero, axis, one, zero, zero], axis=1)
+        src = np.where((slots >= 3)[:, None, None], rot, trans)
+        marked = np.array([f for f, _, _ in self._marks], dtype=np.intp)
+        scale = self._scale_per_dof
+        return src, (scale, (col_factor <= marked[:, None, None]) * scale)
 
     @property
     def index_matrix(self):
@@ -287,10 +345,11 @@ class FkEngine:
 
         Returns the (b, 4, 4) final transforms, or all cumulative
         (b, n, 4, 4) transforms with ``want_intermediates``.  A DualArray
-        batch returns a DualArray whose primal is bitwise equal to the float
-        result and whose tangents are pushed through the same kernels.
-        Object-dtype input (floats and seeded DiffScalars) is converted to a
-        DualArray at entry and back to DiffScalars at exit.
+        batch with k tangents returns a DualArray whose primal is bitwise
+        equal to the float result and whose k tangents come from the twists
+        of the prefix products (see the module docstring).  Object-dtype
+        input (floats and seeded DiffScalars) is converted to a DualArray at
+        entry and back to DiffScalars at exit.
         """
         if isinstance(thetas, ad.DualArray):
             return self._evaluate(thetas, want_intermediates)
@@ -300,24 +359,41 @@ class FkEngine:
         return self._evaluate(arr, want_intermediates)
 
     def _evaluate(self, thetas, want_intermediates=False):
-        """forward() on a float ndarray or DualArray batch."""
+        """forward() on a float ndarray or DualArray batch.
+
+        Both run the float factors and product on the primal; a DualArray
+        also keeps each block's prefix products and turns them into
+        tangents (_prefix_twists, _tangent_block).
+        """
         thetas = thetas.astype(self.dtype, copy=False)
         self._check_flat(thetas)
         values = ad.primal_of(thetas)
         if values.size and not np.isfinite(values).all():
             raise ValueError("non-finite joint value in theta batch")
         b = self.batch_size
-        flat2d = thetas.reshape(b, self.m)
+        flat2d = values.reshape(b, self.m)
         if want_intermediates:
-            out = np.empty((b, self.n, 4, 4), dtype=self.dtype, like=flat2d)
+            out = np.empty((b, self.n, 4, 4), dtype=self.dtype)
             snapshots, marks = out, self._marks
         else:
-            out = np.empty((b, 4, 4), dtype=self.dtype, like=flat2d)
+            out = np.empty((b, 4, 4), dtype=self.dtype)
             snapshots, marks = out[:, None], self._final_marks
+        if not isinstance(thetas, ad.DualArray):
+            for start in range(0, b, _BLOCK_ROWS):
+                rows = slice(start, min(start + _BLOCK_ROWS, b))
+                self._product_block(self._factors(flat2d[rows]), snapshots[rows], marks)
+            return out
+        k = thetas.width
+        # (b, 1, k, m): each row's input tangents, one matrix row per tangent
+        seeds = thetas.tangent.reshape(k, b, self.m).transpose(1, 0, 2)[:, None]
+        tangent = np.empty((b, len(marks), k, 4, 4), dtype=self.dtype)
+        weights = self._twist_tables[1][want_intermediates]
         for start in range(0, b, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, b)
-            self._product_block(self._factors(flat2d[start:stop]), snapshots[start:stop], marks)
-        return out
+            rows = slice(start, min(start + _BLOCK_ROWS, b))
+            twists = self._prefix_twists(self._factors(flat2d[rows]), snapshots[rows], marks)
+            self._tangent_block(twists, snapshots[rows], seeds[rows], weights, tangent[rows])
+        tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
+        return ad.DualArray(out, tangent)
 
     def _factors(self, flat2d):
         """(rows, F, 4, 4) factor transforms of a (rows, m) theta block."""
@@ -336,13 +412,19 @@ class FkEngine:
         coef[:, -1] = 1.0
         return (coef @ self._basis).reshape(rows, self.m, 4, 4)
 
-    def _product_block(self, g, out, marks):
+    def _product_block(self, g, out, marks, keep_prefix=False):
         """Multiply the factors in order; for each mark (f, i, pending) write
-        out[:, i] = (product of factors 0..f) @ pending."""
+        out[:, i] = (product of factors 0..f) @ pending.  With
+        ``keep_prefix``, every g[:, f] is overwritten by the product of
+        factors 0..f (numpy buffers the overlapping operand, so the
+        products round as without it)."""
         cur, done = None, 0  # the product of the first `done` factors
         for f, i, pending in marks:
             while done <= f:
-                cur = g[:, 0] if done == 0 else cur @ g[:, done]
+                if done == 0:
+                    cur = g[:, 0]
+                else:
+                    cur = np.matmul(cur, g[:, done], out=g[:, done] if keep_prefix else None)
                 done += 1
             if cur is None:
                 out[:, i] = pending
@@ -350,6 +432,36 @@ class FkEngine:
                 out[:, i] = cur
             else:
                 np.matmul(cur, pending, out=out[:, i])
+
+    def _prefix_twists(self, g, out, marks):
+        """_product_block on a block's factors ``g``, which it overwrites
+        with the prefix products P_f, then every theta column's twist
+        (rows, m, 6) in its frame (see _twist_tables).
+
+        Apart from _tangent_block so that ``g`` and the gather are freed
+        before the contraction allocates: with all of them alive at once,
+        glibc trims and refaults its heap on every call (arm4, b = 256).
+        """
+        self._product_block(g, out, marks, keep_prefix=True)
+        rows = len(g)
+        gathered = g.reshape(rows, -1)[:, self._twist_tables[0]]
+        _, x, y, z, u = gathered.transpose(2, 0, 1, 3)
+        np.multiply(x, y, out=x)
+        x -= z * u
+        return gathered[:, :, :2].reshape(rows, self.m, 6)
+
+    def _tangent_block(self, twists, frames, seeds, weights, out):
+        """Tangents of a block's snapshots: the (r, m, 6) ``twists`` (see
+        the module docstring) contracted with the input tangents ``seeds``
+        (r, 1, k, m) times ``weights`` (see _twist_tables), then as 4x4
+        twist matrices applied to the (r, S, 4, 4) ``frames``; ``out`` is
+        (r, S, k, 4, 4).  For seed_array input the contraction copies the
+        twists exactly.
+        """
+        spatial = (seeds * weights) @ twists[:, None]
+        rows, snaps, k = spatial.shape[:3]
+        mats = (spatial.reshape(-1, 6) @ _TWIST_MATRIX.astype(self.dtype, copy=False)).reshape(rows, snaps, 4 * k, 4)
+        np.matmul(mats, frames, out=out.reshape(rows, snaps, 4 * k, 4))
 
 
 # -- module-level stages and derivatives ------------------------------------
@@ -378,11 +490,13 @@ def pose_jacobian(engine: FkEngine, thetas):
     """(b, 6, m) pose Jacobians, one per batch configuration.
 
     Rows follow the pose layout (x, y, z, alpha, beta, gamma); columns follow
-    the chain's theta layout.  Computed by one DualArray forward pass with
-    the m joint columns seeded, followed by the same pose extraction the
-    float path uses: all configurations share the m-wide tangent space
-    because cross-configuration derivatives are structurally zero.  The
-    Jacobian has the engine's dtype.
+    the chain's theta layout.  forward runs on the batch seeded with its m
+    joint columns, so the transforms' derivatives are the twists of the
+    prefix products (see the module docstring); the same pose extraction
+    the float path uses, run on that DualArray, gives the pose rows.  All
+    configurations share the m-wide tangent space because
+    cross-configuration derivatives are structurally zero.  The Jacobian has
+    the engine's dtype.
     """
     flat = np.asarray(thetas, dtype=engine.dtype).ravel()
     engine._check_flat(flat)

@@ -82,9 +82,12 @@ def test_loss_is_translation_plus_weighted_phi5_squared(cam_arm):
     assert est.loss_value(thetas, targets) == pytest.approx(want, rel=1e-12)
 
 
-def test_gradient_matches_finite_differences(cam_arm):
+@pytest.mark.parametrize("target", ["camera", "link2"])
+def test_gradient_matches_finite_differences(target, cam_arm):
+    """camera's parameters move the end frame last; link2's sit mid-chain,
+    so their twists are carried past j3 and the camera mount."""
     thetas, targets = _dataset(cam_arm, 4, seed=5)
-    est = ParamEstimator(cam_arm, "camera", "base", "camera", 4)
+    est = ParamEstimator(cam_arm, target, "base", "camera", 4)
     est.params = np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.5])
     _, grad = est.loss_gradient(thetas, targets)
     h = 1e-6
@@ -139,10 +142,8 @@ def test_sample_batch_poses_are_forward(cam_arm):
 
 
 def test_config_from_mapping_roundtrip():
-    cfg = IdentifyConfig.from_mapping(
-        {"target_link": "camera", "batch_size": 3, "learning_rate": 0.05, "seed": 9}
-    )
-    assert cfg.target_link == "camera"
+    cfg = IdentifyConfig.from_mapping({"batch_size": 3, "learning_rate": 0.05, "seed": 9})
+    assert cfg.seed == 9
     assert cfg.batch_size == 3
     assert cfg.learning_rate == 0.05
     assert cfg.max_steps == 5000
@@ -170,6 +171,13 @@ def test_shape_validation(cam_arm):
         est.loss_value(np.zeros((4, 5)), targets)
     with pytest.raises(ValueError, match="target poses"):
         est.loss_value(thetas, targets[:2])
+
+
+@pytest.mark.parametrize("key", ["target_link", "base", "end"])
+def test_target_keys_are_not_config_fields(key):
+    # the target and the chain are run_identification's arguments only
+    with pytest.raises(ValueError, match=key):
+        IdentifyConfig.from_mapping({key: "camera"})
 
 
 def test_num_configurations_key_is_rejected():

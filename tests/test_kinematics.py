@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffkin import autodiff as ad
-from diffkin import kinematics, naive, transforms, urdf
+from diffkin import identify, kinematics, naive, transforms, urdf
 from diffkin.kinematics import FkEngine, ShapeError
 
 import treegen
@@ -300,12 +300,46 @@ def _assert_within_stage_ulps(got, want):
     assert ulps.max() <= _STAGE_ULPS
 
 
+def _dense_pass(eng, thetas, want_intermediates):
+    """The dense DualArray pass, the oracle of forward's twist tangents:
+    _factors and _product_block on DualArray blocks, so every tangent is
+    carried through every 4x4 product.  ``thetas`` is a (b, m) DualArray."""
+    b = eng.batch_size
+    marks = eng._marks if want_intermediates else eng._final_marks
+    out = np.empty((b, len(marks), 4, 4), dtype=eng.dtype, like=thetas)
+    for start in range(0, b, kinematics._BLOCK_ROWS):
+        rows = slice(start, start + kinematics._BLOCK_ROWS)
+        eng._product_block(eng._factors(thetas[rows]), out[rows], marks)
+    return out if want_intermediates else out[:, 0]
+
+
+# Bound of forward's twist tangents against the dense pass, per tangent
+# entry, in units of the dtype's eps times max(1, the largest entry of the
+# snapshot's transform) times max(1, the sum of |input tangent| over the
+# configuration's theta columns).  The largest seen (x86_64, OpenBLAS) over
+# arm4, both cam_arm substitutions, mixed_chain and 200 random trees, every
+# seeding of test_twist_tangents_match_dense_pass, is 11.
+_TANGENT_ULPS = 32
+
+
+def _assert_within_tangent_ulps(got, want, thetas):
+    assert got.tangent.dtype == want.tangent.dtype and got.tangent.shape == want.tangent.shape
+    if not want.tangent.size:
+        return
+    scale = np.maximum(np.abs(want.primal).max(axis=(-2, -1), keepdims=True), 1.0)
+    weight = np.abs(thetas.tangent).sum(axis=-1).reshape(thetas.tangent.shape[:2] + (1,) * (want.ndim - 1))
+    ulps = np.abs(got.tangent - want.tangent) / (np.finfo(want.dtype).eps * scale * np.maximum(weight, 1.0))
+    assert ulps.max() <= _TANGENT_ULPS
+
+
 @pytest.mark.parametrize("b", [1, 255, 256, 257, 700])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("robot", ["arm4", "cam_arm"])
 def test_forward_bitwise_equals_stage_pipeline(robot, dtype, b, arm4_chain, cam_arm, rng):
     """On axis-aligned statics every factor product is exact, so the compiled
-    factors reproduce the stage pipeline bit for bit, tangents included."""
+    factors reproduce the stage pipeline bit for bit, tangents included when
+    the factors are multiplied as DualArrays; forward's twist tangents are
+    within _TANGENT_ULPS of those."""
     chain = arm4_chain if robot == "arm4" else urdf.extract_chain(cam_arm, "base", "camera")
     eng = FkEngine(chain, batch_size=b, dtype=dtype)
     thetas = rng.uniform(-3.0, 3.0, size=(b, chain.m)).astype(dtype)
@@ -315,9 +349,12 @@ def test_forward_bitwise_equals_stage_pipeline(robot, dtype, b, arm4_chain, cam_
     seeded = ad.seed_array(thetas)
     want_dual = _stage_pipeline(eng, seeded)
     for inter, expect in ((True, want_dual), (False, want_dual[:, -1])):
+        dense = _dense_pass(eng, seeded, inter)
+        _assert_bits_equal(dense.primal, expect.primal)
+        _assert_bits_equal(dense.tangent, expect.tangent)
         dual = eng.forward(seeded, want_intermediates=inter)
         _assert_bits_equal(dual.primal, expect.primal)
-        _assert_bits_equal(dual.tangent, expect.tangent)
+        _assert_within_tangent_ulps(dual, dense, seeded)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -353,16 +390,18 @@ def test_random_tree_matches_stage_pipeline(seed):
     assert np.abs(inters - want.reshape(inters.shape)).max() < 1e-9
 
 
+_FIXED_ONLY = """
+<robot name="r"><link name="a"/><link name="b"/><link name="c"/>
+<joint name="j1" type="fixed"><parent link="a"/><child link="b"/>
+<origin xyz="1 0 0" rpy="0.3 0 0"/></joint>
+<joint name="j2" type="fixed"><parent link="b"/><child link="c"/>
+<origin xyz="0 2 0" rpy="0 0 1.2"/></joint>
+</robot>"""
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_all_fixed_and_empty_chains_match_stage_pipeline(dtype, mixed):
-    text = """
-    <robot name="r"><link name="a"/><link name="b"/><link name="c"/>
-    <joint name="j1" type="fixed"><parent link="a"/><child link="b"/>
-    <origin xyz="1 0 0" rpy="0.3 0 0"/></joint>
-    <joint name="j2" type="fixed"><parent link="b"/><child link="c"/>
-    <origin xyz="0 2 0" rpy="0 0 1.2"/></joint>
-    </robot>"""
-    fixed = urdf.extract_chain(urdf.parse_urdf(text), "a", "c")
+    fixed = urdf.extract_chain(urdf.parse_urdf(_FIXED_ONLY), "a", "c")
     eng = FkEngine(fixed, batch_size=3, dtype=dtype)
     want = _stage_pipeline(eng, np.empty((3, 0), dtype=dtype))
     inters = eng.forward([], want_intermediates=True)
@@ -378,26 +417,112 @@ def test_all_fixed_and_empty_chains_match_stage_pipeline(dtype, mixed):
     _assert_bits_equal(empty.forward([]), np.broadcast_to(np.eye(4, dtype=dtype), (3, 4, 4)))
 
 
-def test_trig_only_on_rotational_dofs(mixed_chain, monkeypatch, rng):
-    """Each block takes one cos and one sin, over (rows, rotational dofs)."""
-    calls = []
+def _seeded(chain, thetas, seeding, rng):
+    """(b, m) DualArray: every column seeded, the six columns of the first
+    floating joint (as ParamEstimator.loss_gradient seeds them), no tangent,
+    or three random tangents."""
+    b, m = thetas.shape
+    if seeding == "full":
+        return ad.seed_array(thetas)
+    if seeding == "random":
+        return ad.DualArray(thetas, rng.normal(size=(3, b, m)).astype(thetas.dtype))
+    cols, col = [], 0
+    for _, joint in chain.segments:
+        if seeding == "floating" and joint.joint_type is urdf.JointType.FLOATING:
+            cols = range(col, col + 6)
+            break
+        col += joint.dof
+    tangent = np.zeros((len(cols), b, m), dtype=thetas.dtype)
+    for j, c in enumerate(cols):
+        tangent[j, :, c] = 1.0
+    return ad.DualArray(thetas, tangent)
 
-    def counting(rule):
-        def wrapped(ufunc, *inputs):
-            calls.append((ufunc.__name__, inputs[0].shape))
-            return rule(ufunc, *inputs)
 
-        return wrapped
+def _check_twist_tangents(chain, b, rng):
+    for dtype in (np.float64, np.float32):
+        eng = FkEngine(chain, batch_size=b, dtype=dtype)
+        thetas = treegen.sample_thetas(chain, b, rng).astype(dtype)
+        for inter in (False, True):
+            flt = eng.forward(thetas.ravel(), want_intermediates=inter)
+            for seeding in ("full", "floating", "none", "random"):
+                seeded = _seeded(chain, thetas, seeding, rng)
+                dual = eng.forward(seeded.reshape(b * eng.m), want_intermediates=inter)
+                _assert_bits_equal(dual.primal, flt)
+                _assert_within_tangent_ulps(dual, _dense_pass(eng, seeded, inter), seeded)
 
-    for ufunc in (np.cos, np.sin):
-        monkeypatch.setitem(ad._UFUNC_RULES, ufunc, counting(ad._UFUNC_RULES[ufunc]))
+
+@pytest.mark.parametrize("b", [1, 255, 256, 257, 700])
+@pytest.mark.parametrize("case", ["arm4", "cam_arm_camera", "cam_arm_link2", "mixed", "all_fixed", "empty"])
+def test_twist_tangents_match_dense_pass(case, b, arm4_chain, cam_arm, mixed, mixed_chain):
+    """forward on a DualArray: primals bitwise the float forward, tangents
+    within _TANGENT_ULPS of the dense DualArray pass, in both dtypes, finals
+    and intermediates, for full, floating-column, empty and random seeds."""
+    chain = {
+        "arm4": lambda: arm4_chain,
+        "cam_arm_camera": lambda: identify.ParamEstimator(cam_arm, "camera", "base", "camera", 1).chain,
+        "cam_arm_link2": lambda: identify.ParamEstimator(cam_arm, "link2", "base", "camera", 1).chain,
+        "mixed": lambda: mixed_chain,
+        "all_fixed": lambda: urdf.extract_chain(urdf.parse_urdf(_FIXED_ONLY), "a", "c"),
+        "empty": lambda: urdf.extract_chain(mixed, "l2", "l2"),
+    }[case]()
+    _check_twist_tangents(chain, b, np.random.default_rng(b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2000))
+def test_random_tree_twist_tangents_match_dense_pass(seed):
+    _, model, leaf = treegen.random_tree(seed)
+    chain = urdf.extract_chain(model, model.root_link, leaf)
+    _check_twist_tangents(chain, (1, 255, 256, 257, 700)[seed % 5], np.random.default_rng(seed + 79))
+
+
+def _counting(monkeypatch, name, calls):
+    """Replace np.<name> by a wrapper that records each call's first
+    argument's shape and whether it passed ``out``."""
+    original = getattr(np, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append((name, np.shape(args[0]), kwargs.get("out") is not None))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, wrapped)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_trig_only_on_rotational_dofs(dual, mixed_chain, monkeypatch, rng):
+    """Each block takes one cos and one sin, over (rows, rotational dofs),
+    for float and for DualArray input alike."""
     b = kinematics._BLOCK_ROWS + 44
     eng = FkEngine(mixed_chain, batch_size=b)
-    eng.forward(ad.seed_array(rng.uniform(-1.0, 1.0, size=(b, eng.m))))
+    thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
+    calls = []
+    for name in ("cos", "sin"):
+        _counting(monkeypatch, name, calls)
+    eng.forward(ad.seed_array(thetas) if dual else thetas.ravel())
     # revolute, continuous and the floating joint's three angles
     m_rot = 5
     rows = (kinematics._BLOCK_ROWS, 44)
-    assert sorted(calls) == sorted((name, (r, m_rot)) for r in rows for name in ("cos", "sin"))
+    assert sorted(calls) == sorted((name, (r, m_rot), False) for r in rows for name in ("cos", "sin"))
+
+
+@pytest.mark.parametrize("want_intermediates", [False, True])
+@pytest.mark.parametrize("robot", ["arm4", "mixed"])
+def test_float_forward_matmul_count(robot, want_intermediates, arm4_chain, mixed_chain, monkeypatch, rng):
+    """A float forward block makes F - 1 products along the factor axis and
+    one product per snapshot whose static is pending, and keeps no prefix
+    products: only the pending products write into an ``out`` array."""
+    chain = arm4_chain if robot == "arm4" else mixed_chain
+    # pending: the fixed flange (arm4) or j6 (mixed) at its segment and at
+    # the finals, and on mixed the alignment inverses after j1, j2 and j4
+    pending = 4 if robot == "mixed" and want_intermediates else 1
+    b = kinematics._BLOCK_ROWS + 44
+    eng = FkEngine(chain, batch_size=b)
+    thetas = rng.uniform(-1.0, 1.0, size=b * eng.m)
+    calls = []
+    _counting(monkeypatch, "matmul", calls)
+    eng.forward(thetas, want_intermediates=want_intermediates)
+    per_block = [False] * (eng.m - 1) + [True] * pending
+    assert sorted(with_out for _, _, with_out in calls) == sorted(per_block * 2)
 
 
 def test_aligned_axis_tolerance():
