@@ -161,12 +161,17 @@ def _cmd_validate(args):
     return _dump_json(doc) + "\n", EXIT_OK
 
 
-def _fk_document(args):
+def _chain_batch(args):
+    """(chain, engine, thetas) for the base -> end chain and the configs file."""
     model = parse_urdf(_read_file(args.urdf))
     chain = extract_chain(model, args.base, args.end)
     rows = _load_configs(args.configs, chain.m)
     engine = FkEngine(chain, len(rows))
-    thetas = np.array(rows, dtype=float).reshape(len(rows), chain.m)
+    return chain, engine, np.array(rows, dtype=float).reshape(len(rows), chain.m)
+
+
+def _fk_document(args):
+    chain, engine, thetas = _chain_batch(args)
     start = time.perf_counter()
     if args.intermediates:
         inters = engine.forward(thetas, want_intermediates=True)
@@ -177,7 +182,7 @@ def _fk_document(args):
     elapsed = time.perf_counter() - start
     poses, degenerate = pose_batch_from_transforms(finals)
     results = []
-    for k in range(len(rows)):
+    for k in range(len(thetas)):
         entry = {
             "index": k,
             "transform": _flat(finals[k]),
@@ -219,11 +224,7 @@ def _cmd_fk(args):
 
 
 def _cmd_jacobian(args):
-    model = parse_urdf(_read_file(args.urdf))
-    chain = extract_chain(model, args.base, args.end)
-    rows = _load_configs(args.configs, chain.m)
-    engine = FkEngine(chain, len(rows))
-    thetas = np.array(rows, dtype=float).reshape(len(rows), chain.m)
+    chain, engine, thetas = _chain_batch(args)
     start = time.perf_counter()
     jacobians = pose_jacobian(engine, thetas)
     elapsed = time.perf_counter() - start

@@ -2,8 +2,8 @@
 
 Protocol: a suspect link's parent joint is replaced by a zero-initialized
 Floating (6-DoF) joint; end-effector poses measured on the true robot (here:
-generated from the unmodified model) supervise gradient descent on the six
-parameters until the substituted chain reproduces the measurements.  The
+generated from the unmodified model) supervise Adam (Kingma & Ba 2015) on the
+six parameters until the substituted chain reproduces the measurements.  The
 parent joint's original origin is kept as the initialization hint, which for
 an identifiable geometry is also the ground truth the estimate should reach.
 
@@ -37,13 +37,12 @@ __all__ = [
 @dataclass(frozen=True)
 class IdentifyConfig:
     batch_size: int = 10
-    learning_rate: float = 1e-2
+    learning_rate: float = 0.02  # Adam's step
     max_steps: int = 5000
     epsilon: float = 1e-8
     grad_epsilon: float = 1e-10
     seed: int = 0
     rotation_weight: float = 1.0
-    optimizer: str = "gd"  # or "adam"
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -115,17 +114,18 @@ class SampleGenerator:
 
 
 class ParamEstimator:
-    """Gradient-descent estimator for one substituted joint's six parameters.
+    """Adam estimator for one substituted joint's six parameters.
 
     The loss is the batch mean of squared translation error plus
     ``rotation_weight`` times the squared Frobenius deviation of the rotation
     (the square of the phi5 metric, so the surface is smooth at the optimum).
-    Each step seeds the six parameters as the tangents of a DualArray,
-    evaluates the substituted chain on it (the six floating-joint factors'
-    twists give the transforms' derivatives, see kinematics) and the same
-    vectorized loss on the result, and applies one fixed-step (or Adam)
-    update.  Only the six parameters ever change; sampled joint values are
-    inputs.
+    ``loss_gradient`` seeds the six parameters as the tangents of a
+    DualArray, evaluates the substituted chain on it (the six floating-joint
+    factors' twists give the transforms' derivatives, see kinematics) and the
+    same vectorized loss on the result.  ``step`` applies one Adam update and
+    makes that one dual pass at the new parameters, so each step evaluates
+    the model once.  Only the six parameters ever change; sampled joint
+    values are inputs.
 
     The estimator owns the substituted chain's layout: its theta columns are
     the original chain's, with the replaced joint's ``target_dofs`` columns
@@ -139,13 +139,10 @@ class ParamEstimator:
         base: str,
         end: str,
         batch_size: int,
-        learning_rate: float = 1e-2,
+        learning_rate: float = 0.02,
         rotation_weight: float = 1.0,
-        optimizer: str = "gd",
         init_params=None,
     ):
-        if optimizer not in ("gd", "adam"):
-            raise ValueError(f"unknown optimizer {optimizer!r}")
         model_sub = substitute_link_with_joint(model, target_link)
         self.target_joint = model.parent_joint_of(target_link).name
         self.init_hint = np.array(model_sub.init_hints[self.target_joint])
@@ -173,7 +170,6 @@ class ParamEstimator:
         self.engine = FkEngine(self.chain, batch_size)
         self.learning_rate = float(learning_rate)
         self.rotation_weight = float(rotation_weight)
-        self.optimizer = optimizer
         self.params = np.zeros(6) if init_params is None else np.array(init_params, dtype=float)
         self.steps_taken = 0
         self._adam_m = np.zeros(6)
@@ -220,24 +216,21 @@ class ParamEstimator:
             raise ValueError(f"non-finite identification loss at params {self.params.tolist()}")
         return value, loss.tangent
 
-    def step(self, thetas, target_poses):
-        """One update of the six parameters.
+    def step(self, thetas, target_poses, grad):
+        """One Adam update of the six parameters from ``grad``, the gradient
+        at the current parameters.
 
-        Returns (post-update loss, pre-update gradient norm).
+        Returns ``loss_gradient`` at the updated parameters, the next step's
+        gradient included.
         """
-        _, grad = self.loss_gradient(thetas, target_poses)
-        grad_norm = float(np.linalg.norm(grad))
         self.steps_taken += 1
-        if self.optimizer == "adam":
-            t = self.steps_taken
-            self._adam_m = 0.9 * self._adam_m + 0.1 * grad
-            self._adam_v = 0.999 * self._adam_v + 0.001 * grad * grad
-            m_hat = self._adam_m / (1.0 - 0.9**t)
-            v_hat = self._adam_v / (1.0 - 0.999**t)
-            self.params = self.params - self.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-        else:
-            self.params = self.params - self.learning_rate * grad
-        return self.loss_value(thetas, target_poses), grad_norm
+        t = self.steps_taken
+        self._adam_m = 0.9 * self._adam_m + 0.1 * grad
+        self._adam_v = 0.999 * self._adam_v + 0.001 * grad * grad
+        m_hat = self._adam_m / (1.0 - 0.9**t)
+        v_hat = self._adam_v / (1.0 - 0.999**t)
+        self.params = self.params - self.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        return self.loss_gradient(thetas, target_poses)
 
 
 # -- end-to-end driver -------------------------------------------------------
@@ -248,9 +241,9 @@ def run_identification(model: RobotModel, target_link: str, base: str, end: str,
 
     The dataset is ``config.batch_size`` joint samples drawn once from the
     unmodified model with ``config.seed``, the replaced joint's own dof
-    pinned to zero; every step is a full-batch update against it, until the
-    loss falls below ``epsilon``, the gradient norm below ``grad_epsilon``,
-    or ``max_steps`` steps are spent.
+    pinned to zero; every step is a full-batch Adam update against it, until
+    the post-update loss falls below ``epsilon``, the pre-update gradient
+    norm below ``grad_epsilon``, or ``max_steps`` steps are spent.
     """
     start = time.perf_counter()
     estimator = ParamEstimator(
@@ -261,7 +254,6 @@ def run_identification(model: RobotModel, target_link: str, base: str, end: str,
         batch_size=config.batch_size,
         learning_rate=config.learning_rate,
         rotation_weight=config.rotation_weight,
-        optimizer=config.optimizer,
     )
     generator = SampleGenerator(
         FkEngine(estimator.chain_orig, config.batch_size),
@@ -270,10 +262,11 @@ def run_identification(model: RobotModel, target_link: str, base: str, end: str,
     )
     thetas, targets = generator.sample_batch()
 
-    loss = estimator.loss_value(thetas, targets)
+    loss, grad = estimator.loss_gradient(thetas, targets)
     status = "budget_exhausted"
     while estimator.steps_taken < config.max_steps:
-        loss, grad_norm = estimator.step(thetas, targets)
+        grad_norm = float(np.linalg.norm(grad))
+        loss, grad = estimator.step(thetas, targets, grad)
         if loss < config.epsilon or grad_norm < config.grad_epsilon:
             status = "converged"
             break

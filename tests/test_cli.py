@@ -160,6 +160,16 @@ def test_identify_rejects_num_configurations(capsys, tmp_path):
     assert "num_configurations" in err
 
 
+def test_identify_rejects_optimizer(capsys, tmp_path):
+    urdf_path = tmp_path / "cam.urdf"
+    urdf_path.write_text(CAM_ARM)
+    cfg = tmp_path / "id.json"
+    cfg.write_text(json.dumps({"target_link": "camera", "base": "base", "end": "camera", "optimizer": "adam"}))
+    code, _, err = run_cli(capsys, "identify", str(urdf_path), str(cfg))
+    assert code == 4
+    assert "optimizer" in err
+
+
 def test_bench_document(capsys, arm2r_file):
     code, out, _ = run_cli(
         capsys,

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -9,23 +10,32 @@ import numpy as np
 from diffkin import autodiff as ad
 from diffkin import kinematics
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_target_resolves():
-    for module_name, attr, _ in _load_tracing().TARGETS:
+    for module_name, attr, _ in _load("tracing").TARGETS:
         holder = importlib.import_module(module_name)
         if "." in attr:
             cls_name, attr = attr.split(".")
             holder = vars(holder)[cls_name]
         assert callable(vars(holder)[attr]), f"{module_name}.{attr}"
+
+
+def test_every_tick_method_resolves():
+    """run.install_ticks wraps ``owner.__dict__[attr]``: a renamed method
+    would crash the untraced run of its workload."""
+    for name, workload in _load("workloads").WORKLOADS.items():
+        if workload.tick_at is not None:
+            owner, attr = workload.tick_at
+            assert inspect.isfunction(vars(owner).get(attr)), f"{name}: {owner.__name__}.{attr}"
 
 
 def test_forward_on_seeded_diffscalars(arm2r_chain, rng):
