@@ -9,7 +9,7 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .autodiff import DiffScalar, DualArray, batch_jacobian, seed_array  # noqa: E402
+from .autodiff import DualArray, batch_jacobian, seed_array  # noqa: E402
 from .bench import BenchReport, run_bench  # noqa: E402
 from .identify import (  # noqa: E402
     IdentificationResult,
@@ -21,20 +21,13 @@ from .identify import (  # noqa: E402
 from .kinematics import (  # noqa: E402
     FkEngine,
     ShapeError,
-    joint_transforms,
     limit_violations,
     pose_jacobian,
-    scan_compose,
 )
 from .metrics import (  # noqa: E402
-    phi1,
-    phi2,
     phi2_loss,
-    phi3,
     phi3_loss,
-    phi4,
     phi4_loss,
-    phi5,
     phi5_loss,
     rotation_with_rmse,
 )

@@ -9,6 +9,7 @@ evaluated one configuration at a time.
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import time
@@ -28,6 +29,9 @@ _POOL_BYTES = 4 << 20
 _POOL_MIN = 8
 _POOL_MAX = 1024
 _WARMUP_CALLS = 3
+# Every measurement makes at least this many timed calls, however short
+# min_seconds is.
+_MIN_ITERATIONS = 10
 
 
 def _pool_count(bytes_per_input):
@@ -67,28 +71,17 @@ def _theta_pool(rng, batch_size, m):
     return [rng.uniform(-np.pi, np.pi, size=batch_size * m) for _ in range(count)]
 
 
-def _timed_loop(call, pool, min_seconds, min_iterations):
+def _timed_loop(call, pool, min_seconds):
     for i in range(_WARMUP_CALLS):
         call(pool[i % len(pool)])
     iterations = 0
     start = time.perf_counter()
     elapsed = 0.0
-    while iterations < min_iterations or elapsed < min_seconds:
+    while iterations < _MIN_ITERATIONS or elapsed < min_seconds:
         call(pool[iterations % len(pool)])
         iterations += 1
         elapsed = time.perf_counter() - start
     return iterations, elapsed
-
-
-def _best_timed_loop(call, pool, min_seconds, min_iterations, repeats):
-    # Repeat the full measurement and keep the fastest repetition.  Each
-    # repetition independently satisfies the minimum-iteration and minimum
-    # wall-time requirements; taking the best filters out scheduler noise
-    # that would otherwise make throughput curves non-reproducible.
-    best = None
-    for _ in range(max(int(repeats), 1)):
-        best = _faster(best, _timed_loop(call, pool, min_seconds, min_iterations))
-    return best
 
 
 def _faster(best, measured):
@@ -98,13 +91,16 @@ def _faster(best, measured):
     return best
 
 
-def measure_baseline(chain, min_seconds=0.5, min_iterations=10, rng_seed=0, repeats=3):
-    """Sequential single-configuration FK throughput (ops/s)."""
+def measure_baseline(chain, min_seconds=0.5, rng_seed=0, repeats=3):
+    """Sequential single-configuration FK throughput (ops/s), the fastest of
+    ``repeats`` measurements."""
     rng = np.random.default_rng(rng_seed)
     pool = [row.tolist() for row in rng.uniform(-np.pi, np.pi, size=(_POOL_MIN, max(chain.m, 0)))]
-    iterations, seconds = _best_timed_loop(
-        lambda thetas: naive.fk_single(chain, thetas), pool, min_seconds, min_iterations, repeats
-    )
+    call = functools.partial(naive.fk_single, chain)
+    best = None
+    for _ in range(max(int(repeats), 1)):
+        best = _faster(best, _timed_loop(call, pool, min_seconds))
+    iterations, seconds = best
     return iterations / seconds
 
 
@@ -112,7 +108,6 @@ def run_bench(
     chain,
     batch_sizes,
     min_seconds=0.5,
-    min_iterations=10,
     rng_seed=0,
     with_baseline=True,
     repeats=3,
@@ -135,16 +130,14 @@ def run_bench(
     best = [None] * len(sizes)
     for _ in range(max(int(repeats), 1)):
         for i, (engine, pool) in enumerate(zip(engines, pools)):
-            best[i] = _faster(best[i], _timed_loop(engine.forward, pool, min_seconds, min_iterations))
+            best[i] = _faster(best[i], _timed_loop(engine.forward, pool, min_seconds))
     measurements = [
         BenchMeasurement(batch_size=b, iterations=it, seconds=sec, ops_per_sec=b * it / sec)
         for b, (it, sec) in zip(sizes, best)
     ]
     baseline = None
     if with_baseline:
-        baseline = measure_baseline(
-            chain, min_seconds=min_seconds, min_iterations=min_iterations, rng_seed=rng_seed, repeats=repeats
-        )
+        baseline = measure_baseline(chain, min_seconds=min_seconds, rng_seed=rng_seed, repeats=repeats)
     return BenchReport(
         measurements=tuple(measurements),
         baseline_ops_per_sec=baseline,

@@ -111,12 +111,17 @@ def _load_configs(path, m):
                 raise ShapeError(f"configs file {path} line {lineno}: non-numeric entry") from None
     if not rows:
         raise ShapeError(f"configs file {path}: no configurations")
+    out = []
     for i, row in enumerate(rows):
         if len(row) != m:
             raise ShapeError(
                 f"configs file {path}: configuration {i} has {len(row)} values, chain needs {m}"
             )
-    return [[float(v) for v in row] for row in rows]
+        try:
+            out.append([float(v) for v in row])
+        except (TypeError, ValueError):
+            raise ShapeError(f"configs file {path}: configuration {i} has a non-numeric entry") from None
+    return out
 
 
 def _chain_header(chain):
@@ -256,7 +261,7 @@ def _cmd_identify(args):
     target_link, base, end = (raw.pop(key, None) for key in ("target_link", "base", "end"))
     try:
         cfg = IdentifyConfig.from_mapping(raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ShapeError(f"config file {args.config}: {exc}") from None
     if not (target_link and base and end):
         raise ShapeError(f"config file {args.config}: target_link, base and end are required")
@@ -351,7 +356,7 @@ def _build_parser():
 
     p = sub.add_parser("identify", parents=[common], help="recover a substituted joint's six parameters")
     p.add_argument("urdf")
-    p.add_argument("config", help="JSON: {target_link, base, end, batch_size, learning_rate, ...}")
+    p.add_argument("config", help="JSON: {target_link, base, end[, batch_size, max_steps, seed]}")
     p.set_defaults(handler=_cmd_identify)
 
     p = sub.add_parser("bench", parents=[common], help="forward-kinematics throughput across batch sizes")

@@ -32,11 +32,6 @@ __all__ = [
     "phi2_quat",
     "phi3_quat",
     "phi4_quat",
-    "phi1",
-    "phi2",
-    "phi3",
-    "phi4",
-    "phi5",
 ]
 
 
@@ -55,30 +50,29 @@ def _dispatch(t, t_hat, batch_fn):
     if t.shape != t_hat.shape:
         raise ValueError(f"mismatched transform shapes {t.shape} vs {t_hat.shape}")
     if t.ndim == 2:
-        out = batch_fn(t[None], t_hat[None])
-        return tuple(map(_first, out)) if isinstance(out, tuple) else _first(out)
+        return _first(batch_fn(t[None], t_hat[None]))
     return batch_fn(t, t_hat)
 
 
 # -- phi1: Euler-angle distance ---------------------------------------------
 
 
-def rotation_with_rmse(t, t_hat, return_degenerate=False):
+def rotation_with_rmse(t, t_hat):
     """Euclidean distance of extracted Euler angles.
 
     Not wrap-aware: nearly identical rotations straddling the +-pi seam can
-    score near 2*pi.  Gimbal-locked extractions are flagged via
-    ``return_degenerate`` (value is still returned).
+    score near 2*pi.  At gimbal lock the angles follow the extraction's
+    alpha = 0 convention; transforms.pose_batch_from_transforms flags those
+    rows.
     """
 
     def batch(ts, ts_hat):
-        pa, da = transforms.pose_batch_from_transforms(ts)
-        pb, db = transforms.pose_batch_from_transforms(ts_hat)
+        pa, _ = transforms.pose_batch_from_transforms(ts)
+        pb, _ = transforms.pose_batch_from_transforms(ts_hat)
         diff = pa[..., 3:] - pb[..., 3:]
-        return np.sqrt((diff * diff).sum(axis=-1)), da | db
+        return np.sqrt((diff * diff).sum(axis=-1))
 
-    value, flag = _dispatch(t, t_hat, batch)
-    return (value, flag) if return_degenerate else value
+    return _dispatch(t, t_hat, batch)
 
 
 # -- phi2..phi4: quaternion-level forms -------------------------------------
@@ -146,11 +140,3 @@ def phi5_squared_batch(a, b):
 def phi5_loss(t, t_hat):
     """Frobenius norm of I - R Rhat^T; range [0, 2 sqrt 2]."""
     return _dispatch(t, t_hat, lambda a, b: np.sqrt(phi5_squared_batch(a, b)))
-
-
-# short aliases
-phi1 = rotation_with_rmse
-phi2 = phi2_loss
-phi3 = phi3_loss
-phi4 = phi4_loss
-phi5 = phi5_loss

@@ -138,7 +138,7 @@ def _check_rotation_block(t):
         raise ValueError(f"rotation block is not orthonormal (defect {err:.3g}, det {np.linalg.det(r):.3g})")
 
 
-def pose_from_transform(t, check=True):
+def pose_from_transform(t):
     """Extract a PoseRPY from a 4x4 float transform.
 
     At gimbal lock (|cos(beta)| ~ 0) the roll/yaw split is not unique; the
@@ -147,17 +147,15 @@ def pose_from_transform(t, check=True):
     sixdof_to_transform reproduces the input transform either way.
     """
     t = np.asarray(t, dtype=float)
-    if check:
-        _check_rotation_block(t)
+    _check_rotation_block(t)
     poses, degenerate = pose_batch_from_transforms(t[None])
     return PoseRPY(*poses[0].tolist(), degenerate=bool(degenerate[0]))
 
 
-def pose_values_from_transform(t, with_flag=False):
-    """[x, y, z, alpha, beta, gamma] of one 4x4 float transform, as a list;
-    with ``with_flag``, also whether the extraction is gimbal-locked."""
-    poses, degenerate = pose_batch_from_transforms(np.asarray(t, dtype=float)[None])
-    return (poses[0].tolist(), bool(degenerate[0])) if with_flag else poses[0].tolist()
+def pose_values_from_transform(t):
+    """[x, y, z, alpha, beta, gamma] of one 4x4 float transform, as a list."""
+    poses, _ = pose_batch_from_transforms(np.asarray(t, dtype=float)[None])
+    return poses[0].tolist()
 
 
 def pose_batch_from_transforms(ts):
@@ -184,11 +182,10 @@ def pose_batch_from_transforms(ts):
     return poses, degenerate
 
 
-def quaternion_from_rotation(t, check=True):
+def quaternion_from_rotation(t):
     """Unit quaternion (x, y, z, w) with w >= 0 from a transform or 3x3 rotation."""
     t = np.asarray(t, dtype=float)
-    if check:
-        _check_rotation_block(t)
+    _check_rotation_block(t)
     return quaternion_batch_from_rotations(t)
 
 

@@ -9,13 +9,12 @@ def test_report_invariants(arm4_chain):
         arm4_chain,
         [64, 1, 16],
         min_seconds=0.05,
-        min_iterations=5,
         repeats=1,
     )
     sizes = [m.batch_size for m in report.measurements]
     assert sizes == [1, 16, 64]  # sorted regardless of input order
     for m in report.measurements:
-        assert m.iterations >= 5
+        assert m.iterations >= 10
         assert m.seconds >= 0.05
         assert m.ops_per_sec == pytest.approx(m.batch_size * m.iterations / m.seconds)
     assert report.baseline_ops_per_sec > 0
@@ -32,7 +31,6 @@ def test_no_baseline(arm4_chain):
         arm4_chain,
         [4],
         min_seconds=0.02,
-        min_iterations=3,
         repeats=1,
         with_baseline=False,
     )
@@ -42,19 +40,17 @@ def test_no_baseline(arm4_chain):
 
 def test_rejects_nonpositive_batch(arm4_chain):
     with pytest.raises(ValueError, match="positive"):
-        bench.run_bench(arm4_chain, [4, 0], min_seconds=0.01, min_iterations=1)
+        bench.run_bench(arm4_chain, [4, 0], min_seconds=0.01)
 
 
 def test_baseline_measure(arm4_chain):
-    ops = bench.measure_baseline(arm4_chain, min_seconds=0.05, min_iterations=5, repeats=1)
+    ops = bench.measure_baseline(arm4_chain, min_seconds=0.05, repeats=1)
     assert ops > 0
 
 
 def test_batched_beats_baseline(arm4_chain):
     """Even a small batch amortizes enough to outrun the sequential loop."""
-    report = bench.run_bench(
-        arm4_chain, [256], min_seconds=0.1, min_iterations=5, repeats=2
-    )
+    report = bench.run_bench(arm4_chain, [256], min_seconds=0.1, repeats=2)
     assert report.ratios()[0] > 3.0
 
 
@@ -62,8 +58,8 @@ def test_repeats_keep_best(arm4_chain, monkeypatch):
     calls = []
     real = bench._timed_loop
 
-    def spy(call, pool, min_seconds, min_iterations):
-        out = real(call, pool, min_seconds, min_iterations)
+    def spy(call, pool, min_seconds):
+        out = real(call, pool, min_seconds)
         calls.append(out)
         return out
 
@@ -72,7 +68,6 @@ def test_repeats_keep_best(arm4_chain, monkeypatch):
         arm4_chain,
         [8],
         min_seconds=0.02,
-        min_iterations=2,
         repeats=3,
         with_baseline=False,
     )

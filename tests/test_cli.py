@@ -170,6 +170,31 @@ def test_identify_rejects_optimizer(capsys, tmp_path):
     assert "optimizer" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("batch_size", "10"),
+        ("max_steps", "5"),
+        ("seed", "x"),
+        ("batch_size", None),
+        ("batch_size", 2.5),
+        ("max_steps", True),
+        ("learning_rate", 0.02),
+        ("epsilon", 1e-8),
+        ("grad_epsilon", 1e-10),
+        ("rotation_weight", 1.0),
+    ],
+)
+def test_identify_rejects_malformed_or_retired_key(key, value, capsys, tmp_path):
+    urdf_path = tmp_path / "cam.urdf"
+    urdf_path.write_text(CAM_ARM)
+    cfg = tmp_path / "id.json"
+    cfg.write_text(json.dumps({"target_link": "camera", "base": "base", "end": "camera", key: value}))
+    code, out, err = run_cli(capsys, "identify", str(urdf_path), str(cfg))
+    assert code == 4 and out == ""
+    assert key in err
+
+
 def test_bench_document(capsys, arm2r_file):
     code, out, _ = run_cli(
         capsys,
@@ -209,6 +234,16 @@ def test_exit_code_wrong_width(capsys, arm2r_file, tmp_path):
     cfg.write_text("0.1,0.2,0.3\n")
     code, _, err = run_cli(capsys, "fk", arm2r_file, "base", "tip", str(cfg))
     assert code == 4 and "error:" in err
+
+
+@pytest.mark.parametrize("entry", [None, [1], "x"])
+def test_exit_code_non_numeric_json_entry(entry, capsys, arm2r_file, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps([[0.1, 0.2], [entry, 0.0]]))
+    for command in ("fk", "jacobian"):
+        code, out, err = run_cli(capsys, command, arm2r_file, "base", "tip", str(cfg))
+        assert code == 4 and out == ""
+        assert "configuration 1 has a non-numeric entry" in err
 
 
 def test_exit_code_bad_batch_sizes(capsys, arm2r_file):

@@ -75,13 +75,6 @@ def test_phi1_matches_euler_difference(rng):
     assert metrics.rotation_with_rmse(t, t_hat) == pytest.approx(want, abs=1e-12)
 
 
-def test_phi1_degenerate_flag():
-    value, flag = metrics.rotation_with_rmse(tf.rot_y(np.pi / 2), np.eye(4), return_degenerate=True)
-    assert flag is True and value > 0
-    _, flag = metrics.rotation_with_rmse(np.eye(4), np.eye(4), return_degenerate=True)
-    assert flag is False
-
-
 def test_translation_ignored(rng):
     t = _random_transform(rng)
     t2 = t.copy()
@@ -126,14 +119,6 @@ def test_ranges_hold_in_bulk(rng):
     assert (metrics.phi5_loss(ts, hats) <= 2.0 * np.sqrt(2.0) + 1e-12).all()
     for fn in (metrics.phi2_loss, metrics.phi3_loss, metrics.phi4_loss, metrics.phi5_loss):
         assert (fn(ts, hats) >= 0.0).all()
-
-
-def test_aliases():
-    assert metrics.phi1 is metrics.rotation_with_rmse
-    assert metrics.phi2 is metrics.phi2_loss
-    assert metrics.phi3 is metrics.phi3_loss
-    assert metrics.phi4 is metrics.phi4_loss
-    assert metrics.phi5 is metrics.phi5_loss
 
 
 def test_object_path_is_differentiable(rng):
