@@ -7,13 +7,16 @@ ndarray plus a tangent ndarray with the tangent axis leading, shape
 ``__array_function__`` protocols for exactly the operations the pose,
 quaternion and metric kernels use, so those kernels run unchanged on it;
 every other ufunc or function, and any conversion to a plain ndarray,
-raises instead of silently dropping the tangent.  Primals are computed by
-the same numpy calls as the float kernels, so they are bitwise equal to a
-float run.  ``FkEngine.forward`` takes a DualArray too, but builds the
-tangents of its factor product from the twists of the float prefix
-products instead of pushing them through every 4x4 product (see
-``kinematics``); run through the engine's factor kernels, a DualArray gives
-that dense product, the oracle of the twist tangents.
+raises instead of silently dropping the tangent.  The operators
+``+ - * / @`` and unary ``-`` call their rule in ``_UFUNC_RULES`` directly,
+without the round trip through the ufunc and ``__array_ufunc__``, which
+costs more than the arithmetic on small batches; the same rule serves both
+routes.  Primals are computed by the same numpy calls as the float kernels,
+so they are bitwise equal to a float run.  ``FkEngine.forward`` takes a
+DualArray too, but builds the tangents of its factor product from the
+twists of the float prefix products instead of pushing them through every
+4x4 product (see ``kinematics``); run through the engine's factor kernels,
+a DualArray gives that dense product, the oracle of the twist tangents.
 
 ``batch_jacobian`` turns a batched map into per-row Jacobians with one
 seeded pass.  ``DiffScalar`` is only a (value, tangent) record, the
@@ -70,7 +73,7 @@ def batch_jacobian(f, thetas):
     out = f(seed_array(thetas))
     if not np.isfinite(out.primal).all():
         raise ValueError("non-finite value in jacobian output")
-    jac = np.moveaxis(out.tangent, 0, -1)
+    jac = out.tangent.transpose((*range(1, out.tangent.ndim), 0))
     if not np.isfinite(jac).all():
         raise ValueError("non-finite derivative in jacobian output")
     return jac
@@ -83,11 +86,13 @@ class DualArray(np.lib.mixins.NDArrayOperatorsMixin):
     """A primal ndarray plus k tangents: ``tangent[j]`` is d(primal)/d(input j).
 
     ``tangent`` has shape ``(k,) + primal.shape``.  numpy ufuncs and
-    functions, and the arithmetic and comparison operators (which the mixin
-    maps to ufuncs), dispatch here through ``__array_ufunc__`` and
+    functions dispatch here through ``__array_ufunc__`` and
     ``__array_function__``; only the operations in ``_UFUNC_RULES`` and
     ``_FUNCTIONS``, and ``np.zeros``/``np.empty`` with ``like=`` a
-    DualArray, are supported.  Anything else raises ``TypeError``.
+    DualArray, are supported.  ``+ - * / @`` (reflected too) and unary
+    ``-`` call their ufunc's rule directly (see ``_bind_operators``); every
+    other operator goes through the mixin to its ufunc.  Anything
+    unsupported raises ``TypeError``.
     """
 
     __slots__ = ("primal", "tangent")
@@ -148,7 +153,7 @@ class DualArray(np.lib.mixins.NDArrayOperatorsMixin):
         if func in (np.zeros, np.empty):
             # creation with like=self: a new array with k tangents of its shape
             primal = func(*args, **kwargs)
-            return DualArray(primal, func((self.width,) + primal.shape, dtype=primal.dtype))
+            return _new(primal, func((self.width,) + primal.shape, dtype=primal.dtype))
         impl = _FUNCTIONS.get(func)
         if impl is None:
             raise TypeError(f"DualArray does not support numpy.{func.__name__}")
@@ -156,7 +161,7 @@ class DualArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
-        return DualArray(self.primal[key], self.tangent[(slice(None),) + key])
+        return _new(self.primal[key], self.tangent[(slice(None),) + key])
 
     def __setitem__(self, key, value):
         key = key if isinstance(key, tuple) else (key,)
@@ -167,27 +172,40 @@ class DualArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     def reshape(self, *shape):
         primal = self.primal.reshape(*shape)
-        return DualArray(primal, self.tangent.reshape((self.width,) + primal.shape))
+        return _new(primal, self.tangent.reshape(self.tangent.shape[:1] + primal.shape))
 
     def astype(self, dtype, copy=True):
-        return DualArray(self.primal.astype(dtype, copy=copy), self.tangent.astype(dtype, copy=copy))
-
-    def _reduce(self, name, axis, keepdims=False):
-        axes = range(self.ndim) if axis is None else (axis if isinstance(axis, tuple) else (axis,))
-        shifted = tuple(a % self.ndim + 1 for a in axes)
-        return DualArray(
-            getattr(self.primal, name)(axis=axis, keepdims=keepdims),
-            getattr(self.tangent, name)(axis=shifted, keepdims=keepdims),
-        )
+        return _new(self.primal.astype(dtype, copy=copy), self.tangent.astype(dtype, copy=copy))
 
     def sum(self, axis=None, keepdims=False):
-        return self._reduce("sum", axis, keepdims)
+        # np.add.reduce is what ndarray.sum and ndarray.mean run, without
+        # their Python layer
+        axes = range(self.ndim) if axis is None else (axis if isinstance(axis, tuple) else (axis,))
+        shifted = tuple(a % self.ndim + 1 for a in axes)
+        return _new(
+            np.add.reduce(self.primal, axis=axis, keepdims=keepdims),
+            np.add.reduce(self.tangent, axis=shifted, keepdims=keepdims),
+        )
 
-    def mean(self, axis=None):
-        return self._reduce("mean", axis)
+    def mean(self, axis=None, keepdims=False):
+        total = self.sum(axis, keepdims)
+        # the number of entries summed; ndarray.mean divides by it as an
+        # intp, and a python int gives the same bits (the float32 quotient
+        # is correctly rounded either way)
+        count = self.size // max(total.size, 1)
+        return _new(total.primal / count, total.tangent / count)
 
     def __repr__(self):
         return f"DualArray(primal={self.primal!r}, tangent={self.tangent!r})"
+
+
+def _new(primal, tangent):
+    """DualArray of a primal and tangent that already fit, unchecked: the
+    constructor for results built here."""
+    out = object.__new__(DualArray)
+    out.primal = primal
+    out.tangent = tangent
+    return out
 
 
 def seed_array(values):
@@ -235,10 +253,10 @@ def _dual(primal, terms):
     tangent = terms[0]
     for term in terms[1:]:
         tangent = tangent + term
-    shape = tangent.shape[:1] + np.shape(primal)
+    shape = tangent.shape[:1] + primal.shape
     if tangent.shape != shape:
         tangent = np.broadcast_to(tangent, shape).copy()
-    return DualArray(primal, tangent)
+    return _new(primal, tangent)
 
 
 def _elementwise(partials):
@@ -249,7 +267,7 @@ def _elementwise(partials):
         parts = [_split(x) for x in inputs]
         primals = [p for p, _ in parts]
         result = ufunc(*primals)
-        ndim = np.ndim(result)
+        ndim = result.ndim
         terms = []
         for (_, tangent), factor in zip(parts, partials(result, *primals)):
             if tangent is not None:
@@ -310,7 +328,7 @@ def _extremum(first_wins):
     def rule(ufunc, a, b):
         pa, pb = primal_of(a), primal_of(b)
         result = ufunc(pa, pb)
-        return _dual(result, [_selected(first_wins(pa, pb), a, b, np.ndim(result))])
+        return _dual(result, [_selected(first_wins(pa, pb), a, b, result.ndim)])
 
     return rule
 
@@ -336,6 +354,21 @@ _UFUNC_RULES = {
 }
 
 
+def _bind_operators():
+    """Bind ``+ - * / @`` and unary ``-`` to their ufunc's rule, so they skip
+    the mixin's round trip through the ufunc; a reflected operator swaps the
+    operands, as ndarray's do."""
+    table = (("add", np.add), ("sub", np.subtract), ("mul", np.multiply), ("truediv", np.divide), ("matmul", np.matmul))
+    for name, ufunc in table:
+        rule = _UFUNC_RULES[ufunc]
+        setattr(DualArray, f"__{name}__", lambda self, other, rule=rule, ufunc=ufunc: rule(ufunc, self, other))
+        setattr(DualArray, f"__r{name}__", lambda self, other, rule=rule, ufunc=ufunc: rule(ufunc, other, self))
+    DualArray.__neg__ = lambda self: _UFUNC_RULES[np.negative](np.negative, self)
+
+
+_bind_operators()
+
+
 def _tangent_axis(axis):
     """The tangent's axis for primal axis ``axis``: the tangent axis leads."""
     return axis + 1 if axis >= 0 else axis
@@ -353,19 +386,19 @@ def _stack(arrays, axis=0):
     ref = next(t for _, t in parts if t is not None)
     tangents = [np.zeros(ref.shape[:1] + np.shape(p), ref.dtype) if t is None else t for p, t in parts]
     primal = np.stack([p for p, _ in parts], axis=axis)
-    return DualArray(primal, np.stack(tangents, axis=_tangent_axis(axis)))
+    return _new(primal, np.stack(tangents, axis=_tangent_axis(axis)))
 
 
 def _take_along_axis(arr, indices, axis):
     if isinstance(indices, DualArray):
         raise TypeError("numpy.take_along_axis needs plain integer indices")
     primal = np.take_along_axis(arr.primal, indices, axis=axis)
-    return DualArray(primal, np.take_along_axis(arr.tangent, indices[None], axis=_tangent_axis(axis)))
+    return _new(primal, np.take_along_axis(arr.tangent, indices[None], axis=_tangent_axis(axis)))
 
 
 def _swapaxes(a, axis1, axis2):
     tangent = np.swapaxes(a.tangent, _tangent_axis(axis1), _tangent_axis(axis2))
-    return DualArray(np.swapaxes(a.primal, axis1, axis2), tangent)
+    return _new(np.swapaxes(a.primal, axis1, axis2), tangent)
 
 
 _FUNCTIONS = {

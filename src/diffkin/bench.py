@@ -125,6 +125,8 @@ def run_bench(
     for b in sizes:
         if b < 1:
             raise ValueError(f"batch size must be positive, got {b}")
+    if rng_seed < 0:
+        raise ValueError(f"seed must be non-negative, got {rng_seed}")
     engines = [FkEngine(chain, b) for b in sizes]
     pools = [_theta_pool(np.random.default_rng(rng_seed), b, chain.m) for b in sizes]
     best = [None] * len(sizes)

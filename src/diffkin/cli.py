@@ -117,10 +117,14 @@ def _load_configs(path, m):
             raise ShapeError(
                 f"configs file {path}: configuration {i} has {len(row)} values, chain needs {m}"
             )
+        # CSV rows are floats already; a JSON value must be a number, and a
+        # JSON true or "0.5" is not one
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row):
+            raise ShapeError(f"configs file {path}: configuration {i} has a non-numeric entry")
         try:
             out.append([float(v) for v in row])
-        except (TypeError, ValueError):
-            raise ShapeError(f"configs file {path}: configuration {i} has a non-numeric entry") from None
+        except OverflowError:
+            raise ShapeError(f"configs file {path}: configuration {i} has an entry beyond float range") from None
     return out
 
 
@@ -265,7 +269,10 @@ def _cmd_identify(args):
         raise ShapeError(f"config file {args.config}: {exc}") from None
     if not (target_link and base and end):
         raise ShapeError(f"config file {args.config}: target_link, base and end are required")
-    cfg = replace(cfg, seed=_seed_of(args, cfg.seed))
+    try:
+        cfg = replace(cfg, seed=_seed_of(args, cfg.seed))
+    except ValueError as exc:
+        raise ShapeError(f"--seed {args.seed}: {exc}") from None
     result = run_identification(model, target_link, base, end, cfg)
     doc = {
         "schema": 1,

@@ -44,20 +44,29 @@ EPSILON = 1e-8
 GRAD_EPSILON = 1e-10
 
 
+# Smallest accepted value of each IdentifyConfig field.
+_CONFIG_MINIMUM = {"batch_size": 1, "max_steps": 0, "seed": 0}
+
+
 @dataclass(frozen=True)
 class IdentifyConfig:
     batch_size: int = 10
     max_steps: int = 5000
     seed: int = 0
 
+    def __post_init__(self):
+        for key, low in _CONFIG_MINIMUM.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"identification config key {key!r} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"identification config key {key!r} must be at least {low}, got {value}")
+
     @classmethod
     def from_mapping(cls, mapping):
         unknown = set(mapping) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown identification config keys {sorted(unknown)!r}")
-        for key, value in mapping.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"identification config key {key!r} must be an integer, got {value!r}")
         return cls(**mapping)
 
 

@@ -417,7 +417,12 @@ class FkEngine:
         out[:, i] = (product of factors 0..f) @ pending.  With
         ``keep_prefix``, every g[:, f] is overwritten by the product of
         factors 0..f (numpy buffers the overlapping operand, so the
-        products round as without it)."""
+        products round as without it).
+
+        The F - 1 products along the factor axis are per-row 4x4 products;
+        a pending static is one constant 4x4 for the whole block, so its
+        product is a single (rows * 4, 4) @ (4, 4) GEMM, not one BLAS call
+        per row; each row rounds as in the per-row product (tested)."""
         cur, done = None, 0  # the product of the first `done` factors
         for f, i, pending in marks:
             while done <= f:
@@ -431,7 +436,7 @@ class FkEngine:
             elif pending is None:
                 out[:, i] = cur
             else:
-                np.matmul(cur, pending, out=out[:, i])
+                out[:, i] = np.matmul(cur.reshape(-1, 4), pending).reshape(-1, 4, 4)
 
     def _prefix_twists(self, g, out, marks):
         """_product_block on a block's factors ``g``, which it overwrites

@@ -163,7 +163,10 @@ def pose_batch_from_transforms(ts):
 
     ``ts`` is a float array or a DualArray; the poses are of the same kind.
     On a DualArray the derivative of cos(beta) = hypot(r00, r10) is capped
-    like that of np.sqrt, so at gimbal lock d(beta) stays finite.
+    like that of np.sqrt, so at gimbal lock d(beta) stays finite.  The
+    gimbal-lock branch (alpha = 0, gamma from the second column) is
+    computed only for a batch with a degenerate row, one check per batch;
+    every row's pose is the same either way.
     """
     if not isinstance(ts, ad.DualArray):
         ts = np.asarray(ts)
@@ -172,12 +175,11 @@ def pose_batch_from_transforms(ts):
     cb = np.hypot(ts[..., 0, 0], ts[..., 1, 0])
     degenerate = ad.primal_of(cb) <= _GIMBAL_COS_TOL
     beta = np.arctan2(-ts[..., 2, 0], cb)
-    alpha = np.where(degenerate, 0.0, np.arctan2(ts[..., 2, 1], ts[..., 2, 2]))
-    gamma = np.where(
-        degenerate,
-        np.arctan2(-ts[..., 0, 1], ts[..., 1, 1]),
-        np.arctan2(ts[..., 1, 0], ts[..., 0, 0]),
-    )
+    alpha = np.arctan2(ts[..., 2, 1], ts[..., 2, 2])
+    gamma = np.arctan2(ts[..., 1, 0], ts[..., 0, 0])
+    if degenerate.any():
+        alpha = np.where(degenerate, 0.0, alpha)
+        gamma = np.where(degenerate, np.arctan2(-ts[..., 0, 1], ts[..., 1, 1]), gamma)
     poses = np.stack([ts[..., 0, 3], ts[..., 1, 3], ts[..., 2, 3], alpha, beta, gamma], axis=-1)
     return poses, degenerate
 

@@ -230,3 +230,82 @@ def test_seed_array_shares_one_tangent_space():
         want = np.zeros((2, 3))
         want[:, j] = 1.0
         np.testing.assert_array_equal(x.tangent[j], want)
+
+
+def _assert_same_dual(got, want):
+    """Bitwise equality of two DualArrays, signed zeros included."""
+    for g, w in ((got.primal, want.primal), (got.tangent, want.tangent)):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g.reshape(-1).view(np.uint8), w.reshape(-1).view(np.uint8))
+
+
+_OPERATOR_CASES = [
+    (lambda a, b: a + b, np.add),
+    (lambda a, b: a - b, np.subtract),
+    (lambda a, b: a * b, np.multiply),
+    (lambda a, b: a / b, np.divide),
+    (lambda a, b: a @ b, np.matmul),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op, ufunc", _OPERATOR_CASES)
+def test_direct_operators_match_ufunc_dispatch(op, ufunc, dtype):
+    """``+ - * / @`` and unary ``-`` bypass __array_ufunc__ and give the
+    bits of ``np.<ufunc>`` through it: DualArray with DualArray, with an
+    ndarray and with a python scalar, on either side."""
+    rng = np.random.default_rng(3)
+
+    def dual(shape):
+        return ad.DualArray(rng.normal(size=shape).astype(dtype), rng.normal(size=(3,) + shape).astype(dtype))
+
+    a, b, plain = dual((2, 3, 3)), dual((3, 3)), rng.normal(size=(2, 3, 3)).astype(dtype) + 2.0
+    pairs = [(a, b), (b, a), (a, plain), (plain, a)]
+    if ufunc is not np.matmul:
+        pairs += [(a, 1.5), (1.5, a), (a, 3), (-2, a)]
+    for x, y in pairs:
+        _assert_same_dual(op(x, y), ufunc(x, y))
+    _assert_same_dual(-a, np.negative(a))
+    if ufunc is np.matmul:
+        for x, y in ((a, 1.5), (1.5, a)):
+            with pytest.raises(TypeError):
+                op(x, y)
+
+
+def test_direct_operators_skip_array_ufunc(monkeypatch):
+    """With the ufunc route shut, the direct operators still work, the
+    reflected ones included; an unsupported operator still raises."""
+    a = ad.seed_array(np.array([[0.3, 0.4], [0.5, 0.6]]))
+    want = [a + a, a - 2.0, 2.0 - a, a * a, 3.0 * a, a / 2.0, 1.0 / a, a @ a, -a]
+
+    def shut(*args, **kwargs):
+        raise AssertionError("went through __array_ufunc__")
+
+    monkeypatch.setattr(ad.DualArray, "__array_ufunc__", shut)
+    got = [a + a, a - 2.0, 2.0 - a, a * a, 3.0 * a, a / 2.0, 1.0 / a, a @ a, -a]
+    for g, w in zip(got, want):
+        _assert_same_dual(g, w)
+    monkeypatch.undo()
+    for op in (lambda: a < a, lambda: a**2, lambda: a // 2.0, lambda: a % 2.0, lambda: 2.0**a):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [None, 0, -1, (0, 2), (-1, -2)])
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_sum_and_mean_match_ndarray_methods(axis, keepdims, dtype):
+    """sum and mean reduce with np.add.reduce, with the bits of ndarray.sum
+    and ndarray.mean on the primal and on the tangent's matching axes."""
+    rng = np.random.default_rng(5)
+    x = ad.DualArray(rng.normal(size=(4, 5, 6)).astype(dtype), rng.normal(size=(3, 4, 5, 6)).astype(dtype))
+    axes = range(3) if axis is None else (axis if isinstance(axis, tuple) else (axis,))
+    shifted = tuple(a % 3 + 1 for a in axes)
+    for name in ("sum", "mean"):
+        got = getattr(x, name)(axis=axis, keepdims=keepdims)
+        want = ad.DualArray(
+            getattr(x.primal, name)(axis=axis, keepdims=keepdims),
+            getattr(x.tangent, name)(axis=shifted, keepdims=keepdims),
+        )
+        _assert_same_dual(got, want)

@@ -43,6 +43,11 @@ def test_rejects_nonpositive_batch(arm4_chain):
         bench.run_bench(arm4_chain, [4, 0], min_seconds=0.01)
 
 
+def test_rejects_negative_seed(arm4_chain):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        bench.run_bench(arm4_chain, [4], min_seconds=0.01, rng_seed=-1)
+
+
 def test_baseline_measure(arm4_chain):
     ops = bench.measure_baseline(arm4_chain, min_seconds=0.05, repeats=1)
     assert ops > 0

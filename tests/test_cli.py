@@ -179,6 +179,9 @@ def test_identify_rejects_optimizer(capsys, tmp_path):
         ("batch_size", None),
         ("batch_size", 2.5),
         ("max_steps", True),
+        ("batch_size", 0),
+        ("max_steps", -3),
+        ("seed", -1),
         ("learning_rate", 0.02),
         ("epsilon", 1e-8),
         ("grad_epsilon", 1e-10),
@@ -193,6 +196,30 @@ def test_identify_rejects_malformed_or_retired_key(key, value, capsys, tmp_path)
     code, out, err = run_cli(capsys, "identify", str(urdf_path), str(cfg))
     assert code == 4 and out == ""
     assert key in err
+
+
+def test_exit_code_json_integer_beyond_float_range(capsys, arm2r_file, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[[0.1, 0.2], [1" + "0" * 400 + ", 0.0]]")
+    code, out, err = run_cli(capsys, "fk", arm2r_file, "base", "tip", str(cfg))
+    assert code == 4 and out == ""
+    assert "configuration 1 has an entry beyond float range" in err
+
+
+def test_identify_rejects_negative_seed_flag(capsys, tmp_path):
+    urdf_path = tmp_path / "cam.urdf"
+    urdf_path.write_text(CAM_ARM)
+    cfg = tmp_path / "id.json"
+    cfg.write_text(json.dumps({"target_link": "camera", "base": "base", "end": "camera"}))
+    code, out, err = run_cli(capsys, "identify", str(urdf_path), str(cfg), "--seed", "-1")
+    assert code == 4 and out == ""
+    assert "--seed -1" in err and "'seed' must be at least 0" in err
+
+
+def test_bench_rejects_negative_seed(capsys, arm2r_file):
+    code, out, err = run_cli(capsys, "bench", arm2r_file, "base", "tip", "--batch-sizes", "1", "--seed", "-1")
+    assert code == 4 and out == ""
+    assert "seed must be non-negative" in err
 
 
 def test_bench_document(capsys, arm2r_file):
@@ -236,7 +263,7 @@ def test_exit_code_wrong_width(capsys, arm2r_file, tmp_path):
     assert code == 4 and "error:" in err
 
 
-@pytest.mark.parametrize("entry", [None, [1], "x"])
+@pytest.mark.parametrize("entry", [None, [1], "x", True, False, "0.5"])
 def test_exit_code_non_numeric_json_entry(entry, capsys, arm2r_file, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps([[0.1, 0.2], [entry, 0.0]]))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,16 @@ def test_config_from_mapping_roundtrip():
     assert cfg.batch_size == 3
     assert cfg.max_steps == 40
     assert IdentifyConfig.from_mapping({}) == IdentifyConfig()
+
+
+@pytest.mark.parametrize("key, value", [("batch_size", 0), ("max_steps", -3), ("seed", -1), ("seed", "1")])
+def test_config_rejects_out_of_range_or_non_integer(key, value):
+    """Checked on construction, so replace() cannot bypass it either."""
+    with pytest.raises(ValueError, match=key):
+        IdentifyConfig(**{key: value})
+    with pytest.raises(ValueError, match=key):
+        replace(IdentifyConfig(), **{key: value})
+    assert replace(IdentifyConfig(), max_steps=0, seed=0, batch_size=1).max_steps == 0
 
 
 def test_config_from_mapping_rejects_unknown():

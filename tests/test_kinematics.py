@@ -508,9 +508,9 @@ def test_trig_only_on_rotational_dofs(dual, mixed_chain, monkeypatch, rng):
 @pytest.mark.parametrize("want_intermediates", [False, True])
 @pytest.mark.parametrize("robot", ["arm4", "mixed"])
 def test_float_forward_matmul_count(robot, want_intermediates, arm4_chain, mixed_chain, monkeypatch, rng):
-    """A float forward block makes F - 1 products along the factor axis and
-    one product per snapshot whose static is pending, and keeps no prefix
-    products: only the pending products write into an ``out`` array."""
+    """A float forward block makes F - 1 per-row products along the factor
+    axis, one (rows * 4, 4) GEMM per snapshot whose static is pending, and
+    keeps no prefix products: no product writes into an ``out`` array."""
     chain = arm4_chain if robot == "arm4" else mixed_chain
     # pending: the fixed flange (arm4) or j6 (mixed) at its segment and at
     # the finals, and on mixed the alignment inverses after j1, j2 and j4
@@ -521,8 +521,57 @@ def test_float_forward_matmul_count(robot, want_intermediates, arm4_chain, mixed
     calls = []
     _counting(monkeypatch, "matmul", calls)
     eng.forward(thetas, want_intermediates=want_intermediates)
-    per_block = [False] * (eng.m - 1) + [True] * pending
-    assert sorted(with_out for _, _, with_out in calls) == sorted(per_block * 2)
+    want = []
+    for rows in (kinematics._BLOCK_ROWS, 44):
+        want += [("matmul", (rows, 4, 4), False)] * (eng.m - 1) + [("matmul", (rows * 4, 4), False)] * pending
+    assert sorted(calls) == sorted(want)
+
+
+def _product_block_per_row(self, g, out, marks, keep_prefix=False):
+    """FkEngine._product_block with each pending static multiplied per row,
+    one broadcast np.matmul: the form the single GEMM replaced, kept as its
+    oracle."""
+    cur, done = None, 0
+    for f, i, pending in marks:
+        while done <= f:
+            if done == 0:
+                cur = g[:, 0]
+            else:
+                cur = np.matmul(cur, g[:, done], out=g[:, done] if keep_prefix else None)
+            done += 1
+        if cur is None:
+            out[:, i] = pending
+        elif pending is None:
+            out[:, i] = cur
+        else:
+            np.matmul(cur, pending, out=out[:, i])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("b", [1, kinematics._BLOCK_ROWS + 44])
+@pytest.mark.parametrize("robot", ["arm4", "mixed"])
+def test_pending_gemm_matches_per_row_products(robot, b, dtype, arm4_chain, mixed_chain, monkeypatch):
+    """One (rows * 4, 4) GEMM per pending static gives the bits of the
+    per-row products: float forward, the DualArray forward (its prefix
+    products kept) and the dense DualArray pass, finals and intermediates."""
+    chain = arm4_chain if robot == "arm4" else mixed_chain
+    eng = FkEngine(chain, batch_size=b, dtype=dtype)
+    thetas = np.random.default_rng(b).uniform(-1.5, 1.5, size=(b, eng.m)).astype(dtype)
+    seeded = ad.seed_array(thetas)
+
+    def run():
+        out = []
+        for inter in (False, True):
+            dual = eng.forward(seeded.reshape(b * eng.m), want_intermediates=inter)
+            dense = _dense_pass(eng, seeded, inter)
+            out += [eng.forward(thetas.ravel(), want_intermediates=inter)]
+            out += [dual.primal, dual.tangent, dense.primal, dense.tangent]
+        return out
+
+    got = run()
+    monkeypatch.setattr(FkEngine, "_product_block", _product_block_per_row)
+    for g, w in zip(got, run(), strict=True):
+        _assert_bits_equal(g, w)
 
 
 def test_aligned_axis_tolerance():

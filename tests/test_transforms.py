@@ -194,3 +194,46 @@ def test_quaternion_reconstruction_property(seed):
     r = _random_rotations(np.random.default_rng(seed), 1)[0]
     q = tf.quaternion_from_rotation(r)
     np.testing.assert_allclose(_quat_to_rotation(q), r, atol=1e-9)
+
+
+def _pose_both_branches(ts):
+    """The pose extraction with both gimbal branches computed for every row:
+    the form pose_batch_from_transforms replaced, kept as its oracle."""
+    cb = np.hypot(ts[..., 0, 0], ts[..., 1, 0])
+    degenerate = ad.primal_of(cb) <= tf._GIMBAL_COS_TOL
+    beta = np.arctan2(-ts[..., 2, 0], cb)
+    alpha = np.where(degenerate, 0.0, np.arctan2(ts[..., 2, 1], ts[..., 2, 2]))
+    gamma = np.where(
+        degenerate,
+        np.arctan2(-ts[..., 0, 1], ts[..., 1, 1]),
+        np.arctan2(ts[..., 1, 0], ts[..., 0, 0]),
+    )
+    poses = np.stack([ts[..., 0, 3], ts[..., 1, 3], ts[..., 2, 3], alpha, beta, gamma], axis=-1)
+    return poses, degenerate
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).reshape(-1).view(np.uint8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", ["regular", "degenerate", "mixed"])
+def test_pose_extraction_matches_both_branch_form(rows, dtype):
+    """Computing the gimbal-lock branch only for a batch with a degenerate
+    row changes no bit of any row, for floats and DualArrays."""
+    rng = np.random.default_rng(11)
+    params = rng.uniform(-1.0, 1.0, size=(40, 6))
+    locked = {"regular": [], "degenerate": slice(None), "mixed": slice(None, None, 3)}[rows]
+    params[locked, 4] = np.pi / 2
+    params[locked, 4][::2] *= -1.0
+    seeded = ad.seed_array(params.astype(dtype))
+    for ts in (tf.sixdof_batch_to_transforms(params.astype(dtype)), tf.sixdof_batch_to_transforms(seeded)):
+        (got, got_flag), (want, want_flag) = tf.pose_batch_from_transforms(ts), _pose_both_branches(ts)
+        assert got_flag.tolist() == want_flag.tolist()
+        assert want_flag.any() == (rows != "regular") and want_flag.all() == (rows == "degenerate")
+        if isinstance(ts, ad.DualArray):
+            assert got.tangent.dtype == want.tangent.dtype and got.tangent.shape == want.tangent.shape
+            np.testing.assert_array_equal(_bits(got.tangent), _bits(want.tangent))
+            got, want = got.primal, want.primal
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
