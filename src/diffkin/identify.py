@@ -102,17 +102,9 @@ class SampleGenerator:
     zero_dofs: tuple = ()
 
     def __post_init__(self):
-        lo, hi = [], []
-        for _, joint in self.engine.chain.segments:
-            for _ in range(joint.dof):
-                if joint.limits is not None:
-                    lo.append(joint.limits.lower)
-                    hi.append(joint.limits.upper)
-                else:
-                    lo.append(-np.pi)
-                    hi.append(np.pi)
-        self._lo = np.array(lo)
-        self._hi = np.array(hi)
+        limits = [joint.limits for joint, _ in self.engine.chain.dofs]
+        self._lo = np.array([-np.pi if lim is None else lim.lower for lim in limits])
+        self._hi = np.array([np.pi if lim is None else lim.upper for lim in limits])
 
     def joint_samples(self):
         """One (b, m) batch of configurations."""

@@ -185,6 +185,8 @@ class FkEngine:
     """
 
     def __init__(self, chain: KinematicChain, batch_size: int, dtype=np.float64):
+        if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)):
+            raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.chain = chain
@@ -313,11 +315,13 @@ class FkEngine:
 
     # -- reference pipeline stages --------------------------------------------
 
-    def _check_flat(self, flat):
-        if flat.size != self.batch_size * self.m:
+    def _check_shape(self, thetas):
+        """A theta batch is (b*m,) or (b, m); no other shape is read as one."""
+        b, m = self.batch_size, self.m
+        if thetas.shape not in ((b * m,), (b, m)):
             raise ShapeError(
-                f"expected {self.batch_size * self.m} joint values "
-                f"(batch {self.batch_size} x dof {self.m}), got {flat.size}"
+                f"expected {b * m} joint values (batch {b} x dof {m}) of shape ({b * m},) or ({b}, {m}), "
+                f"got shape {thetas.shape}"
             )
 
     def scatter_thetas(self, thetas):
@@ -326,9 +330,9 @@ class FkEngine:
         The tensor starts from fresh zeros on every call; only the index
         matrix rows are written, so unaddressed cells are exactly zero.
         """
-        flat = np.asarray(thetas, dtype=self.dtype).ravel()
-        self._check_flat(flat)
-        flat2d = flat.reshape(self.batch_size, self.m)
+        thetas = np.asarray(thetas, dtype=self.dtype)
+        self._check_shape(thetas)
+        flat2d = thetas.reshape(self.batch_size, self.m)
         q = np.zeros((self.batch_size, self.n, 6), dtype=self.dtype)
         if self.m:
             q[:, self._rows_per_dof, self._slots_per_dof] = flat2d * self._scale_per_dof
@@ -341,7 +345,7 @@ class FkEngine:
     # -- evaluation -------------------------------------------------------------
 
     def forward(self, thetas, want_intermediates=False):
-        """Evaluate the compiled factors for a flat (b*m,) theta batch.
+        """Evaluate the compiled factors for a (b*m,) or (b, m) theta batch.
 
         Returns the (b, 4, 4) final transforms, or all cumulative
         (b, n, 4, 4) transforms with ``want_intermediates``.  A DualArray
@@ -366,7 +370,7 @@ class FkEngine:
         tangents (_prefix_twists, _tangent_block).
         """
         thetas = thetas.astype(self.dtype, copy=False)
-        self._check_flat(thetas)
+        self._check_shape(thetas)
         values = ad.primal_of(thetas)
         if values.size and not np.isfinite(values).all():
             raise ValueError("non-finite joint value in theta batch")
@@ -503,15 +507,15 @@ def pose_jacobian(engine: FkEngine, thetas):
     cross-configuration derivatives are structurally zero.  The Jacobian has
     the engine's dtype.
     """
-    flat = np.asarray(thetas, dtype=engine.dtype).ravel()
-    engine._check_flat(flat)
+    thetas = np.asarray(thetas, dtype=engine.dtype)
+    engine._check_shape(thetas)
 
     def poses(seeded):
         # _evaluate is forward() without its input coercion; wrappers around
         # forward (perfbench's tracer) expect array-like thetas
         return transforms.pose_batch_from_transforms(engine._evaluate(seeded))[0]
 
-    return ad.batch_jacobian(poses, flat.reshape(engine.batch_size, engine.m))
+    return ad.batch_jacobian(poses, thetas.reshape(engine.batch_size, engine.m))
 
 
 def limit_violations(chain: KinematicChain, thetas):
@@ -524,13 +528,9 @@ def limit_violations(chain: KinematicChain, thetas):
         return []
     flat = np.asarray(thetas, dtype=float).reshape(-1, chain.m)
     violations = []
-    offset = 0
-    for _, joint in chain.segments:
+    for col, (joint, d) in enumerate(chain.dofs):
         if joint.limits is not None:
             lo, hi = joint.limits.lower, joint.limits.upper
-            for d in range(joint.dof):
-                col = flat[:, offset + d]
-                for k in np.nonzero((col < lo) | (col > hi))[0]:
-                    violations.append((int(k), joint.name, d, float(col[k]), lo, hi))
-        offset += joint.dof
+            for k in np.nonzero((flat[:, col] < lo) | (flat[:, col] > hi))[0]:
+                violations.append((int(k), joint.name, d, float(flat[k, col]), lo, hi))
     return violations

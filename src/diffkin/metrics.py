@@ -10,17 +10,17 @@ Five distances with different tradeoffs:
   phi5_loss           || I - R Rhat^T ||_F, [0, 2 sqrt 2]
 
 All ignore translation.  Inputs are single 4x4 transforms (scalar result)
-or (b, 4, 4) batches (length-b vector).  Every metric is one batch kernel
-that also runs on autodiff.DualArray inputs, giving the metric's tangents
-alongside a primal bitwise equal to the float result.
+or (b, 4, 4) batches (length-b vector), taken through the transform
+kernels' input rule: float32 stays float32.  Every metric is one batch
+kernel that also runs on autodiff.DualArray inputs, giving the metric's
+tangents alongside a primal bitwise equal to the float result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from . import transforms
+from .transforms import _operand, pose_batch_from_transforms, quaternion_batch_from_rotations
 
 __all__ = [
     "rotation_with_rmse",
@@ -35,23 +35,12 @@ __all__ = [
 ]
 
 
-def _operand(x):
-    return x if isinstance(x, (np.ndarray, ad.DualArray)) else np.asarray(x)
-
-
-def _first(x):
-    """Element 0 of a length-1 batch; a python scalar unless it is a DualArray."""
-    x = x[0]
-    return x if isinstance(x, ad.DualArray) else x.item()
-
-
-def _dispatch(t, t_hat, batch_fn):
+def _pair(t, t_hat):
+    """Both operands, through the input rule, checked to be of one shape."""
     t, t_hat = _operand(t), _operand(t_hat)
     if t.shape != t_hat.shape:
         raise ValueError(f"mismatched transform shapes {t.shape} vs {t_hat.shape}")
-    if t.ndim == 2:
-        return _first(batch_fn(t[None], t_hat[None]))
-    return batch_fn(t, t_hat)
+    return t, t_hat
 
 
 # -- phi1: Euler-angle distance ---------------------------------------------
@@ -65,14 +54,9 @@ def rotation_with_rmse(t, t_hat):
     alpha = 0 convention; transforms.pose_batch_from_transforms flags those
     rows.
     """
-
-    def batch(ts, ts_hat):
-        pa, _ = transforms.pose_batch_from_transforms(ts)
-        pb, _ = transforms.pose_batch_from_transforms(ts_hat)
-        diff = pa[..., 3:] - pb[..., 3:]
-        return np.sqrt((diff * diff).sum(axis=-1))
-
-    return _dispatch(t, t_hat, batch)
+    t, t_hat = _pair(t, t_hat)
+    diff = pose_batch_from_transforms(t)[0][..., 3:] - pose_batch_from_transforms(t_hat)[0][..., 3:]
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 # -- phi2..phi4: quaternion-level forms -------------------------------------
@@ -102,29 +86,23 @@ def phi4_quat(q, q_hat):
     return 1.0 - np.minimum(np.abs((q * q_hat).sum(axis=-1)), 1.0)
 
 
-def _quat_metric(quat_fn):
-    """Batch kernel of a transform metric that compares quaternions."""
-
-    def batch(ts, ts_hat):
-        q = transforms.quaternion_batch_from_rotations(ts)
-        return quat_fn(q, transforms.quaternion_batch_from_rotations(ts_hat))
-
-    return batch
+def _quaternions(t, t_hat):
+    return tuple(quaternion_batch_from_rotations(x) for x in _pair(t, t_hat))
 
 
 def phi2_loss(t, t_hat):
     """Quaternion Euclidean distance modulo sign; range [0, sqrt 2]."""
-    return _dispatch(t, t_hat, _quat_metric(phi2_quat))
+    return phi2_quat(*_quaternions(t, t_hat))
 
 
 def phi3_loss(t, t_hat):
     """Quaternion inner-product angle; range [0, pi/2]."""
-    return _dispatch(t, t_hat, _quat_metric(phi3_quat))
+    return phi3_quat(*_quaternions(t, t_hat))
 
 
 def phi4_loss(t, t_hat):
     """Complement of the absolute quaternion inner product; range [0, 1]."""
-    return _dispatch(t, t_hat, _quat_metric(phi4_quat))
+    return phi4_quat(*_quaternions(t, t_hat))
 
 
 # -- phi5: Frobenius deviation from identity --------------------------------
@@ -133,10 +111,11 @@ def phi4_loss(t, t_hat):
 def phi5_squared_batch(a, b):
     """||I - R Rhat^T||_F^2 over (..., 4, 4) batches: phi5 without its root,
     smooth where the rotations coincide."""
-    d = np.eye(3) - a[..., :3, :3] @ np.swapaxes(b[..., :3, :3], -1, -2)
+    a, b = _operand(a), _operand(b)
+    d = np.eye(3, dtype=a.dtype) - a[..., :3, :3] @ np.swapaxes(b[..., :3, :3], -1, -2)
     return (d * d).sum(axis=(-1, -2))
 
 
 def phi5_loss(t, t_hat):
     """Frobenius norm of I - R Rhat^T; range [0, 2 sqrt 2]."""
-    return _dispatch(t, t_hat, lambda a, b: np.sqrt(phi5_squared_batch(a, b)))
+    return np.sqrt(phi5_squared_batch(*_pair(t, t_hat)))

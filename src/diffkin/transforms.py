@@ -5,9 +5,20 @@ fixed-axis roll/pitch/yaw, composed as R = Rz(gamma) @ Ry(beta) @ Rx(alpha).
 
 Each formula exists once, as a batch kernel (sixdof_batch_to_transforms,
 pose_batch_from_transforms, quaternion_batch_from_rotations) that runs on
-float arrays and on autodiff.DualArray alike.  The single-transform helpers
+float arrays and on autodiff.DualArray alike, over any leading shape, a
+single transform included.  The kernels and the metrics take their input
+through one rule, _operand: a DualArray passes unchanged, a float32 or
+float64 ndarray keeps its dtype (float32 stays float32), and anything else
+becomes float64.  A DualArray's primal is therefore bitwise the float run
+on the same input, in either dtype.  The single-transform helpers
 (sixdof_to_transform, rpy_to_rotation, pose_from_transform,
-quaternion_from_rotation) check their float input and call the kernel on it.
+quaternion_from_rotation) convert to float64, check their input and call
+the kernel on it.
+
+Quaternions come from the symmetric 4x4 matrix K = 4 q q^T (order x, y, z,
+w), whose entries are linear in the rotation matrix: row i of K is
+4 q_i q, and its diagonal holds the four Shepperd candidates 4 q_i^2.  The
+row with the largest diagonal entry, normalized, is +-q.
 """
 
 from __future__ import annotations
@@ -36,6 +47,13 @@ __all__ = [
 # cos(pitch) below this is treated as the gimbal-locked configuration.
 _GIMBAL_COS_TOL = 1e-6
 _ORTHONORMAL_TOL = 1e-6
+
+
+def _operand(x):
+    """The kernels' input rule (see the module docstring)."""
+    if isinstance(x, ad.DualArray) or (isinstance(x, np.ndarray) and x.dtype in (np.float32, np.float64)):
+        return x
+    return np.asarray(x, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -105,10 +123,7 @@ def sixdof_batch_to_transforms(params):
 
     ``params`` is a float array or a DualArray; the result is of the same kind.
     """
-    if not isinstance(params, ad.DualArray):
-        params = np.asarray(params)
-        if params.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            params = params.astype(float)
+    params = _operand(params)
     lead = params.shape[:-1]
     x, y, z = params[..., 0], params[..., 1], params[..., 2]
     ca, sa = np.cos(params[..., 3]), np.sin(params[..., 3])
@@ -148,14 +163,13 @@ def pose_from_transform(t):
     """
     t = np.asarray(t, dtype=float)
     _check_rotation_block(t)
-    poses, degenerate = pose_batch_from_transforms(t[None])
-    return PoseRPY(*poses[0].tolist(), degenerate=bool(degenerate[0]))
+    pose, degenerate = pose_batch_from_transforms(t)
+    return PoseRPY(*pose.tolist(), degenerate=bool(degenerate))
 
 
 def pose_values_from_transform(t):
     """[x, y, z, alpha, beta, gamma] of one 4x4 float transform, as a list."""
-    poses, _ = pose_batch_from_transforms(np.asarray(t, dtype=float)[None])
-    return poses[0].tolist()
+    return pose_batch_from_transforms(np.asarray(t, dtype=float))[0].tolist()
 
 
 def pose_batch_from_transforms(ts):
@@ -168,10 +182,7 @@ def pose_batch_from_transforms(ts):
     computed only for a batch with a degenerate row, one check per batch;
     every row's pose is the same either way.
     """
-    if not isinstance(ts, ad.DualArray):
-        ts = np.asarray(ts)
-        if ts.dtype not in (np.float32, np.float64):
-            ts = ts.astype(float)
+    ts = _operand(ts)
     cb = np.hypot(ts[..., 0, 0], ts[..., 1, 0])
     degenerate = ad.primal_of(cb) <= _GIMBAL_COS_TOL
     beta = np.arctan2(-ts[..., 2, 0], cb)
@@ -194,41 +205,20 @@ def quaternion_from_rotation(t):
 def quaternion_batch_from_rotations(ts):
     """Vectorized quaternion extraction, (..., 4, 4) or (..., 3, 3) -> (..., 4).
 
-    Uses the largest of the four Shepperd candidates so the square root is
-    always well-conditioned.  ``ts`` is a float array or a DualArray; the
-    branch choice and the w >= 0 sign follow the primal values.
+    Normalizes the row of K (see the module docstring) with the largest
+    diagonal entry, at least 1 since the diagonal sums to 4, so the result
+    is well-conditioned for every rotation.  ``ts`` is a float array or a
+    DualArray; the row choice and the w >= 0 sign follow the primal values.
     """
-    if not isinstance(ts, ad.DualArray):
-        ts = np.asarray(ts, dtype=float)
-    r = ts[..., :3, :3]
-    lead = r.shape[:-2]
-    c0 = 1.0 + r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2]
-    c1 = 1.0 + r[..., 0, 0] - r[..., 1, 1] - r[..., 2, 2]
-    c2 = 1.0 - r[..., 0, 0] + r[..., 1, 1] - r[..., 2, 2]
-    c3 = 1.0 - r[..., 0, 0] - r[..., 1, 1] + r[..., 2, 2]
-    cands = np.stack([c0, c1, c2, c3], axis=-1)
-    best = np.argmax(ad.primal_of(cands), axis=-1)
-    s = 2.0 * np.sqrt(np.maximum(np.take_along_axis(cands, best[..., None], axis=-1)[..., 0], 0.0))
-    # All four candidate quaternions computed dense, then selected; the
-    # rejected branches may divide by small s, which is fine to discard.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q0 = np.stack(
-            [r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1], s * s / 4.0],
-            axis=-1,
-        ) / s[..., None]
-        q1 = np.stack(
-            [s * s / 4.0, r[..., 0, 1] + r[..., 1, 0], r[..., 0, 2] + r[..., 2, 0], r[..., 2, 1] - r[..., 1, 2]],
-            axis=-1,
-        ) / s[..., None]
-        q2 = np.stack(
-            [r[..., 0, 1] + r[..., 1, 0], s * s / 4.0, r[..., 1, 2] + r[..., 2, 1], r[..., 0, 2] - r[..., 2, 0]],
-            axis=-1,
-        ) / s[..., None]
-        q3 = np.stack(
-            [r[..., 0, 2] + r[..., 2, 0], r[..., 1, 2] + r[..., 2, 1], s * s / 4.0, r[..., 1, 0] - r[..., 0, 1]],
-            axis=-1,
-        ) / s[..., None]
-    all_q = np.stack([q0, q1, q2, q3], axis=-2)
-    q = np.take_along_axis(all_q, best[..., None, None], axis=-2).reshape(lead + (4,))
+    r = _operand(ts)[..., :3, :3]
+    r00, r11, r22 = r[..., 0, 0], r[..., 1, 1], r[..., 2, 2]
+    xy, xz, yz = r[..., 0, 1] + r[..., 1, 0], r[..., 0, 2] + r[..., 2, 0], r[..., 1, 2] + r[..., 2, 1]
+    xw, yw, zw = r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]
+    xx, yy = 1.0 + r00 - r11 - r22, 1.0 - r00 + r11 - r22
+    zz, ww = 1.0 - r00 - r11 + r22, 1.0 + r00 + r11 + r22
+    k = np.stack([xx, xy, xz, xw, xy, yy, yz, yw, xz, yz, zz, zw, xw, yw, zw, ww], axis=-1)
+    k = k.reshape(k.shape[:-1] + (4, 4))
+    best = np.argmax(np.diagonal(ad.primal_of(k), axis1=-2, axis2=-1), axis=-1)
+    q = np.take_along_axis(k, best[..., None, None], axis=-2)[..., 0, :]
     q = q / np.sqrt((q * q).sum(axis=-1, keepdims=True))
     return np.where(ad.primal_of(q)[..., 3:4] < 0, -q, q)

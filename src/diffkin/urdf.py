@@ -9,6 +9,7 @@ meters.
 from __future__ import annotations
 
 import enum
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
@@ -149,18 +150,32 @@ class KinematicChain:
     def m(self) -> int:
         return sum(joint.dof for _, joint in self.segments)
 
+    @property
+    def dofs(self):
+        """(joint, dof index within the joint) of each theta column, in order."""
+        return [(joint, d) for _, joint in self.segments for d in range(joint.dof)]
+
 
 # -- parsing -----------------------------------------------------------------
+
+
+def _parse_number(text, context):
+    """A finite float: a NaN or infinite origin, axis or limit would pass
+    through forward kinematics as NaN without any error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise UrdfError(f"{context}: non-numeric entry {text!r}") from None
+    if not math.isfinite(value):
+        raise UrdfError(f"{context}: non-finite entry {text!r}")
+    return value
 
 
 def _parse_triple(text, context):
     parts = text.split()
     if len(parts) != 3:
         raise UrdfError(f"{context}: expected 3 numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise UrdfError(f"{context}: non-numeric entry in {text!r}") from None
+    return tuple(_parse_number(p, context) for p in parts)
 
 
 def _normalized_axis(axis, joint_name):
@@ -211,11 +226,9 @@ def _parse_joint(elem) -> Joint:
     limits = None
     limit_elem = elem.find("limit")
     if limit_elem is not None and (limit_elem.get("lower") is not None or limit_elem.get("upper") is not None):
-        try:
-            lower = float(limit_elem.get("lower", "0"))
-            upper = float(limit_elem.get("upper", "0"))
-        except ValueError:
-            raise UrdfError(f"joint {name!r}: non-numeric limit") from None
+        lower, upper = (
+            _parse_number(limit_elem.get(key, "0"), f"joint {name!r} limit {key}") for key in ("lower", "upper")
+        )
         if lower > upper:
             raise UrdfError(f"joint {name!r}: limit lower {lower} exceeds upper {upper}")
         limits = JointLimits(lower, upper)

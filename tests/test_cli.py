@@ -251,6 +251,14 @@ def test_exit_code_bad_urdf(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_exit_code_non_finite_urdf_number(capsys, tmp_path):
+    p = tmp_path / "nan.urdf"
+    p.write_text(ARM2R.replace('<origin xyz="1 0 0"/>', '<origin xyz="nan 0 0"/>', 1))
+    assert p.read_text() != ARM2R
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert code == 2 and out == "" and "origin xyz: non-finite" in err
+
+
 def test_exit_code_unknown_link(capsys, arm2r_file, configs_file):
     code, _, err = run_cli(capsys, "fk", arm2r_file, "base", "nosuch", configs_file)
     assert code == 3 and "nosuch" in err

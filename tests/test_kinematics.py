@@ -229,6 +229,34 @@ def test_shape_error_message(arm2r_chain):
         eng.forward(np.zeros(7))
 
 
+def test_theta_shape_is_flat_or_batch_by_dof(arm4_chain, rng):
+    """(b*m,) and (b, m) are the two theta layouts.  A (4, 2) array for
+    b=2, m=4 has the right size but neither shape, and is not read as
+    (2, 4), by forward (float or dual), the reference scatter or
+    pose_jacobian."""
+    eng = FkEngine(arm4_chain, batch_size=2)
+    thetas = rng.uniform(-1, 1, size=(2, 4))
+    np.testing.assert_array_equal(eng.forward(thetas.ravel()), eng.forward(thetas))
+    wrong = thetas.reshape(4, 2)
+    calls = (
+        eng.forward,
+        lambda t: eng.forward(ad.seed_array(t)),
+        eng.scatter_thetas,
+        lambda t: kinematics.pose_jacobian(eng, t),
+    )
+    for call in calls:
+        with pytest.raises(ShapeError, match=r"batch 2 x dof 4.*got shape \(4, 2\)"):
+            call(wrong)
+
+
+@pytest.mark.parametrize("batch_size", [2.7, 2.0, True, "2", None])
+def test_batch_size_must_be_an_integer(arm2r_chain, batch_size):
+    """A float would build a smaller batch than asked, and True a batch of 1."""
+    with pytest.raises(ValueError, match="batch_size must be an integer"):
+        FkEngine(arm2r_chain, batch_size)
+    assert FkEngine(arm2r_chain, np.int64(3)).batch_size == 3
+
+
 def test_nonfinite_theta_rejected(arm2r_chain):
     eng = FkEngine(arm2r_chain, batch_size=1)
     with pytest.raises(ValueError, match="non-finite"):

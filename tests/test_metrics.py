@@ -194,3 +194,66 @@ def test_symmetry_property(seed):
     t, t_hat = _random_transform(rng), _random_transform(rng)
     for fn in (metrics.phi2_loss, metrics.phi3_loss, metrics.phi4_loss, metrics.phi5_loss):
         assert fn(t, t_hat) == pytest.approx(fn(t_hat, t), abs=1e-9)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).reshape(-1).view(np.uint8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dual_primal_is_the_float_run_in_either_dtype(dtype, rng):
+    """Every transform kernel and every metric keeps its input's dtype, and
+    on DualArray input its primal is bitwise the float run, batched and for
+    a single transform.  Row 1 is gimbal-locked, rows 2-4 are 180 degree
+    turns about x, y and z."""
+    params = rng.uniform(-np.pi, np.pi, size=(16, 6))
+    params[1, 4] = np.pi / 2
+    params[2:5, 3:] = np.pi * np.eye(3)
+    params = params.astype(dtype)
+    hats = tf.sixdof_batch_to_transforms(rng.uniform(-np.pi, np.pi, size=(16, 6)).astype(dtype))
+    ts, dual = tf.sixdof_batch_to_transforms(params), tf.sixdof_batch_to_transforms(ad.seed_array(params))
+    runs = [
+        (tf.sixdof_batch_to_transforms, (params,), (ad.seed_array(params),)),
+        (lambda t: tf.pose_batch_from_transforms(t)[0], (ts,), (dual,)),
+        (tf.quaternion_batch_from_rotations, (ts,), (dual,)),
+    ]
+    for fn in (metrics.rotation_with_rmse, metrics.phi2_loss, metrics.phi3_loss, metrics.phi4_loss, metrics.phi5_loss):
+        runs += [(fn, (ts, hats), (dual, hats)), (fn, (ts[0], hats[0]), (dual[0], hats[0]))]
+    for fn, floats, duals in runs:
+        want, got = fn(*floats), fn(*duals).primal
+        assert want.dtype == got.dtype == dtype and np.shape(want) == np.shape(got)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_quaternion_tangents_on_each_row_of_k():
+    """The quaternion kernel and the quaternion metrics on DualArrays match
+    central differences, with a rotation that selects each row of K: near
+    the identity (row w) and near 180 degrees about x, y and z."""
+    near = np.pi - 0.15
+    params = np.array(
+        [
+            [0.1, -0.2, 0.3, 0.05, -0.04, 0.03],
+            [0.2, 0.1, -0.3, near, 0.05, -0.04],
+            [-0.1, 0.3, 0.2, 0.03, near, 0.06],
+            [0.3, -0.1, 0.1, -0.05, 0.02, near],
+        ]
+    )
+    q = tf.quaternion_batch_from_rotations(tf.sixdof_batch_to_transforms(params))
+    np.testing.assert_array_equal(np.argmax(np.abs(q), axis=1), [3, 0, 1, 2])
+    t_hat = tf.sixdof_batch_to_transforms(np.random.default_rng(2).uniform(-np.pi, np.pi, size=(4, 6)))
+    dual = tf.sixdof_batch_to_transforms(ad.seed_array(params))
+    h = 1e-6
+    fns = (
+        tf.quaternion_batch_from_rotations,
+        lambda t: metrics.phi2_loss(t, t_hat),
+        lambda t: metrics.phi3_loss(t, t_hat),
+        lambda t: metrics.phi4_loss(t, t_hat),
+    )
+    for fn in fns:
+        got = fn(dual)
+        for j in range(6):
+            step = np.zeros(6)
+            step[j] = h
+            up = fn(tf.sixdof_batch_to_transforms(params + step))
+            down = fn(tf.sixdof_batch_to_transforms(params - step))
+            np.testing.assert_allclose(got.tangent[j], (up - down) / (2 * h), rtol=1e-6, atol=1e-8)

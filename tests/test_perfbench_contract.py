@@ -56,3 +56,33 @@ def test_forward_on_seeded_diffscalars(arm2r_chain, rng):
     assert out.shape == (b, 4, 4) and out.dtype == object
     np.testing.assert_array_equal([c.value for c in out.ravel()], want.primal.ravel())
     np.testing.assert_array_equal(np.stack([c.grad for c in out.ravel()]), want.tangent.reshape(m, -1).T)
+
+
+class _SpanRecorder:
+    """The one tracer method a stage replay calls."""
+
+    def __init__(self):
+        self.names = []
+
+    def add(self, name, start, end):
+        self.names.append(name)
+
+
+def test_trace_replays_reach_their_stages():
+    """A traced run (``--trace 1``) replays each workload's stages after its
+    set-up: fk_batch times the four reference stages and jacobian the dual
+    forward.  A renamed or deleted stage would otherwise break traced runs
+    only."""
+    recorded = {}
+    for name, workload in _load("workloads").WORKLOADS.items():
+        wl = workload(0)
+        wl.setup()
+        tracer = _SpanRecorder()
+        wl.replay(tracer, 0.0)
+        recorded[name] = set(tracer.names)
+    stages = {"scatter_thetas", "joint_transforms", "combine_link_joint", "scan_compose"}
+    assert recorded == {
+        "fk_batch": {f"kinematics.{stage}" for stage in stages},
+        "jacobian": {"kinematics.forward_dual"},
+        "identify": set(),
+    }

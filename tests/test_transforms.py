@@ -137,6 +137,57 @@ def test_quaternion_all_extraction_branches():
         np.testing.assert_allclose(_quat_to_rotation(q), t[:3, :3], atol=1e-12)
 
 
+def _shepperd_quaternions(ts):
+    """The quaternion extraction the K-row kernel replaced, float64 only,
+    kept as its oracle: all four Shepperd candidate quaternions, each
+    divided by its s, the one with the largest candidate selected, then
+    normalized and signed to w >= 0."""
+    r = np.asarray(ts, dtype=float)[..., :3, :3]
+    d0, d1, d2 = r[..., 0, 0], r[..., 1, 1], r[..., 2, 2]
+    cands = np.stack(
+        [1.0 + d0 + d1 + d2, 1.0 + d0 - d1 - d2, 1.0 - d0 + d1 - d2, 1.0 - d0 - d1 + d2], axis=-1
+    )
+    best = np.argmax(cands, axis=-1)
+    s = 2.0 * np.sqrt(np.maximum(np.take_along_axis(cands, best[..., None], axis=-1)[..., 0], 0.0))
+    c = s * s / 4.0
+    sym = {(i, j): r[..., i, j] + r[..., j, i] for i in range(3) for j in range(i + 1, 3)}
+    skew = [r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]]
+    rows = (
+        skew + [c],
+        [c, sym[0, 1], sym[0, 2], skew[0]],
+        [sym[0, 1], c, sym[1, 2], skew[1]],
+        [sym[0, 2], sym[1, 2], c, skew[2]],
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        all_q = np.stack([np.stack(row, axis=-1) / s[..., None] for row in rows], axis=-2)
+    q = np.take_along_axis(all_q, best[..., None, None], axis=-2)[..., 0, :]
+    q = q / np.sqrt((q * q).sum(axis=-1, keepdims=True))
+    return np.where(q[..., 3:4] < 0, -q, q)
+
+
+def test_quaternion_kernel_matches_shepperd_oracle(rng):
+    """Within 2 eps per component of the four-candidate extraction, over
+    1e5 random rotations and the identity and 180 degree turns (one per
+    row of K), unit norm and w >= 0."""
+    q = rng.normal(size=(100_000, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    x, y, z, w = q.T
+    rots = np.stack(
+        [
+            np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)], axis=-1),
+            np.stack([2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)], axis=-1),
+            np.stack([2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)], axis=-1),
+        ],
+        axis=-2,
+    )
+    branches = np.stack([np.eye(4), tf.rot_x(np.pi), tf.rot_y(np.pi), tf.rot_z(np.pi)])[:, :3, :3]
+    for rs in (rots, branches):
+        got = tf.quaternion_batch_from_rotations(rs)
+        assert np.abs(got - _shepperd_quaternions(rs)).max() <= 2 * np.finfo(float).eps
+        assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= 2 * np.finfo(float).eps
+        assert (got[:, 3] >= 0.0).all()
+
+
 def test_quaternion_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         tf.quaternion_from_rotation(np.diag([2.0, 2.0, 2.0, 1.0]))

@@ -113,6 +113,24 @@ def test_parse_errors_name_the_element(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "element,attribute",
+    [
+        ("<origin xyz='nan 0 0'/>", "origin xyz"),
+        ("<origin rpy='0 inf 0'/>", "origin rpy"),
+        ("<axis xyz='inf 0 0'/>", "axis"),
+        ("<limit lower='nan' upper='1'/>", "limit lower"),
+        ("<limit lower='-1' upper='-inf'/>", "limit upper"),
+    ],
+)
+def test_non_finite_numbers_rejected(element, attribute):
+    """A NaN or infinite origin, axis or limit is an error naming the joint
+    and the attribute, not a NaN pose from forward kinematics."""
+    text = _one_joint(f"<joint name='j' type='revolute'><parent link='a'/><child link='b'/>{element}</joint>")
+    with pytest.raises(UrdfError, match=f"joint 'j' {attribute}: non-finite"):
+        urdf.parse_urdf(text)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(UrdfError, match="lnk"):
         urdf.parse_urdf("<robot name='r'><link name='lnk'/><link name='lnk'/></robot>")
@@ -215,6 +233,10 @@ def test_extract_chain_order_and_content(mixed):
     assert [j.name for j in chain.joints] == ["j1", "j2", "j3", "j4", "j5", "j6"]
     assert chain.n == 6
     assert chain.m == 1 + 1 + 1 + 2 + 6 + 0
+    # one (joint, index within the joint) per theta column
+    assert [(j.name, d) for j, d in chain.dofs] == [("j1", 0), ("j2", 0), ("j3", 0), ("j4", 0), ("j4", 1)] + [
+        ("j5", d) for d in range(6)
+    ]
 
 
 def test_extract_chain_from_interior_link(mixed):
