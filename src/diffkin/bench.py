@@ -91,14 +91,23 @@ def _faster(best, measured):
     return best
 
 
+def _check_timing(min_seconds, repeats):
+    """Every timed loop runs until ``min_seconds`` pass, so it must be finite."""
+    if not (min_seconds >= 0 and np.isfinite(min_seconds)):
+        raise ValueError(f"min_seconds must be finite and non-negative, got {min_seconds}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+
+
 def measure_baseline(chain, min_seconds=0.5, rng_seed=0, repeats=3):
     """Sequential single-configuration FK throughput (ops/s), the fastest of
     ``repeats`` measurements."""
+    _check_timing(min_seconds, repeats)
     rng = np.random.default_rng(rng_seed)
     pool = [row.tolist() for row in rng.uniform(-np.pi, np.pi, size=(_POOL_MIN, max(chain.m, 0)))]
     call = functools.partial(naive.fk_single, chain)
     best = None
-    for _ in range(max(int(repeats), 1)):
+    for _ in range(repeats):
         best = _faster(best, _timed_loop(call, pool, min_seconds))
     iterations, seconds = best
     return iterations / seconds
@@ -127,10 +136,11 @@ def run_bench(
             raise ValueError(f"batch size must be positive, got {b}")
     if rng_seed < 0:
         raise ValueError(f"seed must be non-negative, got {rng_seed}")
+    _check_timing(min_seconds, repeats)
     engines = [FkEngine(chain, b) for b in sizes]
     pools = [_theta_pool(np.random.default_rng(rng_seed), b, chain.m) for b in sizes]
     best = [None] * len(sizes)
-    for _ in range(max(int(repeats), 1)):
+    for _ in range(repeats):
         for i, (engine, pool) in enumerate(zip(engines, pools)):
             best[i] = _faster(best[i], _timed_loop(engine.forward, pool, min_seconds))
     measurements = [

@@ -176,7 +176,7 @@ def _chain_batch(args):
     chain = extract_chain(model, args.base, args.end)
     rows = _load_configs(args.configs, chain.m)
     engine = FkEngine(chain, len(rows))
-    return chain, engine, np.array(rows, dtype=float).reshape(len(rows), chain.m)
+    return chain, engine, np.array(rows, dtype=float)
 
 
 def _fk_document(args):

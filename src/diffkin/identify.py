@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .kinematics import FkEngine
+from .kinematics import FkEngine, _theta_rows
 from .metrics import phi5_squared_batch
 from .transforms import pose_batch_from_transforms
 from .urdf import RobotModel, extract_chain, substitute_link_with_joint
@@ -137,9 +137,11 @@ class ParamEstimator:
     the model once.  Only the six parameters ever change; sampled joint
     values are inputs.
 
-    The estimator owns the substituted chain's layout: its theta columns are
-    the original chain's, with the replaced joint's ``target_dofs`` columns
-    (original-chain offsets) swapped for the six parameters.
+    The estimator owns the substituted chain's layout, built from both
+    chains' dofs: its theta columns are the original chain's, with the
+    replaced joint's ``target_dofs`` columns (original-chain offsets) swapped
+    for the six parameters.  ``loss_value`` and ``loss_gradient`` read b
+    rows of the original chain's m dofs (see kinematics).
     """
 
     def __init__(
@@ -156,24 +158,15 @@ class ParamEstimator:
         self.chain_orig = extract_chain(model, base, end)
         self.chain = extract_chain(model_sub, base, end)
 
-        # substituted column <- original column for the sampled dofs; the
-        # six parameter columns sit where the replaced joint's dofs were
-        sub_cols, orig_cols, self.target_dofs = [], [], None
-        sub_col = orig_col = 0
-        for _, joint in self.chain_orig.segments:
-            if joint.name == self.target_joint:
-                self.target_dofs = tuple(range(orig_col, orig_col + joint.dof))
-                self._param_cols = slice(sub_col, sub_col + 6)
-                sub_col += 6
-            else:
-                sub_cols.extend(range(sub_col, sub_col + joint.dof))
-                orig_cols.extend(range(orig_col, orig_col + joint.dof))
-                sub_col += joint.dof
-            orig_col += joint.dof
-        if self.target_dofs is None:
+        sub = [joint.name for joint, _ in self.chain.dofs]
+        orig = [joint.name for joint, _ in self.chain_orig.dofs]
+        if self.target_joint not in sub:
             raise ValueError(f"substituted joint {self.target_joint!r} is not on the chain {base!r} -> {end!r}")
-        self._sub_cols = np.array(sub_cols, dtype=np.intp)
-        self._orig_cols = np.array(orig_cols, dtype=np.intp)
+        start = sub.index(self.target_joint)
+        self._param_cols = slice(start, start + 6)
+        self.target_dofs = tuple(c for c, name in enumerate(orig) if name == self.target_joint)
+        self._sub_cols = np.array([c for c, name in enumerate(sub) if name != self.target_joint], dtype=np.intp)
+        self._orig_cols = np.array([c for c, name in enumerate(orig) if name != self.target_joint], dtype=np.intp)
         self.engine = FkEngine(self.chain, batch_size)
         self.params = np.zeros(6)
         self.steps_taken = 0
@@ -182,11 +175,7 @@ class ParamEstimator:
 
     def _check_shapes(self, thetas, target_poses):
         b = self.engine.batch_size
-        thetas = np.asarray(thetas, dtype=float).reshape(b, -1)
-        if thetas.shape[1] != self.chain_orig.m:
-            raise ValueError(
-                f"expected {self.chain_orig.m} joint values per configuration, got {thetas.shape[1]}"
-            )
+        thetas = _theta_rows(thetas, self.chain_orig.m, b)
         target_poses = np.asarray(target_poses, dtype=float)
         if target_poses.shape != (b, 4, 4):
             raise ValueError(f"expected target poses of shape {(b, 4, 4)}, got {target_poses.shape}")

@@ -51,6 +51,11 @@ the canonical axis onto ``a``.  R_align is folded into the segment's static
 transform and R_align^T into the following one, so the factors only ever
 see canonical slots.  Axis-aligned joints (axis = +-e_i) use their slot
 directly with the sign folded into the theta scaling.
+
+Every entry that takes configurations reads them with _theta_rows: a batch
+is (b*m,) or (b, m), of an integer or float dtype, all finite.  Another
+shape, even of the right size, is a ShapeError; a NaN or inf a ValueError;
+another dtype a TypeError, before a cast drops a complex part or parses "1".
 """
 
 from __future__ import annotations
@@ -75,6 +80,25 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Input dimensions inconsistent with the engine's chain and batch size."""
+
+
+def _theta_rows(thetas, m, b=None, dtype=np.float64):
+    """``thetas`` as (b, m) rows of ``dtype``, for any b if None: the one
+    reading of a theta batch (see the module docstring)."""
+    arr = thetas if isinstance(thetas, np.ndarray) else np.asarray(thetas)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"joint values must be integers or floats, got dtype {arr.dtype}")
+    if b is None:
+        b = len(arr) if arr.ndim == 2 else arr.size // max(m, 1)
+    if arr.shape not in ((b * m,), (b, m)):
+        raise ShapeError(
+            f"expected {b * m} joint values (batch {b} x dof {m}) of shape ({b * m},) or ({b}, {m}), "
+            f"got shape {arr.shape}"
+        )
+    arr = arr.astype(dtype, copy=False)
+    if arr.size and not np.isfinite(arr).all():
+        raise ValueError("non-finite joint value in theta batch")
+    return arr.reshape(b, m)
 
 
 _AXIS_TOL = 1e-9
@@ -315,27 +339,15 @@ class FkEngine:
 
     # -- reference pipeline stages --------------------------------------------
 
-    def _check_shape(self, thetas):
-        """A theta batch is (b*m,) or (b, m); no other shape is read as one."""
-        b, m = self.batch_size, self.m
-        if thetas.shape not in ((b * m,), (b, m)):
-            raise ShapeError(
-                f"expected {b * m} joint values (batch {b} x dof {m}) of shape ({b * m},) or ({b}, {m}), "
-                f"got shape {thetas.shape}"
-            )
-
     def scatter_thetas(self, thetas):
         """Scatter a flat theta batch into the (b, n, 6) parameter tensor.
 
         The tensor starts from fresh zeros on every call; only the index
         matrix rows are written, so unaddressed cells are exactly zero.
         """
-        thetas = np.asarray(thetas, dtype=self.dtype)
-        self._check_shape(thetas)
-        flat2d = thetas.reshape(self.batch_size, self.m)
+        flat2d = _theta_rows(thetas, self.m, self.batch_size, self.dtype)
         q = np.zeros((self.batch_size, self.n, 6), dtype=self.dtype)
-        if self.m:
-            q[:, self._rows_per_dof, self._slots_per_dof] = flat2d * self._scale_per_dof
+        q[:, self._rows_per_dof, self._slots_per_dof] = flat2d * self._scale_per_dof
         return q
 
     def combine_link_joint(self, tj):
@@ -345,7 +357,7 @@ class FkEngine:
     # -- evaluation -------------------------------------------------------------
 
     def forward(self, thetas, want_intermediates=False):
-        """Evaluate the compiled factors for a (b*m,) or (b, m) theta batch.
+        """Evaluate the compiled factors for a theta batch (see the module docstring).
 
         Returns the (b, 4, 4) final transforms, or all cumulative
         (b, n, 4, 4) transforms with ``want_intermediates``.  A DualArray
@@ -355,9 +367,7 @@ class FkEngine:
         input (floats and seeded DiffScalars) is converted to a DualArray at
         entry and back to DiffScalars at exit.
         """
-        if isinstance(thetas, ad.DualArray):
-            return self._evaluate(thetas, want_intermediates)
-        arr = thetas if isinstance(thetas, np.ndarray) else np.asarray(thetas)
+        arr = thetas if isinstance(thetas, (np.ndarray, ad.DualArray)) else np.asarray(thetas)
         if arr.dtype == object:
             return self._evaluate(ad.DualArray.from_scalars(arr), want_intermediates).to_scalars()
         return self._evaluate(arr, want_intermediates)
@@ -369,13 +379,8 @@ class FkEngine:
         also keeps each block's prefix products and turns them into
         tangents (_prefix_twists, _tangent_block).
         """
-        thetas = thetas.astype(self.dtype, copy=False)
-        self._check_shape(thetas)
-        values = ad.primal_of(thetas)
-        if values.size and not np.isfinite(values).all():
-            raise ValueError("non-finite joint value in theta batch")
         b = self.batch_size
-        flat2d = values.reshape(b, self.m)
+        flat2d = _theta_rows(ad.primal_of(thetas), self.m, b, self.dtype)
         if want_intermediates:
             out = np.empty((b, self.n, 4, 4), dtype=self.dtype)
             snapshots, marks = out, self._marks
@@ -389,7 +394,7 @@ class FkEngine:
             return out
         k = thetas.width
         # (b, 1, k, m): each row's input tangents, one matrix row per tangent
-        seeds = thetas.tangent.reshape(k, b, self.m).transpose(1, 0, 2)[:, None]
+        seeds = thetas.tangent.astype(self.dtype, copy=False).reshape(k, b, self.m).transpose(1, 0, 2)[:, None]
         tangent = np.empty((b, len(marks), k, 4, 4), dtype=self.dtype)
         weights = self._twist_tables[1][want_intermediates]
         for start in range(0, b, _BLOCK_ROWS):
@@ -507,15 +512,12 @@ def pose_jacobian(engine: FkEngine, thetas):
     cross-configuration derivatives are structurally zero.  The Jacobian has
     the engine's dtype.
     """
-    thetas = np.asarray(thetas, dtype=engine.dtype)
-    engine._check_shape(thetas)
-
     def poses(seeded):
         # _evaluate is forward() without its input coercion; wrappers around
         # forward (perfbench's tracer) expect array-like thetas
         return transforms.pose_batch_from_transforms(engine._evaluate(seeded))[0]
 
-    return ad.batch_jacobian(poses, thetas.reshape(engine.batch_size, engine.m))
+    return ad.batch_jacobian(poses, _theta_rows(thetas, engine.m, engine.batch_size, engine.dtype))
 
 
 def limit_violations(chain: KinematicChain, thetas):
@@ -524,9 +526,7 @@ def limit_violations(chain: KinematicChain, thetas):
     Returns (config index, joint name, dof index within joint, value, lower,
     upper) tuples.
     """
-    if chain.m == 0:
-        return []
-    flat = np.asarray(thetas, dtype=float).reshape(-1, chain.m)
+    flat = _theta_rows(thetas, chain.m)
     violations = []
     for col, (joint, d) in enumerate(chain.dofs):
         if joint.limits is not None:

@@ -1,9 +1,13 @@
 """Shared fixtures: small URDF models with known geometry."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from diffkin import urdf
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # two-revolute planar arm, both axes +z, unit links along x
 ARM2R = """
@@ -68,59 +72,11 @@ MIXED = """
 </robot>
 """
 
-# 3R arm with a fixed camera mount at a known offset; identification target
-CAM_ARM = """
-<robot name="cam_arm">
-  <link name="base"/><link name="link1"/><link name="link2"/><link name="link3"/>
-  <link name="camera"/>
-  <joint name="j1" type="revolute">
-    <parent link="base"/><child link="link1"/>
-    <origin xyz="0 0 0.5"/><axis xyz="0 0 1"/>
-    <limit lower="-2.9" upper="2.9"/>
-  </joint>
-  <joint name="j2" type="revolute">
-    <parent link="link1"/><child link="link2"/>
-    <origin xyz="0.8 0 0"/><axis xyz="0 1 0"/>
-    <limit lower="-2.0" upper="2.0"/>
-  </joint>
-  <joint name="j3" type="revolute">
-    <parent link="link2"/><child link="link3"/>
-    <origin xyz="0.6 0 0"/><axis xyz="0 1 0"/>
-    <limit lower="-2.0" upper="2.0"/>
-  </joint>
-  <joint name="cam_mount" type="fixed">
-    <parent link="link3"/><child link="camera"/>
-    <origin xyz="0.3 0 0.1" rpy="0 0 0.7853981633974483"/>
-  </joint>
-</robot>
-"""
-
-# 4R arm used for throughput runs
-ARM4 = """
-<robot name="arm4">
-  <link name="base"/><link name="l1"/><link name="l2"/><link name="l3"/>
-  <link name="l4"/><link name="tool"/>
-  <joint name="j1" type="revolute">
-    <parent link="base"/><child link="l1"/><origin xyz="0 0 0.3"/><axis xyz="0 0 1"/>
-    <limit lower="-3.0" upper="3.0"/>
-  </joint>
-  <joint name="j2" type="revolute">
-    <parent link="l1"/><child link="l2"/><origin xyz="0.4 0 0"/><axis xyz="0 1 0"/>
-    <limit lower="-2.0" upper="2.0"/>
-  </joint>
-  <joint name="j3" type="revolute">
-    <parent link="l2"/><child link="l3"/><origin xyz="0.4 0 0"/><axis xyz="0 1 0"/>
-    <limit lower="-2.0" upper="2.0"/>
-  </joint>
-  <joint name="j4" type="revolute">
-    <parent link="l3"/><child link="l4"/><origin xyz="0.3 0 0"/><axis xyz="1 0 0"/>
-    <limit lower="-3.0" upper="3.0"/>
-  </joint>
-  <joint name="flange" type="fixed">
-    <parent link="l4"/><child link="tool"/><origin xyz="0.1 0 0"/>
-  </joint>
-</robot>
-"""
+# the benchmark's robots, read from the files its workloads parse:
+# a 3R arm with a fixed camera mount at a known offset (identification
+# target), and the 4R arm of the throughput runs
+CAM_ARM = (SCRIPTS / "cam_arm.urdf").read_text()
+ARM4 = (SCRIPTS / "arm4.urdf").read_text()
 
 # branching: torso with two arms, to exercise tree (non-chain) handling
 TWO_ARMS = """

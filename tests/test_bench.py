@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,29 @@ def test_rejects_nonpositive_batch(arm4_chain):
 def test_rejects_negative_seed(arm4_chain):
     with pytest.raises(ValueError, match="seed must be non-negative"):
         bench.run_bench(arm4_chain, [4], min_seconds=0.01, rng_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "min_seconds, repeats, match",
+    [
+        (-3.0, 1, "min_seconds must be finite and non-negative"),
+        (math.inf, 1, "min_seconds must be finite and non-negative"),
+        (math.nan, 1, "min_seconds must be finite and non-negative"),
+        (0.01, 0, "repeats must be at least 1"),
+        (0.01, -2, "repeats must be at least 1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "measure",
+    [functools.partial(bench.run_bench, batch_sizes=[4]), bench.measure_baseline],
+    ids=["run_bench", "measure_baseline"],
+)
+def test_rejects_unbounded_or_empty_timing(arm4_chain, monkeypatch, measure, min_seconds, repeats, match):
+    """An infinite min_seconds never returns, and a repeats below 1 was
+    run once; both are refused before anything is timed."""
+    monkeypatch.setattr(bench, "_timed_loop", None)
+    with pytest.raises(ValueError, match=match):
+        measure(arm4_chain, min_seconds=min_seconds, repeats=repeats)
 
 
 def test_baseline_measure(arm4_chain):

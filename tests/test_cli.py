@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from diffkin import cli, kinematics, transforms, urdf
+from diffkin import bench, cli, kinematics, transforms, urdf
 
 from conftest import ARM2R, CAM_ARM, MIXED
 
@@ -220,6 +220,16 @@ def test_bench_rejects_negative_seed(capsys, arm2r_file):
     code, out, err = run_cli(capsys, "bench", arm2r_file, "base", "tip", "--batch-sizes", "1", "--seed", "-1")
     assert code == 4 and out == ""
     assert "seed must be non-negative" in err
+
+
+@pytest.mark.parametrize("option, value", [("--seconds", "inf"), ("--seconds", "-3"), ("--repeats", "-2")])
+def test_bench_rejects_unbounded_or_empty_timing(capsys, monkeypatch, arm2r_file, option, value):
+    """Refused before anything is timed: --seconds inf never returned, and
+    --repeats -2 ran once and exited 0."""
+    monkeypatch.setattr(bench, "_timed_loop", None)
+    code, out, err = run_cli(capsys, "bench", arm2r_file, "base", "tip", "--batch-sizes", "1", option, value)
+    assert code == 4 and out == ""
+    assert ("min_seconds" if option == "--seconds" else "repeats") in err
 
 
 def test_bench_document(capsys, arm2r_file):

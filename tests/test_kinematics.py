@@ -229,24 +229,52 @@ def test_shape_error_message(arm2r_chain):
         eng.forward(np.zeros(7))
 
 
-def test_theta_shape_is_flat_or_batch_by_dof(arm4_chain, rng):
-    """(b*m,) and (b, m) are the two theta layouts.  A (4, 2) array for
-    b=2, m=4 has the right size but neither shape, and is not read as
-    (2, 4), by forward (float or dual), the reference scatter or
-    pose_jacobian."""
-    eng = FkEngine(arm4_chain, batch_size=2)
-    thetas = rng.uniform(-1, 1, size=(2, 4))
-    np.testing.assert_array_equal(eng.forward(thetas.ravel()), eng.forward(thetas))
-    wrong = thetas.reshape(4, 2)
-    calls = (
-        eng.forward,
-        lambda t: eng.forward(ad.seed_array(t)),
-        eng.scatter_thetas,
-        lambda t: kinematics.pose_jacobian(eng, t),
-    )
-    for call in calls:
-        with pytest.raises(ShapeError, match=r"batch 2 x dof 4.*got shape \(4, 2\)"):
-            call(wrong)
+def test_theta_shape_is_flat_or_batch_by_dof(cam_arm, rng):
+    """(b*m,) and (b, m) are the two theta layouts, of an integer or float
+    dtype with every value finite, and every entry that takes
+    configurations reads them by that one rule: forward on floats,
+    DualArrays and object arrays, the reference scatter, pose_jacobian, the
+    estimator's loss_value and loss_gradient (b rows of the original
+    chain's m) and limit_violations (any b).  A transposed (m, b) batch and
+    a (2, b*m/2) array have the right size but neither shape, and are not
+    read as (b, m); a complex batch would lose its imaginary part and a
+    string batch would parse, so neither is cast."""
+    b, m = 4, 3
+    chain = urdf.extract_chain(cam_arm, "base", "camera")
+    eng = FkEngine(chain, batch_size=b)
+    est = identify.ParamEstimator(cam_arm, "camera", "base", "camera", batch_size=b)
+    thetas = rng.uniform(-1, 1, size=(b, m))
+    targets = eng.forward(thetas)
+    np.testing.assert_array_equal(eng.forward(thetas.ravel()), targets)
+    np.testing.assert_array_equal(eng.forward(np.ones((b, m), dtype=int)), eng.forward(np.ones((b, m))))
+    assert est.loss_value(thetas.ravel(), targets) == est.loss_value(thetas, targets)
+    wide = rng.uniform(-4, 4, size=(10, m))
+    assert kinematics.limit_violations(chain, wide.ravel()) == kinematics.limit_violations(chain, wide) != []
+
+    nan = thetas.copy()
+    nan[2, 1] = np.nan
+    misread = [
+        (thetas.T.copy(), ShapeError, r"got shape \(3, 4\)"),
+        (thetas.reshape(2, 6), ShapeError, r"got shape \(2, 6\)"),
+        (thetas[None], ShapeError, r"got shape \(1, 4, 3\)"),
+        (nan, ValueError, "non-finite"),
+    ]
+    cast = [(thetas + 1j, TypeError, "dtype complex128"), (thetas.astype(str), TypeError, "dtype <U")]
+    entries = [
+        (eng.forward, misread + cast),
+        (lambda t: eng.forward(ad.seed_array(t)), misread + cast),
+        # DiffScalar converts each entry of an object array with float()
+        (lambda t: eng.forward(t.astype(object)), misread),
+        (eng.scatter_thetas, misread + cast),
+        (lambda t: kinematics.pose_jacobian(eng, t), misread + cast),
+        (lambda t: est.loss_value(t, targets), misread + cast),
+        (lambda t: est.loss_gradient(t, targets), misread + cast),
+        (lambda t: kinematics.limit_violations(chain, t), misread + cast),
+    ]
+    for call, refused in entries:
+        for bad, error, match in refused:
+            with pytest.raises(error, match=match):
+                call(bad)
 
 
 @pytest.mark.parametrize("batch_size", [2.7, 2.0, True, "2", None])
