@@ -22,6 +22,11 @@ a DualArray gives that dense product, the oracle of the twist tangents.
 seeded pass.  ``DiffScalar`` is only a (value, tangent) record, the
 element type of the object arrays that ``FkEngine.forward`` converts at
 its boundary.
+
+``operand`` is the library's one dtype rule for array input: a DualArray,
+or a float32 or float64 ndarray, passes uncopied; integer input, or a list
+of floats, becomes float64; any other dtype (complex, string, bool, object,
+float16) is a ``TypeError``, raised before any cast.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "DualArray",
     "seed_array",
     "primal_of",
+    "operand",
     "DiffScalar",
     "batch_jacobian",
 ]
@@ -39,6 +45,8 @@ __all__ = [
 # Cap for one-sided derivatives where the true derivative diverges
 # (arccos/arcsin at |u|=1, sqrt at 0).  Keeps optimization loops finite.
 _DERIVATIVE_CAP = 1e8
+
+_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 
 class DiffScalar:
@@ -67,7 +75,7 @@ def batch_jacobian(f, thetas):
     alone, and the cross-row blocks are structurally zero.  ``f`` maps the
     (b, k) DualArray to a (b, p) DualArray.
     """
-    thetas = np.asarray(thetas)
+    thetas = operand(thetas)
     if thetas.ndim != 2:
         raise ValueError(f"thetas must be a (b, k) batch, got shape {thetas.shape}")
     out = f(seed_array(thetas))
@@ -107,18 +115,19 @@ class DualArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     @classmethod
     def from_scalars(cls, values):
-        """DualArray from an array of floats and DiffScalars of one tangent width."""
+        """DualArray from an array of DiffScalars of one tangent width and constants."""
         values = np.asarray(values, dtype=object)
-        flat = [v if isinstance(v, DiffScalar) else DiffScalar(v) for v in values.ravel()]
-        widths = {v.grad.size for v in flat if isinstance(v.grad, np.ndarray)}
+        flat = values.ravel().tolist()
+        primal = operand([v.value if isinstance(v, DiffScalar) else v for v in flat])
+        grads = [v.grad if isinstance(v, DiffScalar) else 0.0 for v in flat]
+        widths = {g.size for g in grads if isinstance(g, np.ndarray)}
         if len(widths) > 1:
             raise ValueError(f"DiffScalar tangents of mixed widths {sorted(widths)}")
         k = widths.pop() if widths else 0
-        primal = np.array([v.value for v in flat], dtype=float).reshape(values.shape)
         tangent = np.zeros((len(flat), k))
-        for row, v in zip(tangent, flat):
-            row[...] = v.grad
-        return cls(primal, tangent.T.reshape((k,) + values.shape))
+        for row, grad in zip(tangent, grads):
+            row[...] = grad
+        return cls(primal.reshape(values.shape), tangent.T.reshape((k,) + values.shape))
 
     def to_scalars(self):
         """Object array of DiffScalars (constants when the tangent width is 0)."""
@@ -221,6 +230,16 @@ def seed_array(values):
     idx = np.arange(k)
     tangent[idx, ..., idx] = 1
     return DualArray(values, tangent)
+
+
+def operand(x):
+    """``x`` by the library's one dtype rule (see the module docstring)."""
+    if isinstance(x, DualArray) or (isinstance(x, np.ndarray) and x.dtype in _FLOAT_DTYPES):
+        return x
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iu" and arr.dtype not in _FLOAT_DTYPES:
+        raise TypeError(f"expected integer or float32/float64 values, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
 
 
 def primal_of(x):

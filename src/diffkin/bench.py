@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import naive
-from .kinematics import FkEngine
+from .kinematics import FkEngine, _integer_setting
 
 __all__ = ["BenchMeasurement", "BenchReport", "run_bench", "measure_baseline"]
 
@@ -91,18 +91,18 @@ def _faster(best, measured):
     return best
 
 
-def _check_timing(min_seconds, repeats):
-    """Every timed loop runs until ``min_seconds`` pass, so it must be finite."""
+def _check_settings(min_seconds, repeats, rng_seed):
+    """Every timed loop runs until ``min_seconds`` pass, so it must be finite; repeats and seed are counts."""
     if not (min_seconds >= 0 and np.isfinite(min_seconds)):
         raise ValueError(f"min_seconds must be finite and non-negative, got {min_seconds}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    _integer_setting("repeats", repeats, 1)
+    _integer_setting("seed", rng_seed, 0)
 
 
 def measure_baseline(chain, min_seconds=0.5, rng_seed=0, repeats=3):
     """Sequential single-configuration FK throughput (ops/s), the fastest of
     ``repeats`` measurements."""
-    _check_timing(min_seconds, repeats)
+    _check_settings(min_seconds, repeats, rng_seed)
     rng = np.random.default_rng(rng_seed)
     pool = [row.tolist() for row in rng.uniform(-np.pi, np.pi, size=(_POOL_MIN, max(chain.m, 0)))]
     call = functools.partial(naive.fk_single, chain)
@@ -124,19 +124,14 @@ def run_bench(
     """Measure ``chain``'s forward throughput for each batch size.
 
     Building each size's FkEngine, drawing the input pool, and warm-up all
-    happen outside the timed region.  Each batch size is measured
+    happen outside the timed region.  Each distinct batch size is measured
     ``repeats`` times and the fastest repetition is reported.  The
     repetitions are interleaved: each one measures every batch size once, so
     a burst of host load slows one repetition of several sizes rather than
     every repetition of one size.
     """
-    sizes = sorted(int(b) for b in batch_sizes)
-    for b in sizes:
-        if b < 1:
-            raise ValueError(f"batch size must be positive, got {b}")
-    if rng_seed < 0:
-        raise ValueError(f"seed must be non-negative, got {rng_seed}")
-    _check_timing(min_seconds, repeats)
+    sizes = sorted({_integer_setting("batch size", b, 1) for b in batch_sizes})
+    _check_settings(min_seconds, repeats, rng_seed)
     engines = [FkEngine(chain, b) for b in sizes]
     pools = [_theta_pool(np.random.default_rng(rng_seed), b, chain.m) for b in sizes]
     best = [None] * len(sizes)

@@ -32,6 +32,10 @@ EXIT_CHAIN = 3
 EXIT_SHAPE = 4
 EXIT_BUDGET = 5
 
+# Exit code of each error a handler raises; the first match wins, and
+# UrdfError, ChainError and ShapeError are ValueErrors.
+_EXIT_CODES = ((UrdfError, EXIT_PARSE), (ChainError, EXIT_CHAIN), (OSError, EXIT_PARSE), (ValueError, EXIT_SHAPE))
+
 _SCALARS = (str, bool, int, float, np.integer, np.floating, type(None))
 
 
@@ -223,6 +227,8 @@ def _diagnostics(args, extra, elapsed):
 
 
 def _cmd_fk(args):
+    if args.intermediates and args.format == "csv":
+        raise ShapeError("--intermediates needs --format json: the CSV output holds only the poses")
     doc, poses = _fk_document(args)
     if args.format == "csv":
         lines = ["index,x,y,z,alpha,beta,gamma"]
@@ -382,21 +388,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, code = args.handler(args)
-    except UrdfError as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ChainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHAIN
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     sys.stdout.write(text)
     return code
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .kinematics import FkEngine, _theta_rows
+from .kinematics import FkEngine, _integer_setting, _theta_rows
 from .metrics import phi5_squared_batch
 from .transforms import pose_batch_from_transforms
 from .urdf import RobotModel, extract_chain, substitute_link_with_joint
@@ -44,10 +44,6 @@ EPSILON = 1e-8
 GRAD_EPSILON = 1e-10
 
 
-# Smallest accepted value of each IdentifyConfig field.
-_CONFIG_MINIMUM = {"batch_size": 1, "max_steps": 0, "seed": 0}
-
-
 @dataclass(frozen=True)
 class IdentifyConfig:
     batch_size: int = 10
@@ -55,12 +51,8 @@ class IdentifyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key, low in _CONFIG_MINIMUM.items():
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"identification config key {key!r} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"identification config key {key!r} must be at least {low}, got {value}")
+        for key, low in (("batch_size", 1), ("max_steps", 0), ("seed", 0)):
+            _integer_setting(f"identification config key {key!r}", getattr(self, key), low)
 
     @classmethod
     def from_mapping(cls, mapping):
@@ -176,7 +168,7 @@ class ParamEstimator:
     def _check_shapes(self, thetas, target_poses):
         b = self.engine.batch_size
         thetas = _theta_rows(thetas, self.chain_orig.m, b)
-        target_poses = np.asarray(target_poses, dtype=float)
+        target_poses = ad.operand(target_poses)
         if target_poses.shape != (b, 4, 4):
             raise ValueError(f"expected target poses of shape {(b, 4, 4)}, got {target_poses.shape}")
         return thetas, target_poses

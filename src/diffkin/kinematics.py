@@ -53,9 +53,9 @@ see canonical slots.  Axis-aligned joints (axis = +-e_i) use their slot
 directly with the sign folded into the theta scaling.
 
 Every entry that takes configurations reads them with _theta_rows: a batch
-is (b*m,) or (b, m), of an integer or float dtype, all finite.  Another
-shape, even of the right size, is a ShapeError; a NaN or inf a ValueError;
-another dtype a TypeError, before a cast drops a complex part or parses "1".
+is (b*m,) or (b, m), all finite, of a dtype that autodiff.operand accepts.
+Another shape, even of the right size, is a ShapeError; a NaN or inf a
+ValueError; another dtype a TypeError, raised before any cast.
 """
 
 from __future__ import annotations
@@ -85,9 +85,7 @@ class ShapeError(ValueError):
 def _theta_rows(thetas, m, b=None, dtype=np.float64):
     """``thetas`` as (b, m) rows of ``dtype``, for any b if None: the one
     reading of a theta batch (see the module docstring)."""
-    arr = thetas if isinstance(thetas, np.ndarray) else np.asarray(thetas)
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"joint values must be integers or floats, got dtype {arr.dtype}")
+    arr = ad.operand(thetas)
     if b is None:
         b = len(arr) if arr.ndim == 2 else arr.size // max(m, 1)
     if arr.shape not in ((b * m,), (b, m)):
@@ -99,6 +97,17 @@ def _theta_rows(thetas, m, b=None, dtype=np.float64):
     if arr.size and not np.isfinite(arr).all():
         raise ValueError("non-finite joint value in theta batch")
     return arr.reshape(b, m)
+
+
+def _integer_setting(name, value, minimum):
+    """``value`` as an int, refused unless an int or np.integer (a float would
+    be truncated, True read as 1) of at least ``minimum``: the one integer rule."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum} (positive)"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 _AXIS_TOL = 1e-9
@@ -209,12 +218,8 @@ class FkEngine:
     """
 
     def __init__(self, chain: KinematicChain, batch_size: int, dtype=np.float64):
-        if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)):
-            raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.chain = chain
-        self.batch_size = int(batch_size)
+        self.batch_size = _integer_setting("batch_size", batch_size, 1)
         self.n = chain.n
         self.m = chain.m
         self.dtype = np.dtype(dtype)
@@ -472,6 +477,8 @@ class FkEngine:
         (r, S, k, 4, 4).  For seed_array input the contraction copies the
         twists exactly.
         """
+        # The batched matmuls stay: elementwise cross products made
+        # pose_jacobian 1.06-1.97x slower at b = 256, 1.16-1.79x at b = 4096.
         spatial = (seeds * weights) @ twists[:, None]
         rows, snaps, k = spatial.shape[:3]
         mats = (spatial.reshape(-1, 6) @ _TWIST_MATRIX.astype(self.dtype, copy=False)).reshape(rows, snaps, 4 * k, 4)

@@ -10,17 +10,18 @@ Five distances with different tradeoffs:
   phi5_loss           || I - R Rhat^T ||_F, [0, 2 sqrt 2]
 
 All ignore translation.  Inputs are single 4x4 transforms (scalar result)
-or (b, 4, 4) batches (length-b vector), taken through the transform
-kernels' input rule: float32 stays float32.  Every metric is one batch
-kernel that also runs on autodiff.DualArray inputs, giving the metric's
-tangents alongside a primal bitwise equal to the float result.
+or (b, 4, 4) batches (length-b vector), read by autodiff.operand: float32
+stays float32, integers run as float64, other dtypes are a TypeError.
+Every metric is one batch kernel that also runs on DualArray inputs, giving
+the metric's tangents alongside a primal bitwise equal to the float result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .transforms import _operand, pose_batch_from_transforms, quaternion_batch_from_rotations
+from .autodiff import operand
+from .transforms import pose_batch_from_transforms, quaternion_batch_from_rotations
 
 __all__ = [
     "rotation_with_rmse",
@@ -37,7 +38,7 @@ __all__ = [
 
 def _pair(t, t_hat):
     """Both operands, through the input rule, checked to be of one shape."""
-    t, t_hat = _operand(t), _operand(t_hat)
+    t, t_hat = operand(t), operand(t_hat)
     if t.shape != t_hat.shape:
         raise ValueError(f"mismatched transform shapes {t.shape} vs {t_hat.shape}")
     return t, t_hat
@@ -64,7 +65,7 @@ def rotation_with_rmse(t, t_hat):
 
 def phi2_quat(q, q_hat):
     """min(||q - qhat||, ||q + qhat||) over (..., 4) quaternion arrays."""
-    q, q_hat = _operand(q), _operand(q_hat)
+    q, q_hat = operand(q), operand(q_hat)
     dm, dp = q - q_hat, q + q_hat
     return np.minimum(np.sqrt((dm * dm).sum(axis=-1)), np.sqrt((dp * dp).sum(axis=-1)))
 
@@ -82,7 +83,7 @@ def phi3_quat(q, q_hat):
 
 def phi4_quat(q, q_hat):
     """1 - |q . qhat|."""
-    q, q_hat = _operand(q), _operand(q_hat)
+    q, q_hat = operand(q), operand(q_hat)
     return 1.0 - np.minimum(np.abs((q * q_hat).sum(axis=-1)), 1.0)
 
 
@@ -111,7 +112,7 @@ def phi4_loss(t, t_hat):
 def phi5_squared_batch(a, b):
     """||I - R Rhat^T||_F^2 over (..., 4, 4) batches: phi5 without its root,
     smooth where the rotations coincide."""
-    a, b = _operand(a), _operand(b)
+    a, b = operand(a), operand(b)
     d = np.eye(3, dtype=a.dtype) - a[..., :3, :3] @ np.swapaxes(b[..., :3, :3], -1, -2)
     return (d * d).sum(axis=(-1, -2))
 

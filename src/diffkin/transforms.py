@@ -6,13 +6,13 @@ fixed-axis roll/pitch/yaw, composed as R = Rz(gamma) @ Ry(beta) @ Rx(alpha).
 Each formula exists once, as a batch kernel (sixdof_batch_to_transforms,
 pose_batch_from_transforms, quaternion_batch_from_rotations) that runs on
 float arrays and on autodiff.DualArray alike, over any leading shape, a
-single transform included.  The kernels and the metrics take their input
-through one rule, _operand: a DualArray passes unchanged, a float32 or
-float64 ndarray keeps its dtype (float32 stays float32), and anything else
-becomes float64.  A DualArray's primal is therefore bitwise the float run
-on the same input, in either dtype.  The single-transform helpers
-(sixdof_to_transform, rpy_to_rotation, pose_from_transform,
-quaternion_from_rotation) convert to float64, check their input and call
+single transform included.  The kernels and helpers read their input by the
+dtype rule autodiff.operand: float32 stays float32, integers run as float64,
+and a complex, string, bool or object array is a TypeError.  A DualArray's
+primal is therefore bitwise the float run on the same input, in either
+dtype.  The single-transform helpers (sixdof_to_transform, rpy_to_rotation,
+pose_from_transform, pose_values_from_transform, quaternion_from_rotation)
+then convert to float64, refusing a DualArray, check their input and call
 the kernel on it.
 
 Quaternions come from the symmetric 4x4 matrix K = 4 q q^T (order x, y, z,
@@ -47,13 +47,6 @@ __all__ = [
 # cos(pitch) below this is treated as the gimbal-locked configuration.
 _GIMBAL_COS_TOL = 1e-6
 _ORTHONORMAL_TOL = 1e-6
-
-
-def _operand(x):
-    """The kernels' input rule (see the module docstring)."""
-    if isinstance(x, ad.DualArray) or (isinstance(x, np.ndarray) and x.dtype in (np.float32, np.float64)):
-        return x
-    return np.asarray(x, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,7 @@ def rpy_to_rotation(alpha, beta, gamma):
 
 def sixdof_to_transform(params):
     """4x4 homogeneous transform for a [x, y, z, alpha, beta, gamma] six-vector."""
-    return sixdof_batch_to_transforms(np.asarray(params, dtype=float))
+    return sixdof_batch_to_transforms(np.asarray(ad.operand(params), dtype=np.float64))
 
 
 def sixdof_batch_to_transforms(params):
@@ -123,7 +116,7 @@ def sixdof_batch_to_transforms(params):
 
     ``params`` is a float array or a DualArray; the result is of the same kind.
     """
-    params = _operand(params)
+    params = ad.operand(params)
     lead = params.shape[:-1]
     x, y, z = params[..., 0], params[..., 1], params[..., 2]
     ca, sa = np.cos(params[..., 3]), np.sin(params[..., 3])
@@ -146,11 +139,14 @@ def sixdof_batch_to_transforms(params):
     return out
 
 
-def _check_rotation_block(t):
-    r = np.asarray(t, dtype=float)[:3, :3]
+def _checked_rotation(t):
+    """``t`` as float64, refused unless its rotation block is orthonormal."""
+    t = np.asarray(ad.operand(t), dtype=np.float64)
+    r = t[:3, :3]
     err = np.abs(r @ r.T - np.eye(3)).max()
     if err > _ORTHONORMAL_TOL or np.linalg.det(r) < 0:
         raise ValueError(f"rotation block is not orthonormal (defect {err:.3g}, det {np.linalg.det(r):.3g})")
+    return t
 
 
 def pose_from_transform(t):
@@ -161,15 +157,13 @@ def pose_from_transform(t):
     and flags ``degenerate=True``.  Round-tripping through
     sixdof_to_transform reproduces the input transform either way.
     """
-    t = np.asarray(t, dtype=float)
-    _check_rotation_block(t)
-    pose, degenerate = pose_batch_from_transforms(t)
+    pose, degenerate = pose_batch_from_transforms(_checked_rotation(t))
     return PoseRPY(*pose.tolist(), degenerate=bool(degenerate))
 
 
 def pose_values_from_transform(t):
     """[x, y, z, alpha, beta, gamma] of one 4x4 float transform, as a list."""
-    return pose_batch_from_transforms(np.asarray(t, dtype=float))[0].tolist()
+    return pose_batch_from_transforms(np.asarray(ad.operand(t), dtype=np.float64))[0].tolist()
 
 
 def pose_batch_from_transforms(ts):
@@ -182,7 +176,7 @@ def pose_batch_from_transforms(ts):
     computed only for a batch with a degenerate row, one check per batch;
     every row's pose is the same either way.
     """
-    ts = _operand(ts)
+    ts = ad.operand(ts)
     cb = np.hypot(ts[..., 0, 0], ts[..., 1, 0])
     degenerate = ad.primal_of(cb) <= _GIMBAL_COS_TOL
     beta = np.arctan2(-ts[..., 2, 0], cb)
@@ -197,9 +191,7 @@ def pose_batch_from_transforms(ts):
 
 def quaternion_from_rotation(t):
     """Unit quaternion (x, y, z, w) with w >= 0 from a transform or 3x3 rotation."""
-    t = np.asarray(t, dtype=float)
-    _check_rotation_block(t)
-    return quaternion_batch_from_rotations(t)
+    return quaternion_batch_from_rotations(_checked_rotation(t))
 
 
 def quaternion_batch_from_rotations(ts):
@@ -210,7 +202,7 @@ def quaternion_batch_from_rotations(ts):
     is well-conditioned for every rotation.  ``ts`` is a float array or a
     DualArray; the row choice and the w >= 0 sign follow the primal values.
     """
-    r = _operand(ts)[..., :3, :3]
+    r = ad.operand(ts)[..., :3, :3]
     r00, r11, r22 = r[..., 0, 0], r[..., 1, 1], r[..., 2, 2]
     xy, xz, yz = r[..., 0, 1] + r[..., 1, 0], r[..., 0, 2] + r[..., 2, 0], r[..., 1, 2] + r[..., 2, 1]
     xw, yw, zw = r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1]

@@ -59,6 +59,7 @@ def test_rejects_negative_seed(arm4_chain):
         (math.nan, 1, "min_seconds must be finite and non-negative"),
         (0.01, 0, "repeats must be at least 1"),
         (0.01, -2, "repeats must be at least 1"),
+        (0.01, 2.5, "repeats must be an integer"),
     ],
 )
 @pytest.mark.parametrize(
@@ -72,6 +73,41 @@ def test_rejects_unbounded_or_empty_timing(arm4_chain, monkeypatch, measure, min
     monkeypatch.setattr(bench, "_timed_loop", None)
     with pytest.raises(ValueError, match=match):
         measure(arm4_chain, min_seconds=min_seconds, repeats=repeats)
+
+
+@pytest.mark.parametrize(
+    "settings, match",
+    [
+        ({"batch_sizes": [4, 2.7]}, "batch size must be an integer"),
+        ({"batch_sizes": [True, 4]}, "batch size must be an integer"),
+        ({"batch_sizes": ["256"]}, "batch size must be an integer"),
+        ({"rng_seed": 1.5}, "seed must be an integer"),
+    ],
+    ids=["size 2.7", "size True", "size '256'", "seed 1.5"],
+)
+def test_rejects_non_integer_settings(arm4_chain, monkeypatch, settings, match):
+    """2.7 was truncated to 2, True measured as a batch of 1 and "256"
+    parsed: every count is read by the one integer rule, before any timing."""
+    monkeypatch.setattr(bench, "_timed_loop", None)
+    with pytest.raises(ValueError, match=match):
+        bench.run_bench(arm4_chain, **{"batch_sizes": [4], "min_seconds": 0.01, **settings})
+    if "rng_seed" in settings:
+        with pytest.raises(ValueError, match=match):
+            bench.measure_baseline(arm4_chain, min_seconds=0.01, rng_seed=settings["rng_seed"])
+
+
+def test_repeated_batch_size_measured_once(arm4_chain, monkeypatch):
+    calls = []
+    real = bench._timed_loop
+
+    def spy(call, pool, min_seconds):
+        calls.append(len(pool[0]))
+        return real(call, pool, min_seconds)
+
+    monkeypatch.setattr(bench, "_timed_loop", spy)
+    report = bench.run_bench(arm4_chain, [3, 3, np.int64(3), 2], min_seconds=0.01, repeats=1, with_baseline=False)
+    assert [m.batch_size for m in report.measurements] == [2, 3]
+    assert sorted(calls) == [2 * arm4_chain.m, 3 * arm4_chain.m]
 
 
 def test_baseline_measure(arm4_chain):

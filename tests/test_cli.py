@@ -96,6 +96,16 @@ def test_fk_intermediates(capsys, arm2r_file, configs_file):
     assert [e["joint"] for e in inter] == ["shoulder", "elbow", "wrist"]
 
 
+def test_fk_intermediates_need_json(capsys, arm2r_file, configs_file):
+    """The CSV output holds only the poses, so it would drop every
+    intermediate that --intermediates asks for."""
+    code, out, err = run_cli(
+        capsys, "fk", arm2r_file, "base", "tip", configs_file, "--intermediates", "--format", "csv", "--no-timing"
+    )
+    assert code == 4 and out == ""
+    assert "--format json" in err
+
+
 def test_fk_json_configs(capsys, arm2r_file, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("[[0.0, 0.0], [0.1, 0.2]]")
@@ -213,7 +223,7 @@ def test_identify_rejects_negative_seed_flag(capsys, tmp_path):
     cfg.write_text(json.dumps({"target_link": "camera", "base": "base", "end": "camera"}))
     code, out, err = run_cli(capsys, "identify", str(urdf_path), str(cfg), "--seed", "-1")
     assert code == 4 and out == ""
-    assert "--seed -1" in err and "'seed' must be at least 0" in err
+    assert "--seed -1" in err and "'seed' must be non-negative" in err
 
 
 def test_bench_rejects_negative_seed(capsys, arm2r_file):

@@ -171,14 +171,19 @@ def test_config_from_mapping_roundtrip():
     assert IdentifyConfig.from_mapping({}) == IdentifyConfig()
 
 
-@pytest.mark.parametrize("key, value", [("batch_size", 0), ("max_steps", -3), ("seed", -1), ("seed", "1")])
+@pytest.mark.parametrize(
+    "key, value",
+    [("batch_size", 0), ("max_steps", -3), ("seed", -1), ("seed", "1"), ("max_steps", True), ("batch_size", 1.5)],
+)
 def test_config_rejects_out_of_range_or_non_integer(key, value):
-    """Checked on construction, so replace() cannot bypass it either."""
+    """Checked on construction, so replace() cannot bypass it either; a
+    numpy integer is an integer, as for FkEngine's batch_size."""
     with pytest.raises(ValueError, match=key):
         IdentifyConfig(**{key: value})
     with pytest.raises(ValueError, match=key):
         replace(IdentifyConfig(), **{key: value})
     assert replace(IdentifyConfig(), max_steps=0, seed=0, batch_size=1).max_steps == 0
+    assert replace(IdentifyConfig(), **{key: np.int64(7)}) == replace(IdentifyConfig(), **{key: 7})
 
 
 def test_config_from_mapping_rejects_unknown():

@@ -1,10 +1,12 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffkin import autodiff as ad
-from diffkin import identify, kinematics, naive, transforms, urdf
+from diffkin import identify, kinematics, metrics, naive, transforms, urdf
 from diffkin.kinematics import FkEngine, ShapeError
 
 import treegen
@@ -237,8 +239,8 @@ def test_theta_shape_is_flat_or_batch_by_dof(cam_arm, rng):
     estimator's loss_value and loss_gradient (b rows of the original
     chain's m) and limit_violations (any b).  A transposed (m, b) batch and
     a (2, b*m/2) array have the right size but neither shape, and are not
-    read as (b, m); a complex batch would lose its imaginary part and a
-    string batch would parse, so neither is cast."""
+    read as (b, m); a complex batch would lose its imaginary part, a string
+    batch would parse and a bool batch read as 0 and 1, so none is cast."""
     b, m = 4, 3
     chain = urdf.extract_chain(cam_arm, "base", "camera")
     eng = FkEngine(chain, batch_size=b)
@@ -259,12 +261,15 @@ def test_theta_shape_is_flat_or_batch_by_dof(cam_arm, rng):
         (thetas[None], ShapeError, r"got shape \(1, 4, 3\)"),
         (nan, ValueError, "non-finite"),
     ]
-    cast = [(thetas + 1j, TypeError, "dtype complex128"), (thetas.astype(str), TypeError, "dtype <U")]
+    cast = [
+        (thetas + 1j, TypeError, "dtype complex128"),
+        (thetas.astype(str), TypeError, "dtype <U"),
+        (thetas > 0, TypeError, "dtype bool"),
+    ]
     entries = [
         (eng.forward, misread + cast),
         (lambda t: eng.forward(ad.seed_array(t)), misread + cast),
-        # DiffScalar converts each entry of an object array with float()
-        (lambda t: eng.forward(t.astype(object)), misread),
+        (lambda t: eng.forward(t.astype(object)), misread + cast),
         (eng.scatter_thetas, misread + cast),
         (lambda t: kinematics.pose_jacobian(eng, t), misread + cast),
         (lambda t: est.loss_value(t, targets), misread + cast),
@@ -275,6 +280,74 @@ def test_theta_shape_is_flat_or_batch_by_dof(cam_arm, rng):
         for bad, error, match in refused:
             with pytest.raises(error, match=match):
                 call(bad)
+
+
+_DTYPE_RULE_ENTRIES = {
+    "sixdof_batch_to_transforms": lambda c: transforms.sixdof_batch_to_transforms(c.params),
+    "pose_batch_from_transforms": lambda c: transforms.pose_batch_from_transforms(c.ts),
+    "quaternion_batch_from_rotations": lambda c: transforms.quaternion_batch_from_rotations(c.ts),
+    "rotation_with_rmse": lambda c: metrics.rotation_with_rmse(c.good_ts, c.ts),
+    "phi2_loss": lambda c: metrics.phi2_loss(c.ts, c.good_ts),
+    "phi3_loss": lambda c: metrics.phi3_loss(c.good_ts, c.ts),
+    "phi4_loss": lambda c: metrics.phi4_loss(c.ts, c.good_ts),
+    "phi5_loss": lambda c: metrics.phi5_loss(c.good_ts, c.ts),
+    "phi5_squared_batch": lambda c: metrics.phi5_squared_batch(c.ts, c.good_ts),
+    "phi2_quat": lambda c: metrics.phi2_quat(c.quats, c.good_quats),
+    "phi3_quat": lambda c: metrics.phi3_quat(c.good_quats, c.quats),
+    "phi4_quat": lambda c: metrics.phi4_quat(c.quats, c.good_quats),
+    "sixdof_to_transform": lambda c: transforms.sixdof_to_transform(c.params[0]),
+    "pose_from_transform": lambda c: transforms.pose_from_transform(c.ts[0]),
+    "pose_values_from_transform": lambda c: transforms.pose_values_from_transform(c.ts[0]),
+    "quaternion_from_rotation": lambda c: transforms.quaternion_from_rotation(c.ts[0]),
+    "loss_value targets": lambda c: c.est.loss_value(c.thetas, c.ts),
+    "loss_gradient targets": lambda c: c.est.loss_gradient(c.thetas, c.ts),
+    "batch_jacobian": lambda c: ad.batch_jacobian(lambda x: x * x, c.params),
+    "forward object array": lambda c: c.eng.forward(c.thetas_as.astype(object)),
+}
+
+
+@pytest.mark.parametrize("bad", ["complex", "string", "bool"])
+@pytest.mark.parametrize("entry", list(_DTYPE_RULE_ENTRIES))
+def test_array_entries_refuse_other_dtypes(cam_arm, rng, entry, bad):
+    """Every array entry reads its input by autodiff.operand, as the theta
+    entries do: a complex array would lose its imaginary part, a string
+    array would parse and a bool array read as 0 and 1, so each is a
+    TypeError; an object array of strings reaches forward too."""
+    b, m = 4, 3
+    eng = FkEngine(urdf.extract_chain(cam_arm, "base", "camera"), batch_size=b)
+    thetas = rng.uniform(-1, 1, size=(b, m))
+    params = rng.uniform(-1, 1, size=(b, 6))
+    good_ts = eng.forward(thetas)
+    make = {"complex": lambda x: x + 0.5j, "string": lambda x: x.astype(str), "bool": lambda x: x > 0}[bad]
+    case = types.SimpleNamespace(
+        eng=eng,
+        est=identify.ParamEstimator(cam_arm, "camera", "base", "camera", batch_size=b),
+        thetas=thetas,
+        thetas_as=make(thetas),
+        params=make(params),
+        ts=make(transforms.sixdof_batch_to_transforms(params)),
+        good_ts=good_ts,
+        quats=make(transforms.quaternion_batch_from_rotations(good_ts)),
+        good_quats=transforms.quaternion_batch_from_rotations(good_ts),
+    )
+    with pytest.raises(TypeError, match="got dtype"):
+        _DTYPE_RULE_ENTRIES[entry](case)
+
+
+def test_integer_arrays_run_as_float64(rng):
+    """The dtype rule turns integer input into float64, in kernels, metrics,
+    helpers and batch_jacobian alike; float32 stays float32."""
+    params = rng.integers(-2, 3, size=(5, 6))
+    want = transforms.sixdof_batch_to_transforms(params.astype(float))
+    np.testing.assert_array_equal(transforms.sixdof_batch_to_transforms(params), want)
+    np.testing.assert_array_equal(transforms.sixdof_to_transform(params[0]), want[0])
+    assert transforms.sixdof_to_transform(params[0].astype(np.float32)).dtype == np.float64
+    assert transforms.sixdof_batch_to_transforms(params.astype(np.float32)).dtype == np.float32
+    eye = np.eye(4, dtype=int)
+    assert metrics.phi5_loss(eye, eye) == metrics.phi5_loss(np.eye(4), np.eye(4)) == 0.0
+    jac = ad.batch_jacobian(lambda x: x * x, params)
+    assert jac.dtype == np.float64
+    np.testing.assert_array_equal(jac, ad.batch_jacobian(lambda x: x * x, params.astype(float)))
 
 
 @pytest.mark.parametrize("batch_size", [2.7, 2.0, True, "2", None])
