@@ -21,6 +21,7 @@ from .identify import (  # noqa: E402
 from .kinematics import (  # noqa: E402
     FkEngine,
     ShapeError,
+    geometric_jacobian,
     limit_violations,
     pose_jacobian,
 )

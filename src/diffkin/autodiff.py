@@ -26,7 +26,8 @@ its boundary.
 ``operand`` is the library's one dtype rule for array input: a DualArray,
 or a float32 or float64 ndarray, passes uncopied; integer input, or a list
 of floats, becomes float64; any other dtype (complex, string, bool, object,
-float16) is a ``TypeError``, raised before any cast.
+float16) is a ``TypeError``, raised before any cast.  A list or tuple is
+checked by element, so a bool among its numbers is refused too.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
 _DERIVATIVE_CAP = 1e8
 
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 class DiffScalar:
@@ -237,8 +239,14 @@ def operand(x):
     if isinstance(x, DualArray) or (isinstance(x, np.ndarray) and x.dtype in _FLOAT_DTYPES):
         return x
     arr = np.asarray(x)
-    if arr.dtype.kind not in "iu" and arr.dtype not in _FLOAT_DTYPES:
-        raise TypeError(f"expected integer or float32/float64 values, got dtype {arr.dtype}")
+    dtype = arr.dtype
+    if isinstance(x, (list, tuple)):
+        # numpy reads a bool among numbers as 0 or 1, so a list is checked by element
+        leaves = np.asarray(x, dtype=object).ravel().tolist()
+        if not _BOOL_TYPES.isdisjoint(map(type, leaves)):
+            dtype = np.dtype(bool)
+    if dtype.kind not in "iu" and dtype not in _FLOAT_DTYPES:
+        raise TypeError(f"expected integer or float32/float64 values, got dtype {dtype}")
     return arr.astype(np.float64, copy=False)
 
 

@@ -45,6 +45,21 @@ _product_block stay numpy-generic: run on a DualArray they are the dense
 pass, which carries every tangent through every product, and the tests use
 it as the oracle of the twist tangents.
 
+Jacobians of the final transform need no DualArray.  The twists (w_c, v_c)
+of the theta columns, times their theta scales, are the columns of the
+geometric Jacobian in the base frame: rows w_c x p_T + v_c, the velocity of
+T's origin, over rows w_c, its angular velocity (geometric_jacobian).
+pose_jacobian maps the angular rows through the rate map of
+R_T = Rz(gamma) Ry(beta) Rx(alpha) (Siciliano et al. 2009, sec. 3.6): with
+c = cos(beta) = hypot(r00, r10), alpha' = (r00 wx + r10 wy) / c^2,
+beta' = (r00 wy - r10 wx) / c and gamma' = wz - r20 alpha'.  Both run block
+by block: a few elementwise products turn each block's twists into its rows
+of the (b, 6, m) result, so no temporary spans the batch.  Rows at gimbal
+lock (c <= transforms._GIMBAL_COS_TOL), where the rate map is singular,
+take the pose extraction's derivatives instead: _tangent_block applies
+their twists to T, and pose_batch_from_transforms runs on that DualArray,
+so they keep the float pose's convention (alpha = 0).
+
 Joints with an arbitrary axis are handled by conjugation: motion about axis
 ``a`` equals R_align . canonical-slot-motion . R_align^T, where R_align maps
 the canonical axis onto ``a``.  R_align is folded into the segment's static
@@ -73,6 +88,7 @@ __all__ = [
     "FkEngine",
     "joint_transforms",
     "scan_compose",
+    "geometric_jacobian",
     "pose_jacobian",
     "limit_violations",
 ]
@@ -375,7 +391,7 @@ class FkEngine:
         arr = thetas if isinstance(thetas, (np.ndarray, ad.DualArray)) else np.asarray(thetas)
         if arr.dtype == object:
             return self._evaluate(ad.DualArray.from_scalars(arr), want_intermediates).to_scalars()
-        return self._evaluate(arr, want_intermediates)
+        return self._evaluate(thetas, want_intermediates)
 
     def _evaluate(self, thetas, want_intermediates=False):
         """forward() on a float ndarray or DualArray batch.
@@ -404,7 +420,7 @@ class FkEngine:
         weights = self._twist_tables[1][want_intermediates]
         for start in range(0, b, _BLOCK_ROWS):
             rows = slice(start, min(start + _BLOCK_ROWS, b))
-            twists = self._prefix_twists(self._factors(flat2d[rows]), snapshots[rows], marks)
+            twists = self._prefix_twists(flat2d[rows], snapshots[rows], marks)
             self._tangent_block(twists, snapshots[rows], seeds[rows], weights, tangent[rows])
         tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
         return ad.DualArray(out, tangent)
@@ -452,18 +468,21 @@ class FkEngine:
             else:
                 out[:, i] = np.matmul(cur.reshape(-1, 4), pending).reshape(-1, 4, 4)
 
-    def _prefix_twists(self, g, out, marks):
-        """_product_block on a block's factors ``g``, which it overwrites
-        with the prefix products P_f, then every theta column's twist
+    def _prefix_twists(self, flat2d, out, marks):
+        """_product_block on the factors of a (rows, m) theta block, kept as
+        the prefix products P_f, then every theta column's twist
         (rows, m, 6) in its frame (see _twist_tables).
 
-        Apart from _tangent_block so that ``g`` and the gather are freed
-        before the contraction allocates: with all of them alive at once,
-        glibc trims and refaults its heap on every call (arm4, b = 256).
+        The factors are made here, not by the caller, so that they and the
+        gather are freed as soon as the twists are out, before the caller
+        allocates: with all of them alive at once, glibc trims and refaults
+        its heap on every call (arm4, b = 256 and 4096).
         """
+        g = self._factors(flat2d)
         self._product_block(g, out, marks, keep_prefix=True)
         rows = len(g)
         gathered = g.reshape(rows, -1)[:, self._twist_tables[0]]
+        del g
         _, x, y, z, u = gathered.transpose(2, 0, 1, 3)
         np.multiply(x, y, out=x)
         x -= z * u
@@ -483,6 +502,58 @@ class FkEngine:
         rows, snaps, k = spatial.shape[:3]
         mats = (spatial.reshape(-1, 6) @ _TWIST_MATRIX.astype(self.dtype, copy=False)).reshape(rows, snaps, 4 * k, 4)
         np.matmul(mats, frames, out=out.reshape(rows, snaps, 4 * k, 4))
+
+    def _jacobian(self, thetas, rates):
+        """(b, 6, m) Jacobians of the final transforms (see the module
+        docstring): geometric_jacobian's, or with ``rates`` pose_jacobian's."""
+        b, m = self.batch_size, self.m
+        flat2d = _theta_rows(thetas, m, b, self.dtype)
+        jac = np.empty((b, 6, m), dtype=self.dtype)
+        frames = np.empty((min(b, _BLOCK_ROWS), 1, 4, 4), dtype=self.dtype)
+        for start in range(0, b, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, b)
+            self._jacobian_block(flat2d[start:stop], frames[: stop - start], jac[start:stop], rates)
+        return jac
+
+    def _jacobian_block(self, flat2d, frames, out, rates):
+        """_jacobian's rows ``out`` (rows, 6, m) of a (rows, m) theta block,
+        with ``frames`` (rows, 1, 4, 4) as scratch for the final transforms.
+        A method of its own so that the block's temporaries are freed before
+        the next block allocates (see _prefix_twists)."""
+        twists = self._prefix_twists(flat2d, frames, self._final_marks)
+        t = frames[:, 0]
+        if not np.isfinite(t).all():
+            raise ValueError("non-finite value in jacobian output")
+        # the entries of T used and the scaled twists, (rows,) and (m, rows)
+        # each: every product below runs along contiguous rows
+        r00, r10, r20, px, py, pz = t.reshape(-1, 16)[:, [0, 4, 8, 3, 7, 11]].T.copy()
+        wx, wy, wz, vx, vy, vz = tw = np.multiply(twists.transpose(2, 1, 0), self._scale_per_dof[:, None], order="C")
+        block = np.empty_like(tw)
+        block[0] = wy * pz - wz * py + vx
+        block[1] = wz * px - wx * pz + vy
+        block[2] = wx * py - wy * px + vz
+        locked = ()
+        if rates:
+            cb = np.hypot(r00, r10)
+            locked = np.flatnonzero(cb <= transforms._GIMBAL_COS_TOL)
+            cb[locked] = 1.0
+            block[3] = (r00 * wx + r10 * wy) / (cb * cb)
+            block[4] = (r00 * wy - r10 * wx) / cb
+            block[5] = wz - r20 * block[3]
+        else:
+            block[3:] = tw[:3]
+        out[...] = block.transpose(2, 0, 1)
+        if len(locked):
+            # the rate map is singular: these rows take the pose extraction's
+            # derivatives, on a DualArray of their tangents
+            m = self.m
+            tangent = np.empty((len(locked), 1, m, 4, 4), dtype=self.dtype)
+            seeds = np.eye(m, dtype=self.dtype)[None, None]
+            self._tangent_block(twists[locked], frames[locked], seeds, self._scale_per_dof, tangent)
+            dual = ad.DualArray(t[locked], tangent[:, 0].transpose(1, 0, 2, 3))
+            out[locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(1, 2, 0)
+        if not np.isfinite(out).all():
+            raise ValueError("non-finite derivative in jacobian output")
 
 
 # -- module-level stages and derivatives ------------------------------------
@@ -507,24 +578,28 @@ def scan_compose(tlj):
     return out
 
 
+def geometric_jacobian(engine: FkEngine, thetas):
+    """(b, 6, m) geometric Jacobians of the final transforms, in the base frame.
+
+    Column c is theta column c's twist (see the module docstring): rows 0-2
+    are w_c x p_T + v_c, the velocity of the final frame's origin, and rows
+    3-5 are w_c, its angular velocity, so the Jacobian is defined at every
+    configuration.  Columns follow the chain's theta layout; the Jacobian
+    has the engine's dtype.
+    """
+    return engine._jacobian(thetas, rates=False)
+
+
 def pose_jacobian(engine: FkEngine, thetas):
     """(b, 6, m) pose Jacobians, one per batch configuration.
 
     Rows follow the pose layout (x, y, z, alpha, beta, gamma); columns follow
-    the chain's theta layout.  forward runs on the batch seeded with its m
-    joint columns, so the transforms' derivatives are the twists of the
-    prefix products (see the module docstring); the same pose extraction
-    the float path uses, run on that DualArray, gives the pose rows.  All
-    configurations share the m-wide tangent space because
-    cross-configuration derivatives are structurally zero.  The Jacobian has
-    the engine's dtype.
+    the chain's theta layout.  Rows 0-2 are geometric_jacobian's; rows 3-5
+    are its angular rows through the RPY rate map of the final rotation,
+    and rows at gimbal lock take the pose extraction's derivatives (see the
+    module docstring).  The Jacobian has the engine's dtype.
     """
-    def poses(seeded):
-        # _evaluate is forward() without its input coercion; wrappers around
-        # forward (perfbench's tracer) expect array-like thetas
-        return transforms.pose_batch_from_transforms(engine._evaluate(seeded))[0]
-
-    return ad.batch_jacobian(poses, _theta_rows(thetas, engine.m, engine.batch_size, engine.dtype))
+    return engine._jacobian(thetas, rates=True)
 
 
 def limit_violations(chain: KinematicChain, thetas):

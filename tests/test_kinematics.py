@@ -296,6 +296,8 @@ _DTYPE_RULE_ENTRIES = {
     "phi3_quat": lambda c: metrics.phi3_quat(c.good_quats, c.quats),
     "phi4_quat": lambda c: metrics.phi4_quat(c.quats, c.good_quats),
     "sixdof_to_transform": lambda c: transforms.sixdof_to_transform(c.params[0]),
+    "sixdof_to_transform list": lambda c: transforms.sixdof_to_transform([0.0, *c.params[0, 1:].tolist()]),
+    "rpy_to_rotation": lambda c: transforms.rpy_to_rotation(*c.params[0, 3:]),
     "pose_from_transform": lambda c: transforms.pose_from_transform(c.ts[0]),
     "pose_values_from_transform": lambda c: transforms.pose_values_from_transform(c.ts[0]),
     "quaternion_from_rotation": lambda c: transforms.quaternion_from_rotation(c.ts[0]),
@@ -303,6 +305,8 @@ _DTYPE_RULE_ENTRIES = {
     "loss_gradient targets": lambda c: c.est.loss_gradient(c.thetas, c.ts),
     "batch_jacobian": lambda c: ad.batch_jacobian(lambda x: x * x, c.params),
     "forward object array": lambda c: c.eng.forward(c.thetas_as.astype(object)),
+    "forward list": lambda c: c.eng.forward([[0, *row[1:]] for row in c.thetas_as.tolist()]),
+    "pose_jacobian list": lambda c: kinematics.pose_jacobian(c.eng, [0.0, *c.thetas_as.ravel().tolist()[1:]]),
 }
 
 
@@ -312,7 +316,9 @@ def test_array_entries_refuse_other_dtypes(cam_arm, rng, entry, bad):
     """Every array entry reads its input by autodiff.operand, as the theta
     entries do: a complex array would lose its imaginary part, a string
     array would parse and a bool array read as 0 and 1, so each is a
-    TypeError; an object array of strings reaches forward too."""
+    TypeError; an object array of strings reaches forward too.  The list
+    cases mix the values with a number, which numpy alone would read as
+    float64 when the values are bools."""
     b, m = 4, 3
     eng = FkEngine(urdf.extract_chain(cam_arm, "base", "camera"), batch_size=b)
     thetas = rng.uniform(-1, 1, size=(b, m))
@@ -767,6 +773,138 @@ def test_pose_jacobian_at_gimbal_lock(arm4_chain):
     rows = [0, 1, 2, 3, 5]
     np.testing.assert_allclose(jac[0][rows], want[rows], rtol=0, atol=1e-12)
     assert np.abs(jac[0, 4]).max() < 1e-7
+
+
+def _dual_pose_jacobian(eng, thetas):
+    """The DualArray pose Jacobian, the oracle of pose_jacobian: the pose
+    extraction run on forward's twist tangents of the seeded batch."""
+    return ad.batch_jacobian(lambda seeded: transforms.pose_batch_from_transforms(eng.forward(seeded))[0], thetas)
+
+
+def _vee(s):
+    """(..., 3) axial vector of the skew part of (..., 3, 3) matrices."""
+    return 0.5 * np.stack([s[..., 2, 1] - s[..., 1, 2], s[..., 0, 2] - s[..., 2, 0], s[..., 1, 0] - s[..., 0, 1]], -1)
+
+
+def _gimbal_locked(chain, theta):
+    """``chain`` with a trailing fixed joint that puts its tip at pitch pi/2
+    in configuration ``theta``."""
+    tip = FkEngine(chain, 1).forward(theta)[0]
+    offset = np.linalg.inv(tip) @ transforms.sixdof_to_transform([0.1, -0.2, 0.3, 0.4, np.pi / 2, -0.7])
+    pose = transforms.pose_from_transform(offset).as_array()
+    joint = urdf.Joint("gimbal", urdf.JointType.FIXED, chain.end_link, "gimbal_tip", tuple(pose[:3]), tuple(pose[3:]))
+    return urdf.KinematicChain(chain.base_link, "gimbal_tip", chain.segments + ((urdf.Link("gimbal_tip"), joint),))
+
+
+# Bound of pose_jacobian against _dual_pose_jacobian, per configuration: the
+# largest entry difference times cos(beta)^2, in units of the dtype's eps
+# times max(1, the largest entry of the final transform).  Both divide by
+# cos(beta)^2 (the rate map, the arctan2 derivatives) of entries that round
+# differently, so the difference grows as 1/cos(beta)^2 towards gimbal lock.
+# Gimbal-locked rows run the oracle's extraction and take cos(beta) as 1.
+# The largest seen (x86_64, OpenBLAS) over arm4, both cam_arm substitutions,
+# mixed_chain and 200 random trees at b = 1 and 513 in both dtypes, with
+# cos(beta) down to 8e-5, is 6; gimbal-locked rows were equal.  The same
+# unit, without the cos(beta) factor, bounds geometric_jacobian against the
+# DualArray forward's tangents (largest seen 6.5).
+_JACOBIAN_ULPS = 32
+
+
+def _check_closed_form_jacobians(chain, b, dtype, rng):
+    """pose_jacobian against its DualArray oracle, and geometric_jacobian
+    against forward's tangents (dp, and the axial vector of dR R^T), with
+    every 7th row gimbal-locked."""
+    thetas = treegen.sample_thetas(chain, b, rng).astype(dtype)
+    thetas[::7] = thetas[0]
+    chain = _gimbal_locked(chain, thetas[0].astype(np.float64))
+    eng = FkEngine(chain, batch_size=b, dtype=dtype)
+    finals = eng.forward(thetas)
+    cb = np.hypot(finals[:, 0, 0], finals[:, 1, 0])
+    locked = cb <= transforms._GIMBAL_COS_TOL
+    assert locked[::7].all()
+    unit = np.finfo(dtype).eps * np.maximum(np.abs(finals).max(axis=(1, 2)), 1.0)
+
+    jac, want = kinematics.pose_jacobian(eng, thetas), _dual_pose_jacobian(eng, thetas)
+    assert jac.dtype == want.dtype == dtype and jac.shape == want.shape == (b, 6, eng.m)
+    err = np.abs(jac - want).max(axis=(1, 2), initial=0.0)
+    assert (err * np.where(locked, 1.0, cb) ** 2 <= _JACOBIAN_ULPS * unit).all()
+
+    geo = kinematics.geometric_jacobian(eng, thetas)
+    assert geo.dtype == dtype and geo.shape == (b, 6, eng.m)
+    np.testing.assert_array_equal(geo[~locked, :3], jac[~locked, :3])
+    tangent = eng.forward(ad.seed_array(thetas)).tangent
+    twists = np.concatenate([tangent[..., :3, 3], _vee(tangent[..., :3, :3] @ finals[:, :3, :3].swapaxes(-1, -2))], -1)
+    err = np.abs(geo - twists.transpose(1, 2, 0)).max(axis=(1, 2), initial=0.0)
+    assert (err <= _JACOBIAN_ULPS * unit).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("b", [1, kinematics._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("case", ["arm4", "cam_arm_camera", "cam_arm_link2", "mixed", "all_fixed", "empty"])
+def test_closed_form_jacobians_match_dual_oracle(case, b, dtype, arm4_chain, cam_arm, mixed, mixed_chain):
+    """pose_jacobian and geometric_jacobian, one block or two, both dtypes,
+    every 7th row gimbal-locked, against the DualArray pass within
+    _JACOBIAN_ULPS; all_fixed and empty have m = 0."""
+    chain = {
+        "arm4": lambda: arm4_chain,
+        "cam_arm_camera": lambda: identify.ParamEstimator(cam_arm, "camera", "base", "camera", 1).chain,
+        "cam_arm_link2": lambda: identify.ParamEstimator(cam_arm, "link2", "base", "camera", 1).chain,
+        "mixed": lambda: mixed_chain,
+        "all_fixed": lambda: urdf.extract_chain(urdf.parse_urdf(_FIXED_ONLY), "a", "c"),
+        "empty": lambda: urdf.extract_chain(mixed, "l2", "l2"),
+    }[case]()
+    _check_closed_form_jacobians(chain, b, dtype, np.random.default_rng(b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2000))
+def test_random_tree_closed_form_jacobians_match_dual_oracle(seed):
+    _, model, leaf = treegen.random_tree(seed)
+    chain = urdf.extract_chain(model, model.root_link, leaf)
+    rng = np.random.default_rng(seed + 81)
+    for dtype in (np.float64, np.float32):
+        _check_closed_form_jacobians(chain, (1, kinematics._BLOCK_ROWS + 1)[seed % 2], dtype, rng)
+
+
+@pytest.mark.parametrize("robot", ["arm4", "mixed"])
+def test_geometric_jacobian_matches_central_differences(robot, arm4_chain, mixed_chain, rng):
+    """Rows 0-2 against the central difference of the final position, rows
+    3-5 against vee((R(theta + h) - R(theta - h)) R^T) / 2h; arm4's last
+    row is at gimbal lock, where the geometric Jacobian is as regular."""
+    chain = {"arm4": arm4_chain, "mixed": mixed_chain}[robot]
+    b, h = 3, 1e-6
+    thetas = treegen.sample_thetas(chain, b, rng)
+    if robot == "arm4":
+        thetas[-1] = [0.3, 1.0, np.pi / 2 - 1.0, 0.2]
+    jac = kinematics.geometric_jacobian(FkEngine(chain, batch_size=b), thetas)
+    single = FkEngine(chain, batch_size=1)
+    for k in range(b):
+        rot = single.forward(thetas[k])[0, :3, :3]
+        for j in range(chain.m):
+            up, dn = thetas[k].copy(), thetas[k].copy()
+            up[j] += h
+            dn[j] -= h
+            tu, td = single.forward(up)[0], single.forward(dn)[0]
+            fd = np.concatenate([tu[:3, 3] - td[:3, 3], _vee((tu[:3, :3] - td[:3, :3]) @ rot.T)]) / (2 * h)
+            tol = 1e-5 * np.maximum(np.abs(fd), 1.0) + 1e-8
+            assert (np.abs(jac[k, :, j] - fd) < tol).all()
+
+
+def test_pose_jacobian_minor_faults(arm4_chain, rng):
+    """No b-wide temporary: at b=4096, after warm-up, 20 calls take at most
+    100 minor page faults each (a DualArray pass over the batch took about
+    1170, mapping its (m, b, 4, 4) tangents afresh on every call).  Faults
+    are counted, not timed, so a loaded host does not move them."""
+    resource = pytest.importorskip("resource")
+    b, calls = 4096, 20
+    eng = FkEngine(arm4_chain, batch_size=b)
+    thetas = rng.uniform(-1.2, 1.2, size=(b, eng.m))
+    for _ in range(3):
+        kinematics.pose_jacobian(eng, thetas)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        kinematics.pose_jacobian(eng, thetas)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 100 * calls
 
 
 def test_limit_violations(arm2r_chain):
