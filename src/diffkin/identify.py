@@ -6,6 +6,9 @@ generated from the unmodified model) supervise Adam (Kingma & Ba 2015) on the
 six parameters until the substituted chain reproduces the measurements.  The
 parent joint's original origin is kept as the initialization hint, which for
 an identifiable geometry is also the ground truth the estimate should reach.
+Each step evaluates only the six-parameter transform between the dataset's
+fixed products on either side of it, and takes the gradient in closed form
+(see ParamEstimator).
 
 If the replaced joint had degrees of freedom of its own, those are subsumed
 by the Floating joint and held at zero while sampling: a per-configuration
@@ -22,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .kinematics import FkEngine, _integer_setting, _theta_rows
 from .metrics import phi5_squared_batch
-from .transforms import pose_batch_from_transforms
+from .transforms import pose_batch_from_transforms, sixdof_batch_to_transforms
 from .urdf import RobotModel, extract_chain, substitute_link_with_joint
 
 __all__ = [
@@ -42,6 +45,8 @@ EPSILON = 1e-8
 # Converged also once the pre-update gradient norm is below this: the
 # parameters sit at a stationary point that further steps cannot leave.
 GRAD_EPSILON = 1e-10
+
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -121,13 +126,19 @@ class ParamEstimator:
     The loss is the batch mean of squared translation error plus the squared
     Frobenius deviation of the rotation (the square of the phi5 metric, so
     the surface is smooth at the optimum).  The parameters start at zero.
-    ``loss_gradient`` seeds the six parameters as the tangents of a
-    DualArray, evaluates the substituted chain on it (the six floating-joint
-    factors' twists give the transforms' derivatives, see kinematics) and the
-    same vectorized loss on the result.  ``step`` applies one Adam update and
-    makes that one dual pass at the new parameters, so each step evaluates
-    the model once.  Only the six parameters ever change; sampled joint
-    values are inputs.
+
+    The floating joint's six factors are consecutive in the substituted
+    chain (see kinematics) and compose to M(p) = sixdof_to_transform(p), so
+    every final transform is T_b = A_b M(p) B_b: A_b the product of the
+    factors up to the first parameter factor's static, B_b that of the
+    factors after the sixth, times the trailing static.  Only the six
+    parameters change within a solve, so A and B are built for a dataset on
+    its first ``loss_gradient`` call (one float pass over the chain's
+    factors) and kept, with the targets, while the next call's thetas and
+    target poses are equal by content.  A step then costs one 4x4 M(p), two
+    (b, 4, 4) products and the closed-form gradient (``loss_gradient``); no
+    DualArray is built.  ``loss_value`` evaluates the whole chain with
+    ``forward``.
 
     The estimator owns the substituted chain's layout, built from both
     chains' dofs: its theta columns are the original chain's, with the
@@ -164,6 +175,7 @@ class ParamEstimator:
         self.steps_taken = 0
         self._adam_m = np.zeros(6)
         self._adam_v = np.zeros(6)
+        self._kept = None  # (thetas, targets, A, B) of the last dataset
 
     def _check_shapes(self, thetas, target_poses):
         b = self.engine.batch_size
@@ -192,15 +204,54 @@ class ParamEstimator:
         finals = self.engine.forward(self._flat_sub_thetas(thetas, self.params))
         return float(self._loss(finals, target_poses))
 
-    def loss_gradient(self, thetas, target_poses):
-        """(loss, d loss / d params) at the current parameters, no update."""
+    def _dataset(self, thetas, target_poses):
+        """(targets, A, B) of a dataset (see the class docstring), kept from
+        the last call unless its thetas or target poses differ by content."""
         thetas, target_poses = self._check_shapes(thetas, target_poses)
-        flat = self._flat_sub_thetas(thetas, ad.seed_array(self.params))
-        loss = self._loss(self.engine._evaluate(flat), target_poses)
-        value = float(loss.primal)
+        kept = self._kept
+        if kept is None or not (np.array_equal(thetas, kept[0]) and np.array_equal(target_poses, kept[1])):
+            start = self._param_cols.start
+            zeroed = self._flat_sub_thetas(thetas, np.zeros(6))
+            head, tail = self.engine._products_around(zeroed, start + 1, start + 6)
+            kept = self._kept = (thetas.copy(), target_poses.astype(np.float64), head, tail)
+        return kept[1:]
+
+    def _finals(self, head, tail):
+        """((A M) B, M): the (b, 4, 4) final transforms of a dataset at the
+        current parameters, and the parameters' transform M."""
+        m = sixdof_batch_to_transforms(self.params)
+        return (head.reshape(-1, 4) @ m).reshape(len(head), 4, 4) @ tail, m
+
+    def loss_gradient(self, thetas, target_poses):
+        """(loss, d loss / d params) at the current parameters, no update.
+
+        With D_b = I - R_b R*_b^T and e_b = p_b - p*_b, the loss's gradient
+        in T_b is G_b = (2/b) [[-D_b R*_b, e_b], [0, 0]], so its gradient in
+        M is H = sum_b A_b^T G_b B_b^T.  H's translation column is the
+        gradient in (x, y, z).  A rotation dR_M = [w]x R_M moves the loss by
+        w . vee(R_M H_R^T), vee(Q) = (Q12 - Q21, Q20 - Q02, Q01 - Q10), and
+        the angle rates give w = R_M e_x alpha' + Rz(gamma) e_y beta' +
+        e_z gamma' (R_M = Rz(gamma) Ry(beta) Rx(alpha)).
+        """
+        targets, head, tail = self._dataset(thetas, target_poses)
+        b = self.engine.batch_size
+        finals, m = self._finals(head, tail)
+        e = finals[:, :3, 3] - targets[:, :3, 3]
+        r_star = targets[:, :3, :3]
+        d = _EYE3 - finals[:, :3, :3] @ r_star.transpose(0, 2, 1)
+        value = float(((e * e).sum() + (d * d).sum()) / b)
         if not np.isfinite(value):
             raise ValueError(f"non-finite identification loss at params {self.params.tolist()}")
-        return value, loss.tangent
+        g = np.zeros((b, 4, 4))  # -(b / 2) G_b, scaled back once in H
+        g[:, :3, :3] = d @ r_star
+        g[:, :3, 3] = -e
+        h = head.reshape(-1, 4).T @ (g @ tail.transpose(0, 2, 1)).reshape(-1, 4) * (-2.0 / b)
+        rot = m[:3, :3]
+        q = rot @ h[:3, :3].T
+        v = (q - q.T)[[1, 2, 0], [2, 0, 1]]
+        gamma = self.params[5]
+        grad = np.array([h[0, 3], h[1, 3], h[2, 3], rot[:, 0] @ v, np.cos(gamma) * v[1] - np.sin(gamma) * v[0], v[2]])
+        return value, grad
 
     def step(self, thetas, target_poses, grad):
         """One Adam update of the six parameters from ``grad``, the gradient
@@ -250,7 +301,7 @@ def run_identification(model: RobotModel, target_link: str, base: str, end: str,
             status = "converged"
             break
 
-    finals = estimator.engine.forward(estimator._flat_sub_thetas(thetas, estimator.params))
+    finals, _ = estimator._finals(*estimator._dataset(thetas, targets)[1:])
     got, _ = pose_batch_from_transforms(finals)
     want, _ = pose_batch_from_transforms(targets)
     diff = got - want

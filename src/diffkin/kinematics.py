@@ -39,8 +39,8 @@ dR_T = w x R_T and dp_T = w x (p_T - p(P_f)); for a translation dp_T = w
 (Orin & Schrader 1984).  These per-column twists are contracted with the
 input tangents, so forward carries any tangents (vector forward mode) at
 the cost of a few products per block, whatever their number.  The kernels
-downstream (pose and quaternion extraction, metrics, the identification
-loss) run on the resulting DualArray unchanged.  _factors and
+downstream (pose and quaternion extraction, metrics) run on the resulting
+DualArray unchanged.  _factors and
 _product_block stay numpy-generic: run on a DualArray they are the dense
 pass, which carries every tangent through every product, and the tests use
 it as the oracle of the twist tangents.
@@ -467,6 +467,26 @@ class FkEngine:
                 out[:, i] = cur
             else:
                 out[:, i] = np.matmul(cur.reshape(-1, 4), pending).reshape(-1, 4, 4)
+
+    def _products_around(self, thetas, start, stop):
+        """(head, tail), (b, 4, 4) each, of a theta batch: the product of
+        factors 0..start-1 and that of factors stop..F-1 times the trailing
+        static, so the final transform is head @ (factors start..stop-1) @
+        tail.  ``start`` is at least 1; an empty tail product is the
+        identity.  The head rounds as forward's prefix products do."""
+        b = self.batch_size
+        flat2d = _theta_rows(thetas, self.m, b, self.dtype)
+        trailing = self._final_marks[0][2]
+        head, tail = (np.empty((b, 1, 4, 4), dtype=self.dtype) for _ in range(2))
+        if stop == self.m:
+            tail[:] = np.eye(4) if trailing is None else trailing
+        for first in range(0, b, _BLOCK_ROWS):
+            rows = slice(first, min(first + _BLOCK_ROWS, b))
+            g = self._factors(flat2d[rows])
+            self._product_block(g[:, :start], head[rows], ((start - 1, 0, None),))
+            if stop < self.m:
+                self._product_block(g[:, stop:], tail[rows], ((self.m - stop - 1, 0, trailing),))
+        return head[:, 0], tail[:, 0]
 
     def _prefix_twists(self, flat2d, out, marks):
         """_product_block on the factors of a (rows, m) theta block, kept as

@@ -9,6 +9,7 @@ meters.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -146,8 +147,9 @@ class KinematicChain:
     def n(self) -> int:
         return len(self.segments)
 
-    @property
+    @functools.cached_property
     def m(self) -> int:
+        # cached: every theta batch check reads it, once per identification step
         return sum(joint.dof for _, joint in self.segments)
 
     @property

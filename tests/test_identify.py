@@ -42,25 +42,33 @@ def test_single_configuration_identifies_mount(target, cam_arm):
 
 @pytest.mark.parametrize("max_steps, status", [(5000, "converged"), (3, "budget_exhausted")])
 def test_one_model_evaluation_per_step(max_steps, status, cam_arm, monkeypatch):
-    """Each step makes exactly one dual pass; the float loss stays off the loop."""
-    calls = {"dual": 0, "loss_value": 0}
-    evaluate, loss_value = kinematics.FkEngine._evaluate, ParamEstimator.loss_value
+    """Each step evaluates the model once, as A M(p) B: a solve builds the
+    estimator engine's factors once, for the dataset's A and B, and no step
+    makes a DualArray pass or calls the float loss."""
+    calls = {"dual": 0, "estimator_factors": 0, "loss_value": 0}
+    evaluate, factors, loss_value = kinematics.FkEngine._evaluate, kinematics.FkEngine._factors, ParamEstimator.loss_value
 
     def counting_evaluate(self, thetas, *args, **kwargs):
         calls["dual"] += isinstance(thetas, ad.DualArray)
         return evaluate(self, thetas, *args, **kwargs)
+
+    def counting_factors(self, flat2d):
+        calls["estimator_factors"] += self.m == 9  # j1 j2 j3 | six parameters
+        return factors(self, flat2d)
 
     def counting_loss_value(self, *args):
         calls["loss_value"] += 1
         return loss_value(self, *args)
 
     monkeypatch.setattr(kinematics.FkEngine, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(kinematics.FkEngine, "_factors", counting_factors)
     monkeypatch.setattr(ParamEstimator, "loss_value", counting_loss_value)
     res = identify.run_identification(
         cam_arm, "camera", "base", "camera", IdentifyConfig(batch_size=10, max_steps=max_steps)
     )
     assert res.status == status
-    assert calls == {"dual": res.steps + 1, "loss_value": 0}
+    assert res.steps > 1
+    assert calls == {"dual": 0, "estimator_factors": 1, "loss_value": 0}
 
 
 def test_budget_exhausted(cam_arm):
@@ -241,3 +249,118 @@ def test_splice_of_mid_chain_joint(cam_arm):
     for j in range(6):
         expected[j, :, 1 + j] = 1.0
     np.testing.assert_array_equal(flat.tangent, expected)
+
+
+# Loss and gradient of the closed form against the DualArray pass they
+# replace, relative to max(1, |g|_inf): the two sum the same terms in
+# another order; the largest seen is 8.4e-16 at b <= 10 and 1.2e-14 at
+# b = 513, growing with b as the batch sums do.
+_ORACLE_REL = 1e-13
+
+
+def _dual_loss_gradient(est, thetas, targets):
+    """(loss, gradient) from one k=6 seed_array pass over the whole
+    substituted chain and the vectorized loss on its DualArray."""
+    thetas, targets = est._check_shapes(thetas, targets)
+    loss = est._loss(est.engine._evaluate(est._flat_sub_thetas(thetas, ad.seed_array(est.params))), targets)
+    return float(loss.primal), loss.tangent
+
+
+def _robot_dataset(model, est, end, batch_size, rng):
+    chain = urdf.extract_chain(model, "base", end)
+    gen = SampleGenerator(kinematics.FkEngine(chain, batch_size), rng, zero_dofs=est.target_dofs)
+    return gen.sample_batch()
+
+
+@pytest.mark.parametrize(
+    "robot, end, target",
+    [("cam_arm", "camera", "camera"), ("cam_arm", "camera", "link2"), ("cam_arm", "camera", "link1"),
+     ("arm4", "tool", "l1"), ("arm4", "tool", "tool"),
+     ("mixed", "l6", "l1"), ("mixed", "l6", "l2"), ("mixed", "l6", "l4")],
+)
+@pytest.mark.parametrize("batch_size", [1, 10, 513])
+def test_closed_form_gradient_matches_dual_oracle(robot, end, target, batch_size, request):
+    """``loss_gradient`` (A M(p) B, closed-form gradient) agrees with the
+    DualArray pass through the whole chain at random parameters, to
+    _ORACLE_REL * max(1, |g|_inf) in loss and gradient.  On mixed the
+    substituted joint is the first, a mid-chain off-axis prismatic and an
+    off-axis planar one, with a floating joint and aligned statics after it;
+    513 rows span two blocks of A and B."""
+    model = request.getfixturevalue(robot)
+    rng = np.random.default_rng(batch_size)
+    est = ParamEstimator(model, target, "base", end, batch_size)
+    thetas, targets = _robot_dataset(model, est, end, batch_size, rng)
+    for _ in range(4):
+        est.params = rng.uniform(-1.5, 1.5, 6)
+        want_loss, want = _dual_loss_gradient(est, thetas, targets)
+        loss, grad = est.loss_gradient(thetas, targets)
+        scale = max(1.0, np.abs(want).max())
+        assert abs(loss - want_loss) <= _ORACLE_REL * max(1.0, want_loss)
+        assert np.abs(grad - want).max() <= _ORACLE_REL * scale
+        assert grad.shape == (6,) and grad.dtype == np.float64
+
+
+def _same(got, want):
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+def test_kept_dataset_follows_its_content(cam_arm):
+    """A and B are kept between calls only while thetas and targets are equal
+    by content: a second dataset, and an in-place edit of either array after
+    a call, give a fresh estimator's (loss, gradient) bit for bit."""
+    est = ParamEstimator(cam_arm, "link2", "base", "camera", 6)
+    params = np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.5])
+
+    def fresh(thetas, targets):
+        other = ParamEstimator(cam_arm, "link2", "base", "camera", 6)
+        other.params = params.copy()
+        return other.loss_gradient(thetas, targets)
+
+    est.params = params.copy()
+    thetas, targets = _robot_dataset(cam_arm, est, "camera", 6, np.random.default_rng(0))
+    _same(est.loss_gradient(thetas, targets), fresh(thetas, targets))
+    thetas2, targets2 = _robot_dataset(cam_arm, est, "camera", 6, np.random.default_rng(1))
+    _same(est.loss_gradient(thetas2, targets2), fresh(thetas2, targets2))
+    _same(est.loss_gradient(thetas, targets), fresh(thetas, targets))
+    before = est.loss_gradient(thetas, targets)
+    thetas[2, 0] += 0.25
+    _same(est.loss_gradient(thetas, targets), fresh(thetas, targets))
+    assert est.loss_gradient(thetas, targets)[0] != before[0]
+    before = est.loss_gradient(thetas, targets)
+    targets[3, :3, 3] += 0.01
+    _same(est.loss_gradient(thetas, targets), fresh(thetas, targets))
+    assert est.loss_gradient(thetas, targets)[0] != before[0]
+
+
+def test_kept_dataset_keeps_the_input_refusals(cam_arm):
+    """After A and B are kept, loss_gradient still refuses what the theta
+    rule and the target shape refuse (test_theta_shape_is_flat_or_batch_by_dof),
+    and a non-finite target."""
+    b = 4
+    est = ParamEstimator(cam_arm, "camera", "base", "camera", b)
+    thetas, targets = _dataset(cam_arm, b)
+    est.loss_gradient(thetas, targets)
+    nan = thetas.copy()
+    nan[2, 1] = np.nan
+    refused = [
+        (thetas.T.copy(), kinematics.ShapeError, r"got shape \(3, 4\)"),
+        (thetas.reshape(2, 6), kinematics.ShapeError, r"got shape \(2, 6\)"),
+        (thetas[None], kinematics.ShapeError, r"got shape \(1, 4, 3\)"),
+        (nan, ValueError, "non-finite"),
+        (thetas + 1j, TypeError, "dtype complex128"),
+        (thetas.astype(str), TypeError, "dtype <U"),
+        (thetas > 0, TypeError, "dtype bool"),
+    ]
+    for bad, error, match in refused:
+        with pytest.raises(error, match=match):
+            est.loss_gradient(bad, targets)
+    with pytest.raises(ValueError, match="target poses"):
+        est.loss_gradient(thetas, targets[:2])
+    with pytest.raises(TypeError, match="dtype bool"):
+        est.loss_gradient(thetas, targets > 0)
+    bad_targets = targets.copy()
+    bad_targets[1, 0, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite identification loss"):
+        est.loss_gradient(thetas, bad_targets)
+    # the kept dataset is unchanged by the refused calls
+    _same(est.loss_gradient(thetas, targets), ParamEstimator(cam_arm, "camera", "base", "camera", b).loss_gradient(thetas, targets))
