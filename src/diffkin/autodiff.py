@@ -7,16 +7,15 @@ ndarray plus a tangent ndarray with the tangent axis leading, shape
 ``__array_function__`` protocols for exactly the operations the pose,
 quaternion and metric kernels use, so those kernels run unchanged on it;
 every other ufunc or function, and any conversion to a plain ndarray,
-raises instead of silently dropping the tangent.  The operators
-``+ - * / @`` and unary ``-`` call their rule in ``_UFUNC_RULES`` directly,
-without the round trip through the ufunc and ``__array_ufunc__``, which
-costs more than the arithmetic on small batches; the same rule serves both
-routes.  Primals are computed by the same numpy calls as the float kernels,
-so they are bitwise equal to a float run.  ``FkEngine.forward`` takes a
-DualArray too, but builds the tangents of its factor product from the
-twists of the float prefix products instead of pushing them through every
-4x4 product (see ``kinematics``); run through the engine's factor kernels,
-a DualArray gives that dense product, the oracle of the twist tangents.
+raises instead of silently dropping the tangent.  The operators come from
+numpy's ``NDArrayOperatorsMixin``, so ``a + b`` runs ``np.add`` and its
+rule in ``_UFUNC_RULES``.  Primals are computed by the same numpy calls as
+the float kernels, so they are bitwise equal to a float run.
+``FkEngine.forward`` takes a DualArray too, but builds the tangents of its
+factor product from the twists of the float prefix products instead of
+pushing them through every 4x4 product (see ``kinematics``); run through
+the engine's factor kernels, a DualArray gives that dense product, the
+oracle of the twist tangents.
 
 ``batch_jacobian`` turns a batched map into per-row Jacobians with one
 seeded pass.  ``DiffScalar`` is only a (value, tangent) record, the
@@ -99,10 +98,8 @@ class DualArray(np.lib.mixins.NDArrayOperatorsMixin):
     functions dispatch here through ``__array_ufunc__`` and
     ``__array_function__``; only the operations in ``_UFUNC_RULES`` and
     ``_FUNCTIONS``, and ``np.zeros``/``np.empty`` with ``like=`` a
-    DualArray, are supported.  ``+ - * / @`` (reflected too) and unary
-    ``-`` call their ufunc's rule directly (see ``_bind_operators``); every
-    other operator goes through the mixin to its ufunc.  Anything
-    unsupported raises ``TypeError``.
+    DualArray, are supported.  Every operator goes through the mixin to its
+    ufunc.  Anything unsupported raises ``TypeError``.
     """
 
     __slots__ = ("primal", "tangent")
@@ -379,21 +376,6 @@ _UFUNC_RULES = {
     np.hypot: _elementwise(_hypot_partials),
     np.matmul: _matmul,
 }
-
-
-def _bind_operators():
-    """Bind ``+ - * / @`` and unary ``-`` to their ufunc's rule, so they skip
-    the mixin's round trip through the ufunc; a reflected operator swaps the
-    operands, as ndarray's do."""
-    table = (("add", np.add), ("sub", np.subtract), ("mul", np.multiply), ("truediv", np.divide), ("matmul", np.matmul))
-    for name, ufunc in table:
-        rule = _UFUNC_RULES[ufunc]
-        setattr(DualArray, f"__{name}__", lambda self, other, rule=rule, ufunc=ufunc: rule(ufunc, self, other))
-        setattr(DualArray, f"__r{name}__", lambda self, other, rule=rule, ufunc=ufunc: rule(ufunc, other, self))
-    DualArray.__neg__ = lambda self: _UFUNC_RULES[np.negative](np.negative, self)
-
-
-_bind_operators()
 
 
 def _tangent_axis(axis):

@@ -84,19 +84,21 @@ def _flat(array):
     return [float(x) for x in np.asarray(array, dtype=float).reshape(-1)]
 
 
+def _read_json(path, what):
+    try:
+        return json.loads(_read_file(path))
+    except json.JSONDecodeError as exc:
+        raise ShapeError(f"{what} {path}: invalid JSON ({exc})") from None
+
+
 def _load_configs(path, m):
     """Configuration rows from JSON (array of arrays) or CSV (one row per line)."""
-    text = _read_file(path)
     if path.endswith(".json"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ShapeError(f"configs file {path}: invalid JSON ({exc})") from None
-        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        rows = _read_json(path, "configs file")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ShapeError(f"configs file {path}: expected an array of arrays")
-        rows = data
     else:
-        lines = text.splitlines()
+        lines = _read_file(path).splitlines()
         if m == 0:
             # zero-dof chains: every line (even blank) is one configuration,
             # and an empty file means a single one
@@ -140,7 +142,29 @@ def _seed_of(args, fallback=0):
     return args.seed if args.seed is not None else fallback
 
 
-# -- subcommand handlers (return (document text, exit code)) -----------------
+def _document(args, body, seconds=None, **extra):
+    """The schema-1 document of ``body``; a timed command (``seconds`` given)
+    ends with its diagnostics: ``extra``, then the timing unless --no-timing."""
+    doc = {"schema": 1, "command": args.command, **body}
+    if seconds is not None:
+        doc["diagnostics"] = extra
+        if not args.no_timing:
+            extra["timing"] = {"seconds": seconds}
+    return doc
+
+
+def _timed_on_chain(args, call):
+    """(chain, result, seconds) of one ``call(engine, thetas)`` on a fresh
+    FkEngine for the base -> end chain and the configs file's rows."""
+    chain = extract_chain(parse_urdf(_read_file(args.urdf)), args.base, args.end)
+    thetas = np.array(_load_configs(args.configs, chain.m), dtype=float)
+    engine = FkEngine(chain, len(thetas))
+    start = time.perf_counter()
+    result = call(engine, thetas)
+    return chain, result, time.perf_counter() - start
+
+
+# -- subcommand handlers (return (document or CSV text, exit code)) ----------
 
 
 def _cmd_validate(args):
@@ -161,9 +185,7 @@ def _cmd_validate(args):
         [model.root_link] + [j.child_link for j in extract_chain(model, model.root_link, leaf).joints]
         for leaf in sorted(model.leaf_links())
     ]
-    doc = {
-        "schema": 1,
-        "command": "validate",
+    body = {
         "name": model.name,
         "root": model.root_link,
         "links": model.link_names(),
@@ -171,31 +193,31 @@ def _cmd_validate(args):
         "dof_total": sum(j.dof for j in model.joints),
         "leaf_chains": chains,
     }
-    return _dump_json(doc) + "\n", EXIT_OK
+    return _document(args, body), EXIT_OK
 
 
-def _chain_batch(args):
-    """(chain, engine, thetas) for the base -> end chain and the configs file."""
-    model = parse_urdf(_read_file(args.urdf))
-    chain = extract_chain(model, args.base, args.end)
-    rows = _load_configs(args.configs, chain.m)
-    engine = FkEngine(chain, len(rows))
-    return chain, engine, np.array(rows, dtype=float)
+def _cmd_fk(args):
+    if args.intermediates and args.format == "csv":
+        raise ShapeError("--intermediates needs --format json: the CSV output holds only the poses")
 
-
-def _fk_document(args):
-    chain, engine, thetas = _chain_batch(args)
-    start = time.perf_counter()
-    if args.intermediates:
+    def forward(engine, thetas):
+        if not args.intermediates:
+            return engine.forward(thetas), None
         inters = engine.forward(thetas, want_intermediates=True)
-        finals = inters[:, -1].copy() if chain.n else engine.forward(thetas)
-    else:
-        inters = None
-        finals = engine.forward(thetas)
-    elapsed = time.perf_counter() - start
+        return (inters[:, -1].copy() if engine.n else engine.forward(thetas)), inters
+
+    chain, (finals, inters), elapsed = _timed_on_chain(args, forward)
+    # finite configurations can still overflow, and JSON has no inf or NaN
+    if not all(np.isfinite(a).all() for a in (finals, inters) if a is not None):
+        raise ShapeError("non-finite value in fk output")
     poses, degenerate = pose_batch_from_transforms(finals)
+    if args.format == "csv":
+        lines = ["index,x,y,z,alpha,beta,gamma"]
+        for k, pose in enumerate(poses):
+            lines.append(str(k) + "," + ",".join(format(float(v), ".17g") for v in pose))
+        return "\n".join(lines) + "\n", EXIT_OK
     results = []
-    for k in range(len(thetas)):
+    for k in range(len(finals)):
         entry = {
             "index": k,
             "transform": _flat(finals[k]),
@@ -208,62 +230,23 @@ def _fk_document(args):
                 for i, joint in enumerate(chain.joints)
             ]
         results.append(entry)
-    doc = {
-        "schema": 1,
-        "command": "fk",
-        "seed": _seed_of(args),
-        "chain": _chain_header(chain),
-        "results": results,
-        "diagnostics": _diagnostics(args, {"degenerate_count": int(degenerate.sum())}, elapsed),
-    }
-    return doc, poses
-
-
-def _diagnostics(args, extra, elapsed):
-    diag = dict(extra)
-    if not args.no_timing:
-        diag["timing"] = {"seconds": elapsed}
-    return diag
-
-
-def _cmd_fk(args):
-    if args.intermediates and args.format == "csv":
-        raise ShapeError("--intermediates needs --format json: the CSV output holds only the poses")
-    doc, poses = _fk_document(args)
-    if args.format == "csv":
-        lines = ["index,x,y,z,alpha,beta,gamma"]
-        for k, pose in enumerate(poses):
-            lines.append(str(k) + "," + ",".join(format(float(v), ".17g") for v in pose))
-        return "\n".join(lines) + "\n", EXIT_OK
-    return _dump_json(doc) + "\n", EXIT_OK
+    body = {"seed": _seed_of(args), "chain": _chain_header(chain), "results": results}
+    return _document(args, body, elapsed, degenerate_count=int(degenerate.sum())), EXIT_OK
 
 
 def _cmd_jacobian(args):
-    chain, engine, thetas = _chain_batch(args)
-    start = time.perf_counter()
-    jacobians = pose_jacobian(engine, thetas)
-    elapsed = time.perf_counter() - start
+    chain, jacobians, elapsed = _timed_on_chain(args, pose_jacobian)
     results = [
         {"index": k, "shape": [6, chain.m], "jacobian": _flat(jac)}
         for k, jac in enumerate(jacobians)
     ]
-    doc = {
-        "schema": 1,
-        "command": "jacobian",
-        "seed": _seed_of(args),
-        "chain": _chain_header(chain),
-        "results": results,
-        "diagnostics": _diagnostics(args, {}, elapsed),
-    }
-    return _dump_json(doc) + "\n", EXIT_OK
+    body = {"seed": _seed_of(args), "chain": _chain_header(chain), "results": results}
+    return _document(args, body, elapsed), EXIT_OK
 
 
 def _cmd_identify(args):
     model = parse_urdf(_read_file(args.urdf))
-    try:
-        raw = json.loads(_read_file(args.config))
-    except json.JSONDecodeError as exc:
-        raise ShapeError(f"config file {args.config}: invalid JSON ({exc})") from None
+    raw = _read_json(args.config, "config file")
     if not isinstance(raw, dict):
         raise ShapeError(f"config file {args.config}: expected a JSON object")
     # the target and the chain are run_identification's arguments; the rest
@@ -280,9 +263,7 @@ def _cmd_identify(args):
     except ValueError as exc:
         raise ShapeError(f"--seed {args.seed}: {exc}") from None
     result = run_identification(model, target_link, base, end, cfg)
-    doc = {
-        "schema": 1,
-        "command": "identify",
+    body = {
         "seed": cfg.seed,
         "target_link": target_link,
         "chain": {"base": base, "end": end},
@@ -293,10 +274,9 @@ def _cmd_identify(args):
         "init_hint": _flat(result.init_hint),
         "pose_error": _flat(result.pose_error),
         "param_error": _flat(result.param_error),
-        "diagnostics": _diagnostics(args, {}, result.seconds),
     }
     code = EXIT_OK if result.status == "converged" else EXIT_BUDGET
-    return _dump_json(doc) + "\n", code
+    return _document(args, body, result.seconds), code
 
 
 def _cmd_bench(args):
@@ -325,9 +305,7 @@ def _cmd_bench(args):
         }
         for m in report.measurements
     ]
-    doc = {
-        "schema": 1,
-        "command": "bench",
+    body = {
         "seed": _seed_of(args),
         "chain": _chain_header(chain),
         "results": results,
@@ -336,13 +314,16 @@ def _cmd_bench(args):
         "machine": report.machine,
         "threads": report.threads,
     }
-    return _dump_json(doc) + "\n", EXIT_OK
+    return _document(args, body), EXIT_OK
 
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0; always echoed in output)")
     common.add_argument("--no-timing", action="store_true", help="omit wall-time diagnostics for byte-stable output")
+    on_chain = argparse.ArgumentParser(add_help=False, parents=[common])
+    for name in ("urdf", "base", "end"):
+        on_chain.add_argument(name)
 
     parser = argparse.ArgumentParser(prog="diffkin", description="Batched differentiable forward kinematics for URDF robots")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -351,19 +332,13 @@ def _build_parser():
     p.add_argument("urdf")
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("fk", parents=[common], help="forward kinematics for a batch of configurations")
-    p.add_argument("urdf")
-    p.add_argument("base")
-    p.add_argument("end")
+    p = sub.add_parser("fk", parents=[on_chain], help="forward kinematics for a batch of configurations")
     p.add_argument("configs", help="CSV (m columns per row) or .json (array of arrays)")
     p.add_argument("--intermediates", action="store_true", help="include every cumulative chain transform")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_fk)
 
-    p = sub.add_parser("jacobian", parents=[common], help="6 x m pose Jacobians for a batch of configurations")
-    p.add_argument("urdf")
-    p.add_argument("base")
-    p.add_argument("end")
+    p = sub.add_parser("jacobian", parents=[on_chain], help="6 x m pose Jacobians for a batch of configurations")
     p.add_argument("configs")
     p.set_defaults(handler=_cmd_jacobian)
 
@@ -372,10 +347,7 @@ def _build_parser():
     p.add_argument("config", help="JSON: {target_link, base, end[, batch_size, max_steps, seed]}")
     p.set_defaults(handler=_cmd_identify)
 
-    p = sub.add_parser("bench", parents=[common], help="forward-kinematics throughput across batch sizes")
-    p.add_argument("urdf")
-    p.add_argument("base")
-    p.add_argument("end")
+    p = sub.add_parser("bench", parents=[on_chain], help="forward-kinematics throughput across batch sizes")
     p.add_argument("--batch-sizes", default="1,256,1024,4096")
     p.add_argument("--seconds", type=float, default=0.5, help="minimum wall time per measurement")
     p.add_argument("--repeats", type=int, default=3, help="repetitions per batch size; fastest is reported")
@@ -387,11 +359,11 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, code = args.handler(args)
+        body, code = args.handler(args)
     except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    sys.stdout.write(text)
+    sys.stdout.write(body if isinstance(body, str) else _dump_json(body) + "\n")
     return code
 
 

@@ -516,8 +516,6 @@ class FkEngine:
         (r, S, k, 4, 4).  For seed_array input the contraction copies the
         twists exactly.
         """
-        # The batched matmuls stay: elementwise cross products made
-        # pose_jacobian 1.06-1.97x slower at b = 256, 1.16-1.79x at b = 4096.
         spatial = (seeds * weights) @ twists[:, None]
         rows, snaps, k = spatial.shape[:3]
         mats = (spatial.reshape(-1, 6) @ _TWIST_MATRIX.astype(self.dtype, copy=False)).reshape(rows, snaps, 4 * k, 4)

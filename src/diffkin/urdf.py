@@ -323,10 +323,9 @@ def serialize_urdf(model: RobotModel) -> str:
         ET.SubElement(root, "link", {"name": link.name})
     for joint in model.joints:
         elem = ET.SubElement(root, "joint", {"name": joint.name, "type": joint.joint_type.value})
-        if any(joint.origin_xyz) or any(joint.origin_rpy):
-            origin = ET.SubElement(elem, "origin")
-            origin.set("xyz", " ".join(repr(v) for v in joint.origin_xyz))
-            origin.set("rpy", " ".join(repr(v) for v in joint.origin_rpy))
+        origin = ET.SubElement(elem, "origin")
+        origin.set("xyz", " ".join(repr(v) for v in joint.origin_xyz))
+        origin.set("rpy", " ".join(repr(v) for v in joint.origin_rpy))
         ET.SubElement(elem, "parent", {"link": joint.parent_link})
         ET.SubElement(elem, "child", {"link": joint.child_link})
         if joint.axis is not None:

@@ -350,3 +350,93 @@ def test_mixed_chain_fk_against_library(capsys, tmp_path, rng):
     want = eng.forward(thetas.ravel())
     for k, entry in enumerate(doc["results"]):
         np.testing.assert_array_equal(np.array(entry["transform"]).reshape(4, 4), want[k])
+
+
+_PRISMATIC2 = """
+<robot name="p"><link name="a"/><link name="b"/><link name="c"/>
+<joint name="j1" type="prismatic"><parent link="a"/><child link="b"/><axis xyz="1 0 0"/></joint>
+<joint name="j2" type="prismatic"><parent link="b"/><child link="c"/><axis xyz="1 0 0"/></joint>
+</robot>"""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv", [["fk"], ["fk", "--format", "csv"], ["jacobian"]], ids=["fk", "fk_csv", "jacobian"])
+def test_fk_refuses_overflowing_configs(argv, capsys, tmp_path):
+    """Finite configurations whose transform overflows are a shape error with
+    nothing on stdout, for fk as for jacobian: no bare inf that JSON cannot
+    hold."""
+    up = tmp_path / "p.urdf"
+    up.write_text(_PRISMATIC2)
+    cfg = tmp_path / "c.csv"
+    cfg.write_text("1e308,1e308\n")
+    code, out, err = run_cli(capsys, *argv, str(up), "a", "c", str(cfg), "--no-timing")
+    assert code == 4 and out == ""
+    assert f"non-finite value in {argv[0]} output" in err
+
+
+_CHAIN_DOC = ["schema", "command", "seed", "chain", "results", "diagnostics"]
+_ENVELOPES = {
+    "validate": (
+        ["validate", "{arm2r}"],
+        ["schema", "command", "name", "root", "links", "joints", "dof_total", "leaf_chains"],
+        None,
+        None,
+    ),
+    "fk": (
+        ["fk", "{arm2r}", "base", "tip", "{configs}"],
+        _CHAIN_DOC,
+        ["index", "transform", "pose", "degenerate"],
+        ["degenerate_count"],
+    ),
+    "fk_intermediates": (
+        ["fk", "{arm2r}", "base", "tip", "{configs}", "--intermediates"],
+        _CHAIN_DOC,
+        ["index", "transform", "pose", "degenerate", "intermediates"],
+        ["degenerate_count"],
+    ),
+    "jacobian": (
+        ["jacobian", "{arm2r}", "base", "tip", "{configs}"],
+        _CHAIN_DOC,
+        ["index", "shape", "jacobian"],
+        [],
+    ),
+    "identify": (
+        ["identify", "{cam}", "{identify}"],
+        ["schema", "command", "seed", "target_link", "chain", "status", "steps", "final_loss",
+         "params", "init_hint", "pose_error", "param_error", "diagnostics"],
+        None,
+        [],
+    ),
+    "bench": (
+        ["bench", "{arm2r}", "base", "tip", "--batch-sizes", "1", "--seconds", "0.02", "--repeats", "1"],
+        ["schema", "command", "seed", "chain", "results", "baseline_ops_per_sec", "ratios", "machine", "threads"],
+        ["batch_size", "iterations", "seconds", "ops_per_sec"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("no_timing", [False, True], ids=["timing", "no_timing"])
+@pytest.mark.parametrize("case", list(_ENVELOPES))
+def test_document_keys_in_order(case, no_timing, capsys, tmp_path, arm2r_file, configs_file):
+    """Every document's top-level keys, a result entry's keys and the
+    diagnostics' keys, in their printed order; the timing is last and only
+    without --no-timing."""
+    argv, keys, entry_keys, diagnostics = _ENVELOPES[case]
+    cam = tmp_path / "cam.urdf"
+    cam.write_text(CAM_ARM)
+    identify_cfg = tmp_path / "id.json"
+    identify_cfg.write_text(json.dumps({"target_link": "camera", "base": "base", "end": "camera", "max_steps": 2}))
+    paths = {"arm2r": arm2r_file, "configs": configs_file, "cam": str(cam), "identify": str(identify_cfg)}
+    argv = [arg.format(**paths) for arg in argv] + (["--no-timing"] if no_timing else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == (5 if case == "identify" else 0) and err == ""
+    doc = json.loads(out)
+    assert list(doc) == keys
+    assert (doc["schema"], doc["command"]) == (1, argv[0])
+    if entry_keys is not None:
+        assert [list(entry) for entry in doc["results"]] == [entry_keys] * len(doc["results"])
+    if diagnostics is not None:
+        assert list(doc["diagnostics"]) == diagnostics + ([] if no_timing else ["timing"])
+        if not no_timing:
+            assert list(doc["diagnostics"]["timing"]) == ["seconds"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,19 @@ def test_serialize_roundtrip(mixed):
     text = urdf.serialize_urdf(mixed)
     again = urdf.parse_urdf(text)
     assert _models_equal(mixed, again)
+
+
+def test_serialize_roundtrip_keeps_signed_zeros():
+    """An origin of zeros, some negative, keeps every sign: == cannot tell
+    -0.0 from 0.0, so compare copysign."""
+    text = """<robot name="z"><link name="a"/><link name="b"/>
+    <joint name="j" type="fixed"><parent link="a"/><child link="b"/>
+    <origin xyz="-0.0 0 0" rpy="0 -0.0 0"/></joint></robot>"""
+    model = urdf.parse_urdf(text)
+    again = urdf.parse_urdf(urdf.serialize_urdf(model))
+    signs = [math.copysign(1.0, v) for v in model.joints[0].origin_params()]
+    assert signs == [-1.0, 1.0, 1.0, 1.0, -1.0, 1.0]
+    assert [math.copysign(1.0, v) for v in again.joints[0].origin_params()] == signs
 
 
 @settings(max_examples=25, deadline=None)
