@@ -2,8 +2,10 @@
 
 Subcommands: validate, fk, jacobian, identify, bench.  Results go to stdout
 as a schema-versioned JSON document (CSV available for fk poses);
-diagnostics go to stderr.  Exit codes: 0 success, 2 URDF/file errors,
-3 chain errors, 4 shape/config errors, 5 identification budget exhausted.
+diagnostics go to stderr.  Exit codes: 0 success, 2 URDF/file errors and
+unknown options (argparse's usage error), 3 chain errors, 4 shape/config
+errors, 5 identification budget exhausted.  fk, jacobian and identify take
+--seed and --no-timing, bench takes --seed, validate neither.
 
 With a fixed --seed and --no-timing, fk and jacobian output is byte-stable
 across runs: floats are serialized with 17 significant digits and key order
@@ -318,36 +320,38 @@ def _cmd_bench(args):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0; always echoed in output)")
-    common.add_argument("--no-timing", action="store_true", help="omit wall-time diagnostics for byte-stable output")
-    on_chain = argparse.ArgumentParser(add_help=False, parents=[common])
+    # --seed for the commands that echo it, --no-timing for those that time
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (default 0; always echoed in output)")
+    timed = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    timed.add_argument("--no-timing", action="store_true", help="omit wall-time diagnostics for byte-stable output")
+    on_chain = argparse.ArgumentParser(add_help=False)
     for name in ("urdf", "base", "end"):
         on_chain.add_argument(name)
 
     parser = argparse.ArgumentParser(prog="diffkin", description="Batched differentiable forward kinematics for URDF robots")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="parse a URDF and report tree statistics")
+    p = sub.add_parser("validate", help="parse a URDF and report tree statistics")
     p.add_argument("urdf")
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("fk", parents=[on_chain], help="forward kinematics for a batch of configurations")
+    p = sub.add_parser("fk", parents=[on_chain, timed], help="forward kinematics for a batch of configurations")
     p.add_argument("configs", help="CSV (m columns per row) or .json (array of arrays)")
     p.add_argument("--intermediates", action="store_true", help="include every cumulative chain transform")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_fk)
 
-    p = sub.add_parser("jacobian", parents=[on_chain], help="6 x m pose Jacobians for a batch of configurations")
+    p = sub.add_parser("jacobian", parents=[on_chain, timed], help="6 x m pose Jacobians for a batch of configurations")
     p.add_argument("configs")
     p.set_defaults(handler=_cmd_jacobian)
 
-    p = sub.add_parser("identify", parents=[common], help="recover a substituted joint's six parameters")
+    p = sub.add_parser("identify", parents=[timed], help="recover a substituted joint's six parameters")
     p.add_argument("urdf")
     p.add_argument("config", help="JSON: {target_link, base, end[, batch_size, max_steps, seed]}")
     p.set_defaults(handler=_cmd_identify)
 
-    p = sub.add_parser("bench", parents=[on_chain], help="forward-kinematics throughput across batch sizes")
+    p = sub.add_parser("bench", parents=[on_chain, seeded], help="forward-kinematics throughput across batch sizes")
     p.add_argument("--batch-sizes", default="1,256,1024,4096")
     p.add_argument("--seconds", type=float, default=0.5, help="minimum wall time per measurement")
     p.add_argument("--repeats", type=int, default=3, help="repetitions per batch size; fastest is reported")

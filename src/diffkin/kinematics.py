@@ -9,13 +9,17 @@ joint six, in the order Tx Ty Tz Rz Ry Rx of sixdof_batch_to_transforms.
 Joint origins, fixed joints and alignment inverses fold into the static
 transforms; what follows the last factor is the trailing S_F.
 
-Every entry of S_f M_f is linear in (cos, sin) of a rotation angle or in
-(d, 1) of a translation, so forward scales theta, takes cos and sin of the
-rotational dofs only, and gets the whole (rows, F, 4, 4) factor stack of a
-block from one matmul of the per-row coefficients with a precomputed basis.
-It then multiplies along the factor axis; intermediates are snapshots of the
-running product at each segment's last factor, times the static pending
-there.
+Every evaluation runs one column pass, block by block (FkEngine._pass).
+It keeps a block's running product P as its columns C, an array (4 columns,
+3 rows, rows), each entry contiguous over the rows; P's bottom row is
+(0, 0, 0, 1) in every product of these factors and is not stored.  Factor f
+is applied in two steps: P S_f is one constant GEMM S_f^T @ C, skipped
+where S_f = I, and P M_f mixes two columns.  A rotation about axis a by q,
+(c, s) = (cos q, sin q), sets C_i, C_j <- c C_i + s C_j, c C_j - s C_i,
+(i, j) = (1, 2), (2, 0), (0, 1) for a = x, y, z; a translation by d sets
+C_3 <- C_3 + d C_a.  cos and sin are taken once per block.  Snapshots
+(intermediates at each segment's last factor, finals after the chain) are
+the columns times the static pending there, one more GEMM unless it is I.
 
 The reference pipeline is the scatter/map/scan form of the same chain: a
 flat theta batch (b*m,) is scattered through the index matrix P into the
@@ -24,41 +28,34 @@ into a joint transform (joint_transforms), premultiplied by its segment's
 static link transform (combine_link_joint), and an inclusive cumulative
 product along the chain axis (scan_compose), then the post-corrections,
 gives every intermediate and the final transform.  forward does not call
-these stages; they are the oracle it is tested against.  Where every static
-transform's rotation is axis-aligned (arm4, cam_arm) all coefficient
-products are exact and forward equals the reference bit for bit; elsewhere
-they round differently, within a few ulps.
+these stages; they are the oracle it is tested against, within a few ulps.
 
-One product serves values and derivatives.  A DualArray theta batch runs
-the float factors and product on its primal, so its primal result is the
-float result bit for bit, and keeps the running product P_f after every
-factor.  Factor f moves one theta column about or along one canonical axis
-of P_f, so that column's derivative of every later transform T is a twist
-of P_f applied to T: for a rotation with w = R(P_f)[:, a],
-dR_T = w x R_T and dp_T = w x (p_T - p(P_f)); for a translation dp_T = w
-(Orin & Schrader 1984).  These per-column twists are contracted with the
-input tangents, so forward carries any tangents (vector forward mode) at
-the cost of a few products per block, whatever their number.  The kernels
-downstream (pose and quaternion extraction, metrics) run on the resulting
-DualArray unchanged.  _factors and
-_product_block stay numpy-generic: run on a DualArray they are the dense
-pass, which carries every tangent through every product, and the tests use
-it as the oracle of the twist tangents.
+One pass serves values and derivatives.  Factor f moves one theta column
+about or along axis a of the frame P_{f-1} S_f, whose axis column C_a and
+origin column C_3 the pass reads off before f's mix, so that column's
+derivative of every later transform T is a twist of that frame applied to
+T: for a rotation with w = C_a, dR_T = w x R_T and dp_T = w x (p_T - C_3);
+for a translation dp_T = w (Orin & Schrader 1984).  A DualArray theta batch
+runs the float pass on its primal, so its primal result is the float result
+bit for bit, and contracts those twists with the input tangents, so forward
+carries any tangents (vector forward mode) at the cost of a few products
+per block, whatever their number.  The kernels downstream (pose and
+quaternion extraction, metrics) run on the resulting DualArray unchanged.
 
-Jacobians of the final transform need no DualArray.  The twists (w_c, v_c)
-of the theta columns, times their theta scales, are the columns of the
-geometric Jacobian in the base frame: rows w_c x p_T + v_c, the velocity of
-T's origin, over rows w_c, its angular velocity (geometric_jacobian).
-pose_jacobian maps the angular rows through the rate map of
-R_T = Rz(gamma) Ry(beta) Rx(alpha) (Siciliano et al. 2009, sec. 3.6): with
-c = cos(beta) = hypot(r00, r10), alpha' = (r00 wx + r10 wy) / c^2,
-beta' = (r00 wy - r10 wx) / c and gamma' = wz - r20 alpha'.  Both run block
-by block: a few elementwise products turn each block's twists into its rows
-of the (b, 6, m) result, so no temporary spans the batch.  Rows at gimbal
-lock (c <= transforms._GIMBAL_COS_TOL), where the rate map is singular,
-take the pose extraction's derivatives instead: _tangent_block applies
-their twists to T, and pose_batch_from_transforms runs on that DualArray,
-so they keep the float pose's convention (alpha = 0).
+Jacobians of the final transform need no DualArray.  The twists of the
+theta columns, times their theta scales, are the columns of the geometric
+Jacobian in the base frame: rows w_c x (p_T - C_3) (w_c for a translation),
+the velocity of T's origin, over rows w_c (0 for a translation), its
+angular velocity (geometric_jacobian).  pose_jacobian maps the angular rows
+through the rate map of R_T = Rz(gamma) Ry(beta) Rx(alpha) (Siciliano et al.
+2009, sec. 3.6): with c = cos(beta) = hypot(r00, r10),
+alpha' = (r00 wx + r10 wy) / c^2, beta' = (r00 wy - r10 wx) / c and
+gamma' = wz - r20 alpha'.  Both run block by block on (m, rows) arrays, so
+no temporary spans the batch.  Rows at gimbal lock
+(c <= transforms._GIMBAL_COS_TOL), where the rate map is singular, take the
+pose extraction's derivatives instead: _tangent_block applies their twists
+to T, and pose_batch_from_transforms runs on that DualArray, so they keep
+the float pose's convention (alpha = 0).
 
 Joints with an arbitrary axis are handled by conjugation: motion about axis
 ``a`` equals R_align . canonical-slot-motion . R_align^T, where R_align maps
@@ -70,7 +67,9 @@ directly with the sign folded into the theta scaling.
 Every entry that takes configurations reads them with _theta_rows: a batch
 is (b*m,) or (b, m), all finite, of a dtype that autodiff.operand accepts.
 Another shape, even of the right size, is a ShapeError; a NaN or inf a
-ValueError; another dtype a TypeError, raised before any cast.
+ValueError; another dtype a TypeError, raised before any cast.  Values that
+overflow inside the pass give inf or NaN without a numpy warning; the
+callers that refuse non-finite output (the Jacobians, the CLI) raise.
 """
 
 from __future__ import annotations
@@ -128,12 +127,19 @@ def _integer_setting(name, value, minimum):
 
 _AXIS_TOL = 1e-9
 
-# Large batches run in blocks of this many configurations: smaller blocks pay
-# more per-call overhead, and from 1024 rows on the (rows, F, 4, 4) factor
-# stack and its products fall out of cache (arm4: 512 is the fastest of 128,
-# 256, 512 and 1024 at b = 1024, 2048 and 4096 in float64 and float32).
-# Blocking changes no arithmetic (batch elements never interact), so results
-# are bitwise identical to a single pass.
+# Large batches run in blocks of this many configurations.  Median items per
+# kilo reference unit (bench._timed_loop), arm4, one thread, 2-core x86_64,
+# blocks of 256 / 512 / 1024 / 2048 rows:
+#   forward       f64 b=1024  191k / 240k / 268k / 289k    b=4096 192k / 249k / 300k / 216k
+#                 f32 b=1024  305k / 469k / 616k / 622k    b=4096 319k / 477k / 523k / 607k
+#   pose_jacobian f64 b=256   115k / 111k / 111k / 111k    b=4096 120k / 162k / 184k / 119k
+#                 f32 b=256   164k / 166k / 161k / 164k    b=4096 182k / 282k / 309k / 307k
+# With 1024 a block's temporaries outgrow glibc's trim threshold beside the
+# result, and the heap is refaulted on every call: pose_jacobian at b=1024
+# and 2048 took 90-160 minor faults a call, forward at b=4096 about 250
+# after a b=1024 run (b=4096 then read 20% below b=1024 in bench.run_bench).
+# 512 took none.  Blocking changes no arithmetic, so results are bitwise
+# identical to a single pass.
 _BLOCK_ROWS = 512
 
 
@@ -208,25 +214,48 @@ def _joint_motion(joint):
 # Position of each parameter slot in a factor sequence: a six-vector is the
 # motion Tx Ty Tz Rz Ry Rx (sixdof_batch_to_transforms' composition order).
 _FACTOR_ORDER = (0, 1, 2, 5, 4, 3)
-# Columns (i, j) that a rotation about x, y, z mixes.
-_MIXED_I = np.array([1, 2, 0])
-_MIXED_J = np.array([2, 0, 1])
-_XYZ = np.arange(3)
+# The columns (C_i, C_j) that a rotation about x, y, z mixes, and the same
+# two swapped, as views of the pass's (4, 3, rows) columns.
+_PAIRS = (slice(1, 3), slice(2, None, -2), slice(0, 2))
+_SWAPPED = (slice(2, 0, -1), slice(0, 3, 2), slice(1, None, -1))
+# (s, -s) from a block's sines s; float32, so that the product keeps the
+# sines' dtype, float32 or float64.
+_SIGNS = np.array([1.0, -1.0], dtype=np.float32).reshape(2, 1, 1)
+_EYE, _BOTTOM = np.eye(4), np.array([0.0, 0.0, 0.0, 1.0])
 # A twist (w, v) as its 4x4 matrix [[w]x | v; 0 0 0 0], flattened row-major.
 _TWIST_MATRIX = np.zeros((6, 16))
 _TWIST_MATRIX[[2, 1, 2, 0, 1, 0], [1, 2, 4, 6, 8, 9]] = [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
 _TWIST_MATRIX[[3, 4, 5], [3, 7, 11]] = 1.0
 
 
+def _blocks(b):
+    """Row slices of a batch of b, _BLOCK_ROWS at a time."""
+    return [slice(start, min(start + _BLOCK_ROWS, b)) for start in range(0, b, _BLOCK_ROWS)]
+
+
+def _cross(a, b, out):
+    """out = a x b along the first axis of (3, ...) arrays, one component at
+    a time, so that no temporary is larger than a component."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+
+
+def _put_transforms(columns, out):
+    """Write (4, 3, rows) columns as the (rows, 4, 4) transforms ``out``."""
+    out[..., :3, :] = columns.transpose(2, 1, 0)
+    out[..., 3, :] = _BOTTOM
+
+
 class FkEngine:
     """Immutable forward-kinematics evaluator for one chain at one batch size.
 
     Construction compiles the chain into one-dof factors (see the module
-    docstring): the basis that maps a row of (cos, sin, translation, 1)
-    coefficients to the row's factor stack, which theta columns feed those
-    coefficients, and the static transforms pending at each snapshot.
-    forward scales theta, takes cos/sin of the rotational dofs, makes the
-    factors with one matmul per block and multiplies them in order.
+    docstring): per factor its static transform, transposed for the column
+    GEMM (None where it is the identity), its theta column and its motion;
+    and the static transforms pending at each snapshot.  Every evaluation
+    (forward, its DualArray tangents, the Jacobians and _products_around)
+    runs the column pass _pass, one block of rows at a time.
 
     scatter_thetas, combine_link_joint, index_matrix and link_transforms,
     with the module's joint_transforms and scan_compose, are the reference
@@ -284,62 +313,34 @@ class FkEngine:
         # per-row post-corrections, applied after the reference pipeline's scan
         self._posts = tuple(posts)
 
-        # Every factor entry is linear in the block's coefficient row
-        # (cos of the rotational dofs, their sin, the translational dofs, 1):
-        # S @ R(theta) has column i = c*S_i + s*S_j and column j =
-        # c*S_j - s*S_i, S @ T(d) has column 3 = S_3 + d*S_a, and the rest is
-        # S.  _basis holds those coefficients, one row per coefficient.
-        stack = np.array([static for static, _, _ in factors]).reshape(self.m, 4, 4)
+        def transposed(static):
+            return None if static is None or np.array_equal(static, eye) else np.ascontiguousarray(static.T, dtype=dt)
+
+        # the pass's steps: (S_f^T or None, theta column, axis, and for a
+        # rotation the mixed columns, them swapped, and its row of the
+        # block's cos and sin)
         cols = np.array([col for _, col, _ in factors], dtype=np.intp)
-        slots = np.array([slot for _, _, slot in factors], dtype=np.intp)
-        rot, trans = np.flatnonzero(slots >= 3), np.flatnonzero(slots < 3)
-        n_r, n_t = rot.size, trans.size
-        ci, cj = _MIXED_I[slots[rot] - 3], _MIXED_J[slots[rot] - 3]
-        r3, k = np.arange(3)[:, None], np.arange(n_r)
-        si, sj = stack[rot, r3, ci], stack[rot, r3, cj]
-        basis = np.zeros((2 * n_r + n_t + 1, self.m, 4, 4))
-        basis[-1] = stack
-        basis[-1, rot, r3, ci] = basis[-1, rot, r3, cj] = 0.0
-        basis[k, rot, r3, ci], basis[k, rot, r3, cj] = si, sj
-        basis[n_r + k, rot, r3, ci], basis[n_r + k, rot, r3, cj] = sj, -si
-        basis[2 * n_r + np.arange(n_t), trans, r3, 3] = stack[trans, r3, slots[trans]]
-        self._basis = basis.reshape(len(basis), -1).astype(dt)
-        self._rot_cols, self._trans_cols = cols[rot], cols[trans]
-        self._factor_cols, self._factor_slots = cols, slots
+        rot = np.array([slot >= 3 for _, _, slot in factors], dtype=bool)
+        self._steps = tuple(
+            (transposed(s), col, slot % 3) + ((_PAIRS[slot - 3], _SWAPPED[slot - 3], k) if r else (None, None, None))
+            for (s, col, slot), r, k in zip(factors, rot, np.cumsum(rot) - 1)
+        )
+        self._rot_cols, self._trans_cols, self._factor_cols = cols[rot], cols[~rot], cols
         # snapshots: intermediates at every segment, finals after the chain
         marks.append((self.m - 1, 0, marks[-1][2] if self.n else eye))
-        marks = [(f, i, None if p is None else p.astype(dt)) for f, i, p in marks]
+        marks = [(f, i, transposed(p)) for f, i, p in marks]
         self._marks, self._final_marks = tuple(marks[:-1]), (marks[-1],)
 
     @functools.cached_property
-    def _twist_tables(self):
-        """(src, weights) of the twist tangents, built on the first DualArray
-        evaluation, so that a float-only engine never pays for them.
-
-        ``src`` (m, 5, 3): for theta column c, whose factor f moves about or
-        along canonical axis a, flat indices into a block's (rows, 16 F)
-        prefix products of five triples (w, x, y, z, u), such that c's twist
-        per unit theta scale is (w, x * y - z * u).  A rotation gathers
-        (R[:, a], p[I], R[J, a], p[J], R[I, a]) of P_f, with I = (1, 2, 0)
-        and J = (2, 0, 1), so its moment is p x R[:, a]; a translation
-        gathers (0, R[:, a], 1, 0, 0), the zeros and ones from P_f's bottom
-        row, which is exactly (0, 0, 0, 1) in every product of the factors.
-        ``weights``: each column's theta scale, as (m,) for the finals and
-        (n, 1, m) for the intermediates, zero where c's factor comes after
-        intermediate j's mark.
-        """
+    def _twist_weights(self):
+        """Each theta column's theta scale, as (m,) for the finals and
+        (n, 1, m) for the intermediates, zero where the column's factor
+        comes after intermediate j's mark; built on the first DualArray
+        evaluation, so that a float-only engine never pays for them."""
         col_factor = np.argsort(self._factor_cols)
-        slots = self._factor_slots[col_factor]
-        frame = 16 * col_factor[:, None]
-        axis = frame + 4 * _XYZ + slots[:, None] % 3
-        origin = frame + 4 * _XYZ + 3
-        zero, one = (np.broadcast_to(frame + entry, axis.shape) for entry in (12, 15))
-        rot = np.stack([axis, origin[:, _MIXED_I], axis[:, _MIXED_J], origin[:, _MIXED_J], axis[:, _MIXED_I]], axis=1)
-        trans = np.stack([zero, axis, one, zero, zero], axis=1)
-        src = np.where((slots >= 3)[:, None, None], rot, trans)
         marked = np.array([f for f, _, _ in self._marks], dtype=np.intp)
         scale = self._scale_per_dof
-        return src, (scale, (col_factor <= marked[:, None, None]) * scale)
+        return scale, (col_factor <= marked[:, None, None]) * scale
 
     @property
     def index_matrix(self):
@@ -384,9 +385,9 @@ class FkEngine:
         (b, n, 4, 4) transforms with ``want_intermediates``.  A DualArray
         batch with k tangents returns a DualArray whose primal is bitwise
         equal to the float result and whose k tangents come from the twists
-        of the prefix products (see the module docstring).  Object-dtype
-        input (floats and seeded DiffScalars) is converted to a DualArray at
-        entry and back to DiffScalars at exit.
+        the pass reads off (see the module docstring).  Object-dtype input
+        (floats and seeded DiffScalars) is converted to a DualArray at entry
+        and back to DiffScalars at exit.
         """
         arr = thetas if isinstance(thetas, (np.ndarray, ad.DualArray)) else np.asarray(thetas)
         if arr.dtype == object:
@@ -394,14 +395,11 @@ class FkEngine:
         return self._evaluate(thetas, want_intermediates)
 
     def _evaluate(self, thetas, want_intermediates=False):
-        """forward() on a float ndarray or DualArray batch.
-
-        Both run the float factors and product on the primal; a DualArray
-        also keeps each block's prefix products and turns them into
-        tangents (_prefix_twists, _tangent_block).
-        """
-        b = self.batch_size
-        flat2d = _theta_rows(ad.primal_of(thetas), self.m, b, self.dtype)
+        """forward() on a float ndarray or DualArray batch: both run the
+        float pass on the primal; a DualArray also has it read off the
+        twists and turns them into tangents (_tangent_block)."""
+        b, m = self.batch_size, self.m
+        flat2d = _theta_rows(ad.primal_of(thetas), m, b, self.dtype)
         if want_intermediates:
             out = np.empty((b, self.n, 4, 4), dtype=self.dtype)
             snapshots, marks = out, self._marks
@@ -409,112 +407,106 @@ class FkEngine:
             out = np.empty((b, 4, 4), dtype=self.dtype)
             snapshots, marks = out[:, None], self._final_marks
         if not isinstance(thetas, ad.DualArray):
-            for start in range(0, b, _BLOCK_ROWS):
-                rows = slice(start, min(start + _BLOCK_ROWS, b))
-                self._product_block(self._factors(flat2d[rows]), snapshots[rows], marks)
+            for rows in _blocks(b):
+                self._pass(flat2d[rows], snapshots[rows], ((0, marks),))
             return out
         k = thetas.width
         # (b, 1, k, m): each row's input tangents, one matrix row per tangent
-        seeds = thetas.tangent.astype(self.dtype, copy=False).reshape(k, b, self.m).transpose(1, 0, 2)[:, None]
+        seeds = thetas.tangent.astype(self.dtype, copy=False).reshape(k, b, m).transpose(1, 0, 2)[:, None]
         tangent = np.empty((b, len(marks), k, 4, 4), dtype=self.dtype)
-        weights = self._twist_tables[1][want_intermediates]
-        for start in range(0, b, _BLOCK_ROWS):
-            rows = slice(start, min(start + _BLOCK_ROWS, b))
-            twists = self._prefix_twists(flat2d[rows], snapshots[rows], marks)
-            self._tangent_block(twists, snapshots[rows], seeds[rows], weights, tangent[rows])
+        weights = self._twist_weights[want_intermediates]
+        for rows in _blocks(b):
+            axes = np.empty((6, m, rows.stop - rows.start), dtype=self.dtype)
+            self._pass(flat2d[rows], snapshots[rows], ((0, marks),), axes)
+            self._tangent_block(self._twists(axes), snapshots[rows], seeds[rows], weights, tangent[rows])
         tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
         return ad.DualArray(out, tangent)
 
-    def _factors(self, flat2d):
-        """(rows, F, 4, 4) factor transforms of a (rows, m) theta block."""
-        rows = flat2d.shape[0]
-        if rows == 1:
-            # numpy runs a one-row matmul as gemv, which rounds unlike gemm;
-            # a repeated row keeps each row's value independent of its block
-            return self._factors(flat2d[[0, 0]])[:1]
-        q = flat2d * self._scale_per_dof
-        r = self._rot_cols.size
-        coef = np.empty((rows, self._basis.shape[0]), dtype=self.dtype, like=q)
-        a = q[:, self._rot_cols]
-        coef[:, :r] = np.cos(a)
-        coef[:, r : 2 * r] = np.sin(a)
-        coef[:, 2 * r : -1] = q[:, self._trans_cols]
-        coef[:, -1] = 1.0
-        return (coef @ self._basis).reshape(rows, self.m, 4, 4)
+    def _pass(self, flat2d, out, spans, axes=None):
+        """The column pass (see the module docstring) on a (rows, m) theta
+        block.  Each span (first, marks) starts a product at factor
+        ``first``; for each of its marks (f, i, pending^T) it puts the
+        product of factors first..f times the pending static into
+        out[:, i], or the pending static alone where f < first.  Returns the
+        last mark's (4, 3, rows) columns; ``out`` may then be None.  With
+        ``axes`` (6, m, rows), the pass writes each factor's axis column and
+        origin column, read before its mix, into axes[:3, c] and
+        axes[3:, c] of its theta column c.
 
-    def _product_block(self, g, out, marks, keep_prefix=False):
-        """Multiply the factors in order; for each mark (f, i, pending) write
-        out[:, i] = (product of factors 0..f) @ pending.  With
-        ``keep_prefix``, every g[:, f] is overwritten by the product of
-        factors 0..f (numpy buffers the overlapping operand, so the
-        products round as without it).
-
-        The F - 1 products along the factor axis are per-row 4x4 products;
-        a pending static is one constant 4x4 for the whole block, so its
-        product is a single (rows * 4, 4) @ (4, 4) GEMM, not one BLAS call
-        per row; each row rounds as in the per-row product (tested)."""
-        cur, done = None, 0  # the product of the first `done` factors
-        for f, i, pending in marks:
-            while done <= f:
-                if done == 0:
-                    cur = g[:, 0]
-                else:
-                    cur = np.matmul(cur, g[:, done], out=g[:, done] if keep_prefix else None)
-                done += 1
-            if cur is None:
-                out[:, i] = pending
-            elif pending is None:
-                out[:, i] = cur
-            else:
-                out[:, i] = np.matmul(cur.reshape(-1, 4), pending).reshape(-1, 4, 4)
+        Inputs that overflow make inf and NaN silently; the callers that
+        refuse non-finite output check it."""
+        rows = len(flat2d)
+        q = np.multiply(flat2d.T, self._scale_per_dof[:, None], order="C")
+        angles = q[self._rot_cols]
+        cos, sin = np.cos(angles), np.sin(angles)[:, None, None] * _SIGNS
+        # two allocations: the columns a caller keeps hold no spare alive
+        cur, spare = (np.empty((4, 3, rows), dtype=self.dtype) for _ in range(2))
+        mixed = np.empty((2, 3, rows), dtype=self.dtype)
+        columns = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first, marks in spans:
+                f = first
+                for last, i, pending in marks:
+                    for static, col, axis, pair, swapped, k in self._steps[f : last + 1]:
+                        if f == first:
+                            cur[...] = (_EYE if static is None else static)[:, :3, None]
+                        elif static is not None:
+                            np.matmul(static, cur.reshape(4, -1), out=spare.reshape(4, -1))
+                            cur, spare = spare, cur
+                        if axes is not None:
+                            axes[:3, col], axes[3:, col] = cur[axis], cur[3]
+                        if pair is not None:
+                            np.multiply(cur[swapped], sin[k], out=mixed)
+                            pair = cur[pair]
+                            pair *= cos[k]
+                            pair += mixed
+                        else:
+                            np.multiply(cur[axis], q[col], out=mixed[0])
+                            cur[3] += mixed[0]
+                        f += 1
+                    if last < first:
+                        columns = np.broadcast_to((_EYE if pending is None else pending)[:, :3, None], cur.shape)
+                    elif pending is None:
+                        columns = cur
+                    else:
+                        columns = np.matmul(pending, cur.reshape(4, -1), out=spare.reshape(4, -1)).reshape(cur.shape)
+                    if out is not None:
+                        _put_transforms(columns, out[:, i])
+        return columns
 
     def _products_around(self, thetas, start, stop):
         """(head, tail), (b, 4, 4) each, of a theta batch: the product of
         factors 0..start-1 and that of factors stop..F-1 times the trailing
         static, so the final transform is head @ (factors start..stop-1) @
         tail.  ``start`` is at least 1; an empty tail product is the
-        identity.  The head rounds as forward's prefix products do."""
+        identity.  One pass per block makes both, and the head rounds as
+        forward's prefix products do."""
         b = self.batch_size
         flat2d = _theta_rows(thetas, self.m, b, self.dtype)
-        trailing = self._final_marks[0][2]
-        head, tail = (np.empty((b, 1, 4, 4), dtype=self.dtype) for _ in range(2))
-        if stop == self.m:
-            tail[:] = np.eye(4) if trailing is None else trailing
-        for first in range(0, b, _BLOCK_ROWS):
-            rows = slice(first, min(first + _BLOCK_ROWS, b))
-            g = self._factors(flat2d[rows])
-            self._product_block(g[:, :start], head[rows], ((start - 1, 0, None),))
-            if stop < self.m:
-                self._product_block(g[:, stop:], tail[rows], ((self.m - stop - 1, 0, trailing),))
-        return head[:, 0], tail[:, 0]
+        out = np.empty((b, 2, 4, 4), dtype=self.dtype)
+        spans = ((0, ((start - 1, 0, None),)), (stop, ((self.m - 1, 1, self._final_marks[0][2]),)))
+        for rows in _blocks(b):
+            self._pass(flat2d[rows], out[rows], spans)
+        # contiguous, as every identification step multiplies them
+        return out[:, 0].copy(), out[:, 1].copy()
 
-    def _prefix_twists(self, flat2d, out, marks):
-        """_product_block on the factors of a (rows, m) theta block, kept as
-        the prefix products P_f, then every theta column's twist
-        (rows, m, 6) in its frame (see _twist_tables).
-
-        The factors are made here, not by the caller, so that they and the
-        gather are freed as soon as the twists are out, before the caller
-        allocates: with all of them alive at once, glibc trims and refaults
-        its heap on every call (arm4, b = 256 and 4096).
-        """
-        g = self._factors(flat2d)
-        self._product_block(g, out, marks, keep_prefix=True)
-        rows = len(g)
-        gathered = g.reshape(rows, -1)[:, self._twist_tables[0]]
-        del g
-        _, x, y, z, u = gathered.transpose(2, 0, 1, 3)
-        np.multiply(x, y, out=x)
-        x -= z * u
-        return gathered[:, :, :2].reshape(rows, self.m, 6)
+    def _twists(self, axes):
+        """(rows, m, 6) twists (w, v) per unit of q of the pass's axis and
+        origin columns ``axes`` (6, m, rows): w the axis and v = origin x w
+        for a rotation, (0, axis) for a translation, so that dT = [w, v]^ T."""
+        w = axes[:3]
+        twists = np.empty_like(axes)
+        twists[:3] = w
+        _cross(axes[3:], w, twists[3:])
+        twists[3:, self._trans_cols], twists[:3, self._trans_cols] = w[:, self._trans_cols], 0.0
+        return twists.transpose(2, 1, 0)
 
     def _tangent_block(self, twists, frames, seeds, weights, out):
         """Tangents of a block's snapshots: the (r, m, 6) ``twists`` (see
-        the module docstring) contracted with the input tangents ``seeds``
-        (r, 1, k, m) times ``weights`` (see _twist_tables), then as 4x4
-        twist matrices applied to the (r, S, 4, 4) ``frames``; ``out`` is
-        (r, S, k, 4, 4).  For seed_array input the contraction copies the
-        twists exactly.
+        _twists) contracted with the input tangents ``seeds`` (r, 1, k, m)
+        times ``weights`` (see _twist_weights), then as 4x4 twist matrices
+        applied to the (r, S, 4, 4) ``frames``; ``out`` is (r, S, k, 4, 4).
+        For seed_array input the contraction copies the twists exactly.
         """
         spatial = (seeds * weights) @ twists[:, None]
         rows, snaps, k = spatial.shape[:3]
@@ -527,48 +519,55 @@ class FkEngine:
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(thetas, m, b, self.dtype)
         jac = np.empty((b, 6, m), dtype=self.dtype)
-        frames = np.empty((min(b, _BLOCK_ROWS), 1, 4, 4), dtype=self.dtype)
-        for start in range(0, b, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, b)
-            self._jacobian_block(flat2d[start:stop], frames[: stop - start], jac[start:stop], rates)
+        for rows in _blocks(b):
+            self._jacobian_block(flat2d[rows], jac[rows], rates)
         return jac
 
-    def _jacobian_block(self, flat2d, frames, out, rates):
+    def _jacobian_block(self, flat2d, out, rates):
         """_jacobian's rows ``out`` (rows, 6, m) of a (rows, m) theta block,
-        with ``frames`` (rows, 1, 4, 4) as scratch for the final transforms.
-        A method of its own so that the block's temporaries are freed before
-        the next block allocates (see _prefix_twists)."""
-        twists = self._prefix_twists(flat2d, frames, self._final_marks)
-        t = frames[:, 0]
+        every product on contiguous (m, rows) arrays.  A method of its own
+        so that the block's temporaries are freed before the next block
+        allocates."""
+        axes = np.empty((6, self.m, len(flat2d)), dtype=self.dtype)
+        t = self._pass(flat2d, None, ((0, self._final_marks),), axes)
         if not np.isfinite(t).all():
             raise ValueError("non-finite value in jacobian output")
-        # the entries of T used and the scaled twists, (rows,) and (m, rows)
-        # each: every product below runs along contiguous rows
-        r00, r10, r20, px, py, pz = t.reshape(-1, 16)[:, [0, 4, 8, 3, 7, 11]].T.copy()
-        wx, wy, wz, vx, vy, vz = tw = np.multiply(twists.transpose(2, 1, 0), self._scale_per_dof[:, None], order="C")
-        block = np.empty_like(tw)
-        block[0] = wy * pz - wz * py + vx
-        block[1] = wz * px - wx * pz + vy
-        block[2] = wx * py - wy * px + vz
+        (r00, r10, r20), p = t[0], t[3]
+        trans = self._trans_cols
+        w = axes[:3] * self._scale_per_dof[:, None]
+        # p_T - origin in the angular rows until the rates overwrite it: the
+        # block's temporaries stay small beside a b-wide result, else glibc
+        # trims and refaults its heap on every call (b = 1024, 2048)
+        block = np.empty_like(axes)
+        _cross(w, np.subtract(p[:, None], axes[3:], out=block[3:]), block[:3])
+        if trans.size:
+            block[:3, trans], w[:, trans] = w[:, trans], 0.0
         locked = ()
         if rates:
             cb = np.hypot(r00, r10)
             locked = np.flatnonzero(cb <= transforms._GIMBAL_COS_TOL)
             cb[locked] = 1.0
-            block[3] = (r00 * wx + r10 * wy) / (cb * cb)
-            block[4] = (r00 * wy - r10 * wx) / cb
-            block[5] = wz - r20 * block[3]
+            # per-row coefficients (r00, r10) / c^2 and / c, then two
+            # products a rate
+            alpha, beta = t[0, :2] / (cb * cb), t[0, :2] / cb
+            np.multiply(w[0], alpha[0], out=block[3])
+            block[3] += w[1] * alpha[1]
+            np.multiply(w[1], beta[0], out=block[4])
+            block[4] -= w[0] * beta[1]
+            np.subtract(w[2], r20 * block[3], out=block[5])
         else:
-            block[3:] = tw[:3]
+            block[3:] = w
         out[...] = block.transpose(2, 0, 1)
         if len(locked):
             # the rate map is singular: these rows take the pose extraction's
             # derivatives, on a DualArray of their tangents
             m = self.m
+            frames = np.empty((len(locked), 1, 4, 4), dtype=self.dtype)
+            _put_transforms(t[..., locked], frames[:, 0])
             tangent = np.empty((len(locked), 1, m, 4, 4), dtype=self.dtype)
             seeds = np.eye(m, dtype=self.dtype)[None, None]
-            self._tangent_block(twists[locked], frames[locked], seeds, self._scale_per_dof, tangent)
-            dual = ad.DualArray(t[locked], tangent[:, 0].transpose(1, 0, 2, 3))
+            self._tangent_block(self._twists(axes[..., locked]), frames, seeds, self._scale_per_dof, tangent)
+            dual = ad.DualArray(frames[:, 0], tangent[:, 0].transpose(1, 0, 2, 3))
             out[locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(1, 2, 0)
         if not np.isfinite(out).all():
             raise ValueError("non-finite derivative in jacobian output")

@@ -196,22 +196,26 @@ def test_criterion_5_throughput_scales_with_batch_size():
     chain = urdf.extract_chain(model, "base", "tool")
     sizes = [1, 256, 1024, 4096]
 
-    def ops(batch_sizes, repeats):
-        report = bench.run_bench(
-            chain, batch_sizes, min_seconds=0.2, repeats=repeats, rng_seed=0, with_baseline=False
-        )
-        return np.array([m.ops_per_sec for m in report.measurements])
+    def window():
+        """One 0.2 s window per batch size: (ops per kref, ops per second)."""
+        report = bench.run_bench(chain, sizes, min_seconds=0.2, repeats=1, rng_seed=0, with_baseline=False)
+        return [[m.ops_per_kref for m in report.measurements], [m.ops_per_sec for m in report.measurements]]
 
-    # the two compared runs alternate repetition by repetition, best-of-10
-    # per size each, so a drift of the host's speed state hits both alike;
-    # ten 0.2 s windows agree better here than five 0.4 s ones
-    a = b_ = np.zeros(len(sizes))
+    # the two compared runs alternate window by window, ten each, so a drift
+    # of the host's load hits both alike.  A curve is the median of its
+    # windows in reference units (bench's module docstring): the reference
+    # clock cancels the host's speed state, and a median, unlike a best-of,
+    # does not pick the window whose short reference run was slowed (a
+    # best-of read 4096 15% below 1024 where the medians agreed within 4%)
+    runs = ([], [])
     for _ in range(10):
-        a = np.maximum(a, ops(sizes, 1))
-        b_ = np.maximum(b_, ops(sizes, 1))
+        for run in runs:
+            run.append(window())
+    a, b_ = (np.median(run, axis=0)[0] for run in runs)
     baseline = bench.measure_baseline(chain, min_seconds=0.4, repeats=5)
     agreement = float((np.abs(a - b_) / np.maximum(a, b_)).max())
-    best = np.maximum(a, b_)
+    windows = runs[0] + runs[1]
+    best = np.median(windows, axis=0)[0]
 
     # nondecreasing within measurement noise: the tolerance is the noise the
     # two runs actually demonstrated, never wider than the 20% agreement gate
@@ -220,20 +224,22 @@ def test_criterion_5_throughput_scales_with_batch_size():
 
     noise = min(agreement, 0.20)
     # a load spike hitting the same batch size in both runs mimics a real
-    # regression; fold in bounded extra runs before concluding
+    # regression; fold in bounded extra windows before concluding
     extra = 0
     while not monotone_within(best, noise) and extra < 2:
-        best = np.maximum(best, ops(sizes, 5))
+        windows += [window() for _ in range(5)]
+        best = np.median(windows, axis=0)[0]
         extra += 1
     monotone = monotone_within(best, noise)
-    ratio = float(best[sizes.index(1024)] / baseline)
+    # the baseline is timed in seconds, so the ratio is too, fastest window
+    ratio = float(np.max(windows, axis=0)[1][sizes.index(1024)] / baseline)
     ok = monotone and ratio >= 10.0 and agreement <= 0.20
     curve = ", ".join(f"{int(v):,}" for v in best)
     _report(
         5,
         "throughput scaling",
         ok,
-        f"ops/s [{curve}], ratio@1024 {ratio:.0f}x, run agreement {agreement:.0%}",
+        f"ops/kref [{curve}], ratio@1024 {ratio:.0f}x, run agreement {agreement:.0%}",
     )
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ def test_report_invariants(arm4_chain):
         assert m.iterations >= 10
         assert m.seconds >= 0.05
         assert m.ops_per_sec == pytest.approx(m.batch_size * m.iterations / m.seconds)
+        assert m.ops_per_kref > 0
     assert report.baseline_ops_per_sec > 0
     ratios = report.ratios()
     assert len(ratios) == 3
@@ -122,6 +124,8 @@ def test_batched_beats_baseline(arm4_chain):
 
 
 def test_repeats_keep_best(arm4_chain, monkeypatch):
+    """The fastest repetition by wall time, the median one in reference
+    units."""
     calls = []
     real = bench._timed_loop
 
@@ -139,5 +143,26 @@ def test_repeats_keep_best(arm4_chain, monkeypatch):
         with_baseline=False,
     )
     assert len(calls) == 3
-    best = max(i / s for i, s in calls)
+    best = max(i / s for i, s, _ in calls)
     assert report.measurements[0].ops_per_sec == pytest.approx(8 * best)
+    assert report.measurements[0].ops_per_kref == pytest.approx(8 * np.median([i / k for i, _, k in calls]))
+
+
+def test_reference_units_divide_each_slice_by_the_reference_around_it(monkeypatch):
+    """On a fake clock, each call takes 0.25 s and slices hold two calls;
+    the reference reads a different speed at every run.  Each slice's
+    seconds are divided by the mean per-unit time of the runs before and
+    after it, not by either alone."""
+    now = [0.0]
+    speeds = iter([1.0, 2.0, 4.0, 0.5, 1.0, 8.0])
+
+    def call(_):
+        now[0] += 0.25
+
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(bench, "_SLICE_S", 0.5)
+    monkeypatch.setattr(bench, "_reference", lambda units: next(speeds))
+    iterations, seconds, kref = bench._timed_loop(call, [0], 0.0)
+    assert (iterations, seconds) == (10, 2.5)
+    want = sum(0.5 / ((u + v) / 2) for u, v in [(1.0, 2.0), (2.0, 4.0), (4.0, 0.5), (0.5, 1.0), (1.0, 8.0)])
+    assert kref == pytest.approx(want / 1000, rel=1e-12)

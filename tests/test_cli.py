@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,7 +252,6 @@ def test_bench_document(capsys, arm2r_file):
         "--batch-sizes", "1,8",
         "--seconds", "0.02",
         "--repeats", "1",
-        "--no-timing",
     )
     assert code == 0
     doc = json.loads(out)
@@ -359,19 +361,53 @@ _PRISMATIC2 = """
 </robot>"""
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("argv", [["fk"], ["fk", "--format", "csv"], ["jacobian"]], ids=["fk", "fk_csv", "jacobian"])
 def test_fk_refuses_overflowing_configs(argv, capsys, tmp_path):
     """Finite configurations whose transform overflows are a shape error with
     nothing on stdout, for fk as for jacobian: no bare inf that JSON cannot
-    hold."""
+    hold.  The overflow raises no numpy warning (the suite turns warnings
+    into errors), so stderr holds the error line alone."""
     up = tmp_path / "p.urdf"
     up.write_text(_PRISMATIC2)
     cfg = tmp_path / "c.csv"
     cfg.write_text("1e308,1e308\n")
     code, out, err = run_cli(capsys, *argv, str(up), "a", "c", str(cfg), "--no-timing")
-    assert code == 4 and out == ""
-    assert f"non-finite value in {argv[0]} output" in err
+    assert (code, out, err) == (4, "", f"error: non-finite value in {argv[0]} output\n")
+
+
+def test_overflow_stderr_is_the_error_line_alone(tmp_path):
+    """In a fresh interpreter, with numpy's default warning settings, fk and
+    jacobian on overflowing configurations print only their error line: no
+    RuntimeWarning and no library source line."""
+    up = tmp_path / "p.urdf"
+    up.write_text(_PRISMATIC2)
+    cfg = tmp_path / "c.csv"
+    cfg.write_text("1e308,1e308\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for command in ("fk", "jacobian"):
+        run = subprocess.run(
+            [sys.executable, "-m", "diffkin", command, str(up), "a", "c", str(cfg)],
+            capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=120,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (4, "", f"error: non-finite value in {command} output\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "{arm2r}", "--seed", "3"], ["validate", "{arm2r}", "--no-timing"],
+     ["bench", "{arm2r}", "base", "tip", "--batch-sizes", "1", "--no-timing"]],
+    ids=["validate_seed", "validate_no_timing", "bench_no_timing"],
+)
+def test_retired_options_exit_2(argv, capsys, arm2r_file):
+    """validate reads no seed and times nothing, and bench's document has no
+    diagnostics: the options that did nothing there are unknown now, so
+    argparse refuses them with its usage error, exit 2 and nothing on
+    stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(arm2r=arm2r_file) for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: " + argv[-1 if argv[-1].startswith("--") else -2] in captured.err
 
 
 _CHAIN_DOC = ["schema", "command", "seed", "chain", "results", "diagnostics"]
@@ -416,12 +452,15 @@ _ENVELOPES = {
 }
 
 
-@pytest.mark.parametrize("no_timing", [False, True], ids=["timing", "no_timing"])
-@pytest.mark.parametrize("case", list(_ENVELOPES))
+@pytest.mark.parametrize(
+    "case, no_timing",
+    [(case, no_timing) for case in _ENVELOPES for no_timing in ((False, True) if _ENVELOPES[case][3] is not None else (False,))],
+    ids=lambda v: v if isinstance(v, str) else ("no_timing" if v else "timing"),
+)
 def test_document_keys_in_order(case, no_timing, capsys, tmp_path, arm2r_file, configs_file):
     """Every document's top-level keys, a result entry's keys and the
     diagnostics' keys, in their printed order; the timing is last and only
-    without --no-timing."""
+    without --no-timing, which only the timed commands take."""
     argv, keys, entry_keys, diagnostics = _ENVELOPES[case]
     cam = tmp_path / "cam.urdf"
     cam.write_text(CAM_ARM)

@@ -42,33 +42,33 @@ def test_single_configuration_identifies_mount(target, cam_arm):
 
 @pytest.mark.parametrize("max_steps, status", [(5000, "converged"), (3, "budget_exhausted")])
 def test_one_model_evaluation_per_step(max_steps, status, cam_arm, monkeypatch):
-    """Each step evaluates the model once, as A M(p) B: a solve builds the
-    estimator engine's factors once, for the dataset's A and B, and no step
-    makes a DualArray pass or calls the float loss."""
-    calls = {"dual": 0, "estimator_factors": 0, "loss_value": 0}
-    evaluate, factors, loss_value = kinematics.FkEngine._evaluate, kinematics.FkEngine._factors, ParamEstimator.loss_value
+    """Each step evaluates the model once, as A M(p) B: a solve runs the
+    estimator engine's column pass once, for the dataset's A and B, and no
+    step makes a DualArray pass or calls the float loss."""
+    calls = {"dual": 0, "estimator_pass": 0, "loss_value": 0}
+    evaluate, column_pass, loss_value = kinematics.FkEngine._evaluate, kinematics.FkEngine._pass, ParamEstimator.loss_value
 
     def counting_evaluate(self, thetas, *args, **kwargs):
         calls["dual"] += isinstance(thetas, ad.DualArray)
         return evaluate(self, thetas, *args, **kwargs)
 
-    def counting_factors(self, flat2d):
-        calls["estimator_factors"] += self.m == 9  # j1 j2 j3 | six parameters
-        return factors(self, flat2d)
+    def counting_pass(self, *args, **kwargs):
+        calls["estimator_pass"] += self.m == 9  # j1 j2 j3 | six parameters
+        return column_pass(self, *args, **kwargs)
 
     def counting_loss_value(self, *args):
         calls["loss_value"] += 1
         return loss_value(self, *args)
 
     monkeypatch.setattr(kinematics.FkEngine, "_evaluate", counting_evaluate)
-    monkeypatch.setattr(kinematics.FkEngine, "_factors", counting_factors)
+    monkeypatch.setattr(kinematics.FkEngine, "_pass", counting_pass)
     monkeypatch.setattr(ParamEstimator, "loss_value", counting_loss_value)
     res = identify.run_identification(
         cam_arm, "camera", "base", "camera", IdentifyConfig(batch_size=10, max_steps=max_steps)
     )
     assert res.status == status
     assert res.steps > 1
-    assert calls == {"dual": 0, "estimator_factors": 1, "loss_value": 0}
+    assert calls == {"dual": 0, "estimator_pass": 1, "loss_value": 0}
 
 
 def test_budget_exhausted(cam_arm):

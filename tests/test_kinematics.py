@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,11 +424,12 @@ def _assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
-# Bound of forward against the stage pipeline where the two round
-# differently: folded fixed joints, multi-dof joints, and static transforms
-# whose rotation is not axis-aligned.  Per transform, in units of the dtype's
-# eps times max(1, the largest entry of the reference transform).  The
-# largest seen (x86_64, OpenBLAS) over 500 random trees and mixed_chain is 10.
+# Bound of forward against the stage pipeline, which rounds differently: the
+# column pass applies each static as one GEMM and each motion as a two-column
+# mix, the pipeline multiplies 4x4 joint transforms.  Per transform, in units
+# of the dtype's eps times max(1, the largest entry of the reference
+# transform).  The largest seen (x86_64, OpenBLAS) over arm4, cam_arm,
+# mixed_chain and 200 random trees is 8.5.
 _STAGE_ULPS = 32
 
 
@@ -435,25 +440,26 @@ def _assert_within_stage_ulps(got, want):
     assert ulps.max() <= _STAGE_ULPS
 
 
-def _dense_pass(eng, thetas, want_intermediates):
-    """The dense DualArray pass, the oracle of forward's twist tangents:
-    _factors and _product_block on DualArray blocks, so every tangent is
-    carried through every 4x4 product.  ``thetas`` is a (b, m) DualArray."""
-    b = eng.batch_size
-    marks = eng._marks if want_intermediates else eng._final_marks
-    out = np.empty((b, len(marks), 4, 4), dtype=eng.dtype, like=thetas)
-    for start in range(0, b, kinematics._BLOCK_ROWS):
-        rows = slice(start, start + kinematics._BLOCK_ROWS)
-        eng._product_block(eng._factors(thetas[rows]), out[rows], marks)
-    return out if want_intermediates else out[:, 0]
+def _stage_snapshots(eng, thetas, want_intermediates):
+    """_stage_pipeline on a (b, m) DualArray, which carries every tangent
+    through every 4x4 product, the oracle of forward's twist tangents: its
+    intermediates, or its finals (the identity on an empty chain)."""
+    cum = _stage_pipeline(eng, thetas)
+    if want_intermediates:
+        return cum
+    if eng.n:
+        return cum[:, -1]
+    eye = np.broadcast_to(np.eye(4, dtype=eng.dtype), (eng.batch_size, 4, 4)).copy()
+    return ad.DualArray(eye, np.zeros((thetas.width,) + eye.shape, dtype=eng.dtype))
 
 
-# Bound of forward's twist tangents against the dense pass, per tangent
-# entry, in units of the dtype's eps times max(1, the largest entry of the
-# snapshot's transform) times max(1, the sum of |input tangent| over the
-# configuration's theta columns).  The largest seen (x86_64, OpenBLAS) over
-# arm4, both cam_arm substitutions, mixed_chain and 200 random trees, every
-# seeding of test_twist_tangents_match_dense_pass, is 11.
+# Bound of forward's twist tangents against the stage pipeline on a
+# DualArray, per tangent entry, in units of the dtype's eps times max(1, the
+# largest entry of the snapshot's transform) times max(1, the sum of |input
+# tangent| over the configuration's theta columns).  The largest seen
+# (x86_64, OpenBLAS) over arm4, both cam_arm substitutions, mixed_chain and
+# 200 random trees, every seeding of test_twist_tangents_match_stage_pipeline,
+# is 14.7.
 _TANGENT_ULPS = 32
 
 
@@ -470,26 +476,26 @@ def _assert_within_tangent_ulps(got, want, thetas):
 @pytest.mark.parametrize("b", [1, 255, 256, 257, 700])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("robot", ["arm4", "cam_arm"])
-def test_forward_bitwise_equals_stage_pipeline(robot, dtype, b, arm4_chain, cam_arm, rng):
-    """On axis-aligned statics every factor product is exact, so the compiled
-    factors reproduce the stage pipeline bit for bit, tangents included when
-    the factors are multiplied as DualArrays; forward's twist tangents are
-    within _TANGENT_ULPS of those."""
+def test_aligned_chains_match_stage_pipeline(robot, dtype, b, arm4_chain, cam_arm, rng):
+    """On axis-aligned statics forward is within _STAGE_ULPS of the stage
+    pipeline, and its twist tangents within _TANGENT_ULPS of the pipeline
+    run on a DualArray; the DualArray primal is bitwise the float forward,
+    and every row bitwise that row evaluated alone."""
     chain = arm4_chain if robot == "arm4" else urdf.extract_chain(cam_arm, "base", "camera")
     eng = FkEngine(chain, batch_size=b, dtype=dtype)
     thetas = rng.uniform(-3.0, 3.0, size=(b, chain.m)).astype(dtype)
     want = _stage_pipeline(eng, thetas)
-    _assert_bits_equal(eng.forward(thetas.ravel(), want_intermediates=True), want)
-    _assert_bits_equal(eng.forward(thetas.ravel()), want[:, -1])
+    inters = eng.forward(thetas.ravel(), want_intermediates=True)
+    _assert_within_stage_ulps(inters, want)
+    _assert_bits_equal(eng.forward(thetas.ravel()), inters[:, -1])
+    one = FkEngine(chain, batch_size=1, dtype=dtype)
+    for k in {0, b // 2, b - 1}:
+        _assert_bits_equal(inters[k], one.forward(thetas[k], want_intermediates=True)[0])
     seeded = ad.seed_array(thetas)
-    want_dual = _stage_pipeline(eng, seeded)
-    for inter, expect in ((True, want_dual), (False, want_dual[:, -1])):
-        dense = _dense_pass(eng, seeded, inter)
-        _assert_bits_equal(dense.primal, expect.primal)
-        _assert_bits_equal(dense.tangent, expect.tangent)
+    for inter in (True, False):
         dual = eng.forward(seeded, want_intermediates=inter)
-        _assert_bits_equal(dual.primal, expect.primal)
-        _assert_within_tangent_ulps(dual, dense, seeded)
+        _assert_bits_equal(dual.primal, inters if inter else inters[:, -1])
+        _assert_within_tangent_ulps(dual, _stage_snapshots(eng, seeded, inter), seeded)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -583,15 +589,16 @@ def _check_twist_tangents(chain, b, rng):
                 seeded = _seeded(chain, thetas, seeding, rng)
                 dual = eng.forward(seeded.reshape(b * eng.m), want_intermediates=inter)
                 _assert_bits_equal(dual.primal, flt)
-                _assert_within_tangent_ulps(dual, _dense_pass(eng, seeded, inter), seeded)
+                _assert_within_tangent_ulps(dual, _stage_snapshots(eng, seeded, inter), seeded)
 
 
 @pytest.mark.parametrize("b", [1, 255, 256, 257, 700])
 @pytest.mark.parametrize("case", ["arm4", "cam_arm_camera", "cam_arm_link2", "mixed", "all_fixed", "empty"])
-def test_twist_tangents_match_dense_pass(case, b, arm4_chain, cam_arm, mixed, mixed_chain):
+def test_twist_tangents_match_stage_pipeline(case, b, arm4_chain, cam_arm, mixed, mixed_chain):
     """forward on a DualArray: primals bitwise the float forward, tangents
-    within _TANGENT_ULPS of the dense DualArray pass, in both dtypes, finals
-    and intermediates, for full, floating-column, empty and random seeds."""
+    within _TANGENT_ULPS of the stage pipeline on a DualArray, in both
+    dtypes, finals and intermediates, for full, floating-column, empty and
+    random seeds."""
     chain = {
         "arm4": lambda: arm4_chain,
         "cam_arm_camera": lambda: identify.ParamEstimator(cam_arm, "camera", "base", "camera", 1).chain,
@@ -605,19 +612,19 @@ def test_twist_tangents_match_dense_pass(case, b, arm4_chain, cam_arm, mixed, mi
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2000))
-def test_random_tree_twist_tangents_match_dense_pass(seed):
+def test_random_tree_twist_tangents_match_stage_pipeline(seed):
     _, model, leaf = treegen.random_tree(seed)
     chain = urdf.extract_chain(model, model.root_link, leaf)
     _check_twist_tangents(chain, (1, 255, 256, 257, 700)[seed % 5], np.random.default_rng(seed + 79))
 
 
 def _counting(monkeypatch, name, calls):
-    """Replace np.<name> by a wrapper that records each call's first
-    argument's shape and whether it passed ``out``."""
+    """Replace np.<name> by a wrapper that records each call's argument
+    shapes and whether it passed ``out``."""
     original = getattr(np, name)
 
     def wrapped(*args, **kwargs):
-        calls.append((name, np.shape(args[0]), kwargs.get("out") is not None))
+        calls.append((name, tuple(np.shape(arg) for arg in args), kwargs.get("out") is not None))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np, name, wrapped)
@@ -625,7 +632,7 @@ def _counting(monkeypatch, name, calls):
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_trig_only_on_rotational_dofs(dual, mixed_chain, monkeypatch, rng):
-    """Each block takes one cos and one sin, over (rows, rotational dofs),
+    """Each block takes one cos and one sin, over (rotational dofs, rows),
     for float and for DualArray input alike."""
     b = kinematics._BLOCK_ROWS + 44
     eng = FkEngine(mixed_chain, batch_size=b)
@@ -637,16 +644,20 @@ def test_trig_only_on_rotational_dofs(dual, mixed_chain, monkeypatch, rng):
     # revolute, continuous and the floating joint's three angles
     m_rot = 5
     rows = (kinematics._BLOCK_ROWS, 44)
-    assert sorted(calls) == sorted((name, (r, m_rot), False) for r in rows for name in ("cos", "sin"))
+    assert sorted(calls) == sorted((name, ((m_rot, r),), False) for r in rows for name in ("cos", "sin"))
 
 
 @pytest.mark.parametrize("want_intermediates", [False, True])
 @pytest.mark.parametrize("robot", ["arm4", "mixed"])
 def test_float_forward_matmul_count(robot, want_intermediates, arm4_chain, mixed_chain, monkeypatch, rng):
-    """A float forward block makes F - 1 per-row products along the factor
-    axis, one (rows * 4, 4) GEMM per snapshot whose static is pending, and
-    keeps no prefix products: no product writes into an ``out`` array."""
+    """A float forward block makes one (4, 4) @ (4, 3 rows) GEMM into a
+    kept buffer per static transform after the first factor that is not the
+    identity, and one per snapshot whose static is pending; no per-row
+    product."""
     chain = arm4_chain if robot == "arm4" else mixed_chain
+    # statics: arm4's j2-j4 origins; mixed's j2, j3, j4 and j5 (the planar
+    # and floating joints' later factors have S = I)
+    statics = 3 if robot == "arm4" else 4
     # pending: the fixed flange (arm4) or j6 (mixed) at its segment and at
     # the finals, and on mixed the alignment inverses after j1, j2 and j4
     pending = 4 if robot == "mixed" and want_intermediates else 1
@@ -658,55 +669,33 @@ def test_float_forward_matmul_count(robot, want_intermediates, arm4_chain, mixed
     eng.forward(thetas, want_intermediates=want_intermediates)
     want = []
     for rows in (kinematics._BLOCK_ROWS, 44):
-        want += [("matmul", (rows, 4, 4), False)] * (eng.m - 1) + [("matmul", (rows * 4, 4), False)] * pending
+        want += [("matmul", ((4, 4), (4, 3 * rows)), True)] * (statics + pending)
     assert sorted(calls) == sorted(want)
 
 
-def _product_block_per_row(self, g, out, marks, keep_prefix=False):
-    """FkEngine._product_block with each pending static multiplied per row,
-    one broadcast np.matmul: the form the single GEMM replaced, kept as its
-    oracle."""
-    cur, done = None, 0
-    for f, i, pending in marks:
-        while done <= f:
-            if done == 0:
-                cur = g[:, 0]
-            else:
-                cur = np.matmul(cur, g[:, done], out=g[:, done] if keep_prefix else None)
-            done += 1
-        if cur is None:
-            out[:, i] = pending
-        elif pending is None:
-            out[:, i] = cur
-        else:
-            np.matmul(cur, pending, out=out[:, i])
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("b", [1, kinematics._BLOCK_ROWS + 44])
 @pytest.mark.parametrize("robot", ["arm4", "mixed"])
-def test_pending_gemm_matches_per_row_products(robot, b, dtype, arm4_chain, mixed_chain, monkeypatch):
-    """One (rows * 4, 4) GEMM per pending static gives the bits of the
-    per-row products: float forward, the DualArray forward (its prefix
-    products kept) and the dense DualArray pass, finals and intermediates."""
+def test_block_rows_match_single_rows(robot, dtype, arm4_chain, mixed_chain):
+    """Every row of a two-block batch is bitwise the row evaluated alone:
+    float forward, the DualArray forward's primal and tangents, finals and
+    intermediates, and both Jacobians."""
     chain = arm4_chain if robot == "arm4" else mixed_chain
-    eng = FkEngine(chain, batch_size=b, dtype=dtype)
-    thetas = np.random.default_rng(b).uniform(-1.5, 1.5, size=(b, eng.m)).astype(dtype)
-    seeded = ad.seed_array(thetas)
+    b = kinematics._BLOCK_ROWS + 44
+    thetas = np.random.default_rng(b).uniform(-1.5, 1.5, size=(b, chain.m)).astype(dtype)
 
-    def run():
-        out = []
+    def run(eng, rows):
+        seeded = ad.seed_array(rows)
+        out = [kinematics.pose_jacobian(eng, rows), kinematics.geometric_jacobian(eng, rows)]
         for inter in (False, True):
-            dual = eng.forward(seeded.reshape(b * eng.m), want_intermediates=inter)
-            dense = _dense_pass(eng, seeded, inter)
-            out += [eng.forward(thetas.ravel(), want_intermediates=inter)]
-            out += [dual.primal, dual.tangent, dense.primal, dense.tangent]
+            dual = eng.forward(seeded, want_intermediates=inter)
+            out += [eng.forward(rows, want_intermediates=inter), dual.primal, np.moveaxis(dual.tangent, 0, 1)]
         return out
 
-    got = run()
-    monkeypatch.setattr(FkEngine, "_product_block", _product_block_per_row)
-    for g, w in zip(got, run(), strict=True):
-        _assert_bits_equal(g, w)
+    batch = run(FkEngine(chain, batch_size=b, dtype=dtype), thetas)
+    one = FkEngine(chain, batch_size=1, dtype=dtype)
+    for k in (0, 1, kinematics._BLOCK_ROWS - 1, kinematics._BLOCK_ROWS, b - 1):
+        for got, want in zip((out[k] for out in batch), run(one, thetas[k : k + 1]), strict=True):
+            _assert_bits_equal(got, want[0])
 
 
 def test_aligned_axis_tolerance():
@@ -803,10 +792,9 @@ def _gimbal_locked(chain, theta):
 # differently, so the difference grows as 1/cos(beta)^2 towards gimbal lock.
 # Gimbal-locked rows run the oracle's extraction and take cos(beta) as 1.
 # The largest seen (x86_64, OpenBLAS) over arm4, both cam_arm substitutions,
-# mixed_chain and 200 random trees at b = 1 and 513 in both dtypes, with
-# cos(beta) down to 8e-5, is 6; gimbal-locked rows were equal.  The same
-# unit, without the cos(beta) factor, bounds geometric_jacobian against the
-# DualArray forward's tangents (largest seen 6.5).
+# mixed_chain and 200 random trees at b = 1 and 513 in both dtypes is 4.9.
+# The same unit, without the cos(beta) factor, bounds geometric_jacobian
+# against the DualArray forward's tangents (largest seen 5.5).
 _JACOBIAN_ULPS = 32
 
 
@@ -890,21 +878,54 @@ def test_geometric_jacobian_matches_central_differences(robot, arm4_chain, mixed
             assert (np.abs(jac[k, :, j] - fd) < tol).all()
 
 
-def test_pose_jacobian_minor_faults(arm4_chain, rng):
-    """No b-wide temporary: at b=4096, after warm-up, 20 calls take at most
-    100 minor page faults each (a DualArray pass over the batch took about
-    1170, mapping its (m, b, 4, 4) tangents afresh on every call).  Faults
-    are counted, not timed, so a loaded host does not move them."""
-    resource = pytest.importorskip("resource")
-    b, calls = 4096, 20
-    eng = FkEngine(arm4_chain, batch_size=b)
-    thetas = rng.uniform(-1.2, 1.2, size=(b, eng.m))
-    for _ in range(3):
-        kinematics.pose_jacobian(eng, thetas)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(calls):
-        kinematics.pose_jacobian(eng, thetas)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 100 * calls
+# Counts the minor page faults of 20 calls on arm4 after 3 warm-up calls.
+_FAULTS = """
+import resource, sys
+import numpy as np
+from diffkin import kinematics, urdf
+urdf_path, call, b = sys.argv[1], sys.argv[2], int(sys.argv[3])
+chain = urdf.extract_chain(urdf.parse_urdf(open(urdf_path).read()), "base", "tool")
+eng = kinematics.FkEngine(chain, b)
+thetas = np.random.default_rng(0).uniform(-1.2, 1.2, size=(b, chain.m))
+run = {"forward": lambda: eng.forward(thetas), "pose_jacobian": lambda: kinematics.pose_jacobian(eng, thetas)}[call]
+for _ in range(3):
+    run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    run()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def _minor_faults_per_call(call, b):
+    """Minor page faults per ``call`` at batch b, after warm-up, in a fresh
+    interpreter: the allocator's thresholds move with whatever ran before
+    in a process, so only a fresh one repeats.  Faults are counted, not
+    timed, so a loaded host does not move them."""
+    pytest.importorskip("resource")
+    src = str(Path(kinematics.__file__).resolve().parents[1])
+    urdf_path = str(Path(__file__).resolve().parents[1] / "scripts" / "arm4.urdf")
+    run = subprocess.run(
+        [sys.executable, "-c", _FAULTS, urdf_path, call, str(b)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True,
+    )
+    return float(run.stdout)
+
+
+@pytest.mark.parametrize("b", [1024, 2048, 4096])
+def test_pose_jacobian_minor_faults(b):
+    """No b-wide temporary and no block temporary that the allocator maps
+    afresh on every call: at most 100 minor page faults a call (a DualArray
+    pass over the batch took about 1170 at b=4096, mapping its (m, b, 4, 4)
+    tangents afresh on every call; a (rows, F, 4, 4) factor stack and twist
+    gather per block took 184 at b=1024 and 188 at b=2048)."""
+    assert _minor_faults_per_call("pose_jacobian", b) <= 100
+
+
+def test_forward_minor_faults():
+    """forward at b=4096 takes at most 100 minor page faults a call: only its
+    (b, 4, 4) result spans the batch."""
+    assert _minor_faults_per_call("forward", 4096) <= 100
 
 
 def test_limit_violations(arm2r_chain):
