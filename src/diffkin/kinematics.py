@@ -19,7 +19,12 @@ where S_f = I, and P M_f mixes two columns.  A rotation about axis a by q,
 (i, j) = (1, 2), (2, 0), (0, 1) for a = x, y, z; a translation by d sets
 C_3 <- C_3 + d C_a.  cos and sin are taken once per block.  Snapshots
 (intermediates at each segment's last factor, finals after the chain) are
-the columns times the static pending there, one more GEMM unless it is I.
+the columns times the static pending there, one more GEMM unless it is I,
+copied as matrix rows into a (4, 4, rows) block in the result's transposed
+layout, whose bottom row is (0, 0, 0, 1), then into the result by one 2-D
+transposed copy, (rows, 16) <- (16, rows)^T.  The buffers are the calling
+thread's workspace (see FkEngine); every entry is written before it is
+read, so no result depends on them or on the block a row runs in.
 
 The reference pipeline is the scatter/map/scan form of the same chain: a
 flat theta batch (b*m,) is scattered through the index matrix P into the
@@ -75,6 +80,7 @@ callers that refuse non-finite output (the Jacobians, the CLI) raise.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -127,20 +133,20 @@ def _integer_setting(name, value, minimum):
 
 _AXIS_TOL = 1e-9
 
-# Large batches run in blocks of this many configurations.  Median items per
-# kilo reference unit (bench._timed_loop), arm4, one thread, 2-core x86_64,
-# blocks of 256 / 512 / 1024 / 2048 rows:
-#   forward       f64 b=1024  191k / 240k / 268k / 289k    b=4096 192k / 249k / 300k / 216k
-#                 f32 b=1024  305k / 469k / 616k / 622k    b=4096 319k / 477k / 523k / 607k
-#   pose_jacobian f64 b=256   115k / 111k / 111k / 111k    b=4096 120k / 162k / 184k / 119k
-#                 f32 b=256   164k / 166k / 161k / 164k    b=4096 182k / 282k / 309k / 307k
-# With 1024 a block's temporaries outgrow glibc's trim threshold beside the
-# result, and the heap is refaulted on every call: pose_jacobian at b=1024
-# and 2048 took 90-160 minor faults a call, forward at b=4096 about 250
-# after a b=1024 run (b=4096 then read 20% below b=1024 in bench.run_bench).
-# 512 took none.  Blocking changes no arithmetic, so results are bitwise
-# identical to a single pass.
-_BLOCK_ROWS = 512
+# forward runs blocks of _BLOCK_ROWS configurations, the Jacobians and DualArray tangents of _TANGENT_ROWS.  Median
+# items per kilo reference unit (bench._timed_loop), arm4, one thread, 2-core x86_64, by rows a block:
+#        forward f64 b=1024 4096 8192 | f32 b=1024 4096 8192 | pose_jacobian f64 b=256 4096 | f32 b=256 4096
+#   512            322k 298k 294k     |      536k  589k  577k |                   128k 164k |     174k 282k
+#  1024            372k 360k 354k     |      765k  784k  733k |                   128k 200k |     171k 380k
+#  2048            386k 399k 393k     |      779k  951k 1029k |                   125k 221k |     171k 490k
+#  4096            347k 404k 427k     |      705k 1187k 1055k |                   117k 223k |     169k 545k
+#  8192            355k 400k 428k     |      745k 1198k 1184k |                   127k 229k |     169k 573k
+# The workspace, kept per thread, takes 368 + 8 m + 24 r bytes a row in float64 for r rotations (32 r beside a
+# translation; 496 on arm4, 2 MB at 4096 rows), so forward maps nothing per call.  The Jacobians' block temporaries
+# are fresh: above 512 rows, pose_jacobian at b=4096 refaulted 480 pages a call after a b=1024 call.  Blocks change
+# no arithmetic.
+_BLOCK_ROWS = 4096
+_TANGENT_ROWS = 512
 
 
 def _aligned_axis(axis):
@@ -218,19 +224,40 @@ _FACTOR_ORDER = (0, 1, 2, 5, 4, 3)
 # two swapped, as views of the pass's (4, 3, rows) columns.
 _PAIRS = (slice(1, 3), slice(2, None, -2), slice(0, 2))
 _SWAPPED = (slice(2, 0, -1), slice(0, 3, 2), slice(1, None, -1))
-# (s, -s) from a block's sines s; float32, so that the product keeps the
-# sines' dtype, float32 or float64.
-_SIGNS = np.array([1.0, -1.0], dtype=np.float32).reshape(2, 1, 1)
-_EYE, _BOTTOM = np.eye(4), np.array([0.0, 0.0, 0.0, 1.0])
+_EYE, _UNTURNED = np.eye(4), transforms.sixdof_batch_to_transforms(np.zeros(6))
 # A twist (w, v) as its 4x4 matrix [[w]x | v; 0 0 0 0], flattened row-major.
 _TWIST_MATRIX = np.zeros((6, 16))
 _TWIST_MATRIX[[2, 1, 2, 0, 1, 0], [1, 2, 4, 6, 8, 9]] = [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
 _TWIST_MATRIX[[3, 4, 5], [3, 7, 11]] = 1.0
 
 
-def _blocks(b):
-    """Row slices of a batch of b, _BLOCK_ROWS at a time."""
-    return [slice(start, min(start + _BLOCK_ROWS, b)) for start in range(0, b, _BLOCK_ROWS)]
+def _blocks(b, rows):
+    """Row slices of a batch of b, ``rows`` at a time."""
+    return [slice(start, min(start + rows, b)) for start in range(0, b, rows)]
+
+
+class _Workspace:
+    """One thread's buffers for FkEngine._pass on blocks of ``rows`` rows
+    (see the FkEngine docstring), with every factor's operands as views of
+    them, so that the pass indexes nothing per factor."""
+
+    def __init__(self, engine, rows):
+        dt, m, rot = engine.dtype, engine.m, len(engine._rot_cols)
+        self.columns, snapshot = np.empty((2, 4, 3, rows), dtype=dt), np.zeros((4, 4, rows), dtype=dt)
+        snapshot[3, 3] = 1.0
+        # views: the GEMM operands (4, 3 rows), the columns as matrix rows, the snapshot's top and transpose
+        self.flat, self.rows = self.columns.reshape(2, 4, -1), self.columns.transpose(0, 2, 1, 3)
+        self.top, self.staged = snapshot[:3], snapshot.reshape(16, rows).T
+        self.q, self.mixed = q, mixed = np.empty((m, rows), dtype=dt), np.empty((2, 3, rows), dtype=dt)
+        self.angles = q if rot == m else np.empty((rot, rows), dtype=dt)
+        self.cos, self.sin = cos, sin = np.empty((rot, rows), dtype=dt), np.empty((rot, 2, 1, rows), dtype=dt)
+
+        def operands(c, col, a, p, s, k):
+            """Factor operands in columns c: the axis and origin columns, then a rotation's pair,
+            swapped pair, cos and (sin, -sin), or a translation's None, None, q and mix temporary."""
+            return (c[a], c[3]) + ((c[p], c[s], cos[k], sin[k]) if p else (None, None, q[col], mixed[0]))
+
+        self.ops = tuple(tuple(operands(c, *step[1:]) for c in self.columns) for step in engine._steps)
 
 
 def _cross(a, b, out):
@@ -241,12 +268,6 @@ def _cross(a, b, out):
         out[i] -= a[k] * b[j]
 
 
-def _put_transforms(columns, out):
-    """Write (4, 3, rows) columns as the (rows, 4, 4) transforms ``out``."""
-    out[..., :3, :] = columns.transpose(2, 1, 0)
-    out[..., 3, :] = _BOTTOM
-
-
 class FkEngine:
     """Immutable forward-kinematics evaluator for one chain at one batch size.
 
@@ -255,7 +276,11 @@ class FkEngine:
     GEMM (None where it is the identity), its theta column and its motion;
     and the static transforms pending at each snapshot.  Every evaluation
     (forward, its DualArray tangents, the Jacobians and _products_around)
-    runs the column pass _pass, one block of rows at a time.
+    runs the column pass _pass, one block of rows at a time, on the calling
+    thread's workspace (_Workspace): the block's columns, trig and snapshot
+    buffers, built on the thread's first block of that size and kept in a
+    threading.local, so that a call allocates little beyond its result and
+    threads can share an engine.  A pickled or copied engine is built again.
 
     scatter_thetas, combine_link_joint, index_matrix and link_transforms,
     with the module's joint_transforms and scan_compose, are the reference
@@ -272,13 +297,15 @@ class FkEngine:
             raise ValueError(f"unsupported dtype {dtype!r}")
 
         joints = [joint for _, joint in chain.segments]
-        origins = transforms.sixdof_batch_to_transforms(
-            np.array([joint.origin_params() for joint in joints], dtype=float).reshape(-1, 6)
-        )
-        eye = np.eye(4)
+        params = np.array([joint.origin_params() for joint in joints], dtype=float).reshape(-1, 6)
+        # an origin whose rpy bits are all zero is the kernel's zero-angle transform: only the others run it
+        origins, turned = _UNTURNED[None].repeat(len(joints), axis=0), params[:, 3:].view(np.uint64).any(axis=1)
+        origins[:, :3, 3] = params[:, :3]
+        if turned.any():
+            origins[turned] = transforms.sixdof_batch_to_transforms(params[turned])
         tl, posts, dof_rows, dof_slots, dof_scales = [], [], [], [], []
-        factors = []  # (static, theta column, slot) in product order, one per dof
-        marks = []  # (last factor so far, segment, static pending after it)
+        factors = []  # (static or None for I, theta column, slot) in product order, one per dof
+        marks = []  # (last factor so far, segment, static pending after it or None)
         carry = None  # alignment inverse awaiting the next static transform
         fixed = None  # product of the statics since the last factor
         for i, joint in enumerate(joints):
@@ -295,7 +322,7 @@ class FkEngine:
                 static = pre if fixed is None else fixed @ pre
                 for k in sorted(range(len(joint_slots)), key=lambda k: _FACTOR_ORDER[joint_slots[k]]):
                     factors.append((static, col + k, joint_slots[k]))
-                    static = eye
+                    static = None
                 fixed = None
                 pending = carry
             else:
@@ -304,6 +331,8 @@ class FkEngine:
             dof_slots.extend(joint_slots)
             dof_scales.extend(joint_scales)
             marks.append((len(factors) - 1, i, pending))
+        # snapshots: intermediates at every segment, finals after the chain
+        marks.append((self.m - 1, 0, marks[-1][2] if self.n else None))
 
         dt = self.dtype
         self._tl = np.array(tl, dtype=dt).reshape(-1, 4, 4)
@@ -313,23 +342,30 @@ class FkEngine:
         # per-row post-corrections, applied after the reference pipeline's scan
         self._posts = tuple(posts)
 
-        def transposed(static):
-            return None if static is None or np.array_equal(static, eye) else np.ascontiguousarray(static.T, dtype=dt)
-
+        # every static as S^T for the column GEMM, None where it is I, tested in one stacked comparison
+        statics = [s for s, _, _ in factors] + [p for _, _, p in marks]
+        given = [k for k, s in enumerate(statics) if s is not None]
+        stack = np.array([statics[k] for k in given]).reshape(-1, 4, 4)
+        flipped, kept = np.ascontiguousarray(stack.transpose(0, 2, 1), dtype=dt), (stack != _EYE).any(axis=(1, 2))
+        for k, t, keep in zip(given, flipped, kept.tolist()):
+            statics[k] = t if keep else None
         # the pass's steps: (S_f^T or None, theta column, axis, and for a
         # rotation the mixed columns, them swapped, and its row of the
         # block's cos and sin)
-        cols = np.array([col for _, col, _ in factors], dtype=np.intp)
-        rot = np.array([slot >= 3 for _, _, slot in factors], dtype=bool)
-        self._steps = tuple(
-            (transposed(s), col, slot % 3) + ((_PAIRS[slot - 3], _SWAPPED[slot - 3], k) if r else (None, None, None))
-            for (s, col, slot), r, k in zip(factors, rot, np.cumsum(rot) - 1)
-        )
-        self._rot_cols, self._trans_cols, self._factor_cols = cols[rot], cols[~rot], cols
-        # snapshots: intermediates at every segment, finals after the chain
-        marks.append((self.m - 1, 0, marks[-1][2] if self.n else eye))
-        marks = [(f, i, transposed(p)) for f, i, p in marks]
+        steps, rot, trans = [], [], []
+        for s, (_, col, slot) in zip(statics, factors):
+            (rot if slot >= 3 else trans).append(col)
+            moves = (_PAIRS[slot - 3], _SWAPPED[slot - 3], len(rot) - 1) if slot >= 3 else (None, None, None)
+            steps.append((s, col, slot % 3) + moves)
+        self._steps = tuple(steps)
+        self._rot_cols, self._trans_cols = np.array(rot, dtype=np.intp), np.array(trans, dtype=np.intp)
+        marks = [(f, i, t) for (f, i, _), t in zip(marks, statics[len(factors) :])]
         self._marks, self._final_marks = tuple(marks[:-1]), (marks[-1],)
+        self._local = threading.local()
+
+    def __reduce__(self):
+        # a copy is built again, with workspaces of its own
+        return type(self), (self.chain, self.batch_size, self.dtype)
 
     @functools.cached_property
     def _twist_weights(self):
@@ -337,7 +373,7 @@ class FkEngine:
         (n, 1, m) for the intermediates, zero where the column's factor
         comes after intermediate j's mark; built on the first DualArray
         evaluation, so that a float-only engine never pays for them."""
-        col_factor = np.argsort(self._factor_cols)
+        col_factor = np.argsort([col for _, col, *_ in self._steps])
         marked = np.array([f for f, _, _ in self._marks], dtype=np.intp)
         scale = self._scale_per_dof
         return scale, (col_factor <= marked[:, None, None]) * scale
@@ -407,7 +443,7 @@ class FkEngine:
             out = np.empty((b, 4, 4), dtype=self.dtype)
             snapshots, marks = out[:, None], self._final_marks
         if not isinstance(thetas, ad.DualArray):
-            for rows in _blocks(b):
+            for rows in _blocks(b, _BLOCK_ROWS):
                 self._pass(flat2d[rows], snapshots[rows], ((0, marks),))
             return out
         k = thetas.width
@@ -415,7 +451,7 @@ class FkEngine:
         seeds = thetas.tangent.astype(self.dtype, copy=False).reshape(k, b, m).transpose(1, 0, 2)[:, None]
         tangent = np.empty((b, len(marks), k, 4, 4), dtype=self.dtype)
         weights = self._twist_weights[want_intermediates]
-        for rows in _blocks(b):
+        for rows in _blocks(b, _TANGENT_ROWS):
             axes = np.empty((6, m, rows.stop - rows.start), dtype=self.dtype)
             self._pass(flat2d[rows], snapshots[rows], ((0, marks),), axes)
             self._tangent_block(self._twists(axes), snapshots[rows], seeds[rows], weights, tangent[rows])
@@ -428,51 +464,55 @@ class FkEngine:
         ``first``; for each of its marks (f, i, pending^T) it puts the
         product of factors first..f times the pending static into
         out[:, i], or the pending static alone where f < first.  Returns the
-        last mark's (4, 3, rows) columns; ``out`` may then be None.  With
+        last mark's (4, 3, rows) columns, a buffer of the thread's workspace
+        that its next pass overwrites; ``out`` may then be None.  With
         ``axes`` (6, m, rows), the pass writes each factor's axis column and
         origin column, read before its mix, into axes[:3, c] and
         axes[3:, c] of its theta column c.
 
         Inputs that overflow make inf and NaN silently; the callers that
         refuse non-finite output check it."""
-        rows = len(flat2d)
-        q = np.multiply(flat2d.T, self._scale_per_dof[:, None], order="C")
-        angles = q[self._rot_cols]
-        cos, sin = np.cos(angles), np.sin(angles)[:, None, None] * _SIGNS
-        # two allocations: the columns a caller keeps hold no spare alive
-        cur, spare = (np.empty((4, 3, rows), dtype=self.dtype) for _ in range(2))
-        mixed = np.empty((2, 3, rows), dtype=self.dtype)
-        columns = None
+        r, spaces = len(flat2d), self._local.__dict__
+        ws = spaces.get(r) or spaces.setdefault(r, _Workspace(self, r))
+        columns, flat, ops, mixed = ws.columns, ws.flat, ws.ops, ws.mixed
+        np.multiply(flat2d.T, self._scale_per_dof[:, None], out=ws.q)
+        if ws.angles is not ws.q:
+            np.take(ws.q, self._rot_cols, axis=0, out=ws.angles)
+        np.cos(ws.angles, out=ws.cos)
+        np.sin(ws.angles, out=ws.sin[:, 0, 0])
+        np.negative(ws.sin[:, 0], out=ws.sin[:, 1])
+        product = None
         with np.errstate(over="ignore", invalid="ignore"):
             for first, marks in spans:
-                f = first
+                f, p = first, 0
                 for last, i, pending in marks:
-                    for static, col, axis, pair, swapped, k in self._steps[f : last + 1]:
+                    for static, col, *_ in self._steps[f : last + 1]:
                         if f == first:
-                            cur[...] = (_EYE if static is None else static)[:, :3, None]
+                            columns[p] = (_EYE if static is None else static)[:, :3, None]
                         elif static is not None:
-                            np.matmul(static, cur.reshape(4, -1), out=spare.reshape(4, -1))
-                            cur, spare = spare, cur
+                            np.matmul(static, flat[p], out=flat[1 - p])
+                            p = 1 - p
+                        axis, origin, pair, swapped, c, s = ops[f][p]
                         if axes is not None:
-                            axes[:3, col], axes[3:, col] = cur[axis], cur[3]
+                            axes[:3, col], axes[3:, col] = axis, origin
                         if pair is not None:
-                            np.multiply(cur[swapped], sin[k], out=mixed)
-                            pair = cur[pair]
-                            pair *= cos[k]
+                            np.multiply(swapped, s, out=mixed)
+                            pair *= c
                             pair += mixed
                         else:
-                            np.multiply(cur[axis], q[col], out=mixed[0])
-                            cur[3] += mixed[0]
+                            np.multiply(axis, c, out=s)
+                            origin += s
                         f += 1
+                    snap = p if pending is None and last >= first else 1 - p
                     if last < first:
-                        columns = np.broadcast_to((_EYE if pending is None else pending)[:, :3, None], cur.shape)
-                    elif pending is None:
-                        columns = cur
-                    else:
-                        columns = np.matmul(pending, cur.reshape(4, -1), out=spare.reshape(4, -1)).reshape(cur.shape)
+                        columns[snap] = (_EYE if pending is None else pending)[:, :3, None]
+                    elif pending is not None:
+                        np.matmul(pending, flat[p], out=flat[snap])
                     if out is not None:
-                        _put_transforms(columns, out[:, i])
-        return columns
+                        ws.top[...] = ws.rows[snap]
+                        out[:, i].reshape(r, 16)[...] = ws.staged
+                    product = columns[snap]
+        return product
 
     def _products_around(self, thetas, start, stop):
         """(head, tail), (b, 4, 4) each, of a theta batch: the product of
@@ -485,7 +525,7 @@ class FkEngine:
         flat2d = _theta_rows(thetas, self.m, b, self.dtype)
         out = np.empty((b, 2, 4, 4), dtype=self.dtype)
         spans = ((0, ((start - 1, 0, None),)), (stop, ((self.m - 1, 1, self._final_marks[0][2]),)))
-        for rows in _blocks(b):
+        for rows in _blocks(b, _BLOCK_ROWS):
             self._pass(flat2d[rows], out[rows], spans)
         # contiguous, as every identification step multiplies them
         return out[:, 0].copy(), out[:, 1].copy()
@@ -519,7 +559,7 @@ class FkEngine:
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(thetas, m, b, self.dtype)
         jac = np.empty((b, 6, m), dtype=self.dtype)
-        for rows in _blocks(b):
+        for rows in _blocks(b, _TANGENT_ROWS):
             self._jacobian_block(flat2d[rows], jac[rows], rates)
         return jac
 
@@ -563,7 +603,7 @@ class FkEngine:
             # derivatives, on a DualArray of their tangents
             m = self.m
             frames = np.empty((len(locked), 1, 4, 4), dtype=self.dtype)
-            _put_transforms(t[..., locked], frames[:, 0])
+            frames[:, 0, :3], frames[:, 0, 3] = t[..., locked].transpose(2, 1, 0), _EYE[3]
             tangent = np.empty((len(locked), 1, m, 4, 4), dtype=self.dtype)
             seeds = np.eye(m, dtype=self.dtype)[None, None]
             self._tangent_block(self._twists(axes[..., locked]), frames, seeds, self._scale_per_dof, tangent)

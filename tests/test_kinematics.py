@@ -1,6 +1,9 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -58,24 +61,26 @@ def test_intermediates_consistent(mixed_chain, rng):
 
 def test_blocked_batches_bitwise_identical(arm4_chain, rng):
     """Batches larger than the internal block size must not change results."""
-    b = 700
+    b = kinematics._BLOCK_ROWS + 188
     eng = FkEngine(arm4_chain, batch_size=b)
     thetas = rng.uniform(-2.0, 2.0, size=(b, eng.m))
     big = eng.forward(thetas.ravel())
     one = FkEngine(arm4_chain, batch_size=1)
-    for k in (0, 255, 256, 511, 512, 699):
+    for k in (0, 255, 256, b - 189, b - 188, b - 1):
         np.testing.assert_array_equal(big[k], one.forward(thetas[k])[0])
 
 
 def test_blocked_batches_bitwise_identical_off_axis(mixed_chain, rng):
-    """A row's value does not depend on its block, off-axis statics included."""
-    b = 700
-    eng = FkEngine(mixed_chain, batch_size=b)
-    thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
-    big = eng.forward(thetas.ravel(), want_intermediates=True)
+    """A row's value does not depend on its block, off-axis statics
+    included, down to a last block of one row."""
     one = FkEngine(mixed_chain, batch_size=1)
-    for k in (0, 1, 255, 256, 257, 699):
-        _assert_bits_equal(big[k], one.forward(thetas[k], want_intermediates=True)[0])
+    for extra in (1, 188):
+        b = kinematics._BLOCK_ROWS + extra
+        eng = FkEngine(mixed_chain, batch_size=b)
+        thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
+        big = eng.forward(thetas.ravel(), want_intermediates=True)
+        for k in (0, 1, 255, 256, b - extra - 1, b - extra, b - 1):
+            _assert_bits_equal(big[k], one.forward(thetas[k], want_intermediates=True)[0])
 
 
 def test_generic_path_matches_float(mixed_chain, rng):
@@ -633,7 +638,8 @@ def _counting(monkeypatch, name, calls):
 @pytest.mark.parametrize("dual", [False, True])
 def test_trig_only_on_rotational_dofs(dual, mixed_chain, monkeypatch, rng):
     """Each block takes one cos and one sin, over (rotational dofs, rows),
-    for float and for DualArray input alike."""
+    into the thread's workspace, for float and for DualArray input alike
+    (the DualArray forward runs in blocks of _TANGENT_ROWS)."""
     b = kinematics._BLOCK_ROWS + 44
     eng = FkEngine(mixed_chain, batch_size=b)
     thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
@@ -643,8 +649,9 @@ def test_trig_only_on_rotational_dofs(dual, mixed_chain, monkeypatch, rng):
     eng.forward(ad.seed_array(thetas) if dual else thetas.ravel())
     # revolute, continuous and the floating joint's three angles
     m_rot = 5
-    rows = (kinematics._BLOCK_ROWS, 44)
-    assert sorted(calls) == sorted((name, ((m_rot, r),), False) for r in rows for name in ("cos", "sin"))
+    block = kinematics._TANGENT_ROWS if dual else kinematics._BLOCK_ROWS
+    rows = [block] * (b // block) + [b % block]
+    assert sorted(calls) == sorted((name, ((m_rot, r),), True) for r in rows for name in ("cos", "sin"))
 
 
 @pytest.mark.parametrize("want_intermediates", [False, True])
@@ -696,6 +703,72 @@ def test_block_rows_match_single_rows(robot, dtype, arm4_chain, mixed_chain):
     for k in (0, 1, kinematics._BLOCK_ROWS - 1, kinematics._BLOCK_ROWS, b - 1):
         for got, want in zip((out[k] for out in batch), run(one, thetas[k : k + 1]), strict=True):
             _assert_bits_equal(got, want[0])
+
+
+@pytest.mark.parametrize("b", [256, 4096])
+def test_threads_share_an_engine(b, arm4_chain):
+    """Two threads evaluating one engine each run on their own workspace:
+    200 forward and 200 pose_jacobian calls per thread, each thread on its
+    own inputs, are all bitwise the sequential results."""
+    eng = FkEngine(arm4_chain, batch_size=b)
+    inputs = [np.random.default_rng(seed).uniform(-1.5, 1.5, size=(b, eng.m)) for seed in range(2)]
+    want = [(eng.forward(th).tobytes(), kinematics.pose_jacobian(eng, th).tobytes()) for th in inputs]
+    done, mismatched = [0, 0], [0, 0]
+
+    def run(k):
+        for _ in range(200):
+            got = eng.forward(inputs[k]).tobytes(), kinematics.pose_jacobian(eng, inputs[k]).tobytes()
+            mismatched[k] += got != want[k]
+            done[k] += 1
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert done == [200, 200] and mismatched == [0, 0]
+
+
+def test_engine_copies_build_their_own_workspaces(mixed_chain, rng):
+    """The per-thread workspaces are not engine state: pickle and deepcopy
+    leave them out, and a copy evaluates bitwise equal on buffers of its
+    own."""
+    b = 37
+    eng = FkEngine(mixed_chain, batch_size=b)
+    thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
+    want = eng.forward(thetas, want_intermediates=True), kinematics.pose_jacobian(eng, thetas)
+    for clone in (pickle.loads(pickle.dumps(eng)), copy.deepcopy(eng)):
+        got = clone.forward(thetas, want_intermediates=True), kinematics.pose_jacobian(clone, thetas)
+        for g, w in zip(got, want):
+            _assert_bits_equal(g, w)
+        buffers = (vars(e._local.__dict__[b]).values() for e in (clone, eng))
+        ours, theirs = ([a for a in values if isinstance(a, np.ndarray)] for values in buffers)
+        assert not any(np.shares_memory(a, t) for a in ours for t in theirs)
+
+
+def test_origins_are_the_kernel_transforms():
+    """An origin whose rpy is +0 is built without sixdof_batch_to_transforms;
+    every static transform is still bitwise the kernel's, -0 included."""
+    robot = urdf.parse_urdf(
+        """<robot name="zeros"><link name="a"/><link name="b"/><link name="c"/><link name="d"/><link name="e"/>
+        <joint name="j1" type="revolute"><parent link="a"/><child link="b"/>
+          <origin xyz="0.1 -0 0.3"/><axis xyz="0 0 1"/></joint>
+        <joint name="j2" type="fixed"><parent link="b"/><child link="c"/><origin xyz="0 0 0.5" rpy="-0 0 0"/></joint>
+        <joint name="j3" type="revolute"><parent link="c"/><child link="d"/>
+          <origin xyz="0 1 0" rpy="0 -0 0.25"/><axis xyz="1 0 0"/></joint>
+        <joint name="j4" type="prismatic"><parent link="d"/><child link="e"/>
+          <origin xyz="0.2 0 0" rpy="0 0 0"/><axis xyz="0 1 0"/></joint>
+        </robot>"""
+    )
+    chain = urdf.extract_chain(robot, "a", "e")
+    params = np.array([joint.origin_params() for _, joint in chain.segments])
+    _assert_bits_equal(FkEngine(chain, batch_size=1).link_transforms, transforms.sixdof_batch_to_transforms(params))
 
 
 def test_aligned_axis_tolerance():
@@ -878,11 +951,12 @@ def test_geometric_jacobian_matches_central_differences(robot, arm4_chain, mixed
             assert (np.abs(jac[k, :, j] - fd) < tol).all()
 
 
-# Counts the minor page faults of 20 calls on arm4 after 3 warm-up calls.
+# Counts the minor page faults of 20 calls on arm4 after 3 warm-up calls;
+# diffkin loads first, so that DIFFKIN_NUM_THREADS reaches the BLAS.
 _FAULTS = """
 import resource, sys
-import numpy as np
 from diffkin import kinematics, urdf
+import numpy as np
 urdf_path, call, b = sys.argv[1], sys.argv[2], int(sys.argv[3])
 chain = urdf.extract_chain(urdf.parse_urdf(open(urdf_path).read()), "base", "tool")
 eng = kinematics.FkEngine(chain, b)
@@ -897,35 +971,45 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 
 
-def _minor_faults_per_call(call, b):
+def _minor_faults_per_call(call, b, threads):
     """Minor page faults per ``call`` at batch b, after warm-up, in a fresh
-    interpreter: the allocator's thresholds move with whatever ran before
-    in a process, so only a fresh one repeats.  Faults are counted, not
-    timed, so a loaded host does not move them."""
+    interpreter, with DIFFKIN_NUM_THREADS set to ``threads`` or unset: the
+    allocator's thresholds move with whatever ran before in a process, so
+    only a fresh one repeats.  Faults are counted, not timed, so a loaded
+    host does not move them."""
     pytest.importorskip("resource")
     src = str(Path(kinematics.__file__).resolve().parents[1])
     urdf_path = str(Path(__file__).resolve().parents[1] / "scripts" / "arm4.urdf")
+    env = {k: v for k, v in os.environ.items() if k != "DIFFKIN_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if threads:
+        env["DIFFKIN_NUM_THREADS"] = threads
     run = subprocess.run(
         [sys.executable, "-c", _FAULTS, urdf_path, call, str(b)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True,
+        capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     return float(run.stdout)
 
 
+@pytest.mark.parametrize("threads", ["1", None])
 @pytest.mark.parametrize("b", [1024, 2048, 4096])
-def test_pose_jacobian_minor_faults(b):
+def test_pose_jacobian_minor_faults(b, threads):
     """No b-wide temporary and no block temporary that the allocator maps
     afresh on every call: at most 100 minor page faults a call (a DualArray
     pass over the batch took about 1170 at b=4096, mapping its (m, b, 4, 4)
     tangents afresh on every call; a (rows, F, 4, 4) factor stack and twist
     gather per block took 184 at b=1024 and 188 at b=2048)."""
-    assert _minor_faults_per_call("pose_jacobian", b) <= 100
+    assert _minor_faults_per_call("pose_jacobian", b, threads) <= 100
 
 
-def test_forward_minor_faults():
-    """forward at b=4096 takes at most 100 minor page faults a call: only its
-    (b, 4, 4) result spans the batch."""
-    assert _minor_faults_per_call("forward", 4096) <= 100
+@pytest.mark.parametrize("threads", ["1", None])
+@pytest.mark.parametrize("b", [1024, 2048, 4096])
+def test_forward_minor_faults(b, threads):
+    """forward takes at most 100 minor page faults a call: only its (b, 4, 4)
+    result spans the batch, and the block's buffers are the thread's
+    workspace, kept across calls (fresh 512-row temporaries took about 105
+    a call at b=2048 with one BLAS thread)."""
+    assert _minor_faults_per_call("forward", b, threads) <= 100
 
 
 def test_limit_violations(arm2r_chain):
