@@ -253,7 +253,11 @@ def _cmd_identify(args):
         raise ShapeError(f"config file {args.config}: expected a JSON object")
     # the target and the chain are run_identification's arguments; the rest
     # of the object is the IdentifyConfig
-    target_link, base, end = (raw.pop(key, None) for key in ("target_link", "base", "end"))
+    names = {key: raw.pop(key, None) for key in ("target_link", "base", "end")}
+    for key, name in names.items():
+        if name is not None and not isinstance(name, str):
+            raise ShapeError(f"config file {args.config}: {key!r} must be a link name string, got {name!r}")
+    target_link, base, end = names.values()
     try:
         cfg = IdentifyConfig.from_mapping(raw)
     except ValueError as exc:

@@ -6,9 +6,9 @@ generated from the unmodified model) supervise Adam (Kingma & Ba 2015) on the
 six parameters until the substituted chain reproduces the measurements.  The
 parent joint's original origin is kept as the initialization hint, which for
 an identifiable geometry is also the ground truth the estimate should reach.
-Each step evaluates only the six-parameter transform between the dataset's
-fixed products on either side of it, and takes the gradient in closed form
-(see ParamEstimator).
+Every residual is affine in the six-parameter transform's twelve free
+entries, so each dataset is reduced once to a 12x12 triangular factor and a
+step costs the same at any batch size (see ParamEstimator).
 
 If the replaced joint had degrees of freedom of its own, those are subsumed
 by the Floating joint and held at zero while sampling: a per-configuration
@@ -131,12 +131,18 @@ class ParamEstimator:
     chain (see kinematics) and compose to M(p) = sixdof_to_transform(p), so
     every final transform is T_b = A_b M(p) B_b: A_b the product of the
     factors up to the first parameter factor's static, B_b that of the
-    factors after the sixth, times the trailing static.  Only the six
-    parameters change within a solve, so A and B are built for a dataset on
-    its first ``loss_gradient`` call (one float pass over the chain's
-    factors) and kept, with the targets, while the next call's thetas and
-    target poses are equal by content.  A step then costs one 4x4 M(p), two
-    (b, 4, 4) products and the closed-form gradient (``loss_gradient``); no
+    factors after the sixth, times the trailing static.  M's bottom row is
+    (0, 0, 0, 1), so a configuration's 12 residuals, the 3x4
+    [p_b - p*_b | I - R_b R*_b^T], are affine in x = vec(M[:3, :4]): they
+    are A_b[:3, :3] M[:3, :4] W_b^T + [A_b[:3, 3] - p*_b | I], W_b the 4x4
+    with rows B_b[:, 3] and -R*_b B_b[:, :3]^T.  Stacked, r = K x + k0 with
+    K (12b, 12).  On the first ``loss_gradient`` call for a dataset (one
+    float pass over the chain's factors for A and B) a QR of [K | k0]
+    reduces it, and the estimator keeps, while the next call's thetas and
+    target poses are equal by content: the 12x12 triangular factor R,
+    z = Q^T k0 and rho^2 = |k0 - Q z|^2, scaled by 1/b (1.3 KB), with A and
+    B (256 B a configuration) for the final pose check only.  A step then
+    costs one 4x4 M(p) and 12x12 products at any b (``loss_gradient``); no
     DualArray is built.  ``loss_value`` evaluates the whole chain with
     ``forward``.
 
@@ -175,7 +181,7 @@ class ParamEstimator:
         self.steps_taken = 0
         self._adam_m = np.zeros(6)
         self._adam_v = np.zeros(6)
-        self._kept = None  # (thetas, targets, A, B) of the last dataset
+        self._kept = None  # (thetas, targets, A, B, R, z, rho^2) of the last dataset
 
     def _check_shapes(self, thetas, target_poses):
         b = self.engine.batch_size
@@ -205,49 +211,51 @@ class ParamEstimator:
         return float(self._loss(finals, target_poses))
 
     def _dataset(self, thetas, target_poses):
-        """(targets, A, B) of a dataset (see the class docstring), kept from
-        the last call unless its thetas or target poses differ by content."""
+        """(A, B, R, z, rho^2) of a dataset (see the class docstring), kept
+        from the last call unless its thetas or target poses differ by
+        content.  A non-finite model is refused before it is kept."""
         thetas, target_poses = self._check_shapes(thetas, target_poses)
         kept = self._kept
         if kept is None or not (np.array_equal(thetas, kept[0]) and np.array_equal(target_poses, kept[1])):
             start = self._param_cols.start
             zeroed = self._flat_sub_thetas(thetas, np.zeros(6))
             head, tail = self.engine._products_around(zeroed, start + 1, start + 6)
-            kept = self._kept = (thetas.copy(), target_poses.astype(np.float64), head, tail)
-        return kept[1:]
-
-    def _finals(self, head, tail):
-        """((A M) B, M): the (b, 4, 4) final transforms of a dataset at the
-        current parameters, and the parameters' transform M."""
-        m = sixdof_batch_to_transforms(self.params)
-        return (head.reshape(-1, 4) @ m).reshape(len(head), 4, 4) @ tail, m
+            targets, b = target_poses.astype(np.float64), len(head)
+            mix = np.empty((b, 4, 4))  # W_b
+            model = np.empty((b, 3, 4, 13))  # [K | k0], row (r, s) for residual entry [r, s]
+            with np.errstate(all="ignore"):  # overflow and inf * 0 end in the refusal below, not in a warning
+                mix[:, 0] = tail[:, :, 3]
+                mix[:, 1:] = -(targets[:, :3, :3] @ tail[:, :, :3].transpose(0, 2, 1))
+                model[..., :12] = (head[:, :3, None, :3, None] * mix[:, None, :, None, :]).reshape(b, 3, 4, 12)
+                model[:, :, 0, 12] = head[:, :3, 3] - targets[:, :3, 3]
+                model[:, :, 1:, 12] = _EYE3
+                if not np.isfinite(model).all():
+                    raise ValueError(f"non-finite identification loss at params {self.params.tolist()}")
+                r = np.linalg.qr(model.reshape(-1, 13), mode="r") / np.sqrt(b)  # 12x13 at b = 1, where rho = 0
+                rho2 = r[12:, 12] @ r[12:, 12]
+            kept = self._kept = (thetas.copy(), targets, head, tail, r[:12, :12].copy(), r[:12, 12].copy(), rho2)
+        return kept[2:]
 
     def loss_gradient(self, thetas, target_poses):
         """(loss, d loss / d params) at the current parameters, no update.
 
-        With D_b = I - R_b R*_b^T and e_b = p_b - p*_b, the loss's gradient
-        in T_b is G_b = (2/b) [[-D_b R*_b, e_b], [0, 0]], so its gradient in
-        M is H = sum_b A_b^T G_b B_b^T.  H's translation column is the
-        gradient in (x, y, z).  A rotation dR_M = [w]x R_M moves the loss by
-        w . vee(R_M H_R^T), vee(Q) = (Q12 - Q21, Q20 - Q02, Q01 - Q10), and
-        the angle rates give w = R_M e_x alpha' + Rz(gamma) e_y beta' +
-        e_z gamma' (R_M = Rz(gamma) Ry(beta) Rx(alpha)).
+        From the kept reduction (class docstring): u = R x + z, the loss is
+        |u|^2 + rho^2 and its gradient in M is H[:3, :4] = 2 R^T u, whose
+        translation column is the gradient in (x, y, z).  A rotation
+        dR_M = [w]x R_M moves the loss by w . vee(R_M H_R^T), vee(Q) =
+        (Q12 - Q21, Q20 - Q02, Q01 - Q10), and the angle rates give
+        w = R_M e_x alpha' + Rz(gamma) e_y beta' + e_z gamma'
+        (R_M = Rz(gamma) Ry(beta) Rx(alpha)).
         """
-        targets, head, tail = self._dataset(thetas, target_poses)
-        b = self.engine.batch_size
-        finals, m = self._finals(head, tail)
-        e = finals[:, :3, 3] - targets[:, :3, 3]
-        r_star = targets[:, :3, :3]
-        d = _EYE3 - finals[:, :3, :3] @ r_star.transpose(0, 2, 1)
-        value = float(((e * e).sum() + (d * d).sum()) / b)
+        r, z, rho2 = self._dataset(thetas, target_poses)[2:]
+        m = sixdof_batch_to_transforms(self.params)
+        u = r @ m[:3].ravel() + z
+        value = float(u @ u + rho2)
         if not np.isfinite(value):
             raise ValueError(f"non-finite identification loss at params {self.params.tolist()}")
-        g = np.zeros((b, 4, 4))  # -(b / 2) G_b, scaled back once in H
-        g[:, :3, :3] = d @ r_star
-        g[:, :3, 3] = -e
-        h = head.reshape(-1, 4).T @ (g @ tail.transpose(0, 2, 1)).reshape(-1, 4) * (-2.0 / b)
+        h = (2.0 * u @ r).reshape(3, 4)
         rot = m[:3, :3]
-        q = rot @ h[:3, :3].T
+        q = rot @ h[:, :3].T
         v = (q - q.T)[[1, 2, 0], [2, 0, 1]]
         gamma = self.params[5]
         grad = np.array([h[0, 3], h[1, 3], h[2, 3], rot[:, 0] @ v, np.cos(gamma) * v[1] - np.sin(gamma) * v[0], v[2]])
@@ -301,7 +309,8 @@ def run_identification(model: RobotModel, target_link: str, base: str, end: str,
             status = "converged"
             break
 
-    finals, _ = estimator._finals(*estimator._dataset(thetas, targets)[1:])
+    head, tail = estimator._dataset(thetas, targets)[:2]
+    finals = head @ sixdof_batch_to_transforms(estimator.params) @ tail
     got, _ = pose_batch_from_transforms(finals)
     want, _ = pose_batch_from_transforms(targets)
     diff = got - want

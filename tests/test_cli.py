@@ -211,6 +211,18 @@ def test_identify_rejects_malformed_or_retired_key(key, value, capsys, tmp_path)
     assert key in err
 
 
+@pytest.mark.parametrize("key, value", [("base", ["base"]), ("end", 3.5), ("target_link", {"link": "camera"}), ("end", True), ("base", 0)])
+def test_identify_rejects_non_string_link_name(key, value, capsys, tmp_path):
+    # unchecked, a list or an object would end in a TypeError traceback, a number or a bool in "unknown link"
+    urdf_path = tmp_path / "cam.urdf"
+    urdf_path.write_text(CAM_ARM)
+    cfg = tmp_path / "id.json"
+    cfg.write_text(json.dumps({"target_link": "camera", "base": "base", "end": "camera", key: value}))
+    code, out, err = run_cli(capsys, "identify", str(urdf_path), str(cfg))
+    assert code == 4 and out == ""
+    assert f"{key!r} must be a link name string" in err
+
+
 def test_exit_code_json_integer_beyond_float_range(capsys, arm2r_file, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("[[0.1, 0.2], [1" + "0" * 400 + ", 0.0]]")

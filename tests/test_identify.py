@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffkin import autodiff as ad
-from diffkin import identify, kinematics, metrics, urdf
+from diffkin import identify, kinematics, metrics, transforms, urdf
 from diffkin.identify import IdentifyConfig, ParamEstimator, SampleGenerator
 
 
@@ -98,6 +98,9 @@ def test_loss_zero_at_truth(cam_arm):
     est = ParamEstimator(cam_arm, "camera", "base", "camera", 5)
     est.params = np.array([0.3, 0, 0.1, 0, 0, np.pi / 4])
     assert est.loss_value(thetas, targets) < 1e-20
+    # the kept reduction's loss is a sum of squares, not a difference
+    value, _ = est.loss_gradient(thetas, targets)
+    assert 0 <= value < 1e-20
 
 
 def test_loss_is_translation_plus_phi5_squared(cam_arm):
@@ -251,10 +254,12 @@ def test_splice_of_mid_chain_joint(cam_arm):
     np.testing.assert_array_equal(flat.tangent, expected)
 
 
-# Loss and gradient of the closed form against the DualArray pass they
-# replace, relative to max(1, |g|_inf): the two sum the same terms in
-# another order; the largest seen is 8.4e-16 at b <= 10 and 1.2e-14 at
-# b = 513, growing with b as the batch sums do.
+# Loss and gradient of the kept QR reduction against the DualArray pass
+# through the whole chain, relative to max(1, loss) and max(1, |g|_inf),
+# and its loss against the explicit residual sum of A M(p) B: the largest
+# seen are 7.2e-16 (loss) and 1.7e-15 (gradient) at b <= 10, and 1.0e-15
+# and 1.3e-14 at b = 513 (1.1e-15 against the explicit sum), growing with b
+# as the batch sums do.
 _ORACLE_REL = 1e-13
 
 
@@ -264,6 +269,16 @@ def _dual_loss_gradient(est, thetas, targets):
     thetas, targets = est._check_shapes(thetas, targets)
     loss = est._loss(est.engine._evaluate(est._flat_sub_thetas(thetas, ad.seed_array(est.params))), targets)
     return float(loss.primal), loss.tangent
+
+
+def _explicit_loss(est, thetas, targets):
+    """The loss summed over the (b, 4, 4) final transforms A M(p) B, the
+    residual sum the kept reduction replaces."""
+    head, tail = est._dataset(thetas, targets)[:2]
+    finals = head @ transforms.sixdof_batch_to_transforms(est.params) @ tail
+    e = finals[:, :3, 3] - targets[:, :3, 3]
+    d = np.eye(3) - finals[:, :3, :3] @ targets[:, :3, :3].transpose(0, 2, 1)
+    return ((e * e).sum() + (d * d).sum()) / len(finals)
 
 
 def _robot_dataset(model, est, end, batch_size, rng):
@@ -280,9 +295,11 @@ def _robot_dataset(model, est, end, batch_size, rng):
 )
 @pytest.mark.parametrize("batch_size", [1, 10, 513])
 def test_closed_form_gradient_matches_dual_oracle(robot, end, target, batch_size, request):
-    """``loss_gradient`` (A M(p) B, closed-form gradient) agrees with the
-    DualArray pass through the whole chain at random parameters, to
-    _ORACLE_REL * max(1, |g|_inf) in loss and gradient.  On mixed the
+    """``loss_gradient`` (the kept QR reduction, closed-form gradient)
+    agrees with the DualArray pass through the whole chain at random
+    parameters, to _ORACLE_REL * max(1, |g|_inf) in the gradient and
+    _ORACLE_REL * max(1, loss) in the loss, and with the explicit residual
+    sum of A M(p) B in the loss.  On mixed the
     substituted joint is the first, a mid-chain off-axis prismatic and an
     off-axis planar one, with a floating joint and aligned statics after it;
     513 rows span two blocks of A and B."""
@@ -296,6 +313,7 @@ def test_closed_form_gradient_matches_dual_oracle(robot, end, target, batch_size
         loss, grad = est.loss_gradient(thetas, targets)
         scale = max(1.0, np.abs(want).max())
         assert abs(loss - want_loss) <= _ORACLE_REL * max(1.0, want_loss)
+        assert abs(loss - _explicit_loss(est, thetas, targets)) <= _ORACLE_REL * max(1.0, loss)
         assert np.abs(grad - want).max() <= _ORACLE_REL * scale
         assert grad.shape == (6,) and grad.dtype == np.float64
 
@@ -330,6 +348,21 @@ def test_kept_dataset_follows_its_content(cam_arm):
     targets[3, :3, 3] += 0.01
     _same(est.loss_gradient(thetas, targets), fresh(thetas, targets))
     assert est.loss_gradient(thetas, targets)[0] != before[0]
+
+
+@pytest.mark.parametrize("row, col, value", [(0, 3, np.inf), (1, 0, np.nan), (2, 2, -np.inf)])
+def test_non_finite_target_is_refused_without_a_warning(row, col, value, cam_arm):
+    """A non-finite target entry, in the translation or the rotation block,
+    is the non-finite loss error; no RuntimeWarning (an error under the
+    suite's warning filter) comes from the products or the QR, and nothing
+    is kept."""
+    est = ParamEstimator(cam_arm, "camera", "base", "camera", 4)
+    thetas, targets = _dataset(cam_arm, 4)
+    bad = targets.copy()
+    bad[1, row, col] = value
+    with pytest.raises(ValueError, match="non-finite identification loss"):
+        est.loss_gradient(thetas, bad)
+    assert est._kept is None
 
 
 def test_kept_dataset_keeps_the_input_refusals(cam_arm):
