@@ -141,7 +141,9 @@ class ParamEstimator:
     reduces it, and the estimator keeps, while the next call's thetas and
     target poses are equal by content: the 12x12 triangular factor R,
     z = Q^T k0 and rho^2 = |k0 - Q z|^2, scaled by 1/b (1.3 KB), with A and
-    B (256 B a configuration) for the final pose check only.  A step then
+    B (256 B a configuration) for the final pose check only.  It keeps the
+    dataset as read-only copies too, and a call given those very arrays
+    skips the content check (run_identification's steps).  A step then
     costs one 4x4 M(p) and 12x12 products at any b (``loss_gradient``); no
     DualArray is built.  ``loss_value`` evaluates the whole chain with
     ``forward``.
@@ -213,9 +215,12 @@ class ParamEstimator:
     def _dataset(self, thetas, target_poses):
         """(A, B, R, z, rho^2) of a dataset (see the class docstring), kept
         from the last call unless its thetas or target poses differ by
-        content.  A non-finite model is refused before it is kept."""
-        thetas, target_poses = self._check_shapes(thetas, target_poses)
+        content; the kept copies themselves are not checked again.  A
+        non-finite model is refused before it is kept."""
         kept = self._kept
+        if kept is not None and thetas is kept[0] and target_poses is kept[1]:
+            return kept[2:]
+        thetas, target_poses = self._check_shapes(thetas, target_poses)
         if kept is None or not (np.array_equal(thetas, kept[0]) and np.array_equal(target_poses, kept[1])):
             start = self._param_cols.start
             zeroed = self._flat_sub_thetas(thetas, np.zeros(6))
@@ -233,7 +238,9 @@ class ParamEstimator:
                     raise ValueError(f"non-finite identification loss at params {self.params.tolist()}")
                 r = np.linalg.qr(model.reshape(-1, 13), mode="r") / np.sqrt(b)  # 12x13 at b = 1, where rho = 0
                 rho2 = r[12:, 12] @ r[12:, 12]
-            kept = self._kept = (thetas.copy(), targets, head, tail, r[:12, :12].copy(), r[:12, 12].copy(), rho2)
+            thetas = thetas.copy()
+            thetas.flags.writeable = targets.flags.writeable = False
+            kept = self._kept = (thetas, targets, head, tail, r[:12, :12].copy(), r[:12, 12].copy(), rho2)
         return kept[2:]
 
     def loss_gradient(self, thetas, target_poses):
@@ -301,6 +308,8 @@ def run_identification(model: RobotModel, target_link: str, base: str, end: str,
     thetas, targets = generator.sample_batch()
 
     loss, grad = estimator.loss_gradient(thetas, targets)
+    # the estimator's kept copies of the dataset: the steps pass them back, and are not checked again
+    thetas, targets = estimator._kept[:2]
     status = "budget_exhausted"
     while estimator.steps_taken < config.max_steps:
         grad_norm = float(np.linalg.norm(grad))

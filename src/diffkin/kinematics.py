@@ -17,7 +17,10 @@ is applied in two steps: P S_f is one constant GEMM S_f^T @ C, skipped
 where S_f = I, and P M_f mixes two columns.  A rotation about axis a by q,
 (c, s) = (cos q, sin q), sets C_i, C_j <- c C_i + s C_j, c C_j - s C_i,
 (i, j) = (1, 2), (2, 0), (0, 1) for a = x, y, z; a translation by d sets
-C_3 <- C_3 + d C_a.  cos and sin are taken once per block.  Snapshots
+C_3 <- C_3 + d C_a.  A block takes c and s of all its rotations from one
+tan of the half angles, t = tan(q/2): c = 2/(1 + t^2) - 1, s = t 2/(1 + t^2),
+within 2 eps of cos and sin (numpy's float64 tan loop is vectorised, its
+cos and sin loops call scalar libm, about 5x slower an angle).  Snapshots
 (intermediates at each segment's last factor, finals after the chain) are
 the columns times the static pending there, one more GEMM unless it is I,
 copied as matrix rows into a (4, 4, rows) block in the result's transposed
@@ -134,13 +137,16 @@ def _integer_setting(name, value, minimum):
 _AXIS_TOL = 1e-9
 
 # forward runs blocks of _BLOCK_ROWS configurations, the Jacobians and DualArray tangents of _TANGENT_ROWS.  Median
-# items per kilo reference unit (bench._timed_loop), arm4, one thread, 2-core x86_64, by rows a block:
+# items per kilo reference unit (bench._timed_loop, 9 rounds), arm4, one thread, 2-core x86_64, by rows a block (both
+# constants set to it):
 #        forward f64 b=1024 4096 8192 | f32 b=1024 4096 8192 | pose_jacobian f64 b=256 4096 | f32 b=256 4096
-#   512            322k 298k 294k     |      536k  589k  577k |                   128k 164k |     174k 282k
-#  1024            372k 360k 354k     |      765k  784k  733k |                   128k 200k |     171k 380k
-#  2048            386k 399k 393k     |      779k  951k 1029k |                   125k 221k |     171k 490k
-#  4096            347k 404k 427k     |      705k 1187k 1055k |                   117k 223k |     169k 545k
-#  8192            355k 400k 428k     |      745k 1198k 1184k |                   127k 229k |     169k 573k
+#   512            394k 412k 401k     |      532k  569k  550k |                   142k 201k |     175k 285k
+#  1024            481k 495k 466k     |      748k  763k  777k |                   142k 245k |     167k 395k
+#  2048            491k 595k 616k     |      751k 1121k 1067k |                   143k 272k |     163k 515k
+#  4096            479k 621k 593k     |      749k 1145k 1173k |                   142k 162k |     165k 551k
+#  8192            478k 620k 627k     |      739k 1184k 1282k |                   142k 160k |     166k 528k
+# A batch that fits one block at both sizes reads alike within 3.5% (the host's noise); 8192 rows gain 6-9% only at
+# b=8192, for twice the workspace, so forward keeps 4096.
 # The workspace, kept per thread, takes 368 + 8 m + 24 r bytes a row in float64 for r rotations (32 r beside a
 # translation; 496 on arm4, 2 MB at 4096 rows), so forward maps nothing per call.  The Jacobians' block temporaries
 # are fresh: above 512 rows, pose_jacobian at b=4096 refaulted 480 pages a call after a b=1024 call.  Blocks change
@@ -239,7 +245,8 @@ def _blocks(b, rows):
 class _Workspace:
     """One thread's buffers for FkEngine._pass on blocks of ``rows`` rows
     (see the FkEngine docstring), with every factor's operands as views of
-    them, so that the pass indexes nothing per factor."""
+    them, so that the pass indexes nothing per factor, and the theta
+    columns' scales with the half of every rotation's tan(q/2) folded in."""
 
     def __init__(self, engine, rows):
         dt, m, rot = engine.dtype, engine.m, len(engine._rot_cols)
@@ -249,6 +256,9 @@ class _Workspace:
         self.flat, self.rows = self.columns.reshape(2, 4, -1), self.columns.transpose(0, 2, 1, 3)
         self.top, self.staged = snapshot[:3], snapshot.reshape(16, rows).T
         self.q, self.mixed = q, mixed = np.empty((m, rows), dtype=dt), np.empty((2, 3, rows), dtype=dt)
+        # each theta column's scale, halved for a rotation: q holds half angles and full displacements
+        self.scale = engine._scale_per_dof[:, None].copy()
+        self.scale[engine._rot_cols] *= 0.5
         self.angles = q if rot == m else np.empty((rot, rows), dtype=dt)
         self.cos, self.sin = cos, sin = np.empty((rot, rows), dtype=dt), np.empty((rot, 2, 1, rows), dtype=dt)
 
@@ -277,10 +287,11 @@ class FkEngine:
     and the static transforms pending at each snapshot.  Every evaluation
     (forward, its DualArray tangents, the Jacobians and _products_around)
     runs the column pass _pass, one block of rows at a time, on the calling
-    thread's workspace (_Workspace): the block's columns, trig and snapshot
-    buffers, built on the thread's first block of that size and kept in a
-    threading.local, so that a call allocates little beyond its result and
-    threads can share an engine.  A pickled or copied engine is built again.
+    thread's workspace (_Workspace): the block's columns, half angles, cos
+    and sin, and snapshot buffers, built on the thread's first block of that
+    size (not in __init__) and kept in a threading.local, so that a call
+    allocates little beyond its result and threads can share an engine.  A
+    pickled or copied engine is built again.
 
     scatter_thetas, combine_link_joint, index_matrix and link_transforms,
     with the module's joint_transforms and scan_compose, are the reference
@@ -475,14 +486,20 @@ class FkEngine:
         r, spaces = len(flat2d), self._local.__dict__
         ws = spaces.get(r) or spaces.setdefault(r, _Workspace(self, r))
         columns, flat, ops, mixed = ws.columns, ws.flat, ws.ops, ws.mixed
-        np.multiply(flat2d.T, self._scale_per_dof[:, None], out=ws.q)
-        if ws.angles is not ws.q:
-            np.take(ws.q, self._rot_cols, axis=0, out=ws.angles)
-        np.cos(ws.angles, out=ws.cos)
-        np.sin(ws.angles, out=ws.sin[:, 0, 0])
-        np.negative(ws.sin[:, 0], out=ws.sin[:, 1])
+        t, cos, sin = ws.angles, ws.cos, ws.sin
+        np.multiply(flat2d.T, ws.scale, out=ws.q)
+        if t is not ws.q:
+            np.take(ws.q, self._rot_cols, axis=0, out=t)
         product = None
         with np.errstate(over="ignore", invalid="ignore"):
+            # t = tan(q/2), cos = 2/(1 + t^2) - 1, sin = t 2/(1 + t^2)
+            np.tan(t, out=t)
+            np.multiply(t, t, out=cos)
+            cos += 1.0
+            np.divide(2.0, cos, out=cos)
+            np.multiply(t, cos, out=sin[:, 0, 0])
+            cos -= 1.0
+            np.negative(sin[:, 0], out=sin[:, 1])
             for first, marks in spans:
                 f, p = first, 0
                 for last, i, pending in marks:

@@ -71,6 +71,33 @@ def test_one_model_evaluation_per_step(max_steps, status, cam_arm, monkeypatch):
     assert calls == {"dual": 0, "estimator_pass": 1, "loss_value": 0}
 
 
+@pytest.mark.parametrize("target", ["camera", "link2"])
+def test_solve_checks_its_dataset_once(target, cam_arm, monkeypatch):
+    """A solve checks its dataset once: the steps pass back the estimator's
+    read-only copies, which are not checked again, and the result is bitwise
+    that of a solve whose every step re-checks fresh copies by content."""
+    cfg = IdentifyConfig(batch_size=10, seed=4)
+    checks = []
+    check_shapes, step = ParamEstimator._check_shapes, ParamEstimator.step
+
+    def counting_check_shapes(self, *args):
+        checks.append(args)
+        return check_shapes(self, *args)
+
+    def rechecking_step(self, thetas, targets, grad):
+        return step(self, thetas.copy(), targets.copy(), grad)
+
+    monkeypatch.setattr(ParamEstimator, "_check_shapes", counting_check_shapes)
+    once = identify.run_identification(cam_arm, target, "base", "camera", cfg)
+    assert len(checks) == 1
+    monkeypatch.setattr(ParamEstimator, "step", rechecking_step)
+    every = identify.run_identification(cam_arm, target, "base", "camera", cfg)
+    assert len(checks) == 2 + every.steps
+    assert (once.status, once.steps, once.final_loss) == (every.status, every.steps, every.final_loss)
+    for name in ("params", "pose_error", "param_error"):
+        assert getattr(once, name).tobytes() == getattr(every, name).tobytes()
+
+
 def test_budget_exhausted(cam_arm):
     res = identify.run_identification(
         cam_arm, "camera", "base", "camera", IdentifyConfig(batch_size=4, max_steps=3)

@@ -188,6 +188,37 @@ def test_axis_sign_folded_into_scale():
     np.testing.assert_allclose(out[0], transforms.rot_z(-0.7), atol=1e-15)
 
 
+# The pass's cos and sin come from tan(q/2); measured against np.cos and np.sin: 1.5 eps (float64), 1.6 (float32)
+# on an aligned axis, 1.9 and 2.0 on the skew axis below.
+_TRIG_EPS = {np.float64: 2.0, np.float32: 3.0}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("axis", ["0 0 1", "0.2672612419124244 0.5345224838248488 0.8017837257372666"])
+def test_rotation_matches_cos_and_sin(axis, dtype):
+    """A revolute joint with an identity origin turns by A Rz(q) A^T, A = I
+    on an aligned axis and the engine's alignment on a skew one; its
+    rotation entries match that product built from np.cos and np.sin in
+    extended precision, from zeros of either sign to the largest angles."""
+    text = f"""
+    <robot name="r"><link name="a"/><link name="b"/>
+    <joint name="j" type="revolute"><parent link="a"/><child link="b"/>
+    <axis xyz="{axis}"/></joint>
+    </robot>"""
+    chain = urdf.extract_chain(urdf.parse_urdf(text), "a", "b")
+    big = 1e300 if dtype is np.float64 else 1e38
+    special = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e6, 1e15, big, -big]
+    q = np.concatenate([special, np.random.default_rng(0).uniform(-50.0, 50.0, 10_000)]).astype(dtype)
+    out = FkEngine(chain, batch_size=len(q), dtype=dtype).forward(q)
+    align = kinematics._joint_motion(chain.segments[0][1])[0]
+    a = np.eye(3, dtype=np.longdouble) if align is None else align[:3, :3].astype(np.longdouble)
+    c, s = np.cos(q.astype(np.float64)).astype(np.longdouble), np.sin(q.astype(np.float64)).astype(np.longdouble)
+    turn = np.zeros((len(q), 3, 3), dtype=np.longdouble)
+    turn[:, 0, 0], turn[:, 0, 1], turn[:, 1, 0], turn[:, 1, 1], turn[:, 2, 2] = c, -s, s, c, 1.0
+    err = np.abs(out[:, :3, :3] - a @ turn @ a.T).max(axis=(1, 2)) / np.finfo(dtype).eps
+    assert err.max() <= _TRIG_EPS[dtype], (q[err.argmax()], err.max())
+
+
 def test_arbitrary_axis_matches_rodrigues(rng):
     axis = np.array([0.26726124191242440, 0.53452248382484879, 0.80178372573726657])
     text = """
@@ -434,7 +465,8 @@ def _assert_bits_equal(got, want):
 # mix, the pipeline multiplies 4x4 joint transforms.  Per transform, in units
 # of the dtype's eps times max(1, the largest entry of the reference
 # transform).  The largest seen (x86_64, OpenBLAS) over arm4, cam_arm,
-# mixed_chain and 200 random trees is 8.5.
+# mixed_chain and 200 random trees is 8.5 with libm cos and sin, and 8.7
+# (float32) with the pass's cos and sin from tan(q/2).
 _STAGE_ULPS = 32
 
 
@@ -637,21 +669,22 @@ def _counting(monkeypatch, name, calls):
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_trig_only_on_rotational_dofs(dual, mixed_chain, monkeypatch, rng):
-    """Each block takes one cos and one sin, over (rotational dofs, rows),
-    into the thread's workspace, for float and for DualArray input alike
-    (the DualArray forward runs in blocks of _TANGENT_ROWS)."""
+    """Each block takes one tan of the half angles, over (rotational dofs,
+    rows), in place in the thread's workspace, and no cos or sin, for float
+    and for DualArray input alike (the DualArray forward runs in blocks of
+    _TANGENT_ROWS)."""
     b = kinematics._BLOCK_ROWS + 44
     eng = FkEngine(mixed_chain, batch_size=b)
     thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
     calls = []
-    for name in ("cos", "sin"):
+    for name in ("cos", "sin", "tan"):
         _counting(monkeypatch, name, calls)
     eng.forward(ad.seed_array(thetas) if dual else thetas.ravel())
     # revolute, continuous and the floating joint's three angles
     m_rot = 5
     block = kinematics._TANGENT_ROWS if dual else kinematics._BLOCK_ROWS
     rows = [block] * (b // block) + [b % block]
-    assert sorted(calls) == sorted((name, ((m_rot, r),), True) for r in rows for name in ("cos", "sin"))
+    assert sorted(calls) == sorted(("tan", ((m_rot, r),), True) for r in rows)
 
 
 @pytest.mark.parametrize("want_intermediates", [False, True])
