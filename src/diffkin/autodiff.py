@@ -14,8 +14,8 @@ the float kernels, so they are bitwise equal to a float run.
 ``FkEngine.forward`` takes a DualArray too, but builds the tangents of its
 factor product from the twists of the float prefix products instead of
 pushing them through every 4x4 product (see ``kinematics``); run through
-the engine's factor kernels, a DualArray gives that dense product, the
-oracle of the twist tangents.
+the reference stages (``scan_compose`` and the rest) that the tests drive,
+a DualArray gives that dense product, the oracle of the twist tangents.
 
 ``batch_jacobian`` turns a batched map into per-row Jacobians with one
 seeded pass.  ``DiffScalar`` is only a (value, tangent) record, the

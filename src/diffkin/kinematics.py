@@ -58,8 +58,8 @@ angular velocity (geometric_jacobian).  pose_jacobian maps the angular rows
 through the rate map of R_T = Rz(gamma) Ry(beta) Rx(alpha) (Siciliano et al.
 2009, sec. 3.6): with c = cos(beta) = hypot(r00, r10),
 alpha' = (r00 wx + r10 wy) / c^2, beta' = (r00 wy - r10 wx) / c and
-gamma' = wz - r20 alpha'.  Both run block by block on (m, rows) arrays, so
-no temporary spans the batch.  Rows at gimbal lock
+gamma' = wz - r20 alpha'.  Both run forward's blocks, every product on
+(m, rows) buffers of the thread's workspace.  Rows at gimbal lock
 (c <= transforms._GIMBAL_COS_TOL), where the rate map is singular, take the
 pose extraction's derivatives instead: _tangent_block applies their twists
 to T, and pose_batch_from_transforms runs on that DualArray, so they keep
@@ -136,21 +136,21 @@ def _integer_setting(name, value, minimum):
 
 _AXIS_TOL = 1e-9
 
-# forward runs blocks of _BLOCK_ROWS configurations, the Jacobians and DualArray tangents of _TANGENT_ROWS.  Median
-# items per kilo reference unit (bench._timed_loop, 9 rounds), arm4, one thread, 2-core x86_64, by rows a block (both
-# constants set to it):
+# Every evaluation runs blocks of _BLOCK_ROWS configurations but the DualArray tangents.  Median items per kilo
+# reference unit (bench._timed_loop, 9 rounds), arm4, one thread, 2-core x86_64, by rows a block:
 #        forward f64 b=1024 4096 8192 | f32 b=1024 4096 8192 | pose_jacobian f64 b=256 4096 | f32 b=256 4096
-#   512            394k 412k 401k     |      532k  569k  550k |                   142k 201k |     175k 285k
-#  1024            481k 495k 466k     |      748k  763k  777k |                   142k 245k |     167k 395k
-#  2048            491k 595k 616k     |      751k 1121k 1067k |                   143k 272k |     163k 515k
-#  4096            479k 621k 593k     |      749k 1145k 1173k |                   142k 162k |     165k 551k
-#  8192            478k 620k 627k     |      739k 1184k 1282k |                   142k 160k |     166k 528k
-# A batch that fits one block at both sizes reads alike within 3.5% (the host's noise); 8192 rows gain 6-9% only at
-# b=8192, for twice the workspace, so forward keeps 4096.
-# The workspace, kept per thread, takes 368 + 8 m + 24 r bytes a row in float64 for r rotations (32 r beside a
-# translation; 496 on arm4, 2 MB at 4096 rows), so forward maps nothing per call.  The Jacobians' block temporaries
-# are fresh: above 512 rows, pose_jacobian at b=4096 refaulted 480 pages a call after a b=1024 call.  Blocks change
-# no arithmetic.
+#   512            388k 411k 397k     |      544k  541k  544k |                   135k 188k |     150k 258k
+#  1024            494k 503k 528k     |      718k  769k  763k |                   133k 255k |     153k 372k
+#  2048            497k 605k 626k     |      713k 1038k 1103k |                   148k 296k |     154k 499k
+#  4096            500k 694k 654k     |      713k 1236k 1294k |                   138k 320k |     154k 570k
+#  8192            496k 678k 689k     |      706k 1200k 1445k |                   138k 310k |     152k 570k
+# A batch in one block at every size reads alike within the host's noise (up to 11%); 8192 rows gain 5-12% only at
+# b=8192, for twice the workspace.  The workspace, kept per thread, takes 368 + 8 m + 24 r bytes a row in float64 for
+# r rotations (32 r beside a translation; 496 on arm4, 2 MB at 4096 rows), and 48 + 176 m more from the thread's first
+# derivative pass (752 on arm4), so no call maps a block's buffers afresh.  The DualArray tangents' products, kept as
+# well, take (m + 22) S k items a row for S snapshots of k tangents, which the caller sets: in 4096-row blocks a
+# b=4096 arm4 forward took 0.83-0.94x the time, for 8x the memory, so they run _TANGENT_ROWS blocks (made afresh,
+# 512-row products refaulted 200 pages a call at b=1024).  Blocks change no arithmetic.
 _BLOCK_ROWS = 4096
 _TANGENT_ROWS = 512
 
@@ -261,6 +261,7 @@ class _Workspace:
         self.scale[engine._rot_cols] *= 0.5
         self.angles = q if rot == m else np.empty((rot, rows), dtype=dt)
         self.cos, self.sin = cos, sin = np.empty((rot, rows), dtype=dt), np.empty((rot, 2, 1, rows), dtype=dt)
+        self.spare = np.empty(0, dtype=dt)  # FkEngine._tangent_block's products, regrown when a block needs more
 
         def operands(c, col, a, p, s, k):
             """Factor operands in columns c: the axis and origin columns, then a rotation's pair,
@@ -269,13 +270,20 @@ class _Workspace:
 
         self.ops = tuple(tuple(operands(c, *step[1:]) for c in self.columns) for step in engine._steps)
 
+    @functools.cached_property
+    def derivatives(self):
+        """The derivative passes' buffers, built on the thread's first one, never by forward alone: axes (6, m, rows),
+        twists, an (m, rows) product, the Jacobian block, w, (c^2, c), and (r00, r10) / (c^2, c) with its 2 rows."""
+        (m, rows), dt = self.q.shape, self.q.dtype
+        block, rates = np.empty((22, m, rows), dtype=dt), np.empty((3, 2, rows), dtype=dt)
+        return block[:6], block[6:12], block[12], block[13:19], block[19:], rates[0], rates[1:], rates[1], rates[2]
 
-def _cross(a, b, out):
-    """out = a x b along the first axis of (3, ...) arrays, one component at
-    a time, so that no temporary is larger than a component."""
+
+def _cross(a, b, out, prod):
+    """out = a x b along the first axis of (3, ...) arrays, one component at a time, ``prod`` a component's size."""
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
+        out[i] -= np.multiply(a[k], b[j], out=prod)
 
 
 class FkEngine:
@@ -287,11 +295,11 @@ class FkEngine:
     and the static transforms pending at each snapshot.  Every evaluation
     (forward, its DualArray tangents, the Jacobians and _products_around)
     runs the column pass _pass, one block of rows at a time, on the calling
-    thread's workspace (_Workspace): the block's columns, half angles, cos
-    and sin, and snapshot buffers, built on the thread's first block of that
-    size (not in __init__) and kept in a threading.local, so that a call
-    allocates little beyond its result and threads can share an engine.  A
-    pickled or copied engine is built again.
+    thread's workspace (_Workspace), built on the thread's first block of
+    that size (not in __init__), its derivative buffers on the first
+    derivative pass, and kept in a threading.local, so that a call allocates
+    no block's buffers but the DualArray tangents' products and threads can
+    share an engine.  A pickled or copied engine is built again.
 
     scatter_thetas, combine_link_joint, index_matrix and link_transforms,
     with the module's joint_transforms and scan_compose, are the reference
@@ -369,7 +377,7 @@ class FkEngine:
             moves = (_PAIRS[slot - 3], _SWAPPED[slot - 3], len(rot) - 1) if slot >= 3 else (None, None, None)
             steps.append((s, col, slot % 3) + moves)
         self._steps = tuple(steps)
-        self._rot_cols, self._trans_cols = np.array(rot, dtype=np.intp), np.array(trans, dtype=np.intp)
+        self._rot_cols, self._trans_cols = np.array(rot, dtype=np.intp), tuple(trans)
         marks = [(f, i, t) for (f, i, _), t in zip(marks, statics[len(factors) :])]
         self._marks, self._final_marks = tuple(marks[:-1]), (marks[-1],)
         self._local = threading.local()
@@ -463,11 +471,16 @@ class FkEngine:
         tangent = np.empty((b, len(marks), k, 4, 4), dtype=self.dtype)
         weights = self._twist_weights[want_intermediates]
         for rows in _blocks(b, _TANGENT_ROWS):
-            axes = np.empty((6, m, rows.stop - rows.start), dtype=self.dtype)
-            self._pass(flat2d[rows], snapshots[rows], ((0, marks),), axes)
-            self._tangent_block(self._twists(axes), snapshots[rows], seeds[rows], weights, tangent[rows])
+            ws = self._workspace(rows.stop - rows.start)
+            self._pass(flat2d[rows], snapshots[rows], ((0, marks),), ws.derivatives[0])
+            self._tangent_block(ws, slice(None), snapshots[rows], seeds[rows], weights, tangent[rows])
         tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
         return ad.DualArray(out, tangent)
+
+    def _workspace(self, rows):
+        """The calling thread's _Workspace for blocks of ``rows`` rows, built on its first such block."""
+        spaces = self._local.__dict__
+        return spaces.get(rows) or spaces.setdefault(rows, _Workspace(self, rows))
 
     def _pass(self, flat2d, out, spans, axes=None):
         """The column pass (see the module docstring) on a (rows, m) theta
@@ -477,14 +490,13 @@ class FkEngine:
         out[:, i], or the pending static alone where f < first.  Returns the
         last mark's (4, 3, rows) columns, a buffer of the thread's workspace
         that its next pass overwrites; ``out`` may then be None.  With
-        ``axes`` (6, m, rows), the pass writes each factor's axis column and
-        origin column, read before its mix, into axes[:3, c] and
-        axes[3:, c] of its theta column c.
+        ``axes`` (6, m, rows) of the workspace's derivatives, the pass writes
+        each factor's axis column and origin column, read before its mix,
+        into axes[:3, c] and axes[3:, c] of its theta column c.
 
         Inputs that overflow make inf and NaN silently; the callers that
         refuse non-finite output check it."""
-        r, spaces = len(flat2d), self._local.__dict__
-        ws = spaces.get(r) or spaces.setdefault(r, _Workspace(self, r))
+        ws = self._workspace(len(flat2d))
         columns, flat, ops, mixed = ws.columns, ws.flat, ws.ops, ws.mixed
         t, cos, sin = ws.angles, ws.cos, ws.sin
         np.multiply(flat2d.T, ws.scale, out=ws.q)
@@ -527,7 +539,7 @@ class FkEngine:
                         np.matmul(pending, flat[p], out=flat[snap])
                     if out is not None:
                         ws.top[...] = ws.rows[snap]
-                        out[:, i].reshape(r, 16)[...] = ws.staged
+                        out[:, i].reshape(-1, 16)[...] = ws.staged
                     product = columns[snap]
         return product
 
@@ -547,87 +559,75 @@ class FkEngine:
         # contiguous, as every identification step multiplies them
         return out[:, 0].copy(), out[:, 1].copy()
 
-    def _twists(self, axes):
-        """(rows, m, 6) twists (w, v) per unit of q of the pass's axis and
-        origin columns ``axes`` (6, m, rows): w the axis and v = origin x w
-        for a rotation, (0, axis) for a translation, so that dT = [w, v]^ T."""
+    def _tangent_block(self, ws, picked, frames, seeds, weights, out):
+        """Tangents ``out`` (r, S, k, 4, 4) of the snapshots ``frames`` (r, S, 4, 4) of the rows ``picked`` of the
+        last derivative pass on ``ws``: the twists (w, v) per unit of q of its axis and origin columns (w the axis
+        and v = origin x w for a rotation, (0, axis) for a translation, so that dT = [w, v]^ T) contracted with the
+        input tangents ``seeds`` (r, 1, k, m) times ``weights`` (see _twist_weights), then as 4x4 twist matrices
+        applied to ``frames``, every product in ws.spare.  For seed_array input the contraction copies exactly."""
+        axes, twists, prod = ws.derivatives[:3]
         w = axes[:3]
-        twists = np.empty_like(axes)
         twists[:3] = w
-        _cross(axes[3:], w, twists[3:])
-        twists[3:, self._trans_cols], twists[:3, self._trans_cols] = w[:, self._trans_cols], 0.0
-        return twists.transpose(2, 1, 0)
-
-    def _tangent_block(self, twists, frames, seeds, weights, out):
-        """Tangents of a block's snapshots: the (r, m, 6) ``twists`` (see
-        _twists) contracted with the input tangents ``seeds`` (r, 1, k, m)
-        times ``weights`` (see _twist_weights), then as 4x4 twist matrices
-        applied to the (r, S, 4, 4) ``frames``; ``out`` is (r, S, k, 4, 4).
-        For seed_array input the contraction copies the twists exactly.
-        """
-        spatial = (seeds * weights) @ twists[:, None]
-        rows, snaps, k = spatial.shape[:3]
-        mats = (spatial.reshape(-1, 6) @ _TWIST_MATRIX.astype(self.dtype, copy=False)).reshape(rows, snaps, 4 * k, 4)
-        np.matmul(mats, frames, out=out.reshape(rows, snaps, 4 * k, 4))
+        _cross(axes[3:], w, twists[3:], prod)
+        for c in self._trans_cols:
+            twists[3:, c], twists[:3, c] = w[:, c], 0.0
+        rows, snaps, k = out.shape[:3]
+        n, m = rows * snaps * k, self.m
+        if ws.spare.size < n * (m + 22):
+            ws.spare = np.empty(n * (m + 22), dtype=self.dtype)
+        seeded, spatial, mats = ws.spare[: n * m], ws.spare[n * m : n * (m + 6)], ws.spare[n * (m + 6) : n * (m + 22)]
+        seeded = np.multiply(seeds, weights, out=seeded.reshape(rows, snaps, k, m))
+        np.matmul(seeded, twists[..., picked].T[:, None], out=spatial.reshape(rows, snaps, k, 6))
+        np.matmul(spatial.reshape(n, 6), _TWIST_MATRIX.astype(self.dtype, copy=False), out=mats.reshape(n, 16))
+        np.matmul(mats.reshape(rows, snaps, 4 * k, 4), frames, out=out.reshape(rows, snaps, 4 * k, 4))
 
     def _jacobian(self, thetas, rates):
-        """(b, 6, m) Jacobians of the final transforms (see the module
-        docstring): geometric_jacobian's, or with ``rates`` pose_jacobian's."""
+        """(b, 6, m) Jacobians of the final transforms (see the module docstring): geometric_jacobian's, or
+        with ``rates`` pose_jacobian's, every product on (m, rows) buffers of the workspace's derivatives."""
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(thetas, m, b, self.dtype)
         jac = np.empty((b, 6, m), dtype=self.dtype)
-        for rows in _blocks(b, _TANGENT_ROWS):
-            self._jacobian_block(flat2d[rows], jac[rows], rates)
+        for rows in _blocks(b, _BLOCK_ROWS):
+            ws = self._workspace(rows.stop - rows.start)
+            axes, _, prod, block, w, cb, coef, alpha, beta = ws.derivatives
+            t = self._pass(flat2d[rows], None, ((0, self._final_marks),), axes)
+            if not np.isfinite(t).all():
+                raise ValueError("non-finite value in jacobian output")
+            (r00, r10, r20), p = t[0], t[3]
+            np.multiply(axes[:3], self._scale_per_dof[:, None], out=w)
+            # p_T - origin in the angular rows until the rates overwrite them
+            _cross(w, np.subtract(p[:, None], axes[3:], out=block[3:]), block[:3], prod)
+            for c in self._trans_cols:
+                block[:3, c], w[:, c] = w[:, c], 0.0
+            locked = ()
+            if rates:
+                np.hypot(r00, r10, out=cb[1])
+                locked = np.flatnonzero(cb[1] <= transforms._GIMBAL_COS_TOL)
+                cb[1, locked] = 1.0
+                # per-row coefficients (r00, r10) / c^2 and / c, then two products a rate
+                np.multiply(cb[1], cb[1], out=cb[0])
+                np.divide(t[0, :2], cb[:, None], out=coef)
+                np.multiply(w[0], alpha[0], out=block[3])
+                block[3] += np.multiply(w[1], alpha[1], out=prod)
+                np.multiply(w[1], beta[0], out=block[4])
+                block[4] -= np.multiply(w[0], beta[1], out=prod)
+                np.subtract(w[2], np.multiply(r20, block[3], out=prod), out=block[5])
+            else:
+                block[3:] = w
+            if len(locked):
+                # the rate map is singular: these rows take the pose extraction's
+                # derivatives, on a DualArray of their tangents
+                frames = np.empty((len(locked), 1, 4, 4), dtype=self.dtype)
+                frames[:, 0, :3], frames[:, 0, 3] = t[..., locked].transpose(2, 1, 0), _EYE[3]
+                tangent = np.empty((len(locked), 1, m, 4, 4), dtype=self.dtype)
+                seeds = np.eye(m, dtype=self.dtype)[None, None]
+                self._tangent_block(ws, locked, frames, seeds, self._scale_per_dof, tangent)
+                dual = ad.DualArray(frames[:, 0], tangent[:, 0].transpose(1, 0, 2, 3))
+                block[..., locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(2, 0, 1)
+            if not np.isfinite(block).all():
+                raise ValueError("non-finite derivative in jacobian output")
+            jac[rows] = block.transpose(2, 0, 1)
         return jac
-
-    def _jacobian_block(self, flat2d, out, rates):
-        """_jacobian's rows ``out`` (rows, 6, m) of a (rows, m) theta block,
-        every product on contiguous (m, rows) arrays.  A method of its own
-        so that the block's temporaries are freed before the next block
-        allocates."""
-        axes = np.empty((6, self.m, len(flat2d)), dtype=self.dtype)
-        t = self._pass(flat2d, None, ((0, self._final_marks),), axes)
-        if not np.isfinite(t).all():
-            raise ValueError("non-finite value in jacobian output")
-        (r00, r10, r20), p = t[0], t[3]
-        trans = self._trans_cols
-        w = axes[:3] * self._scale_per_dof[:, None]
-        # p_T - origin in the angular rows until the rates overwrite it: the
-        # block's temporaries stay small beside a b-wide result, else glibc
-        # trims and refaults its heap on every call (b = 1024, 2048)
-        block = np.empty_like(axes)
-        _cross(w, np.subtract(p[:, None], axes[3:], out=block[3:]), block[:3])
-        if trans.size:
-            block[:3, trans], w[:, trans] = w[:, trans], 0.0
-        locked = ()
-        if rates:
-            cb = np.hypot(r00, r10)
-            locked = np.flatnonzero(cb <= transforms._GIMBAL_COS_TOL)
-            cb[locked] = 1.0
-            # per-row coefficients (r00, r10) / c^2 and / c, then two
-            # products a rate
-            alpha, beta = t[0, :2] / (cb * cb), t[0, :2] / cb
-            np.multiply(w[0], alpha[0], out=block[3])
-            block[3] += w[1] * alpha[1]
-            np.multiply(w[1], beta[0], out=block[4])
-            block[4] -= w[0] * beta[1]
-            np.subtract(w[2], r20 * block[3], out=block[5])
-        else:
-            block[3:] = w
-        out[...] = block.transpose(2, 0, 1)
-        if len(locked):
-            # the rate map is singular: these rows take the pose extraction's
-            # derivatives, on a DualArray of their tangents
-            m = self.m
-            frames = np.empty((len(locked), 1, 4, 4), dtype=self.dtype)
-            frames[:, 0, :3], frames[:, 0, 3] = t[..., locked].transpose(2, 1, 0), _EYE[3]
-            tangent = np.empty((len(locked), 1, m, 4, 4), dtype=self.dtype)
-            seeds = np.eye(m, dtype=self.dtype)[None, None]
-            self._tangent_block(self._twists(axes[..., locked]), frames, seeds, self._scale_per_dof, tangent)
-            dual = ad.DualArray(frames[:, 0], tangent[:, 0].transpose(1, 0, 2, 3))
-            out[locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(1, 2, 0)
-        if not np.isfinite(out).all():
-            raise ValueError("non-finite derivative in jacobian output")
 
 
 # -- module-level stages and derivatives ------------------------------------

@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -785,6 +786,30 @@ def test_engine_copies_build_their_own_workspaces(mixed_chain, rng):
         assert not any(np.shares_memory(a, t) for a in ours for t in theirs)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("robot", ["arm4", "mixed"])
+def test_forward_builds_no_derivative_buffers(robot, dtype, arm4_chain, mixed_chain):
+    """A fresh engine's first forward of one block holds at most its (b, 4,
+    4) result and the workspace, 46 + m + 3 r items a row for r rotations
+    (4 r beside a translation), plus 256 KB for numpy's ufunc buffers and
+    the workspace's views: the derivative passes' 22 m + 6 items a row are
+    built by the thread's first derivative pass, never by forward alone."""
+    chain = arm4_chain if robot == "arm4" else mixed_chain
+    b = kinematics._BLOCK_ROWS
+    eng = FkEngine(chain, batch_size=b, dtype=dtype)
+    thetas = np.random.default_rng(b).uniform(-1.0, 1.0, size=(b, eng.m)).astype(dtype)
+    rot = len(eng._rot_cols)
+    per_row = (16 + 46 + eng.m + (3 if rot == eng.m else 4) * rot) * np.dtype(dtype).itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eng.forward(thetas)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_row * b + 256 * 1024
+
+
 def test_origins_are_the_kernel_transforms():
     """An origin whose rpy is +0 is built without sixdof_batch_to_transforms;
     every static transform is still bitwise the kernel's, -0 included."""
@@ -984,19 +1009,29 @@ def test_geometric_jacobian_matches_central_differences(robot, arm4_chain, mixed
             assert (np.abs(jac[k, :, j] - fd) < tol).all()
 
 
-# Counts the minor page faults of 20 calls on arm4 after 3 warm-up calls;
-# diffkin loads first, so that DIFFKIN_NUM_THREADS reaches the BLAS.
+# Counts the minor page faults of 20 calls on arm4, on an engine of the last
+# of the comma-separated batch sizes, after 3 warm-up calls on an engine of
+# each size in turn; diffkin loads first, so that DIFFKIN_NUM_THREADS reaches
+# the BLAS.
 _FAULTS = """
 import resource, sys
-from diffkin import kinematics, urdf
+from diffkin import autodiff, kinematics, urdf
 import numpy as np
-urdf_path, call, b = sys.argv[1], sys.argv[2], int(sys.argv[3])
+urdf_path, call, sizes = sys.argv[1], sys.argv[2], sys.argv[3].split(",")
 chain = urdf.extract_chain(urdf.parse_urdf(open(urdf_path).read()), "base", "tool")
-eng = kinematics.FkEngine(chain, b)
-thetas = np.random.default_rng(0).uniform(-1.2, 1.2, size=(b, chain.m))
-run = {"forward": lambda: eng.forward(thetas), "pose_jacobian": lambda: kinematics.pose_jacobian(eng, thetas)}[call]
-for _ in range(3):
-    run()
+run = {
+    "forward": lambda: eng.forward(thetas),
+    "dual_forward": lambda: eng.forward(seeded),
+    "dual_intermediates": lambda: eng.forward(seeded, want_intermediates=True),
+    "pose_jacobian": lambda: kinematics.pose_jacobian(eng, thetas),
+    "geometric_jacobian": lambda: kinematics.geometric_jacobian(eng, thetas),
+}[call]
+for b in map(int, sizes):
+    eng = kinematics.FkEngine(chain, b)
+    thetas = np.random.default_rng(0).uniform(-1.2, 1.2, size=(b, chain.m))
+    seeded = autodiff.seed_array(thetas)
+    for _ in range(3):
+        run()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
     run()
@@ -1005,7 +1040,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 
 def _minor_faults_per_call(call, b, threads):
-    """Minor page faults per ``call`` at batch b, after warm-up, in a fresh
+    """Minor page faults per ``call`` at batch b (see _FAULTS), in a fresh
     interpreter, with DIFFKIN_NUM_THREADS set to ``threads`` or unset: the
     allocator's thresholds move with whatever ran before in a process, so
     only a fresh one repeats.  Faults are counted, not timed, so a loaded
@@ -1025,24 +1060,32 @@ def _minor_faults_per_call(call, b, threads):
 
 
 @pytest.mark.parametrize("threads", ["1", None])
-@pytest.mark.parametrize("b", [1024, 2048, 4096])
+@pytest.mark.parametrize("b", [1024, 2048, 4096, "1024,4096"])
 def test_pose_jacobian_minor_faults(b, threads):
     """No b-wide temporary and no block temporary that the allocator maps
-    afresh on every call: at most 100 minor page faults a call (a DualArray
-    pass over the batch took about 1170 at b=4096, mapping its (m, b, 4, 4)
-    tangents afresh on every call; a (rows, F, 4, 4) factor stack and twist
-    gather per block took 184 at b=1024 and 188 at b=2048)."""
-    assert _minor_faults_per_call("pose_jacobian", b, threads) <= 100
+    afresh on every call: at most 100 minor page faults a call of
+    pose_jacobian and of geometric_jacobian, also at b=4096 after b=1024
+    calls (a DualArray pass over the batch took about 1170 at b=4096,
+    mapping its (m, b, 4, 4) tangents afresh on every call; a (rows, F, 4, 4)
+    factor stack and twist gather per block took 184 at b=1024 and 188 at
+    b=2048; fresh block temporaries in 4096-row blocks took 480 at b=4096)."""
+    faults = {call: _minor_faults_per_call(call, b, threads) for call in ("pose_jacobian", "geometric_jacobian")}
+    assert max(faults.values()) <= 100, faults
 
 
 @pytest.mark.parametrize("threads", ["1", None])
 @pytest.mark.parametrize("b", [1024, 2048, 4096])
 def test_forward_minor_faults(b, threads):
-    """forward takes at most 100 minor page faults a call: only its (b, 4, 4)
-    result spans the batch, and the block's buffers are the thread's
-    workspace, kept across calls (fresh 512-row temporaries took about 105
-    a call at b=2048 with one BLAS thread)."""
-    assert _minor_faults_per_call("forward", b, threads) <= 100
+    """forward takes at most 100 minor page faults a call, on float and on
+    seeded DualArray input, finals and intermediates: only its results span
+    the batch, and the block's buffers are the thread's workspace, kept
+    across calls (fresh 512-row temporaries took about 105 a call at b=2048
+    with one BLAS thread; the DualArray pass's fresh block buffers and
+    tangent products about 210 at b=1024 with the modules loaded from
+    bytecode, and about 1430 with intermediates)."""
+    calls = ("forward", "dual_forward", "dual_intermediates")
+    faults = {call: _minor_faults_per_call(call, b, threads) for call in calls}
+    assert max(faults.values()) <= 100, faults
 
 
 def test_limit_violations(arm2r_chain):
