@@ -14,20 +14,27 @@ It keeps a block's running product P as its columns C, an array (4 columns,
 3 rows, rows), each entry contiguous over the rows; P's bottom row is
 (0, 0, 0, 1) in every product of these factors and is not stored.  Factor f
 is applied in two steps: P S_f is one constant GEMM S_f^T @ C, skipped
-where S_f = I, and P M_f mixes two columns.  A rotation about axis a by q,
-(c, s) = (cos q, sin q), sets C_i, C_j <- c C_i + s C_j, c C_j - s C_i,
-(i, j) = (1, 2), (2, 0), (0, 1) for a = x, y, z; a translation by d sets
-C_3 <- C_3 + d C_a.  A block takes c and s of all its rotations from one
-tan of the half angles, t = tan(q/2): c = 2/(1 + t^2) - 1, s = t 2/(1 + t^2),
-within 2 eps of cos and sin (numpy's float64 tan loop is vectorised, its
-cos and sin loops call scalar libm, about 5x slower an angle).  Snapshots
-(intermediates at each segment's last factor, finals after the chain) are
-the columns times the static pending there, one more GEMM unless it is I,
-copied as matrix rows into a (4, 4, rows) block in the result's transposed
-layout, whose bottom row is (0, 0, 0, 1), then into the result by one 2-D
-transposed copy, (rows, 16) <- (16, rows)^T.  The buffers are the calling
-thread's workspace (see FkEngine); every entry is written before it is
-read, so no result depends on them or on the block a row runs in.
+where S_f = I, and P M_f mixes two columns.  A static that only translates,
+by d along one axis k (a common joint origin), is applied in place instead,
+C_3 <- C_3 + d C_k, as a translation factor is.  A rotation about axis a by
+q, (c, s) = (cos q, sin q), sets C_i, C_j <- c C_i + s C_j, c C_j - s C_i,
+(i, j) = (1, 2), (2, 0), (0, 1) for a = x, y, z, in six products and sums
+whose operands all have the (3, rows) shape of one column: the two columns,
+and c and s repeated over three rows.  numpy runs an elementwise op on
+contiguous operands of one shape as one flat loop, but one with a broadcast
+or reversed operand through its general iterator, at up to twice the cost.
+A translation by d sets C_3 <- C_3 + d C_a.  A block takes c and s of all
+its rotations from one tan of the half angles, t = tan(q/2):
+c = 2/(1 + t^2) - 1, s = t 2/(1 + t^2), within 2 eps of cos and sin
+(numpy's float64 tan loop is vectorised, its cos and sin loops call scalar
+libm, about 5x slower an angle).  Snapshots (intermediates at each
+segment's last factor, finals after the chain) are the columns times the
+static pending there, one more GEMM unless it is I, copied as matrix rows
+into a (4, 4, rows) block in the result's transposed layout, whose bottom
+row is (0, 0, 0, 1), then into the result by one 2-D transposed copy,
+(rows, 16) <- (16, rows)^T.  The buffers are the calling thread's workspace
+(see FkEngine); every entry is written before it is read, so no result
+depends on them or on the block a row runs in.
 
 The reference pipeline is the scatter/map/scan form of the same chain: a
 flat theta batch (b*m,) is scattered through the index matrix P into the
@@ -51,12 +58,13 @@ per block, whatever their number.  The kernels downstream (pose and
 quaternion extraction, metrics) run on the resulting DualArray unchanged.
 
 Jacobians of the final transform need no DualArray.  The twists of the
-theta columns, times their theta scales, are the columns of the geometric
-Jacobian in the base frame: rows w_c x (p_T - C_3) (w_c for a translation),
-the velocity of T's origin, over rows w_c (0 for a translation), its
-angular velocity (geometric_jacobian).  pose_jacobian maps the angular rows
-through the rate map of R_T = Rz(gamma) Ry(beta) Rx(alpha) (Siciliano et al.
-2009, sec. 3.6): with c = cos(beta) = hypot(r00, r10),
+theta columns, times their theta scales (+-1, which the pass folds into
+the axis column it reads off), are the columns of the geometric Jacobian in
+the base frame: rows w_c x (p_T - C_3) (w_c for a translation), the
+velocity of T's origin, over rows w_c (0 for a translation), its angular
+velocity (geometric_jacobian).  pose_jacobian maps the angular rows through
+the rate map of R_T = Rz(gamma) Ry(beta) Rx(alpha) (Siciliano et al. 2009,
+sec. 3.6): with c = cos(beta) = hypot(r00, r10),
 alpha' = (r00 wx + r10 wy) / c^2, beta' = (r00 wy - r10 wx) / c and
 gamma' = wz - r20 alpha'.  Both run forward's blocks, every product on
 (m, rows) buffers of the thread's workspace.  Rows at gimbal lock
@@ -139,18 +147,19 @@ _AXIS_TOL = 1e-9
 # Every evaluation runs blocks of _BLOCK_ROWS configurations but the DualArray tangents.  Median items per kilo
 # reference unit (bench._timed_loop, 9 rounds), arm4, one thread, 2-core x86_64, by rows a block:
 #        forward f64 b=1024 4096 8192 | f32 b=1024 4096 8192 | pose_jacobian f64 b=256 4096 | f32 b=256 4096
-#   512            388k 411k 397k     |      544k  541k  544k |                   135k 188k |     150k 258k
-#  1024            494k 503k 528k     |      718k  769k  763k |                   133k 255k |     153k 372k
-#  2048            497k 605k 626k     |      713k 1038k 1103k |                   148k 296k |     154k 499k
-#  4096            500k 694k 654k     |      713k 1236k 1294k |                   138k 320k |     154k 570k
-#  8192            496k 678k 689k     |      706k 1200k 1445k |                   138k 310k |     152k 570k
-# A batch in one block at every size reads alike within the host's noise (up to 11%); 8192 rows gain 5-12% only at
-# b=8192, for twice the workspace.  The workspace, kept per thread, takes 368 + 8 m + 24 r bytes a row in float64 for
-# r rotations (32 r beside a translation; 496 on arm4, 2 MB at 4096 rows), and 48 + 176 m more from the thread's first
-# derivative pass (752 on arm4), so no call maps a block's buffers afresh.  The DualArray tangents' products, kept as
-# well, take (m + 22) S k items a row for S snapshots of k tangents, which the caller sets: in 4096-row blocks a
-# b=4096 arm4 forward took 0.83-0.94x the time, for 8x the memory, so they run _TANGENT_ROWS blocks (made afresh,
-# 512-row products refaulted 200 pages a call at b=1024).  Blocks change no arithmetic.
+#   512            429k 473k 452k     |      571k  615k  594k |                   141k 220k |     171k 301k
+#  1024            538k 580k 611k     |      831k  868k  877k |                   145k 275k |     172k 425k
+#  2048            540k 693k 724k     |      817k 1038k 1126k |                   145k 308k |     174k 531k
+#  4096            531k 726k 720k     |      826k 1317k 1226k |                   155k 324k |     178k 615k
+#  8192            551k 772k 707k     |      802k 1327k 1446k |                   149k 340k |     180k 610k
+# A batch in one block at every size reads alike within the host's noise (up to 10%); 8192 rows read -2% (float64)
+# to +18% (float32) at b=8192 only, for twice the workspace.  The workspace, kept per thread, takes 368 + 8 m + 48 r
+# bytes a row in float64 for r rotations (56 r beside a translation; each rotation's cos and sin over three rows; 592
+# on arm4, 2.4 MB at 4096 rows), and 48 + 152 m more from the thread's first derivative pass (656 on arm4), so no call
+# maps a block's buffers afresh.  The DualArray tangents' products, kept as well, take (m + 22) S k items a row for S
+# snapshots of k tangents, which the caller sets: in 4096-row blocks a b=4096 arm4 forward took 0.83-0.94x the time,
+# for 8x the memory, so they run _TANGENT_ROWS blocks (made afresh, 512-row products refaulted 200 pages a call at
+# b=1024).  Blocks change no arithmetic.
 _BLOCK_ROWS = 4096
 _TANGENT_ROWS = 512
 
@@ -226,10 +235,8 @@ def _joint_motion(joint):
 # Position of each parameter slot in a factor sequence: a six-vector is the
 # motion Tx Ty Tz Rz Ry Rx (sixdof_batch_to_transforms' composition order).
 _FACTOR_ORDER = (0, 1, 2, 5, 4, 3)
-# The columns (C_i, C_j) that a rotation about x, y, z mixes, and the same
-# two swapped, as views of the pass's (4, 3, rows) columns.
-_PAIRS = (slice(1, 3), slice(2, None, -2), slice(0, 2))
-_SWAPPED = (slice(2, 0, -1), slice(0, 3, 2), slice(1, None, -1))
+# The columns (C_i, C_j) that a rotation about x, y, z mixes.
+_PAIRS = ((1, 2), (2, 0), (0, 1))
 _EYE, _UNTURNED = np.eye(4), transforms.sixdof_batch_to_transforms(np.zeros(6))
 # A twist (w, v) as its 4x4 matrix [[w]x | v; 0 0 0 0], flattened row-major.
 _TWIST_MATRIX = np.zeros((6, 16))
@@ -255,28 +262,35 @@ class _Workspace:
         # views: the GEMM operands (4, 3 rows), the columns as matrix rows, the snapshot's top and transpose
         self.flat, self.rows = self.columns.reshape(2, 4, -1), self.columns.transpose(0, 2, 1, 3)
         self.top, self.staged = snapshot[:3], snapshot.reshape(16, rows).T
-        self.q, self.mixed = q, mixed = np.empty((m, rows), dtype=dt), np.empty((2, 3, rows), dtype=dt)
+        self.q = q = np.empty((m, rows), dtype=dt)
+        self.mixed = np.empty((2, 3, rows), dtype=dt)  # the mixes' two temporaries
         # each theta column's scale, halved for a rotation: q holds half angles and full displacements
         self.scale = engine._scale_per_dof[:, None].copy()
         self.scale[engine._rot_cols] *= 0.5
         self.angles = q if rot == m else np.empty((rot, rows), dtype=dt)
-        self.cos, self.sin = cos, sin = np.empty((rot, rows), dtype=dt), np.empty((rot, 2, 1, rows), dtype=dt)
+        # every rotation's cos and sin, each repeated over a column's three rows
+        self.trig = np.empty((2, rot, 3, rows), dtype=dt)
+        cos, sin = self.trig
         self.spare = np.empty(0, dtype=dt)  # FkEngine._tangent_block's products, regrown when a block needs more
 
-        def operands(c, col, a, p, s, k):
-            """Factor operands in columns c: the axis and origin columns, then a rotation's pair,
-            swapped pair, cos and (sin, -sin), or a translation's None, None, q and mix temporary."""
-            return (c[a], c[3]) + ((c[p], c[s], cos[k], sin[k]) if p else (None, None, q[col], mixed[0]))
+        def operands(c, static, col, _, a, shift, k):
+            """Factor operands in columns c: the axis and origin columns as one (2, 3, rows) view, the origin column,
+            an in-place static's (C_k, d) or None, and the motion's: a rotation's (C_i, C_j, sin, cos), a
+            translation's (C_a, q)."""
+            i, j = _PAIRS[a]
+            mix = (c[a], q[col]) if k is None else (c[i], c[j], sin[k], cos[k])
+            return c[a : 4 : 3 - a], c[3], None if shift is None else (c[shift], static[3, shift]), mix
 
-        self.ops = tuple(tuple(operands(c, *step[1:]) for c in self.columns) for step in engine._steps)
+        self.ops = tuple(tuple(operands(c, *step) for c in self.columns) for step in engine._steps)
 
     @functools.cached_property
     def derivatives(self):
-        """The derivative passes' buffers, built on the thread's first one, never by forward alone: axes (6, m, rows),
-        twists, an (m, rows) product, the Jacobian block, w, (c^2, c), and (r00, r10) / (c^2, c) with its 2 rows."""
+        """The derivative passes' buffers, built on the thread's first one, never by forward alone: axes (2, 3, m,
+        rows), the axis and origin columns, twists (6, m, rows), whose first two rows the rate map borrows, an (m,
+        rows) product, the Jacobian block, (c^2, c), and (r00, r10) / (c^2, c)."""
         (m, rows), dt = self.q.shape, self.q.dtype
-        block, rates = np.empty((22, m, rows), dtype=dt), np.empty((3, 2, rows), dtype=dt)
-        return block[:6], block[6:12], block[12], block[13:19], block[19:], rates[0], rates[1:], rates[1], rates[2]
+        block, rates = np.empty((19, m, rows), dtype=dt), np.empty((3, 2, rows), dtype=dt)
+        return block[:6].reshape(2, 3, m, rows), block[6:12], block[12], block[13:], rates[0], rates[1:]
 
 
 def _cross(a, b, out, prod):
@@ -291,15 +305,15 @@ class FkEngine:
 
     Construction compiles the chain into one-dof factors (see the module
     docstring): per factor its static transform, transposed for the column
-    GEMM (None where it is the identity), its theta column and its motion;
-    and the static transforms pending at each snapshot.  Every evaluation
-    (forward, its DualArray tangents, the Jacobians and _products_around)
-    runs the column pass _pass, one block of rows at a time, on the calling
-    thread's workspace (_Workspace), built on the thread's first block of
-    that size (not in __init__), its derivative buffers on the first
-    derivative pass, and kept in a threading.local, so that a call allocates
-    no block's buffers but the DualArray tangents' products and threads can
-    share an engine.  A pickled or copied engine is built again.
+    GEMM (None where it is the identity), the axis it alone translates along
+    if so, its theta column and its motion; and the static transforms
+    pending at each snapshot.  Every evaluation (forward, its DualArray
+    tangents, the Jacobians and _products_around) runs the column pass
+    _pass, one block of rows at a time, on the calling thread's workspace
+    (_Workspace), built on the thread's first block of that size (not in
+    __init__), its derivative buffers on the first derivative pass, and kept
+    in a threading.local, so that a call allocates no block's buffers but
+    the DualArray tangents' products and threads can share an engine.  A pickled or copied engine is built again.
 
     scatter_thetas, combine_link_joint, index_matrix and link_transforms,
     with the module's joint_transforms and scan_compose, are the reference
@@ -318,9 +332,9 @@ class FkEngine:
         joints = [joint for _, joint in chain.segments]
         params = np.array([joint.origin_params() for joint in joints], dtype=float).reshape(-1, 6)
         # an origin whose rpy bits are all zero is the kernel's zero-angle transform: only the others run it
-        origins, turned = _UNTURNED[None].repeat(len(joints), axis=0), params[:, 3:].view(np.uint64).any(axis=1)
-        origins[:, :3, 3] = params[:, :3]
-        if turned.any():
+        origins, turned = np.empty((len(joints), 4, 4)), params[:, 3:].view(np.uint64).any(axis=1)
+        origins[:], origins[:, :3, 3] = _UNTURNED, params[:, :3]
+        if np.count_nonzero(turned):
             origins[turned] = transforms.sixdof_batch_to_transforms(params[turned])
         tl, posts, dof_rows, dof_slots, dof_scales = [], [], [], [], []
         factors = []  # (static or None for I, theta column, slot) in product order, one per dof
@@ -339,7 +353,9 @@ class FkEngine:
             if joint_slots:
                 col = len(dof_slots)
                 static = pre if fixed is None else fixed @ pre
-                for k in sorted(range(len(joint_slots)), key=lambda k: _FACTOR_ORDER[joint_slots[k]]):
+                # the joint's slots in factor order: a joint of several slots has 0, 1, ..., and
+                # _FACTOR_ORDER is its own inverse
+                for k in _FACTOR_ORDER[: len(joint_slots)]:
                     factors.append((static, col + k, joint_slots[k]))
                     static = None
                 fixed = None
@@ -361,21 +377,25 @@ class FkEngine:
         # per-row post-corrections, applied after the reference pipeline's scan
         self._posts = tuple(posts)
 
-        # every static as S^T for the column GEMM, None where it is I, tested in one stacked comparison
+        # every static as S^T for the column GEMM, None where it is I, from one stacked comparison; its count of
+        # the entries that differ from I's, per column of S, also finds the statics that only translate, along one
+        # axis k: a factor's is applied in place, C_3 += d C_k (d = S^T[3, k]), a snapshot's pending one by GEMM
         statics = [s for s, _, _ in factors] + [p for _, _, p in marks]
         given = [k for k, s in enumerate(statics) if s is not None]
         stack = np.array([statics[k] for k in given]).reshape(-1, 4, 4)
-        flipped, kept = np.ascontiguousarray(stack.transpose(0, 2, 1), dtype=dt), (stack != _EYE).any(axis=(1, 2))
-        for k, t, keep in zip(given, flipped, kept.tolist()):
-            statics[k] = t if keep else None
-        # the pass's steps: (S_f^T or None, theta column, axis, and for a
-        # rotation the mixed columns, them swapped, and its row of the
-        # block's cos and sin)
+        flipped, differ = np.ascontiguousarray(stack.transpose(0, 2, 1), dtype=dt), (stack != _EYE).sum(axis=1)
+        shifts = [None] * len(statics)
+        for k, t, counts in zip(given, flipped, differ.tolist()):
+            statics[k] = t if any(counts) else None
+            if counts == [0, 0, 0, 1]:
+                shifts[k] = 0 if t[3, 0] else 1 if t[3, 1] else 2
+        # the pass's steps: (S_f^T or None, theta column, whether its theta
+        # scale is -1, axis, the in-place static's axis k or None, and for a
+        # rotation its row of the block's trig)
         steps, rot, trans = [], [], []
-        for s, (_, col, slot) in zip(statics, factors):
+        for s, shift, (_, col, slot) in zip(statics, shifts, factors):
             (rot if slot >= 3 else trans).append(col)
-            moves = (_PAIRS[slot - 3], _SWAPPED[slot - 3], len(rot) - 1) if slot >= 3 else (None, None, None)
-            steps.append((s, col, slot % 3) + moves)
+            steps.append((s, col, dof_scales[col] < 0, slot % 3, shift, len(rot) - 1 if slot >= 3 else None))
         self._steps = tuple(steps)
         self._rot_cols, self._trans_cols = np.array(rot, dtype=np.intp), tuple(trans)
         marks = [(f, i, t) for (f, i, _), t in zip(marks, statics[len(factors) :])]
@@ -388,14 +408,14 @@ class FkEngine:
 
     @functools.cached_property
     def _twist_weights(self):
-        """Each theta column's theta scale, as (m,) for the finals and
-        (n, 1, m) for the intermediates, zero where the column's factor
-        comes after intermediate j's mark; built on the first DualArray
-        evaluation, so that a float-only engine never pays for them."""
+        """(n, 1, m) weights of the theta columns' twists in the
+        intermediates: 1 where the column's factor comes at or before
+        intermediate j's mark, else 0; built on the first DualArray
+        evaluation with intermediates, so that a float-only engine never
+        pays for them."""
         col_factor = np.argsort([col for _, col, *_ in self._steps])
         marked = np.array([f for f, _, _ in self._marks], dtype=np.intp)
-        scale = self._scale_per_dof
-        return scale, (col_factor <= marked[:, None, None]) * scale
+        return (col_factor <= marked[:, None, None]).astype(self.dtype)
 
     @property
     def index_matrix(self):
@@ -469,7 +489,7 @@ class FkEngine:
         # (b, 1, k, m): each row's input tangents, one matrix row per tangent
         seeds = thetas.tangent.astype(self.dtype, copy=False).reshape(k, b, m).transpose(1, 0, 2)[:, None]
         tangent = np.empty((b, len(marks), k, 4, 4), dtype=self.dtype)
-        weights = self._twist_weights[want_intermediates]
+        weights = self._twist_weights if want_intermediates else 1.0
         for rows in _blocks(b, _TANGENT_ROWS):
             ws = self._workspace(rows.stop - rows.start)
             self._pass(flat2d[rows], snapshots[rows], ((0, marks),), ws.derivatives[0])
@@ -490,47 +510,59 @@ class FkEngine:
         out[:, i], or the pending static alone where f < first.  Returns the
         last mark's (4, 3, rows) columns, a buffer of the thread's workspace
         that its next pass overwrites; ``out`` may then be None.  With
-        ``axes`` (6, m, rows) of the workspace's derivatives, the pass writes
-        each factor's axis column and origin column, read before its mix,
-        into axes[:3, c] and axes[3:, c] of its theta column c.
+        ``axes`` (2, 3, m, rows) of the workspace's derivatives, the pass
+        writes each factor's axis column, times its theta scale, and its
+        origin column, both read before its mix, into axes[:, :, c] of its
+        theta column c.
 
         Inputs that overflow make inf and NaN silently; the callers that
         refuse non-finite output check it."""
         ws = self._workspace(len(flat2d))
-        columns, flat, ops, mixed = ws.columns, ws.flat, ws.ops, ws.mixed
-        t, cos, sin = ws.angles, ws.cos, ws.sin
+        columns, flat, ops, (t1, t2) = ws.columns, ws.flat, ws.ops, ws.mixed
+        t, trig = ws.angles, ws.trig
         np.multiply(flat2d.T, ws.scale, out=ws.q)
         if t is not ws.q:
             np.take(ws.q, self._rot_cols, axis=0, out=t)
         product = None
         with np.errstate(over="ignore", invalid="ignore"):
-            # t = tan(q/2), cos = 2/(1 + t^2) - 1, sin = t 2/(1 + t^2)
+            # t = tan(q/2), k = 2/(1 + t^2) in cos's first row, then sin = t k and cos = k - 1, each made in t (q
+            # itself where every column rotates, so no translation reads it) and copied to its three rows from there:
+            # numpy would first copy a source that overlaps the destination
+            k = trig[0, :, 0]
             np.tan(t, out=t)
-            np.multiply(t, t, out=cos)
-            cos += 1.0
-            np.divide(2.0, cos, out=cos)
-            np.multiply(t, cos, out=sin[:, 0, 0])
-            cos -= 1.0
-            np.negative(sin[:, 0], out=sin[:, 1])
+            np.multiply(t, t, out=k)
+            k += 1.0
+            np.divide(2.0, k, out=k)
+            trig[1] = np.multiply(t, k, out=t)[:, None]
+            trig[0] = np.subtract(k, 1.0, out=t)[:, None]
             for first, marks in spans:
                 f, p = first, 0
                 for last, i, pending in marks:
-                    for static, col, *_ in self._steps[f : last + 1]:
+                    for static, col, negative, *_ in self._steps[f : last + 1]:
+                        moved, origin, shift, mix = ops[f][p]
                         if f == first:
                             columns[p] = (_EYE if static is None else static)[:, :3, None]
+                        elif shift is not None:
+                            origin += np.multiply(*shift, out=t1)
                         elif static is not None:
                             np.matmul(static, flat[p], out=flat[1 - p])
                             p = 1 - p
-                        axis, origin, pair, swapped, c, s = ops[f][p]
+                            moved, origin, _, mix = ops[f][p]
                         if axes is not None:
-                            axes[:3, col], axes[3:, col] = axis, origin
-                        if pair is not None:
-                            np.multiply(swapped, s, out=mixed)
-                            pair *= c
-                            pair += mixed
+                            axes[:, :, col] = moved
+                            if negative:
+                                np.negative(moved[0], out=axes[0, :, col])
+                        if len(mix) == 2:
+                            origin += np.multiply(*mix, out=t1)
                         else:
-                            np.multiply(axis, c, out=s)
-                            origin += s
+                            # C_i, C_j <- c C_i + s C_j, c C_j - s C_i, every operand one contiguous (3, rows)
+                            ci, cj, s, c = mix
+                            np.multiply(s, cj, out=t1)
+                            np.multiply(s, ci, out=t2)
+                            np.multiply(ci, c, out=ci)
+                            np.add(ci, t1, out=ci)
+                            np.multiply(cj, c, out=cj)
+                            np.subtract(cj, t2, out=cj)
                         f += 1
                     snap = p if pending is None and last >= first else 1 - p
                     if last < first:
@@ -561,14 +593,15 @@ class FkEngine:
 
     def _tangent_block(self, ws, picked, frames, seeds, weights, out):
         """Tangents ``out`` (r, S, k, 4, 4) of the snapshots ``frames`` (r, S, 4, 4) of the rows ``picked`` of the
-        last derivative pass on ``ws``: the twists (w, v) per unit of q of its axis and origin columns (w the axis
-        and v = origin x w for a rotation, (0, axis) for a translation, so that dT = [w, v]^ T) contracted with the
-        input tangents ``seeds`` (r, 1, k, m) times ``weights`` (see _twist_weights), then as 4x4 twist matrices
-        applied to ``frames``, every product in ws.spare.  For seed_array input the contraction copies exactly."""
+        last derivative pass on ``ws``: the twists (w, v) per unit of theta of its axis and origin columns (w the
+        axis times the theta scale and v = origin x w for a rotation, (0, w) for a translation, so that dT = [w, v]^
+        T) contracted with the input tangents ``seeds`` (r, 1, k, m) times ``weights`` (1, or _twist_weights), then
+        as 4x4 twist matrices applied to ``frames``, every product in ws.spare.  For seed_array input the
+        contraction copies exactly."""
         axes, twists, prod = ws.derivatives[:3]
-        w = axes[:3]
+        w, origin = axes
         twists[:3] = w
-        _cross(axes[3:], w, twists[3:], prod)
+        _cross(origin, w, twists[3:], prod)
         for c in self._trans_cols:
             twists[3:, c], twists[:3, c] = w[:, c], 0.0
         rows, snaps, k = out.shape[:3]
@@ -589,31 +622,31 @@ class FkEngine:
         jac = np.empty((b, 6, m), dtype=self.dtype)
         for rows in _blocks(b, _BLOCK_ROWS):
             ws = self._workspace(rows.stop - rows.start)
-            axes, _, prod, block, w, cb, coef, alpha, beta = ws.derivatives
+            axes, twists, prod, block, cb, coef = ws.derivatives
             t = self._pass(flat2d[rows], None, ((0, self._final_marks),), axes)
             if not np.isfinite(t).all():
                 raise ValueError("non-finite value in jacobian output")
             (r00, r10, r20), p = t[0], t[3]
-            np.multiply(axes[:3], self._scale_per_dof[:, None], out=w)
+            w, origin = axes
             # p_T - origin in the angular rows until the rates overwrite them
-            _cross(w, np.subtract(p[:, None], axes[3:], out=block[3:]), block[:3], prod)
-            for c in self._trans_cols:
-                block[:3, c], w[:, c] = w[:, c], 0.0
+            _cross(w, np.subtract(p[:, None], origin, out=block[3:]), block[:3], prod)
             locked = ()
             if rates:
                 np.hypot(r00, r10, out=cb[1])
-                locked = np.flatnonzero(cb[1] <= transforms._GIMBAL_COS_TOL)
-                cb[1, locked] = 1.0
-                # per-row coefficients (r00, r10) / c^2 and / c, then two products a rate
+                if cb[1].min() <= transforms._GIMBAL_COS_TOL:
+                    locked = np.flatnonzero(cb[1] <= transforms._GIMBAL_COS_TOL)
+                    cb[1, locked] = 1.0
+                # per-row coefficients (r00, r10) / c^2 and / c, then one product and one sum or difference a rate
                 np.multiply(cb[1], cb[1], out=cb[0])
                 np.divide(t[0, :2], cb[:, None], out=coef)
-                np.multiply(w[0], alpha[0], out=block[3])
-                block[3] += np.multiply(w[1], alpha[1], out=prod)
-                np.multiply(w[1], beta[0], out=block[4])
-                block[4] -= np.multiply(w[0], beta[1], out=prod)
+                terms = twists[:2]
+                np.add(*np.multiply(w[:2], coef[0, :, None], out=terms), out=block[3])
+                np.subtract(*np.multiply(w[1::-1], coef[1, :, None], out=terms), out=block[4])
                 np.subtract(w[2], np.multiply(r20, block[3], out=prod), out=block[5])
             else:
                 block[3:] = w
+            for c in self._trans_cols:
+                block[:3, c], block[3:, c] = w[:, c], 0.0
             if len(locked):
                 # the rate map is singular: these rows take the pose extraction's
                 # derivatives, on a DualArray of their tangents
@@ -621,7 +654,7 @@ class FkEngine:
                 frames[:, 0, :3], frames[:, 0, 3] = t[..., locked].transpose(2, 1, 0), _EYE[3]
                 tangent = np.empty((len(locked), 1, m, 4, 4), dtype=self.dtype)
                 seeds = np.eye(m, dtype=self.dtype)[None, None]
-                self._tangent_block(ws, locked, frames, seeds, self._scale_per_dof, tangent)
+                self._tangent_block(ws, locked, frames, seeds, 1.0, tangent)
                 dual = ad.DualArray(frames[:, 0], tangent[:, 0].transpose(1, 0, 2, 3))
                 block[..., locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(2, 0, 1)
             if not np.isfinite(block).all():

@@ -1,6 +1,8 @@
+import compileall
 import copy
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import threading
@@ -462,12 +464,15 @@ def _assert_bits_equal(got, want):
 
 
 # Bound of forward against the stage pipeline, which rounds differently: the
-# column pass applies each static as one GEMM and each motion as a two-column
-# mix, the pipeline multiplies 4x4 joint transforms.  Per transform, in units
+# column pass applies each static as one GEMM, or in place where it only
+# translates along one axis, and each motion as a two-column mix, the
+# pipeline multiplies 4x4 joint transforms.  Per transform, in units
 # of the dtype's eps times max(1, the largest entry of the reference
 # transform).  The largest seen (x86_64, OpenBLAS) over arm4, cam_arm,
 # mixed_chain and 200 random trees is 8.5 with libm cos and sin, and 8.7
-# (float32) with the pass's cos and sin from tan(q/2).
+# (float32) with the pass's cos and sin from tan(q/2).  Applying single-axis
+# statics in place changed no value there (7.5 at b=64 on the same chains
+# and _SINGLE_AXIS).
 _STAGE_ULPS = 32
 
 
@@ -692,13 +697,14 @@ def test_trig_only_on_rotational_dofs(dual, mixed_chain, monkeypatch, rng):
 @pytest.mark.parametrize("robot", ["arm4", "mixed"])
 def test_float_forward_matmul_count(robot, want_intermediates, arm4_chain, mixed_chain, monkeypatch, rng):
     """A float forward block makes one (4, 4) @ (4, 3 rows) GEMM into a
-    kept buffer per static transform after the first factor that is not the
-    identity, and one per snapshot whose static is pending; no per-row
-    product."""
+    kept buffer per static transform after the first factor that neither is
+    the identity nor only translates along one axis, and one per snapshot
+    whose static is pending; no per-row product."""
     chain = arm4_chain if robot == "arm4" else mixed_chain
-    # statics: arm4's j2-j4 origins; mixed's j2, j3, j4 and j5 (the planar
-    # and floating joints' later factors have S = I)
-    statics = 3 if robot == "arm4" else 4
+    # statics: none on arm4, whose j2-j4 origins translate along x alone and
+    # are applied in place; mixed's j2, j3, j4 and j5 (the planar and
+    # floating joints' later factors have S = I)
+    statics = 0 if robot == "arm4" else 4
     # pending: the fixed flange (arm4) or j6 (mixed) at its segment and at
     # the finals, and on mixed the alignment inverses after j1, j2 and j4
     pending = 4 if robot == "mixed" and want_intermediates else 1
@@ -714,13 +720,42 @@ def test_float_forward_matmul_count(robot, want_intermediates, arm4_chain, mixed
     assert sorted(calls) == sorted(want)
 
 
+@pytest.mark.parametrize("call", ["forward", "intermediates", "dual", "pose_jacobian", "geometric_jacobian"])
+def test_rotation_mix_operands_share_one_shape(call, arm4_chain, monkeypatch, rng):
+    """Every product, sum and difference of a rotation mix gets operands of
+    the (3, rows) shape of the columns it mixes, and an in-place static's
+    product the column and its scalar d, so that no broadcast operand sends
+    numpy through its general iterator: on arm4, per block, four products,
+    a sum and a difference a rotation, and one product for each of j2-j4's
+    origins along x (their sums are in place), in every entry that runs the
+    pass."""
+    b = 300
+    eng = FkEngine(arm4_chain, batch_size=b)
+    thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
+    run = {
+        "forward": lambda: eng.forward(thetas),
+        "intermediates": lambda: eng.forward(thetas, want_intermediates=True),
+        "dual": lambda: eng.forward(ad.seed_array(thetas), want_intermediates=True),
+        "pose_jacobian": lambda: kinematics.pose_jacobian(eng, thetas),
+        "geometric_jacobian": lambda: kinematics.geometric_jacobian(eng, thetas),
+    }[call]
+    calls = []
+    for name in ("multiply", "add", "subtract"):
+        _counting(monkeypatch, name, calls)
+    run()
+    both = ((3, b), (3, b))
+    want = [("multiply", both, True)] * 16 + [("add", both, True)] * 4 + [("subtract", both, True)] * 4
+    want += [("multiply", ((3, b), ()), True)] * 3
+    assert sorted(c for c in calls if (3, b) in c[1]) == sorted(want)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("robot", ["arm4", "mixed"])
-def test_block_rows_match_single_rows(robot, dtype, arm4_chain, mixed_chain):
+@pytest.mark.parametrize("robot", ["arm4", "mixed", "single_axis"])
+def test_block_rows_match_single_rows(robot, dtype, arm4_chain, mixed_chain, single_axis_chain):
     """Every row of a two-block batch is bitwise the row evaluated alone:
     float forward, the DualArray forward's primal and tangents, finals and
     intermediates, and both Jacobians."""
-    chain = arm4_chain if robot == "arm4" else mixed_chain
+    chain = {"arm4": arm4_chain, "mixed": mixed_chain, "single_axis": single_axis_chain}[robot]
     b = kinematics._BLOCK_ROWS + 44
     thetas = np.random.default_rng(b).uniform(-1.5, 1.5, size=(b, chain.m)).astype(dtype)
 
@@ -790,16 +825,17 @@ def test_engine_copies_build_their_own_workspaces(mixed_chain, rng):
 @pytest.mark.parametrize("robot", ["arm4", "mixed"])
 def test_forward_builds_no_derivative_buffers(robot, dtype, arm4_chain, mixed_chain):
     """A fresh engine's first forward of one block holds at most its (b, 4,
-    4) result and the workspace, 46 + m + 3 r items a row for r rotations
-    (4 r beside a translation), plus 256 KB for numpy's ufunc buffers and
-    the workspace's views: the derivative passes' 22 m + 6 items a row are
-    built by the thread's first derivative pass, never by forward alone."""
+    4) result and the workspace, 46 + m + 6 r items a row for r rotations
+    (7 r beside a translation; each rotation's cos and sin over three rows),
+    plus 256 KB for numpy's ufunc buffers and the workspace's views: the
+    derivative passes' 19 m + 6 items a row are built by the thread's first
+    derivative pass, never by forward alone."""
     chain = arm4_chain if robot == "arm4" else mixed_chain
     b = kinematics._BLOCK_ROWS
     eng = FkEngine(chain, batch_size=b, dtype=dtype)
     thetas = np.random.default_rng(b).uniform(-1.0, 1.0, size=(b, eng.m)).astype(dtype)
     rot = len(eng._rot_cols)
-    per_row = (16 + 46 + eng.m + (3 if rot == eng.m else 4) * rot) * np.dtype(dtype).itemsize
+    per_row = (16 + 46 + eng.m + (6 if rot == eng.m else 7) * rot) * np.dtype(dtype).itemsize
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -985,12 +1021,12 @@ def test_random_tree_closed_form_jacobians_match_dual_oracle(seed):
         _check_closed_form_jacobians(chain, (1, kinematics._BLOCK_ROWS + 1)[seed % 2], dtype, rng)
 
 
-@pytest.mark.parametrize("robot", ["arm4", "mixed"])
-def test_geometric_jacobian_matches_central_differences(robot, arm4_chain, mixed_chain, rng):
+@pytest.mark.parametrize("robot", ["arm4", "mixed", "single_axis"])
+def test_geometric_jacobian_matches_central_differences(robot, arm4_chain, mixed_chain, single_axis_chain, rng):
     """Rows 0-2 against the central difference of the final position, rows
     3-5 against vee((R(theta + h) - R(theta - h)) R^T) / 2h; arm4's last
     row is at gimbal lock, where the geometric Jacobian is as regular."""
-    chain = {"arm4": arm4_chain, "mixed": mixed_chain}[robot]
+    chain = {"arm4": arm4_chain, "mixed": mixed_chain, "single_axis": single_axis_chain}[robot]
     b, h = 3, 1e-6
     thetas = treegen.sample_thetas(chain, b, rng)
     if robot == "arm4":
@@ -1007,6 +1043,91 @@ def test_geometric_jacobian_matches_central_differences(robot, arm4_chain, mixed
             fd = np.concatenate([tu[:3, 3] - td[:3, 3], _vee((tu[:3, :3] - td[:3, :3]) @ rot.T)]) / (2 * h)
             tol = 1e-5 * np.maximum(np.abs(fd), 1.0) + 1e-8
             assert (np.abs(jac[k, :, j] - fd) < tol).all()
+
+
+# Joint origins that translate along one axis alone, which the pass applies
+# in place: -x (j2), +y (j3), -z (j5), +z (the fixed mount and j6, folded
+# into one static), -y (j8) and +x (j9); j1's +z is the first factor's and
+# fills the columns.  j4 and j10 have rpy, j4 and j7 translate along two
+# axes, and the flange is pending at the finals: these keep their GEMM.  j2
+# and j6 turn about negative axes, j3 and j10 translate.
+_SINGLE_AXIS = """<robot name="single_axis">
+  <link name="base"/><link name="l1"/><link name="l2"/><link name="l3"/><link name="l4"/><link name="l5"/>
+  <link name="l6"/><link name="l7"/><link name="l8"/><link name="l9"/><link name="l10"/><link name="l11"/>
+  <link name="tool"/>
+  <joint name="j1" type="revolute"><parent link="base"/><child link="l1"/>
+    <origin xyz="0 0 0.3"/><axis xyz="0 0 1"/><limit lower="-3" upper="3"/></joint>
+  <joint name="j2" type="revolute"><parent link="l1"/><child link="l2"/>
+    <origin xyz="-0.4 0 0"/><axis xyz="0 -1 0"/><limit lower="-2" upper="2"/></joint>
+  <joint name="j3" type="prismatic"><parent link="l2"/><child link="l3"/>
+    <origin xyz="0 0.25 0"/><axis xyz="1 0 0"/><limit lower="-0.5" upper="0.5"/></joint>
+  <joint name="j4" type="continuous"><parent link="l3"/><child link="l4"/>
+    <origin xyz="0.1 0.2 -0.05" rpy="0.3 -0.2 0.1"/><axis xyz="1 0 0"/></joint>
+  <joint name="j5" type="revolute"><parent link="l4"/><child link="l5"/>
+    <origin xyz="0 0 -0.2"/><axis xyz="0 1 0"/><limit lower="-2" upper="2"/></joint>
+  <joint name="mount" type="fixed"><parent link="l5"/><child link="l6"/><origin xyz="0 0 0.1"/></joint>
+  <joint name="j6" type="revolute"><parent link="l6"/><child link="l7"/>
+    <origin xyz="0 0 0.15"/><axis xyz="0 0 -1"/><limit lower="-3" upper="3"/></joint>
+  <joint name="j7" type="revolute"><parent link="l7"/><child link="l8"/>
+    <origin xyz="0.2 0.1 0"/><axis xyz="1 0 0"/><limit lower="-3" upper="3"/></joint>
+  <joint name="j8" type="revolute"><parent link="l8"/><child link="l9"/>
+    <origin xyz="0 -0.3 0"/><axis xyz="0 1 0"/><limit lower="-2" upper="2"/></joint>
+  <joint name="j9" type="revolute"><parent link="l9"/><child link="l10"/>
+    <origin xyz="0.35 0 0"/><axis xyz="0 0 1"/><limit lower="-3" upper="3"/></joint>
+  <joint name="j10" type="prismatic"><parent link="l10"/><child link="l11"/>
+    <origin xyz="0 0 0" rpy="0 0 0.5"/><axis xyz="0 0 1"/><limit lower="-0.4" upper="0.4"/></joint>
+  <joint name="flange" type="fixed"><parent link="l11"/><child link="tool"/><origin xyz="0.1 0 0"/></joint>
+</robot>
+"""
+
+
+@pytest.fixture(scope="module")
+def single_axis_chain():
+    return urdf.extract_chain(urdf.parse_urdf(_SINGLE_AXIS), "base", "tool")
+
+
+def test_single_axis_statics_match_oracles(single_axis_chain, monkeypatch):
+    """Statics that translate along one axis, applied in place (C_3 += d
+    C_k, no GEMM): forward within _STAGE_ULPS of the stage pipeline in both
+    dtypes, the DualArray primal bitwise the float forward and its tangents
+    within _TANGENT_ULPS, both Jacobians against their DualArray oracles,
+    pose_jacobian against central differences (geometric_jacobian's are in
+    test_geometric_jacobian_matches_central_differences), and
+    _products_around bitwise forward's prefix from a span that starts at an
+    in-place static (j8's)."""
+    chain, b = single_axis_chain, 300
+    rng = np.random.default_rng(22)
+    for dtype in (np.float64, np.float32):
+        eng = FkEngine(chain, batch_size=b, dtype=dtype)
+        thetas = treegen.sample_thetas(chain, b, rng).astype(dtype)
+        calls = []
+        with monkeypatch.context() as patch:
+            _counting(patch, "matmul", calls)
+            finals = eng.forward(thetas)
+        # the GEMMs of j4's, j7's and j10's statics and the flange's pending
+        assert calls == [("matmul", ((4, 4), (4, 3 * b)), True)] * 4
+        inters = eng.forward(thetas, want_intermediates=True)
+        _assert_within_stage_ulps(inters, _stage_pipeline(eng, thetas))
+        _assert_bits_equal(finals, inters[:, -1])
+        head, tail = eng._products_around(thetas, 7, 7)
+        _assert_bits_equal(head, inters[:, 7])
+        _assert_within_stage_ulps(head @ tail, finals)
+        _check_closed_form_jacobians(chain, b, dtype, rng)
+    _check_twist_tangents(chain, b, rng)
+
+    h, thetas = 1e-6, treegen.sample_thetas(chain, 3, rng)
+    jac = kinematics.pose_jacobian(FkEngine(chain, batch_size=3), thetas)
+    single = FkEngine(chain, batch_size=1)
+    for k in range(3):
+        for j in range(chain.m):
+            up, dn = thetas[k].copy(), thetas[k].copy()
+            up[j] += h
+            dn[j] -= h
+            poses, _ = transforms.pose_batch_from_transforms(np.concatenate([single.forward(up), single.forward(dn)]))
+            d = poses[0] - poses[1]
+            d[3:] = (d[3:] + np.pi) % (2 * np.pi) - np.pi
+            fd = d / (2 * h)
+            assert (np.abs(jac[k, :, j] - fd) < 1e-5 * np.maximum(np.abs(fd), 1.0) + 1e-8).all()
 
 
 # Counts the minor page faults of 20 calls on arm4, on an engine of the last
@@ -1039,17 +1160,34 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 
 
-def _minor_faults_per_call(call, b, threads):
+@pytest.fixture(scope="module")
+def package_states(tmp_path_factory):
+    """Two copies of the diffkin package, keyed by how it is imported:
+    "source" has no bytecode (and gets none, see _minor_faults_per_call),
+    "bytecode" is compiled by compileall.  The heap that importing leaves
+    decides whether glibc trims its top after every call, so the fault
+    counts are taken in both states, whatever state a run leaves
+    src/diffkin/__pycache__ in."""
+    package = Path(kinematics.__file__).resolve().parent
+    roots = {}
+    for state in ("source", "bytecode"):
+        roots[state] = tmp_path_factory.mktemp(state)
+        shutil.copytree(package, roots[state] / "diffkin", ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(roots["bytecode"] / "diffkin", quiet=1)
+    return {state: str(root) for state, root in roots.items()}
+
+
+def _minor_faults_per_call(call, b, threads, root):
     """Minor page faults per ``call`` at batch b (see _FAULTS), in a fresh
-    interpreter, with DIFFKIN_NUM_THREADS set to ``threads`` or unset: the
-    allocator's thresholds move with whatever ran before in a process, so
-    only a fresh one repeats.  Faults are counted, not timed, so a loaded
-    host does not move them."""
+    interpreter that imports diffkin from ``root`` and writes no bytecode,
+    with DIFFKIN_NUM_THREADS set to ``threads`` or unset: the allocator's
+    thresholds move with whatever ran before in a process, so only a fresh
+    one repeats.  Faults are counted, not timed, so a loaded host does not
+    move them."""
     pytest.importorskip("resource")
-    src = str(Path(kinematics.__file__).resolve().parents[1])
     urdf_path = str(Path(__file__).resolve().parents[1] / "scripts" / "arm4.urdf")
     env = {k: v for k, v in os.environ.items() if k != "DIFFKIN_NUM_THREADS"}
-    env["PYTHONPATH"] = src
+    env["PYTHONPATH"], env["PYTHONDONTWRITEBYTECODE"] = root, "1"
     if threads:
         env["DIFFKIN_NUM_THREADS"] = threads
     run = subprocess.run(
@@ -1059,32 +1197,38 @@ def _minor_faults_per_call(call, b, threads):
     return float(run.stdout)
 
 
+@pytest.mark.parametrize("state", ["source", "bytecode"])
 @pytest.mark.parametrize("threads", ["1", None])
 @pytest.mark.parametrize("b", [1024, 2048, 4096, "1024,4096"])
-def test_pose_jacobian_minor_faults(b, threads):
+def test_pose_jacobian_minor_faults(b, threads, state, package_states):
     """No b-wide temporary and no block temporary that the allocator maps
     afresh on every call: at most 100 minor page faults a call of
     pose_jacobian and of geometric_jacobian, also at b=4096 after b=1024
-    calls (a DualArray pass over the batch took about 1170 at b=4096,
-    mapping its (m, b, 4, 4) tangents afresh on every call; a (rows, F, 4, 4)
-    factor stack and twist gather per block took 184 at b=1024 and 188 at
-    b=2048; fresh block temporaries in 4096-row blocks took 480 at b=4096)."""
-    faults = {call: _minor_faults_per_call(call, b, threads) for call in ("pose_jacobian", "geometric_jacobian")}
+    calls, with diffkin imported from source and from bytecode (a DualArray
+    pass over the batch took about 1170 at b=4096, mapping its (m, b, 4, 4)
+    tangents afresh on every call; a (rows, F, 4, 4) factor stack and twist
+    gather per block took 184 at b=1024 and 188 at b=2048; fresh block
+    temporaries in 4096-row blocks took 480 at b=4096)."""
+    root = package_states[state]
+    faults = {call: _minor_faults_per_call(call, b, threads, root) for call in ("pose_jacobian", "geometric_jacobian")}
     assert max(faults.values()) <= 100, faults
 
 
+@pytest.mark.parametrize("state", ["source", "bytecode"])
 @pytest.mark.parametrize("threads", ["1", None])
 @pytest.mark.parametrize("b", [1024, 2048, 4096])
-def test_forward_minor_faults(b, threads):
+def test_forward_minor_faults(b, threads, state, package_states):
     """forward takes at most 100 minor page faults a call, on float and on
-    seeded DualArray input, finals and intermediates: only its results span
-    the batch, and the block's buffers are the thread's workspace, kept
-    across calls (fresh 512-row temporaries took about 105 a call at b=2048
-    with one BLAS thread; the DualArray pass's fresh block buffers and
-    tangent products about 210 at b=1024 with the modules loaded from
-    bytecode, and about 1430 with intermediates)."""
+    seeded DualArray input, finals and intermediates, with diffkin imported
+    from source and from bytecode: only its results span the batch, and the
+    block's buffers are the thread's workspace, kept across calls (fresh
+    512-row temporaries took about 105 a call at b=2048 with one BLAS
+    thread; the DualArray pass's fresh block buffers and tangent products
+    about 210 at b=1024 from bytecode, and about 1430 with intermediates;
+    cos and sin copied within one buffer, a source numpy first copies, 224
+    at b=4096)."""
     calls = ("forward", "dual_forward", "dual_intermediates")
-    faults = {call: _minor_faults_per_call(call, b, threads) for call in calls}
+    faults = {call: _minor_faults_per_call(call, b, threads, package_states[state]) for call in calls}
     assert max(faults.values()) <= 100, faults
 
 
