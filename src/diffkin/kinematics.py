@@ -12,12 +12,18 @@ transforms; what follows the last factor is the trailing S_F.
 Every evaluation runs one column pass, block by block (FkEngine._pass).
 It keeps a block's running product P as its columns C, an array (4 columns,
 3 rows, rows), each entry contiguous over the rows; P's bottom row is
-(0, 0, 0, 1) in every product of these factors and is not stored.  Factor f
-is applied in two steps: P S_f is one constant GEMM S_f^T @ C, skipped
-where S_f = I, and P M_f mixes two columns.  A static that only translates,
-by d along one axis k (a common joint origin), is applied in place instead,
-C_3 <- C_3 + d C_k, as a translation factor is.  A rotation about axis a by
-q, (c, s) = (cos q, sin q), sets C_i, C_j <- c C_i + s C_j, c C_j - s C_i,
+(0, 0, 0, 1) in every product of these factors and is not stored.  A span
+of the pass (a product from some factor on) starts with one GEMM: factor
+f's static columns pushed through its motion are linear in (1, c, s) for a
+rotation and in (1, q) for a translation, so the span's first C is a
+constant (12 x 3) or (12 x 2) matrix G_f, each entry one of S_f's or its
+negative, times those rows of the block.  Every later factor is applied in
+two steps: P S_f is one constant GEMM S_f^T @ C, skipped where S_f = I,
+and P M_f mixes two columns.  A static that only translates, by d along
+one axis k (a common joint origin), is applied in place instead,
+C_3 <- C_3 + d C_k, as a translation factor is; so is the static pending
+at a span's last snapshot.  A rotation about axis a by q,
+(c, s) = (cos q, sin q), sets C_i, C_j <- c C_i + s C_j, c C_j - s C_i,
 (i, j) = (1, 2), (2, 0), (0, 1) for a = x, y, z, in six products and sums
 whose operands all have the (3, rows) shape of one column: the two columns,
 and c and s repeated over three rows.  numpy runs an elementwise op on
@@ -29,12 +35,12 @@ c = 2/(1 + t^2) - 1, s = t 2/(1 + t^2), within 2 eps of cos and sin
 (numpy's float64 tan loop is vectorised, its cos and sin loops call scalar
 libm, about 5x slower an angle).  Snapshots (intermediates at each
 segment's last factor, finals after the chain) are the columns times the
-static pending there, one more GEMM unless it is I, copied as matrix rows
-into a (4, 4, rows) block in the result's transposed layout, whose bottom
-row is (0, 0, 0, 1), then into the result by one 2-D transposed copy,
-(rows, 16) <- (16, rows)^T.  The buffers are the calling thread's workspace
-(see FkEngine); every entry is written before it is read, so no result
-depends on them or on the block a row runs in.
+static pending there, one more GEMM unless it is I or applied in place,
+copied as matrix rows into a (4, 4, rows) block in the result's transposed
+layout, whose bottom row is (0, 0, 0, 1), then into the result by one 2-D
+transposed copy, (rows, 16) <- (16, rows)^T.  The buffers are the calling
+thread's workspace (see FkEngine); every entry is written before it is
+read, so no result depends on them or on the block a row runs in.
 
 The reference pipeline is the scatter/map/scan form of the same chain: a
 flat theta batch (b*m,) is scattered through the index matrix P into the
@@ -47,14 +53,16 @@ these stages; they are the oracle it is tested against, within a few ulps.
 
 One pass serves values and derivatives.  Factor f moves one theta column
 about or along axis a of the frame P_{f-1} S_f, whose axis column C_a and
-origin column C_3 the pass reads off before f's mix, so that column's
-derivative of every later transform T is a twist of that frame applied to
-T: for a rotation with w = C_a, dR_T = w x R_T and dp_T = w x (p_T - C_3);
-for a translation dp_T = w (Orin & Schrader 1984).  A DualArray theta batch
-runs the float pass on its primal, so its primal result is the float result
-bit for bit, and contracts those twists with the input tangents, so forward
-carries any tangents (vector forward mode) at the cost of a few products
-per block, whatever their number.  The kernels downstream (pose and
+origin column C_3 the pass reads off before f's mix (after a span's first
+GEMM, which leaves a rotation's C_a and C_3 as they were; no derivative
+reads a translation's C_3), so that column's derivative of every later
+transform T is a twist of that frame applied to T: for a rotation with
+w = C_a, dR_T = w x R_T and dp_T = w x (p_T - C_3); for a translation
+dp_T = w (Orin & Schrader 1984).  A DualArray theta batch runs the float
+pass on its primal, so its primal result is the float result bit for bit,
+and contracts those twists with the input tangents, so forward carries any
+tangents (vector forward mode) at the cost of a few products per block,
+whatever their number.  The kernels downstream (pose and
 quaternion extraction, metrics) run on the resulting DualArray unchanged.
 
 Jacobians of the final transform need no DualArray.  The twists of the
@@ -64,14 +72,16 @@ the base frame: rows w_c x (p_T - C_3) (w_c for a translation), the
 velocity of T's origin, over rows w_c (0 for a translation), its angular
 velocity (geometric_jacobian).  pose_jacobian maps the angular rows through
 the rate map of R_T = Rz(gamma) Ry(beta) Rx(alpha) (Siciliano et al. 2009,
-sec. 3.6): with c = cos(beta) = hypot(r00, r10),
+sec. 3.6): with c = cos(beta) = sqrt(r00^2 + r10^2),
 alpha' = (r00 wx + r10 wy) / c^2, beta' = (r00 wy - r10 wx) / c and
 gamma' = wz - r20 alpha'.  Both run forward's blocks, every product on
 (m, rows) buffers of the thread's workspace.  Rows at gimbal lock
 (c <= transforms._GIMBAL_COS_TOL), where the rate map is singular, take the
 pose extraction's derivatives instead: _tangent_block applies their twists
 to T, and pose_batch_from_transforms runs on that DualArray, so they keep
-the float pose's convention (alpha = 0).
+the float pose's convention (alpha = 0).  That extraction tests hypot(r00,
+r10), so the two can lock different rows only where c is within an ulp of
+the tolerance.
 
 Joints with an arbitrary axis are handled by conjugation: motion about axis
 ``a`` equals R_align . canonical-slot-motion . R_align^T, where R_align maps
@@ -153,10 +163,11 @@ _AXIS_TOL = 1e-9
 #  4096            531k 726k 720k     |      826k 1317k 1226k |                   155k 324k |     178k 615k
 #  8192            551k 772k 707k     |      802k 1327k 1446k |                   149k 340k |     180k 610k
 # A batch in one block at every size reads alike within the host's noise (up to 10%); 8192 rows read -2% (float64)
-# to +18% (float32) at b=8192 only, for twice the workspace.  The workspace, kept per thread, takes 368 + 8 m + 48 r
-# bytes a row in float64 for r rotations (56 r beside a translation; each rotation's cos and sin over three rows; 592
-# on arm4, 2.4 MB at 4096 rows), and 48 + 152 m more from the thread's first derivative pass (656 on arm4), so no call
-# maps a block's buffers afresh.  The DualArray tangents' products, kept as well, take (m + 22) S k items a row for S
+# to +18% (float32) at b=8192 only, for twice the workspace.  The workspace, kept per thread, takes 376 + 8 m + 72 r
+# bytes a row in float64 for r rotations (80 r beside a translation; each rotation's (1, c, s), and its cos and sin
+# over three rows, 48 fewer where factor 0 rotates, as no pass mixes it; 648 on arm4, 2.7 MB at 4096 rows; a one-row
+# block takes two), and 48 + 152 m more from the thread's first derivative pass (656 on arm4), so no call maps a
+# block's buffers afresh.  The DualArray tangents' products, kept as well, take (m + 22) S k items a row for S
 # snapshots of k tangents, which the caller sets: in 4096-row blocks a b=4096 arm4 forward took 0.83-0.94x the time,
 # for 8x the memory, so they run _TANGENT_ROWS blocks (made afresh, 512-row products refaulted 200 pages a call at
 # b=1024).  Blocks change no arithmetic.
@@ -244,6 +255,24 @@ _TWIST_MATRIX[[2, 1, 2, 0, 1, 0], [1, 2, 4, 6, 8, 9]] = [-1.0, 1.0, 1.0, -1.0, -
 _TWIST_MATRIX[[3, 4, 5], [3, 7, 11]] = 1.0
 
 
+def _seed_maps():
+    """(take, sign), (6, 12, 3) each, per slot: a span's first factor f makes its columns as G_f @ (1, q) (G_f's first
+    two columns) or G_f @ (1, c, s), G_f = sign * S_f^T.flat[take], column k's row r in G_f's row 3 k + r; a zero
+    takes S_f^T[0, 3], the bottom row's 0."""
+    take, sign = np.full((6, 4, 3, 3), 3, dtype=np.intp), np.ones((6, 4, 3, 3))
+    entry = 4 * np.arange(4)[:, None] + np.arange(3)  # S^T[k, r], column k's row r
+    for a, (i, j) in enumerate(_PAIRS):
+        # a translation keeps every column and adds q C_a to C_3; a rotation keeps C_a and C_3 and mixes C_i, C_j
+        take[a, :, :, 0], take[a, 3, :, 1] = entry, entry[a]
+        take[3 + a, [a, 3], :, 0] = entry[[a, 3]]
+        take[3 + a, [i, j], :, 1], take[3 + a, [i, j], :, 2] = entry[[i, j]], entry[[j, i]]
+        sign[3 + a, j, :, 2] = -1.0
+    return take.reshape(6, 12, 3), sign.reshape(6, 12, 3)
+
+
+_SEED_TAKE, _SEED_SIGN = _seed_maps()
+
+
 def _blocks(b, rows):
     """Row slices of a batch of b, ``rows`` at a time."""
     return [slice(start, min(start + rows, b)) for start in range(0, b, rows)]
@@ -252,36 +281,75 @@ def _blocks(b, rows):
 class _Workspace:
     """One thread's buffers for FkEngine._pass on blocks of ``rows`` rows
     (see the FkEngine docstring), with every factor's operands as views of
-    them, so that the pass indexes nothing per factor, and the theta
-    columns' scales with the half of every rotation's tan(q/2) folded in."""
+    them, so that the pass indexes nothing per factor, the theta columns'
+    scales with the half of every rotation's tan(q/2) folded in, and the
+    span-starting G_f of every factor that has started one (seed)."""
 
     def __init__(self, engine, rows):
-        dt, m, rot = engine.dtype, engine.m, len(engine._rot_cols)
+        dt, m, rot, steps = engine.dtype, engine.m, len(engine._rot_cols), engine._steps
+        # a one-row block runs its row twice: a span's first GEMM on one row would be a matrix-vector product, which
+        # OpenBLAS rounds differently from a matrix product, so that a row's result would depend on its block
+        out_rows, rows = rows, max(rows, 2)
         self.columns, snapshot = np.empty((2, 4, 3, rows), dtype=dt), np.zeros((4, 4, rows), dtype=dt)
         snapshot[3, 3] = 1.0
-        # views: the GEMM operands (4, 3 rows), the columns as matrix rows, the snapshot's top and transpose
-        self.flat, self.rows = self.columns.reshape(2, 4, -1), self.columns.transpose(0, 2, 1, 3)
-        self.top, self.staged = snapshot[:3], snapshot.reshape(16, rows).T
-        self.q = q = np.empty((m, rows), dtype=dt)
+        # views: the GEMM operands (4, 3 rows) and results (12, rows), the columns as matrix rows, the snapshot's top
+        # and its block's transposed rows
+        self.flat, self.grid = self.columns.reshape(2, 4, -1), self.columns.reshape(2, 12, rows)
+        self.rows, self.top = self.columns.transpose(0, 2, 1, 3), snapshot[:3]
+        self.staged = snapshot.reshape(16, rows).T[:out_rows]
+        # (1, q): a ones row over the theta columns, so that a translation's (1, q) is one strided view
+        ones_q = np.empty((m + 1, rows), dtype=dt)
+        ones_q[0] = 1.0
+        self.q = q = ones_q[1:]
         self.mixed = np.empty((2, 3, rows), dtype=dt)  # the mixes' two temporaries
         # each theta column's scale, halved for a rotation: q holds half angles and full displacements
         self.scale = engine._scale_per_dof[:, None].copy()
         self.scale[engine._rot_cols] *= 0.5
         self.angles = q if rot == m else np.empty((rot, rows), dtype=dt)
-        # every rotation's cos and sin, each repeated over a column's three rows
-        self.trig = np.empty((2, rot, 3, rows), dtype=dt)
-        cos, sin = self.trig
+        # the ones, cos and sin rows of every rotation, each contiguous, so that rotation k's (1, c, s) is ucs[:, k];
+        # and the cos and sin, each repeated over a column's three rows, of every rotation that a pass mixes: all but
+        # factor 0's, which every pass seeds
+        self.ucs = ucs = np.empty((3, rot, rows), dtype=dt)
+        ucs[0] = 1.0
+        self.cos, self.sin = ucs[1], ucs[2]
+        skip = int(bool(steps) and steps[0][5] is not None)
+        self.trig = np.empty((2, rot - skip, 3, rows), dtype=dt)
+        self.spread = ucs[1:, skip:, None]  # the trig's source, (2, rot - skip, 1, rows)
         self.spare = np.empty(0, dtype=dt)  # FkEngine._tangent_block's products, regrown when a block needs more
+        self.steps, self.ones_q, self.seeds = steps, ones_q, {}
+        # every view that an operand is, made once: each set's columns and (axis, origin) pairs, each cos and sin
+        c, trig = self.columns, self.trig
+        columns = [[c[p, 0], c[p, 1], c[p, 2], c[p, 3]] for p in (0, 1)]
+        moved = [[c[p, 0:4:3], c[p, 1:4:2], c[p, 2:4]] for p in (0, 1)]
+        cos3, sin3 = [trig[0, k] for k in range(rot - skip)], [trig[1, k] for k in range(rot - skip)]
 
-        def operands(c, static, col, _, a, shift, k):
-            """Factor operands in columns c: the axis and origin columns as one (2, 3, rows) view, the origin column,
-            an in-place static's (C_k, d) or None, and the motion's: a rotation's (C_i, C_j, sin, cos), a
-            translation's (C_a, q)."""
+        def operands(static, col, _, a, shift, k):
+            """Factor operands in each set of columns c: the axis and origin columns as one (2, 3, rows) view, the
+            origin column, an in-place static's (C_k, d) or None, and the motion's: a rotation's (C_i, C_j, sin, cos)
+            (None for a factor 0, which no pass mixes), a translation's (C_a, q)."""
             i, j = _PAIRS[a]
-            mix = (c[a], q[col]) if k is None else (c[i], c[j], sin[k], cos[k])
-            return c[a : 4 : 3 - a], c[3], None if shift is None else (c[shift], static[3, shift]), mix
+            d, qa = None if shift is None else static[3, shift], q[col] if k is None else None
+            return tuple(
+                (
+                    pairs[a],
+                    c[3],
+                    None if d is None else (c[shift], d),
+                    (c[a], qa) if k is None else (c[i], c[j], sin3[k - skip], cos3[k - skip]) if k >= skip else None,
+                )
+                for c, pairs in zip(columns, moved)
+            )
 
-        self.ops = tuple(tuple(operands(c, *step) for c in self.columns) for step in engine._steps)
+        self.ops = tuple(operands(*step) for step in steps)
+
+    def seed(self, f):
+        """Factor f's span-starting operands, (G_f, (1, q)) or (G_f, (1, c, s)) (see _seed_maps), built on the first
+        span that starts there."""
+        static, col, _, a, _, k = self.steps[f]
+        kind = a if k is None else 3 + a
+        entries = (_EYE if static is None else static).ravel()[_SEED_TAKE[kind]]
+        g = np.multiply(entries, _SEED_SIGN[kind], dtype=self.q.dtype)
+        operands = (g[:, :2], self.ones_q[0 : col + 2 : col + 1]) if k is None else (g, self.ucs[:, k])
+        return self.seeds.setdefault(f, operands)
 
     @functools.cached_property
     def derivatives(self):
@@ -307,13 +375,17 @@ class FkEngine:
     docstring): per factor its static transform, transposed for the column
     GEMM (None where it is the identity), the axis it alone translates along
     if so, its theta column and its motion; and the static transforms
-    pending at each snapshot.  Every evaluation (forward, its DualArray
-    tangents, the Jacobians and _products_around) runs the column pass
-    _pass, one block of rows at a time, on the calling thread's workspace
-    (_Workspace), built on the thread's first block of that size (not in
-    __init__), its derivative buffers on the first derivative pass, and kept
-    in a threading.local, so that a call allocates no block's buffers but
-    the DualArray tangents' products and threads can share an engine.  A pickled or copied engine is built again.
+    pending at each snapshot, with the axis each alone translates along if
+    so.  Every evaluation (forward, its DualArray tangents, the Jacobians
+    and _products_around) runs the column pass _pass, one block of rows at
+    a time: each span of it starts with one GEMM, G_f on the block's
+    (1, c, s) or (1, q), and adds a trailing one-axis translation in place.
+    The pass runs on the calling thread's workspace (_Workspace), built on
+    the thread's first block of that size (not in __init__), G_f on its
+    first span that starts at f, its derivative buffers on the first
+    derivative pass, and kept in a threading.local, so that a call
+    allocates no block's buffers but the DualArray tangents' products and
+    threads can share an engine.  A pickled or copied engine is built again.
 
     scatter_thetas, combine_link_joint, index_matrix and link_transforms,
     with the module's joint_transforms and scan_compose, are the reference
@@ -379,7 +451,8 @@ class FkEngine:
 
         # every static as S^T for the column GEMM, None where it is I, from one stacked comparison; its count of
         # the entries that differ from I's, per column of S, also finds the statics that only translate, along one
-        # axis k: a factor's is applied in place, C_3 += d C_k (d = S^T[3, k]), a snapshot's pending one by GEMM
+        # axis k: a factor's is applied in place, C_3 += d C_k (d = S^T[3, k]), and so is a snapshot's pending one
+        # at a span's last mark
         statics = [s for s, _, _ in factors] + [p for _, _, p in marks]
         given = [k for k, s in enumerate(statics) if s is not None]
         stack = np.array([statics[k] for k in given]).reshape(-1, 4, 4)
@@ -398,7 +471,7 @@ class FkEngine:
             steps.append((s, col, dof_scales[col] < 0, slot % 3, shift, len(rot) - 1 if slot >= 3 else None))
         self._steps = tuple(steps)
         self._rot_cols, self._trans_cols = np.array(rot, dtype=np.intp), tuple(trans)
-        marks = [(f, i, t) for (f, i, _), t in zip(marks, statics[len(factors) :])]
+        marks = [(f, i, t, k) for (f, i, _), t, k in zip(marks, statics[len(factors) :], shifts[len(factors) :])]
         self._marks, self._final_marks = tuple(marks[:-1]), (marks[-1],)
         self._local = threading.local()
 
@@ -414,7 +487,7 @@ class FkEngine:
         evaluation with intermediates, so that a float-only engine never
         pays for them."""
         col_factor = np.argsort([col for _, col, *_ in self._steps])
-        marked = np.array([f for f, _, _ in self._marks], dtype=np.intp)
+        marked = np.array([mark[0] for mark in self._marks], dtype=np.intp)
         return (col_factor <= marked[:, None, None]).astype(self.dtype)
 
     @property
@@ -493,7 +566,7 @@ class FkEngine:
         for rows in _blocks(b, _TANGENT_ROWS):
             ws = self._workspace(rows.stop - rows.start)
             self._pass(flat2d[rows], snapshots[rows], ((0, marks),), ws.derivatives[0])
-            self._tangent_block(ws, slice(None), snapshots[rows], seeds[rows], weights, tangent[rows])
+            self._tangent_block(ws, slice(rows.stop - rows.start), snapshots[rows], seeds[rows], weights, tangent[rows])
         tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
         return ad.DualArray(out, tangent)
 
@@ -505,7 +578,8 @@ class FkEngine:
     def _pass(self, flat2d, out, spans, axes=None):
         """The column pass (see the module docstring) on a (rows, m) theta
         block.  Each span (first, marks) starts a product at factor
-        ``first``; for each of its marks (f, i, pending^T) it puts the
+        ``first``, with G_first's GEMM; for each of its marks (f, i,
+        pending^T, the axis it alone translates along or None) it puts the
         product of factors first..f times the pending static into
         out[:, i], or the pending static alone where f < first.  Returns the
         last mark's (4, 3, rows) columns, a buffer of the thread's workspace
@@ -518,32 +592,33 @@ class FkEngine:
         Inputs that overflow make inf and NaN silently; the callers that
         refuse non-finite output check it."""
         ws = self._workspace(len(flat2d))
-        columns, flat, ops, (t1, t2) = ws.columns, ws.flat, ws.ops, ws.mixed
-        t, trig = ws.angles, ws.trig
+        columns, flat, grid, ops, seeds, (t1, t2) = ws.columns, ws.flat, ws.grid, ws.ops, ws.seeds, ws.mixed
+        cos, sin = ws.cos, ws.sin
         np.multiply(flat2d.T, ws.scale, out=ws.q)
-        if t is not ws.q:
-            np.take(ws.q, self._rot_cols, axis=0, out=t)
+        if ws.angles is not ws.q:
+            np.take(ws.q, self._rot_cols, axis=0, out=ws.angles)
         product = None
         with np.errstate(over="ignore", invalid="ignore"):
-            # t = tan(q/2), k = 2/(1 + t^2) in cos's first row, then sin = t k and cos = k - 1, each made in t (q
-            # itself where every column rotates, so no translation reads it) and copied to its three rows from there:
-            # numpy would first copy a source that overlaps the destination
-            k = trig[0, :, 0]
-            np.tan(t, out=t)
-            np.multiply(t, t, out=k)
-            k += 1.0
-            np.divide(2.0, k, out=k)
-            trig[1] = np.multiply(t, k, out=t)[:, None]
-            trig[0] = np.subtract(k, 1.0, out=t)[:, None]
+            # t = tan(q/2) in sin's row, k = 2/(1 + t^2) in cos's, then sin = t k and cos = k - 1, each copied from
+            # there to its three rows
+            np.tan(ws.angles, out=sin)
+            np.multiply(sin, sin, out=cos)
+            cos += 1.0
+            np.divide(2.0, cos, out=cos)
+            sin *= cos
+            cos -= 1.0
+            ws.trig[...] = ws.spread
             for first, marks in spans:
                 f, p = first, 0
-                for last, i, pending in marks:
+                for mark in marks:
+                    last, i, pending, shift = mark
                     for static, col, negative, *_ in self._steps[f : last + 1]:
-                        moved, origin, shift, mix = ops[f][p]
+                        moved, origin, step_shift, mix = ops[f][p]
                         if f == first:
-                            columns[p] = (_EYE if static is None else static)[:, :3, None]
-                        elif shift is not None:
-                            origin += np.multiply(*shift, out=t1)
+                            np.matmul(*(seeds.get(f) or ws.seed(f)), out=grid[p])
+                            mix = ()  # the seed holds the motion
+                        elif step_shift is not None:
+                            origin += np.multiply(*step_shift, out=t1)
                         elif static is not None:
                             np.matmul(static, flat[p], out=flat[1 - p])
                             p = 1 - p
@@ -554,7 +629,7 @@ class FkEngine:
                                 np.negative(moved[0], out=axes[0, :, col])
                         if len(mix) == 2:
                             origin += np.multiply(*mix, out=t1)
-                        else:
+                        elif mix:
                             # C_i, C_j <- c C_i + s C_j, c C_j - s C_i, every operand one contiguous (3, rows)
                             ci, cj, s, c = mix
                             np.multiply(s, cj, out=t1)
@@ -564,10 +639,16 @@ class FkEngine:
                             np.multiply(cj, c, out=cj)
                             np.subtract(cj, t2, out=cj)
                         f += 1
-                    snap = p if pending is None and last >= first else 1 - p
+                    snap = 1 - p
                     if last < first:
                         columns[snap] = (_EYE if pending is None else pending)[:, :3, None]
-                    elif pending is not None:
+                    elif pending is None:
+                        snap = p
+                    elif shift is not None and mark is marks[-1]:
+                        # the span's last product: nothing reads its columns again
+                        snap = p
+                        columns[p, 3] += np.multiply(columns[p, shift], pending[3, shift], out=t1)
+                    else:
                         np.matmul(pending, flat[p], out=flat[snap])
                     if out is not None:
                         ws.top[...] = ws.rows[snap]
@@ -585,7 +666,7 @@ class FkEngine:
         b = self.batch_size
         flat2d = _theta_rows(thetas, self.m, b, self.dtype)
         out = np.empty((b, 2, 4, 4), dtype=self.dtype)
-        spans = ((0, ((start - 1, 0, None),)), (stop, ((self.m - 1, 1, self._final_marks[0][2]),)))
+        spans = ((0, ((start - 1, 0, None, None),)), (stop, ((self.m - 1, 1) + self._final_marks[0][2:],)))
         for rows in _blocks(b, _BLOCK_ROWS):
             self._pass(flat2d[rows], out[rows], spans)
         # contiguous, as every identification step multiplies them
@@ -626,18 +707,20 @@ class FkEngine:
             t = self._pass(flat2d[rows], None, ((0, self._final_marks),), axes)
             if not np.isfinite(t).all():
                 raise ValueError("non-finite value in jacobian output")
-            (r00, r10, r20), p = t[0], t[3]
+            r20, p = t[0, 2], t[3]
             w, origin = axes
             # p_T - origin in the angular rows until the rates overwrite them
             _cross(w, np.subtract(p[:, None], origin, out=block[3:]), block[:3], prod)
             locked = ()
             if rates:
-                np.hypot(r00, r10, out=cb[1])
+                # c^2 = r00^2 + r10^2 (squares in coef, which the coefficients overwrite) and c = sqrt(c^2)
+                squares = np.multiply(t[0, :2], t[0, :2], out=coef[0])
+                np.add(squares[0], squares[1], out=cb[0])
+                np.sqrt(cb[0], out=cb[1])
                 if cb[1].min() <= transforms._GIMBAL_COS_TOL:
                     locked = np.flatnonzero(cb[1] <= transforms._GIMBAL_COS_TOL)
-                    cb[1, locked] = 1.0
+                    cb[:, locked] = 1.0
                 # per-row coefficients (r00, r10) / c^2 and / c, then one product and one sum or difference a rate
-                np.multiply(cb[1], cb[1], out=cb[0])
                 np.divide(t[0, :2], cb[:, None], out=coef)
                 terms = twists[:2]
                 np.add(*np.multiply(w[:2], coef[0, :, None], out=terms), out=block[3])
@@ -659,7 +742,7 @@ class FkEngine:
                 block[..., locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(2, 0, 1)
             if not np.isfinite(block).all():
                 raise ValueError("non-finite derivative in jacobian output")
-            jac[rows] = block.transpose(2, 0, 1)
+            jac[rows] = block[..., : rows.stop - rows.start].transpose(2, 0, 1)
         return jac
 
 

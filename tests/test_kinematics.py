@@ -464,15 +464,18 @@ def _assert_bits_equal(got, want):
 
 
 # Bound of forward against the stage pipeline, which rounds differently: the
-# column pass applies each static as one GEMM, or in place where it only
-# translates along one axis, and each motion as a two-column mix, the
-# pipeline multiplies 4x4 joint transforms.  Per transform, in units
-# of the dtype's eps times max(1, the largest entry of the reference
-# transform).  The largest seen (x86_64, OpenBLAS) over arm4, cam_arm,
-# mixed_chain and 200 random trees is 8.5 with libm cos and sin, and 8.7
-# (float32) with the pass's cos and sin from tan(q/2).  Applying single-axis
-# statics in place changed no value there (7.5 at b=64 on the same chains
-# and _SINGLE_AXIS).
+# column pass starts each span with one GEMM on (1, c, s) or (1, q), applies
+# each later static as one GEMM, or in place where it only translates along
+# one axis (as it does a span's trailing one), and each later motion as a
+# two-column mix, the pipeline multiplies 4x4 joint transforms.  Per
+# transform, in units of the dtype's eps times max(1, the largest entry of
+# the reference transform).  The largest seen (x86_64, OpenBLAS) over arm4,
+# cam_arm, mixed_chain and 200 random trees is 8.5 with libm cos and sin,
+# and 8.7 (float32) with the pass's cos and sin from tan(q/2).  Applying
+# single-axis statics in place changed no value there (7.5 at b=64 on the
+# same chains and _SINGLE_AXIS); starting spans with one GEMM reads 10.5
+# (float64) and 6.9 (float32) at b=64 over those chains and both cam_arm
+# substitutions, as the column pass before it did on the same draws.
 _STAGE_ULPS = 32
 
 
@@ -696,18 +699,21 @@ def test_trig_only_on_rotational_dofs(dual, mixed_chain, monkeypatch, rng):
 @pytest.mark.parametrize("want_intermediates", [False, True])
 @pytest.mark.parametrize("robot", ["arm4", "mixed"])
 def test_float_forward_matmul_count(robot, want_intermediates, arm4_chain, mixed_chain, monkeypatch, rng):
-    """A float forward block makes one (4, 4) @ (4, 3 rows) GEMM into a
-    kept buffer per static transform after the first factor that neither is
-    the identity nor only translates along one axis, and one per snapshot
-    whose static is pending; no per-row product."""
+    """A float forward block starts with one (12, 3) @ (3, rows) GEMM, its
+    first factor's seed, and makes one (4, 4) @ (4, 3 rows) GEMM into a
+    kept buffer per later static transform that neither is the identity nor
+    only translates along one axis, and one per snapshot whose static is
+    pending, but for a one-axis translation at the last snapshot; no
+    per-row product."""
     chain = arm4_chain if robot == "arm4" else mixed_chain
     # statics: none on arm4, whose j2-j4 origins translate along x alone and
     # are applied in place; mixed's j2, j3, j4 and j5 (the planar and
     # floating joints' later factors have S = I)
     statics = 0 if robot == "arm4" else 4
-    # pending: the fixed flange (arm4) or j6 (mixed) at its segment and at
-    # the finals, and on mixed the alignment inverses after j1, j2 and j4
-    pending = 4 if robot == "mixed" and want_intermediates else 1
+    # pending: none on arm4, whose fixed flange translates along x alone; on
+    # mixed, j6 at its segment and at the finals, and with intermediates the
+    # alignment inverses after j1, j2 and j4
+    pending = 0 if robot == "arm4" else 4 if want_intermediates else 1
     b = kinematics._BLOCK_ROWS + 44
     eng = FkEngine(chain, batch_size=b)
     thetas = rng.uniform(-1.0, 1.0, size=b * eng.m)
@@ -716,6 +722,7 @@ def test_float_forward_matmul_count(robot, want_intermediates, arm4_chain, mixed
     eng.forward(thetas, want_intermediates=want_intermediates)
     want = []
     for rows in (kinematics._BLOCK_ROWS, 44):
+        want += [("matmul", ((12, 3), (3, rows)), True)]
         want += [("matmul", ((4, 4), (4, 3 * rows)), True)] * (statics + pending)
     assert sorted(calls) == sorted(want)
 
@@ -726,9 +733,10 @@ def test_rotation_mix_operands_share_one_shape(call, arm4_chain, monkeypatch, rn
     the (3, rows) shape of the columns it mixes, and an in-place static's
     product the column and its scalar d, so that no broadcast operand sends
     numpy through its general iterator: on arm4, per block, four products,
-    a sum and a difference a rotation, and one product for each of j2-j4's
-    origins along x (their sums are in place), in every entry that runs the
-    pass."""
+    a sum and a difference for each of j2-j4 (j1's rotation is in the
+    span's first GEMM), and one product for each of j2-j4's origins and the
+    flange, all along x (their sums are in place), in every entry that runs
+    the pass."""
     b = 300
     eng = FkEngine(arm4_chain, batch_size=b)
     thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
@@ -744,8 +752,8 @@ def test_rotation_mix_operands_share_one_shape(call, arm4_chain, monkeypatch, rn
         _counting(monkeypatch, name, calls)
     run()
     both = ((3, b), (3, b))
-    want = [("multiply", both, True)] * 16 + [("add", both, True)] * 4 + [("subtract", both, True)] * 4
-    want += [("multiply", ((3, b), ()), True)] * 3
+    want = [("multiply", both, True)] * 12 + [("add", both, True)] * 3 + [("subtract", both, True)] * 3
+    want += [("multiply", ((3, b), ()), True)] * 4
     assert sorted(c for c in calls if (3, b) in c[1]) == sorted(want)
 
 
@@ -825,9 +833,12 @@ def test_engine_copies_build_their_own_workspaces(mixed_chain, rng):
 @pytest.mark.parametrize("robot", ["arm4", "mixed"])
 def test_forward_builds_no_derivative_buffers(robot, dtype, arm4_chain, mixed_chain):
     """A fresh engine's first forward of one block holds at most its (b, 4,
-    4) result and the workspace, 46 + m + 6 r items a row for r rotations
-    (7 r beside a translation; each rotation's cos and sin over three rows),
-    plus 256 KB for numpy's ufunc buffers and the workspace's views: the
+    4) result and the workspace, 47 + m + 9 r items a row for r rotations:
+    two sets of columns (24), the snapshot (16), (1, q) (m + 1), the mixes'
+    temporaries (6), each rotation's (1, c, s) (3 r) and cos and sin over
+    three rows (6 r, but for a rotating factor 0, which no pass mixes), and
+    the half angles apart from q beside a translation (r); plus 256 KB for
+    numpy's ufunc buffers, the seeds and the workspace's views: the
     derivative passes' 19 m + 6 items a row are built by the thread's first
     derivative pass, never by forward alone."""
     chain = arm4_chain if robot == "arm4" else mixed_chain
@@ -835,7 +846,10 @@ def test_forward_builds_no_derivative_buffers(robot, dtype, arm4_chain, mixed_ch
     eng = FkEngine(chain, batch_size=b, dtype=dtype)
     thetas = np.random.default_rng(b).uniform(-1.0, 1.0, size=(b, eng.m)).astype(dtype)
     rot = len(eng._rot_cols)
-    per_row = (16 + 46 + eng.m + (6 if rot == eng.m else 7) * rot) * np.dtype(dtype).itemsize
+    # factor 0 is theta column 0, a rotation when the first rotation's column is 0
+    mixed = rot - (rot > 0 and eng._rot_cols[0] == 0)
+    per_row = 16 + 47 + eng.m + 3 * rot + 6 * mixed + (rot if rot < eng.m else 0)
+    per_row *= np.dtype(dtype).itemsize
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -959,7 +973,9 @@ def _gimbal_locked(chain, theta):
 # differently, so the difference grows as 1/cos(beta)^2 towards gimbal lock.
 # Gimbal-locked rows run the oracle's extraction and take cos(beta) as 1.
 # The largest seen (x86_64, OpenBLAS) over arm4, both cam_arm substitutions,
-# mixed_chain and 200 random trees at b = 1 and 513 in both dtypes is 4.9.
+# mixed_chain and 200 random trees at b = 1 and 513 in both dtypes is 4.9;
+# with cos(beta) as sqrt(r00^2 + r10^2) in place of hypot, 5.5 on other
+# draws, where hypot read 5.7.
 # The same unit, without the cos(beta) factor, bounds geometric_jacobian
 # against the DualArray forward's tangents (largest seen 5.5).
 _JACOBIAN_ULPS = 32
@@ -1047,10 +1063,10 @@ def test_geometric_jacobian_matches_central_differences(robot, arm4_chain, mixed
 
 # Joint origins that translate along one axis alone, which the pass applies
 # in place: -x (j2), +y (j3), -z (j5), +z (the fixed mount and j6, folded
-# into one static), -y (j8) and +x (j9); j1's +z is the first factor's and
-# fills the columns.  j4 and j10 have rpy, j4 and j7 translate along two
-# axes, and the flange is pending at the finals: these keep their GEMM.  j2
-# and j6 turn about negative axes, j3 and j10 translate.
+# into one static), -y (j8), +x (j9) and +x (the flange, pending at the
+# last snapshot); j1's +z is the first factor's, in the span's first GEMM.
+# j4 and j10 have rpy and j4 and j7 translate along two axes: these keep
+# their GEMM.  j2 and j6 turn about negative axes, j3 and j10 translate.
 _SINGLE_AXIS = """<robot name="single_axis">
   <link name="base"/><link name="l1"/><link name="l2"/><link name="l3"/><link name="l4"/><link name="l5"/>
   <link name="l6"/><link name="l7"/><link name="l8"/><link name="l9"/><link name="l10"/><link name="l11"/>
@@ -1104,8 +1120,9 @@ def test_single_axis_statics_match_oracles(single_axis_chain, monkeypatch):
         with monkeypatch.context() as patch:
             _counting(patch, "matmul", calls)
             finals = eng.forward(thetas)
-        # the GEMMs of j4's, j7's and j10's statics and the flange's pending
-        assert calls == [("matmul", ((4, 4), (4, 3 * b)), True)] * 4
+        # j1's seed and the GEMMs of j4's, j7's and j10's statics; the flange's
+        # pending translates along x alone and is applied in place
+        assert calls == [("matmul", ((12, 3), (3, b)), True)] + [("matmul", ((4, 4), (4, 3 * b)), True)] * 3
         inters = eng.forward(thetas, want_intermediates=True)
         _assert_within_stage_ulps(inters, _stage_pipeline(eng, thetas))
         _assert_bits_equal(finals, inters[:, -1])
@@ -1128,6 +1145,122 @@ def test_single_axis_statics_match_oracles(single_axis_chain, monkeypatch):
             d[3:] = (d[3:] + np.pi) % (2 * np.pi) - np.pi
             fd = d / (2 * h)
             assert (np.abs(jac[k, :, j] - fd) < 1e-5 * np.maximum(np.abs(fd), 1.0) + 1e-8).all()
+
+
+def _central_jacobians(single, theta, h=1e-6):
+    """Central differences of a configuration's final transform on a b=1
+    engine: geometric_jacobian's oracle (the final position, and
+    vee((R(theta + h) - R(theta - h)) R^T)) and pose_jacobian's (the pose,
+    angles wrapped), each (6, m) over 2h."""
+    rot = single.forward(theta)[0, :3, :3]
+    geo, pose = np.empty((2, 6, len(theta)))
+    for j in range(len(theta)):
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        tu, td = single.forward(up)[0], single.forward(dn)[0]
+        geo[:, j] = np.concatenate([tu[:3, 3] - td[:3, 3], _vee((tu[:3, :3] - td[:3, :3]) @ rot.T)])
+        poses, _ = transforms.pose_batch_from_transforms(np.stack([tu, td]))
+        pose[:, j] = poses[0] - poses[1]
+        pose[3:, j] = (pose[3:, j] + np.pi) % (2 * np.pi) - np.pi
+    return geo / (2 * h), pose / (2 * h)
+
+
+# Chains whose first factor, which starts every span of forward with one
+# GEMM, sits under a turned origin: a rotation about -y (theta scale -1), a
+# prismatic joint, a planar joint (two translations) or a floating joint (six
+# factors, so that _products_around spans start on translations and
+# rotations with S = I); then a revolute joint under a turned origin, a
+# prismatic one under a one-axis origin, and a trailing fixed joint that
+# translates along one axis (applied in place) or also turns (a GEMM).
+_SEEDED = """<robot name="seeded">
+  <link name="base"/><link name="l1"/><link name="l2"/><link name="l3"/><link name="tool"/>
+  <joint name="j1" type="{first}"><parent link="base"/><child link="l1"/>
+    <origin xyz="0.1 -0.2 0.3" rpy="0.4 0.1 -0.3"/>{axis}</joint>
+  <joint name="j2" type="revolute"><parent link="l1"/><child link="l2"/>
+    <origin xyz="0.3 0.1 0" rpy="0 0.2 0.5"/><axis xyz="1 0 0"/><limit lower="-2" upper="2"/></joint>
+  <joint name="j3" type="prismatic"><parent link="l2"/><child link="l3"/>
+    <origin xyz="0 0 0.2"/><axis xyz="0 1 0"/><limit lower="-0.5" upper="0.5"/></joint>
+  <joint name="flange" type="fixed"><parent link="l3"/><child link="tool"/>
+    <origin xyz="{flange}"/></joint>
+</robot>"""
+_SEEDED_FIRST = {
+    "negative_axis": ("revolute", '<axis xyz="0 -1 0"/><limit lower="-3" upper="3"/>'),
+    "prismatic": ("prismatic", '<axis xyz="0 0 1"/><limit lower="-0.5" upper="0.5"/>'),
+    "planar": ("planar", '<axis xyz="0.48 0.6 0.64"/>'),
+    "floating": ("floating", ""),
+}
+
+
+@pytest.mark.parametrize("trailing", ["one_axis", "turned"])
+@pytest.mark.parametrize("first", ["mixed", *_SEEDED_FIRST])
+def test_seeded_spans_match_oracles(first, trailing, mixed_chain):
+    """Spans that start with their first factor's GEMM: forward within
+    _STAGE_ULPS of the stage pipeline in both dtypes, its finals bitwise its
+    last intermediate, the DualArray primal bitwise the float forward and
+    its tangents within _TANGENT_ULPS, _products_around around every
+    factor (a tail span starts there) within _STAGE_ULPS of the finals, and
+    both Jacobians against their DualArray oracles and central differences.
+    mixed_chain's first factor turns about an arbitrary axis under a turned
+    origin; its trailing j6 turns, or is followed by a one-axis fixed joint."""
+    if first == "mixed":
+        chain = mixed_chain
+        if trailing == "one_axis":
+            joint = urdf.Joint("tip", urdf.JointType.FIXED, chain.end_link, "tip", (0.0, 0.0, -0.3), (0.0, 0.0, 0.0))
+            chain = urdf.KinematicChain(chain.base_link, "tip", chain.segments + ((urdf.Link("tip"), joint),))
+    else:
+        joint_type, axis = _SEEDED_FIRST[first]
+        flange = "0.15 0 0" if trailing == "one_axis" else "0.15 0.05 0"
+        text = _SEEDED.format(first=joint_type, axis=axis, flange=flange)
+        if trailing == "turned":
+            text = text.replace(f'<origin xyz="{flange}"/>', f'<origin xyz="{flange}" rpy="0.2 0 0"/>')
+        chain = urdf.extract_chain(urdf.parse_urdf(text), "base", "tool")
+    b, rng = 40, np.random.default_rng(23)
+    for dtype in (np.float64, np.float32):
+        eng = FkEngine(chain, batch_size=b, dtype=dtype)
+        thetas = treegen.sample_thetas(chain, b, rng).astype(dtype)
+        inters = eng.forward(thetas, want_intermediates=True)
+        _assert_within_stage_ulps(inters, _stage_pipeline(eng, thetas))
+        finals = eng.forward(thetas)
+        _assert_bits_equal(finals, inters[:, -1])
+        for start in range(1, chain.m + 1):
+            head, tail = eng._products_around(thetas, start, start)
+            _assert_within_stage_ulps(head @ tail, finals)
+        _check_closed_form_jacobians(chain, b, dtype, rng)
+    _check_twist_tangents(chain, 3, rng)
+
+    thetas = treegen.sample_thetas(chain, 3, rng)
+    eng, single = FkEngine(chain, batch_size=3), FkEngine(chain, batch_size=1)
+    geo, pose = kinematics.geometric_jacobian(eng, thetas), kinematics.pose_jacobian(eng, thetas)
+    for k in range(3):
+        for got, fd in zip((geo[k], pose[k]), _central_jacobians(single, thetas[k])):
+            assert (np.abs(got - fd) < 1e-5 * np.maximum(np.abs(fd), 1.0) + 1e-8).all()
+
+
+def test_random_tree_rows_independent_of_blocks(monkeypatch):
+    """On each of 200 random trees, in both dtypes, rows of a 300-row batch
+    run in 128-row blocks (128, 128, 44) are bitwise those rows evaluated
+    alone, one-row blocks: forward finals and intermediates, and both
+    Jacobians.  A one-row span's first GEMM is a matrix-vector product."""
+    monkeypatch.setattr(kinematics, "_BLOCK_ROWS", 128)
+    b, picks = 300, (0, 127, 128, 299)
+    for seed in range(200):
+        _, model, leaf = treegen.random_tree(seed)
+        chain = urdf.extract_chain(model, model.root_link, leaf)
+        thetas = treegen.sample_thetas(chain, b, np.random.default_rng(seed + 82))
+        for dtype in (np.float64, np.float32):
+            rows = thetas.astype(dtype)
+
+            def run(eng, rows):
+                out = [eng.forward(rows), eng.forward(rows, want_intermediates=True)]
+                if chain.m:
+                    out += [kinematics.geometric_jacobian(eng, rows), kinematics.pose_jacobian(eng, rows)]
+                return out
+
+            batch, one = run(FkEngine(chain, b, dtype), rows), FkEngine(chain, 1, dtype)
+            for k in picks:
+                for got, want in zip((out[k] for out in batch), run(one, rows[k : k + 1]), strict=True):
+                    _assert_bits_equal(got, want[0])
 
 
 # Counts the minor page faults of 20 calls on arm4, on an engine of the last
