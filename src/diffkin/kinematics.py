@@ -40,7 +40,12 @@ copied as matrix rows into a (4, 4, rows) block in the result's transposed
 layout, whose bottom row is (0, 0, 0, 1), then into the result by one 2-D
 transposed copy, (rows, 16) <- (16, rows)^T.  The buffers are the calling
 thread's workspace (see FkEngine); every entry is written before it is
-read, so no result depends on them or on the block a row runs in.
+read, so no result depends on them or on the block a row runs in.  Each
+kind of pass is compiled once per workspace, on its first use, into the
+straight-line list of numpy calls that this walk over the factors makes,
+every operand and output a view made then (FkEngine._compile); a block
+scales its thetas into the workspace and replays the list, so that a call
+pays no per-factor branching or view making.
 
 The reference pipeline is the scatter/map/scan form of the same chain: a
 flat theta batch (b*m,) is scattered through the index matrix P into the
@@ -280,10 +285,9 @@ def _blocks(b, rows):
 
 class _Workspace:
     """One thread's buffers for FkEngine._pass on blocks of ``rows`` rows
-    (see the FkEngine docstring), with every factor's operands as views of
-    them, so that the pass indexes nothing per factor, the theta columns'
-    scales with the half of every rotation's tan(q/2) folded in, and the
-    span-starting G_f of every factor that has started one (seed)."""
+    (see the FkEngine docstring), the theta columns' scales with the half of
+    every rotation's tan(q/2) folded in, and the programs compiled on them,
+    one per kind of pass (FkEngine._compile)."""
 
     def __init__(self, engine, rows):
         dt, m, rot, steps = engine.dtype, engine.m, len(engine._rot_cols), engine._steps
@@ -298,9 +302,9 @@ class _Workspace:
         self.rows, self.top = self.columns.transpose(0, 2, 1, 3), snapshot[:3]
         self.staged = snapshot.reshape(16, rows).T[:out_rows]
         # (1, q): a ones row over the theta columns, so that a translation's (1, q) is one strided view
-        ones_q = np.empty((m + 1, rows), dtype=dt)
-        ones_q[0] = 1.0
-        self.q = q = ones_q[1:]
+        self.ones_q = np.empty((m + 1, rows), dtype=dt)
+        self.ones_q[0] = 1.0
+        self.q = q = self.ones_q[1:]
         self.mixed = np.empty((2, 3, rows), dtype=dt)  # the mixes' two temporaries
         # each theta column's scale, halved for a rotation: q holds half angles and full displacements
         self.scale = engine._scale_per_dof[:, None].copy()
@@ -308,48 +312,15 @@ class _Workspace:
         self.angles = q if rot == m else np.empty((rot, rows), dtype=dt)
         # the ones, cos and sin rows of every rotation, each contiguous, so that rotation k's (1, c, s) is ucs[:, k];
         # and the cos and sin, each repeated over a column's three rows, of every rotation that a pass mixes: all but
-        # factor 0's, which every pass seeds
+        # factor 0's (the first ``skip``), which every pass seeds
         self.ucs = ucs = np.empty((3, rot, rows), dtype=dt)
         ucs[0] = 1.0
         self.cos, self.sin = ucs[1], ucs[2]
-        skip = int(bool(steps) and steps[0][5] is not None)
-        self.trig = np.empty((2, rot - skip, 3, rows), dtype=dt)
-        self.spread = ucs[1:, skip:, None]  # the trig's source, (2, rot - skip, 1, rows)
+        self.skip = int(bool(steps) and steps[0][5] is not None)
+        self.trig = np.empty((2, rot - self.skip, 3, rows), dtype=dt)
+        self.spread = ucs[1:, self.skip :, None]  # the trig's source, (2, rot - skip, 1, rows)
         self.spare = np.empty(0, dtype=dt)  # FkEngine._tangent_block's products, regrown when a block needs more
-        self.steps, self.ones_q, self.seeds = steps, ones_q, {}
-        # every view that an operand is, made once: each set's columns and (axis, origin) pairs, each cos and sin
-        c, trig = self.columns, self.trig
-        columns = [[c[p, 0], c[p, 1], c[p, 2], c[p, 3]] for p in (0, 1)]
-        moved = [[c[p, 0:4:3], c[p, 1:4:2], c[p, 2:4]] for p in (0, 1)]
-        cos3, sin3 = [trig[0, k] for k in range(rot - skip)], [trig[1, k] for k in range(rot - skip)]
-
-        def operands(static, col, _, a, shift, k):
-            """Factor operands in each set of columns c: the axis and origin columns as one (2, 3, rows) view, the
-            origin column, an in-place static's (C_k, d) or None, and the motion's: a rotation's (C_i, C_j, sin, cos)
-            (None for a factor 0, which no pass mixes), a translation's (C_a, q)."""
-            i, j = _PAIRS[a]
-            d, qa = None if shift is None else static[3, shift], q[col] if k is None else None
-            return tuple(
-                (
-                    pairs[a],
-                    c[3],
-                    None if d is None else (c[shift], d),
-                    (c[a], qa) if k is None else (c[i], c[j], sin3[k - skip], cos3[k - skip]) if k >= skip else None,
-                )
-                for c, pairs in zip(columns, moved)
-            )
-
-        self.ops = tuple(operands(*step) for step in steps)
-
-    def seed(self, f):
-        """Factor f's span-starting operands, (G_f, (1, q)) or (G_f, (1, c, s)) (see _seed_maps), built on the first
-        span that starts there."""
-        static, col, _, a, _, k = self.steps[f]
-        kind = a if k is None else 3 + a
-        entries = (_EYE if static is None else static).ravel()[_SEED_TAKE[kind]]
-        g = np.multiply(entries, _SEED_SIGN[kind], dtype=self.q.dtype)
-        operands = (g[:, :2], self.ones_q[0 : col + 2 : col + 1]) if k is None else (g, self.ucs[:, k])
-        return self.seeds.setdefault(f, operands)
+        self.programs = {}
 
     @functools.cached_property
     def derivatives(self):
@@ -361,11 +332,24 @@ class _Workspace:
         return block[:6].reshape(2, 3, m, rows), block[6:12], block[12], block[13:], rates[0], rates[1:]
 
 
+def _replay(ops):
+    """Make the numpy calls ``ops``, (function, positional arguments) each, in order."""
+    for fn, args in ops:
+        fn(*args)
+
+
 def _cross(a, b, out, prod):
-    """out = a x b along the first axis of (3, ...) arrays, one component at a time, ``prod`` a component's size."""
+    """The calls that make out = a x b along the first axis of (3, ...) arrays, one component at a time, ``prod`` a
+    component's size."""
+    ops = []
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[j], b[k], out=out[i])
-        out[i] -= np.multiply(a[k], b[j], out=prod)
+        ops += [(np.multiply, (a[j], b[k], out[i])), (np.multiply, (a[k], b[j], prod)), (out[i].__isub__, (prod,))]
+    return ops
+
+
+def _translate(c, k, d, t):
+    """The calls that add d C_k to the origin column C_3 of columns ``c``, the product in ``t``."""
+    return [(np.multiply, (c[k], d, t)), (c[3].__iadd__, (t,))]
 
 
 class FkEngine:
@@ -381,11 +365,15 @@ class FkEngine:
     a time: each span of it starts with one GEMM, G_f on the block's
     (1, c, s) or (1, q), and adds a trailing one-axis translation in place.
     The pass runs on the calling thread's workspace (_Workspace), built on
-    the thread's first block of that size (not in __init__), G_f on its
-    first span that starts at f, its derivative buffers on the first
-    derivative pass, and kept in a threading.local, so that a call
-    allocates no block's buffers but the DualArray tangents' products and
-    threads can share an engine.  A pickled or copied engine is built again.
+    the thread's first block of that size (not in __init__), its derivative
+    buffers on the first derivative pass, and kept in a threading.local, so
+    that a call allocates no block's buffers but the DualArray tangents'
+    products and threads can share an engine.  Each kind of pass is compiled
+    once per workspace, on its first block (_compile), into a program of
+    numpy calls on views of the workspace, which every later block of that
+    kind replays (_pass).  A program holds no reference to the engine or the
+    workspace, so a dropped engine is freed at once.  A pickled or copied
+    engine is built again.
 
     scatter_thetas, combine_link_joint, index_matrix and link_transforms,
     with the module's joint_transforms and scan_compose, are the reference
@@ -550,22 +538,22 @@ class FkEngine:
         flat2d = _theta_rows(ad.primal_of(thetas), m, b, self.dtype)
         if want_intermediates:
             out = np.empty((b, self.n, 4, 4), dtype=self.dtype)
-            snapshots, marks = out, self._marks
+            snapshots, where = out, "intermediates"
         else:
             out = np.empty((b, 4, 4), dtype=self.dtype)
-            snapshots, marks = out[:, None], self._final_marks
+            snapshots, where = out[:, None], "finals"
         if not isinstance(thetas, ad.DualArray):
             for rows in _blocks(b, _BLOCK_ROWS):
-                self._pass(flat2d[rows], snapshots[rows], ((0, marks),))
+                self._pass(flat2d[rows], snapshots[rows], (where, None))
             return out
         k = thetas.width
         # (b, 1, k, m): each row's input tangents, one matrix row per tangent
         seeds = thetas.tangent.astype(self.dtype, copy=False).reshape(k, b, m).transpose(1, 0, 2)[:, None]
-        tangent = np.empty((b, len(marks), k, 4, 4), dtype=self.dtype)
+        tangent = np.empty((b, snapshots.shape[1], k, 4, 4), dtype=self.dtype)
         weights = self._twist_weights if want_intermediates else 1.0
         for rows in _blocks(b, _TANGENT_ROWS):
             ws = self._workspace(rows.stop - rows.start)
-            self._pass(flat2d[rows], snapshots[rows], ((0, marks),), ws.derivatives[0])
+            self._pass(flat2d[rows], snapshots[rows], (where, "tangents"))
             self._tangent_block(ws, slice(rows.stop - rows.start), snapshots[rows], seeds[rows], weights, tangent[rows])
         tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
         return ad.DualArray(out, tangent)
@@ -575,86 +563,136 @@ class FkEngine:
         spaces = self._local.__dict__
         return spaces.get(rows) or spaces.setdefault(rows, _Workspace(self, rows))
 
-    def _pass(self, flat2d, out, spans, axes=None):
-        """The column pass (see the module docstring) on a (rows, m) theta
-        block.  Each span (first, marks) starts a product at factor
-        ``first``, with G_first's GEMM; for each of its marks (f, i,
-        pending^T, the axis it alone translates along or None) it puts the
-        product of factors first..f times the pending static into
-        out[:, i], or the pending static alone where f < first.  Returns the
-        last mark's (4, 3, rows) columns, a buffer of the thread's workspace
-        that its next pass overwrites; ``out`` may then be None.  With
-        ``axes`` (2, 3, m, rows) of the workspace's derivatives, the pass
-        writes each factor's axis column, times its theta scale, and its
-        origin column, both read before its mix, into axes[:, :, c] of its
-        theta column c.
+    def _pass(self, flat2d, out, kind):
+        """The column pass (see the module docstring) of ``kind`` (see
+        _compile) on a (rows, m) theta block: scales the block into the
+        workspace's q, then replays the kind's program there, copying each
+        staged snapshot into out[:, i] after its segment.  Returns the
+        program.
 
         Inputs that overflow make inf and NaN silently; the callers that
         refuse non-finite output check it."""
         ws = self._workspace(len(flat2d))
-        columns, flat, grid, ops, seeds, (t1, t2) = ws.columns, ws.flat, ws.grid, ws.ops, ws.seeds, ws.mixed
-        cos, sin = ws.cos, ws.sin
+        program = ws.programs.get(kind) or self._compile(ws, kind)
         np.multiply(flat2d.T, ws.scale, out=ws.q)
-        if ws.angles is not ws.q:
-            np.take(ws.q, self._rot_cols, axis=0, out=ws.angles)
-        product = None
         with np.errstate(over="ignore", invalid="ignore"):
-            # t = tan(q/2) in sin's row, k = 2/(1 + t^2) in cos's, then sin = t k and cos = k - 1, each copied from
-            # there to its three rows
-            np.tan(ws.angles, out=sin)
-            np.multiply(sin, sin, out=cos)
-            cos += 1.0
-            np.divide(2.0, cos, out=cos)
-            sin *= cos
-            cos -= 1.0
-            ws.trig[...] = ws.spread
-            for first, marks in spans:
-                f, p = first, 0
-                for mark in marks:
-                    last, i, pending, shift = mark
-                    for static, col, negative, *_ in self._steps[f : last + 1]:
-                        moved, origin, step_shift, mix = ops[f][p]
-                        if f == first:
-                            np.matmul(*(seeds.get(f) or ws.seed(f)), out=grid[p])
-                            mix = ()  # the seed holds the motion
-                        elif step_shift is not None:
-                            origin += np.multiply(*step_shift, out=t1)
-                        elif static is not None:
-                            np.matmul(static, flat[p], out=flat[1 - p])
-                            p = 1 - p
-                            moved, origin, _, mix = ops[f][p]
-                        if axes is not None:
-                            axes[:, :, col] = moved
-                            if negative:
-                                np.negative(moved[0], out=axes[0, :, col])
-                        if len(mix) == 2:
-                            origin += np.multiply(*mix, out=t1)
-                        elif mix:
-                            # C_i, C_j <- c C_i + s C_j, c C_j - s C_i, every operand one contiguous (3, rows)
-                            ci, cj, s, c = mix
-                            np.multiply(s, cj, out=t1)
-                            np.multiply(s, ci, out=t2)
-                            np.multiply(ci, c, out=ci)
-                            np.add(ci, t1, out=ci)
-                            np.multiply(cj, c, out=cj)
-                            np.subtract(cj, t2, out=cj)
-                        f += 1
-                    snap = 1 - p
-                    if last < first:
-                        columns[snap] = (_EYE if pending is None else pending)[:, :3, None]
-                    elif pending is None:
-                        snap = p
-                    elif shift is not None and mark is marks[-1]:
-                        # the span's last product: nothing reads its columns again
-                        snap = p
-                        columns[p, 3] += np.multiply(columns[p, shift], pending[3, shift], out=t1)
-                    else:
-                        np.matmul(pending, flat[p], out=flat[snap])
-                    if out is not None:
-                        ws.top[...] = ws.rows[snap]
-                        out[:, i].reshape(-1, 16)[...] = ws.staged
-                    product = columns[snap]
-        return product
+            for ops, i in program[0]:
+                _replay(ops)
+                if i is not None:
+                    out[:, i].reshape(-1, 16)[...] = ws.staged
+        return program
+
+    def _compile(self, ws, kind):
+        """The program of one kind of pass on ``ws``, kept there: the numpy calls of the pass, as (function,
+        positional arguments) on views of ws's buffers and the engine's constants, and nothing that refers to the
+        engine or the workspace.  ``kind`` is (where, mode): ``where`` "finals", "intermediates" or (start, stop),
+        the spans; ``mode`` None for values, "tangents" for the DualArray pass, "geometric" or "pose" for the
+        Jacobians.  Each span (first, marks) starts a product at factor ``first``, with G_first's GEMM; for each of
+        its marks (f, i, pending^T, the axis it alone translates along or None) it stages the product of factors
+        first..f times the pending static, or the pending static alone where f < first, as out[:, i] (not in a
+        Jacobian).  A mode but None writes each factor's axis column, times its theta scale, and its origin column,
+        both read before its mix, into the derivatives' axes[:, :, c] of its theta column c.
+
+        Returns (segments, the last mark's (4, 3, rows) columns, and a Jacobian's tail or None): segments (calls,
+        i), each to be followed by the copy of the staged snapshot to out[:, i] unless i is None; a tail is the
+        Jacobian's calls up to its gimbal-lock test and those after it (see _jacobian), and the block's result
+        view (rows, 6, m)."""
+        where, mode = kind
+        if where == "finals":
+            spans = ((0, self._final_marks),)
+        elif where == "intermediates":
+            spans = ((0, self._marks),)
+        else:
+            start, stop = where
+            spans = ((0, ((start - 1, 0, None, None),)), (stop, ((self.m - 1, 1) + self._final_marks[0][2:],)))
+        axes, jacobian = None if mode is None else ws.derivatives[0], mode in ("geometric", "pose")
+        columns, flat, grid, q, (t1, t2), trig, cos, sin = (
+            ws.columns, ws.flat, ws.grid, ws.q, ws.mixed, ws.trig, ws.cos, ws.sin
+        )
+        ops = [] if ws.angles is q else [(np.take, (q, self._rot_cols, 0, ws.angles))]
+        # t = tan(q/2) in sin's row, k = 2/(1 + t^2) in cos's, then sin = t k and cos = k - 1, each copied from there
+        # to its three rows
+        ops += [(np.tan, (ws.angles, sin)), (np.multiply, (sin, sin, cos)), (cos.__iadd__, (1.0,))]
+        ops += [(np.divide, (2.0, cos, cos)), (sin.__imul__, (cos,)), (cos.__isub__, (1.0,))]
+        ops += [(trig.__setitem__, (Ellipsis, ws.spread))]
+        segments, product = [], None
+        for first, marks in spans:
+            f, p = first, 0
+            for mark in marks:
+                last, i, pending, shift = mark
+                for static, col, negative, a, step_shift, k in self._steps[f : last + 1]:
+                    c = columns[p]
+                    if f == first:
+                        # G_f (12 x 3 or 12 x 2, see _seed_maps) on (1, c, s) or (1, q): the seed holds the motion
+                        slot, entries = a if k is None else 3 + a, (_EYE if static is None else static).ravel()
+                        g = np.multiply(entries[_SEED_TAKE[slot]], _SEED_SIGN[slot], dtype=q.dtype)
+                        x = (g[:, :2], ws.ones_q[0 : col + 2 : col + 1]) if k is None else (g, ws.ucs[:, k])
+                        ops.append((np.matmul, (*x, grid[p])))
+                    elif step_shift is not None:
+                        ops += _translate(c, step_shift, static[3, step_shift], t1)
+                    elif static is not None:
+                        ops.append((np.matmul, (static, flat[p], flat[1 - p])))
+                        p = 1 - p
+                        c = columns[p]
+                    if axes is not None:
+                        # the axis and origin columns (C_a, C_3) as one view
+                        ops.append((axes[:, :, col].__setitem__, (Ellipsis, c[a : 4 : 3 - a])))
+                        if negative:
+                            ops.append((np.negative, (c[a], axes[0, :, col])))
+                    if f != first and k is None:
+                        ops += _translate(c, a, q[col], t1)
+                    elif f != first:
+                        # C_i, C_j <- c C_i + s C_j, c C_j - s C_i, every operand one contiguous (3, rows)
+                        ci, cj = (c[e] for e in _PAIRS[a])
+                        cs, s = trig[:, k - ws.skip]
+                        ops += [(np.multiply, (s, cj, t1)), (np.multiply, (s, ci, t2)), (np.multiply, (ci, cs, ci))]
+                        ops += [(np.add, (ci, t1, ci)), (np.multiply, (cj, cs, cj)), (np.subtract, (cj, t2, cj))]
+                    f += 1
+                snap = 1 - p
+                if last < first:
+                    static = _EYE if pending is None else pending
+                    ops.append((columns[snap].__setitem__, (Ellipsis, static[:, :3, None])))
+                elif pending is None:
+                    snap = p
+                elif shift is not None and mark is marks[-1]:
+                    # the span's last product: nothing reads its columns again
+                    snap = p
+                    ops += _translate(columns[p], shift, pending[3, shift], t1)
+                else:
+                    ops.append((np.matmul, (pending, flat[p], flat[snap])))
+                if not jacobian:
+                    ops.append((ws.top.__setitem__, (Ellipsis, ws.rows[snap])))
+                    segments.append((tuple(ops), i))
+                    ops = []
+                product = columns[snap]
+        tail = None
+        if jacobian:
+            segments.append((tuple(ops), None))
+            tail = self._compile_tail(ws, product, mode == "pose")
+        return ws.programs.setdefault(kind, (tuple(segments), product, tail))
+
+    def _compile_tail(self, ws, t, rates):
+        """A Jacobian's calls after its pass, whose final columns are ``t``, up to its gimbal-lock test and after it
+        (see _jacobian), and the view of its block as (rows, 6, m)."""
+        (w, origin), twists, prod, block, cb, coef = ws.derivatives
+        r20, p = t[0, 2], t[3]
+        # p_T - origin in the angular rows until the rates overwrite them
+        head = [(np.subtract, (p[:, None], origin, block[3:]))] + _cross(w, block[3:], block[:3], prod)
+        if rates:
+            # c^2 = r00^2 + r10^2 (squares in coef, which the coefficients overwrite) and c = sqrt(c^2)
+            head += [(np.multiply, (t[0, :2], t[0, :2], coef[0])), (np.add, (coef[0, 0], coef[0, 1], cb[0]))]
+            head += [(np.sqrt, (cb[0], cb[1]))]
+            # per-row coefficients (r00, r10) / c^2 and / c, then one product and one sum or difference a rate
+            terms = twists[:2]
+            rest = [(np.divide, (t[0, :2], cb[:, None], coef)), (np.multiply, (w[:2], coef[0, :, None], terms))]
+            rest += [(np.add, (terms[0], terms[1], block[3])), (np.multiply, (w[1::-1], coef[1, :, None], terms))]
+            rest += [(np.subtract, (terms[0], terms[1], block[4])), (np.multiply, (r20, block[3], prod))]
+            rest += [(np.subtract, (w[2], prod, block[5]))]
+        else:
+            rest = [(block[3:].__setitem__, (Ellipsis, w))]
+        for c in self._trans_cols:
+            rest += [(block[:3, c].__setitem__, (Ellipsis, w[:, c])), (block[3:, c].__setitem__, (Ellipsis, 0.0))]
+        return tuple(head), tuple(rest), block[..., : len(ws.staged)].transpose(2, 0, 1)
 
     def _products_around(self, thetas, start, stop):
         """(head, tail), (b, 4, 4) each, of a theta batch: the product of
@@ -666,9 +704,8 @@ class FkEngine:
         b = self.batch_size
         flat2d = _theta_rows(thetas, self.m, b, self.dtype)
         out = np.empty((b, 2, 4, 4), dtype=self.dtype)
-        spans = ((0, ((start - 1, 0, None, None),)), (stop, ((self.m - 1, 1) + self._final_marks[0][2:],)))
         for rows in _blocks(b, _BLOCK_ROWS):
-            self._pass(flat2d[rows], out[rows], spans)
+            self._pass(flat2d[rows], out[rows], ((start, stop), None))
         # contiguous, as every identification step multiplies them
         return out[:, 0].copy(), out[:, 1].copy()
 
@@ -682,7 +719,7 @@ class FkEngine:
         axes, twists, prod = ws.derivatives[:3]
         w, origin = axes
         twists[:3] = w
-        _cross(origin, w, twists[3:], prod)
+        _replay(_cross(origin, w, twists[3:], prod))
         for c in self._trans_cols:
             twists[3:, c], twists[:3, c] = w[:, c], 0.0
         rows, snaps, k = out.shape[:3]
@@ -697,39 +734,24 @@ class FkEngine:
 
     def _jacobian(self, thetas, rates):
         """(b, 6, m) Jacobians of the final transforms (see the module docstring): geometric_jacobian's, or
-        with ``rates`` pose_jacobian's, every product on (m, rows) buffers of the workspace's derivatives."""
+        with ``rates`` pose_jacobian's, every product on (m, rows) buffers of the workspace's derivatives.  The
+        pass and the data-independent calls of the tail are the kind's program; the finiteness checks, the
+        gimbal-lock test and its fallback run between its parts."""
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(thetas, m, b, self.dtype)
         jac = np.empty((b, 6, m), dtype=self.dtype)
         for rows in _blocks(b, _BLOCK_ROWS):
             ws = self._workspace(rows.stop - rows.start)
-            axes, twists, prod, block, cb, coef = ws.derivatives
-            t = self._pass(flat2d[rows], None, ((0, self._final_marks),), axes)
+            _, t, (head, rest, result) = self._pass(flat2d[rows], None, ("finals", "pose" if rates else "geometric"))
             if not np.isfinite(t).all():
                 raise ValueError("non-finite value in jacobian output")
-            r20, p = t[0, 2], t[3]
-            w, origin = axes
-            # p_T - origin in the angular rows until the rates overwrite them
-            _cross(w, np.subtract(p[:, None], origin, out=block[3:]), block[:3], prod)
+            _replay(head)
+            block, cb = ws.derivatives[3:5]
             locked = ()
-            if rates:
-                # c^2 = r00^2 + r10^2 (squares in coef, which the coefficients overwrite) and c = sqrt(c^2)
-                squares = np.multiply(t[0, :2], t[0, :2], out=coef[0])
-                np.add(squares[0], squares[1], out=cb[0])
-                np.sqrt(cb[0], out=cb[1])
-                if cb[1].min() <= transforms._GIMBAL_COS_TOL:
-                    locked = np.flatnonzero(cb[1] <= transforms._GIMBAL_COS_TOL)
-                    cb[:, locked] = 1.0
-                # per-row coefficients (r00, r10) / c^2 and / c, then one product and one sum or difference a rate
-                np.divide(t[0, :2], cb[:, None], out=coef)
-                terms = twists[:2]
-                np.add(*np.multiply(w[:2], coef[0, :, None], out=terms), out=block[3])
-                np.subtract(*np.multiply(w[1::-1], coef[1, :, None], out=terms), out=block[4])
-                np.subtract(w[2], np.multiply(r20, block[3], out=prod), out=block[5])
-            else:
-                block[3:] = w
-            for c in self._trans_cols:
-                block[:3, c], block[3:, c] = w[:, c], 0.0
+            if rates and cb[1].min() <= transforms._GIMBAL_COS_TOL:
+                locked = np.flatnonzero(cb[1] <= transforms._GIMBAL_COS_TOL)
+                cb[:, locked] = 1.0
+            _replay(rest)
             if len(locked):
                 # the rate map is singular: these rows take the pose extraction's
                 # derivatives, on a DualArray of their tangents
@@ -742,7 +764,7 @@ class FkEngine:
                 block[..., locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(2, 0, 1)
             if not np.isfinite(block).all():
                 raise ValueError("non-finite derivative in jacobian output")
-            jac[rows] = block[..., : rows.stop - rows.start].transpose(2, 0, 1)
+            jac[rows] = result
         return jac
 
 

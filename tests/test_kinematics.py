@@ -1,5 +1,6 @@
 import compileall
 import copy
+import gc
 import os
 import pickle
 import shutil
@@ -8,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from diffkin import autodiff as ad
 from diffkin import identify, kinematics, metrics, naive, transforms, urdf
 from diffkin.kinematics import FkEngine, ShapeError
 
+import reference_pass
 import treegen
 
 
@@ -665,12 +668,15 @@ def test_random_tree_twist_tangents_match_stage_pipeline(seed):
 
 
 def _counting(monkeypatch, name, calls):
-    """Replace np.<name> by a wrapper that records each call's argument
-    shapes and whether it passed ``out``."""
+    """Replace the ufunc np.<name> by a wrapper that records each call's
+    input shapes and whether it passed ``out``, as a keyword or as a
+    positional argument after the inputs.  The engine's programs take the
+    function when they are compiled, on an engine's first pass of a kind."""
     original = getattr(np, name)
 
     def wrapped(*args, **kwargs):
-        calls.append((name, tuple(np.shape(arg) for arg in args), kwargs.get("out") is not None))
+        out = kwargs.get("out") is not None or len(args) > original.nin
+        calls.append((name, tuple(np.shape(arg) for arg in args[: original.nin]), out))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np, name, wrapped)
@@ -1261,6 +1267,157 @@ def test_random_tree_rows_independent_of_blocks(monkeypatch):
             for k in picks:
                 for got, want in zip((out[k] for out in batch), run(one, rows[k : k + 1]), strict=True):
                     _assert_bits_equal(got, want[0])
+
+
+# The engine's programs (FkEngine._compile) and the reference walk they replay
+# (tests/reference_pass.py), as the same three calls.
+_REPLAY = types.SimpleNamespace(
+    forward=lambda eng, thetas, inter: eng.forward(thetas, want_intermediates=inter),
+    jacobian=lambda eng, thetas, rates: eng._jacobian(thetas, rates),
+    products_around=lambda eng, thetas, start, stop: eng._products_around(thetas, start, stop),
+)
+
+
+def _every_output(walk, eng, thetas, tangent):
+    """Every output of ``eng`` on ``thetas`` by ``walk`` (_REPLAY or
+    reference_pass): forward finals and intermediates, the DualArray primal
+    and tangents of both with input tangents ``tangent``, both Jacobians (a
+    ValueError's message where one raises), and _products_around from the
+    first, a middle and the last factor, with the factors before the last
+    in the middle or none."""
+    out = []
+    for inter in (False, True):
+        out.append(walk.forward(eng, thetas, inter))
+        dual = walk.forward(eng, ad.DualArray(thetas, tangent), inter)
+        out += [dual.primal, dual.tangent]
+    for rates in (False, True):
+        try:
+            out.append(walk.jacobian(eng, thetas, rates))
+        except ValueError as error:
+            out.append(str(error))
+    for start in sorted({1, (eng.m + 1) // 2, eng.m}) if eng.m else ():
+        for stop in sorted({start, eng.m}):
+            out += walk.products_around(eng, thetas, start, stop)
+    return out
+
+
+def _assert_outputs_equal(got, want):
+    """_every_output's lists equal, arrays bitwise (compared as bytes first, which is quicker)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, str) or isinstance(g, str):
+            assert g == w
+        elif g.dtype != w.dtype or g.shape != w.shape or g.tobytes() != w.tobytes():
+            _assert_bits_equal(g, w)
+
+
+# arm4_locked's configuration at gimbal lock (see _oracle_chains)
+_LOCKED = np.array([0.3, 1.0, -0.4, 0.2])
+
+
+def _oracle_chains(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain):
+    """The named chains of the program tests: arm4 and arm4 with a tip at
+    pitch pi/2 in configuration _LOCKED (gimbal lock), cam_arm and both its
+    substitutions, mixed_chain, single_axis, and the all-fixed and empty
+    chains."""
+    cam = urdf.extract_chain(cam_arm, "base", "camera")
+    return {
+        "arm4": arm4_chain,
+        "arm4_locked": _gimbal_locked(arm4_chain, _LOCKED),
+        "cam_arm": cam,
+        "cam_arm_camera": identify.ParamEstimator(cam_arm, "camera", "base", "camera", 1).chain,
+        "cam_arm_link2": identify.ParamEstimator(cam_arm, "link2", "base", "camera", 1).chain,
+        "mixed": mixed_chain,
+        "single_axis": single_axis_chain,
+        "all_fixed": urdf.extract_chain(urdf.parse_urdf(_FIXED_ONLY), "a", "c"),
+        "empty": urdf.extract_chain(mixed, "l2", "l2"),
+    }
+
+
+def _oracle_thetas(name, chain, b, dtype, seed):
+    """b configurations of chain ``name`` and two input tangents; on
+    arm4_locked every 7th configuration is _LOCKED."""
+    rng = np.random.default_rng(seed)
+    thetas = treegen.sample_thetas(chain, b, rng).reshape(b, chain.m)
+    if name == "arm4_locked":
+        thetas[::7] = _LOCKED
+    return thetas.astype(dtype), rng.normal(size=(2, b, chain.m)).astype(dtype)
+
+
+def test_programs_match_reference_walk(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain, monkeypatch):
+    """Every output of the compiled programs is bitwise the reference
+    walk's (tests/reference_pass.py), the interpreter they replaced: forward
+    finals and intermediates, the DualArray primal and tangents, both
+    Jacobians and _products_around, on the named chains (_oracle_chains) and
+    200 random trees, in both dtypes, at b = 1, 2 and 300 in 128-row
+    blocks."""
+    monkeypatch.setattr(kinematics, "_BLOCK_ROWS", 128)
+    monkeypatch.setattr(kinematics, "_TANGENT_ROWS", 128)
+    chains = _oracle_chains(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain)
+    for seed in range(200):
+        _, model, leaf = treegen.random_tree(seed)
+        chains[f"tree{seed}"] = urdf.extract_chain(model, model.root_link, leaf)
+    for k, (name, chain) in enumerate(chains.items()):
+        for dtype in (np.float64, np.float32):
+            for b in (1, 2, 300):
+                thetas, tangent = _oracle_thetas(name, chain, b, dtype, k)
+                eng = FkEngine(chain, b, dtype)
+                want = _every_output(reference_pass, eng, thetas, tangent)
+                _assert_outputs_equal(_every_output(_REPLAY, eng, thetas, tangent), want)
+
+
+def test_programs_keep_no_state_between_calls(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain):
+    """On one engine and one thread, every evaluation kind interleaved over
+    two batches, one with a gimbal-locked row and one that overflows (the
+    Jacobians raise on it), gives each result bitwise as a fresh engine
+    does."""
+    b, raised = 9, set()
+    for name, chain in _oracle_chains(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain).items():
+        for dtype in (np.float64, np.float32):
+            locked, tangent = _oracle_thetas(name, chain, b, dtype, 5)
+            huge = np.full_like(locked, np.finfo(dtype).max)
+            eng = FkEngine(chain, b, dtype)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for thetas in (locked, huge, locked, huge):
+                    got = _every_output(_REPLAY, eng, thetas, tangent)
+                    _assert_outputs_equal(got, _every_output(_REPLAY, FkEngine(chain, b, dtype), thetas, tangent))
+                    raised.update((name, out) for out in got if isinstance(out, str))
+            finals = eng.forward(locked)
+            assert (np.hypot(finals[::7, 0, 0], finals[::7, 1, 0]) <= transforms._GIMBAL_COS_TOL).all() == (
+                name == "arm4_locked"
+            )
+    assert ("mixed", "non-finite value in jacobian output") in raised
+
+
+def test_programs_hold_no_reference_to_the_engine(arm4_chain, mixed_chain):
+    """An engine and its workspaces are freed as soon as the engine is
+    deleted, with the cyclic collector off, after each evaluation kind in
+    both dtypes: the compiled programs hold views of the workspace's
+    buffers and constants, never the engine, the workspace or a bound
+    method of either."""
+    b = 3
+    kinds = (
+        lambda eng, th: eng.forward(th),
+        lambda eng, th: eng.forward(th, want_intermediates=True),
+        lambda eng, th: eng.forward(ad.seed_array(th), want_intermediates=True),
+        lambda eng, th: kinematics.geometric_jacobian(eng, th),
+        lambda eng, th: kinematics.pose_jacobian(eng, th),
+        lambda eng, th: eng._products_around(th, 2, 3),
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for chain in (arm4_chain, mixed_chain):
+            for dtype in (np.float64, np.float32):
+                for run in kinds:
+                    eng = FkEngine(chain, b, dtype)
+                    run(eng, np.full((b, chain.m), 0.25, dtype=dtype))
+                    engine, buffer = weakref.ref(eng), weakref.ref(eng._local.__dict__[b].columns)
+                    del eng
+                    assert engine() is None and buffer() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # Counts the minor page faults of 20 calls on arm4, on an engine of the last
