@@ -36,16 +36,18 @@ c = 2/(1 + t^2) - 1, s = t 2/(1 + t^2), within 2 eps of cos and sin
 libm, about 5x slower an angle).  Snapshots (intermediates at each
 segment's last factor, finals after the chain) are the columns times the
 static pending there, one more GEMM unless it is I or applied in place,
-copied as matrix rows into a (4, 4, rows) block in the result's transposed
-layout, whose bottom row is (0, 0, 0, 1), then into the result by one 2-D
-transposed copy, (rows, 16) <- (16, rows)^T.  The buffers are the calling
-thread's workspace (see FkEngine); every entry is written before it is
-read, so no result depends on them or on the block a row runs in.  Each
-kind of pass is compiled once per workspace, on its first use, into the
-straight-line list of numpy calls that this walk over the factors makes,
-every operand and output a view made then (FkEngine._compile); a block
-scales its thetas into the workspace and replays the list, so that a call
-pays no per-factor branching or view making.
+copied as matrix rows straight into the result, which keeps the batch axis
+last in memory as the columns do: a (S, 4, 4, b) array for S snapshots,
+whose bottom rows (0, 0, 0, 1) are filled once a call, returned as its
+(b, S, 4, 4) view, so that no snapshot is staged or transposed.  The
+buffers are the calling thread's workspace (see FkEngine); every entry is
+written before it is read, so no result depends on them or on the block a
+row runs in.  Each kind of pass is compiled once per workspace, on its
+first use, into the straight-line list of numpy calls that this walk over
+the factors makes, every operand and output a view made then
+(FkEngine._compile); a block scales its thetas into the workspace and
+replays the list, so that a call pays no per-factor branching or view
+making.
 
 The reference pipeline is the scatter/map/scan form of the same chain: a
 flat theta batch (b*m,) is scattered through the index matrix P into the
@@ -168,9 +170,9 @@ _AXIS_TOL = 1e-9
 #  4096            531k 726k 720k     |      826k 1317k 1226k |                   155k 324k |     178k 615k
 #  8192            551k 772k 707k     |      802k 1327k 1446k |                   149k 340k |     180k 610k
 # A batch in one block at every size reads alike within the host's noise (up to 10%); 8192 rows read -2% (float64)
-# to +18% (float32) at b=8192 only, for twice the workspace.  The workspace, kept per thread, takes 376 + 8 m + 72 r
+# to +18% (float32) at b=8192 only, for twice the workspace.  The workspace, kept per thread, takes 248 + 8 m + 72 r
 # bytes a row in float64 for r rotations (80 r beside a translation; each rotation's (1, c, s), and its cos and sin
-# over three rows, 48 fewer where factor 0 rotates, as no pass mixes it; 648 on arm4, 2.7 MB at 4096 rows; a one-row
+# over three rows, 48 fewer where factor 0 rotates, as no pass mixes it; 520 on arm4, 2.1 MB at 4096 rows; a one-row
 # block takes two), and 48 + 152 m more from the thread's first derivative pass (656 on arm4), so no call maps a
 # block's buffers afresh.  The DualArray tangents' products, kept as well, take (m + 22) S k items a row for S
 # snapshots of k tangents, which the caller sets: in 4096-row blocks a b=4096 arm4 forward took 0.83-0.94x the time,
@@ -254,6 +256,7 @@ _FACTOR_ORDER = (0, 1, 2, 5, 4, 3)
 # The columns (C_i, C_j) that a rotation about x, y, z mixes.
 _PAIRS = ((1, 2), (2, 0), (0, 1))
 _EYE, _UNTURNED = np.eye(4), transforms.sixdof_batch_to_transforms(np.zeros(6))
+_BOTTOM = _EYE[3, :, None]  # a result's bottom row, over its batch axis
 # A twist (w, v) as its 4x4 matrix [[w]x | v; 0 0 0 0], flattened row-major.
 _TWIST_MATRIX = np.zeros((6, 16))
 _TWIST_MATRIX[[2, 1, 2, 0, 1, 0], [1, 2, 4, 6, 8, 9]] = [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
@@ -294,13 +297,11 @@ class _Workspace:
         # a one-row block runs its row twice: a span's first GEMM on one row would be a matrix-vector product, which
         # OpenBLAS rounds differently from a matrix product, so that a row's result would depend on its block
         out_rows, rows = rows, max(rows, 2)
-        self.columns, snapshot = np.empty((2, 4, 3, rows), dtype=dt), np.zeros((4, 4, rows), dtype=dt)
-        snapshot[3, 3] = 1.0
-        # views: the GEMM operands (4, 3 rows) and results (12, rows), the columns as matrix rows, the snapshot's top
-        # and its block's transposed rows
+        self.columns = np.empty((2, 4, 3, rows), dtype=dt)
+        # views: the GEMM operands (4, 3 rows) and results (12, rows), and the columns as a snapshot's matrix rows
+        # (3, 4) over the block's rows
         self.flat, self.grid = self.columns.reshape(2, 4, -1), self.columns.reshape(2, 12, rows)
-        self.rows, self.top = self.columns.transpose(0, 2, 1, 3), snapshot[:3]
-        self.staged = snapshot.reshape(16, rows).T[:out_rows]
+        self.snapshots = self.columns.transpose(0, 2, 1, 3)[..., :out_rows]
         # (1, q): a ones row over the theta columns, so that a translation's (1, q) is one strided view
         self.ones_q = np.empty((m + 1, rows), dtype=dt)
         self.ones_q[0] = 1.0
@@ -364,6 +365,10 @@ class FkEngine:
     and _products_around) runs the column pass _pass, one block of rows at
     a time: each span of it starts with one GEMM, G_f on the block's
     (1, c, s) or (1, q), and adds a trailing one-axis translation in place.
+    Results keep the batch axis last, as the pass's buffers do: forward
+    copies each snapshot's columns straight into an (S, 4, 4, b) array, the
+    Jacobians each block into a (6, m, b) array, and both return its view
+    with the batch axis first.
     The pass runs on the calling thread's workspace (_Workspace), built on
     the thread's first block of that size (not in __init__), its derivative
     buffers on the first derivative pass, and kept in a threading.local, so
@@ -518,7 +523,10 @@ class FkEngine:
         """Evaluate the compiled factors for a theta batch (see the module docstring).
 
         Returns the (b, 4, 4) final transforms, or all cumulative
-        (b, n, 4, 4) transforms with ``want_intermediates``.  A DualArray
+        (b, n, 4, 4) transforms with ``want_intermediates``, as a view of
+        an array with the batch axis last in memory (its stride is the
+        itemsize); np.ascontiguousarray gives them in C order, at the cost
+        of the transposed copy that forward does not make.  A DualArray
         batch with k tangents returns a DualArray whose primal is bitwise
         equal to the float result and whose k tangents come from the twists
         the pass reads off (see the module docstring).  Object-dtype input
@@ -536,15 +544,13 @@ class FkEngine:
         twists and turns them into tangents (_tangent_block)."""
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(ad.primal_of(thetas), m, b, self.dtype)
-        if want_intermediates:
-            out = np.empty((b, self.n, 4, 4), dtype=self.dtype)
-            snapshots, where = out, "intermediates"
-        else:
-            out = np.empty((b, 4, 4), dtype=self.dtype)
-            snapshots, where = out[:, None], "finals"
+        where = "intermediates" if want_intermediates else "finals"
+        res = self._result(self.n if want_intermediates else 1)
+        snapshots = res.transpose(3, 0, 1, 2)
+        out = snapshots if want_intermediates else snapshots[:, 0]
         if not isinstance(thetas, ad.DualArray):
             for rows in _blocks(b, _BLOCK_ROWS):
-                self._pass(flat2d[rows], snapshots[rows], (where, None))
+                self._pass(flat2d[rows], res[..., rows], (where, None))
             return out
         k = thetas.width
         # (b, 1, k, m): each row's input tangents, one matrix row per tangent
@@ -553,10 +559,16 @@ class FkEngine:
         weights = self._twist_weights if want_intermediates else 1.0
         for rows in _blocks(b, _TANGENT_ROWS):
             ws = self._workspace(rows.stop - rows.start)
-            self._pass(flat2d[rows], snapshots[rows], (where, "tangents"))
+            self._pass(flat2d[rows], res[..., rows], (where, "tangents"))
             self._tangent_block(ws, slice(rows.stop - rows.start), snapshots[rows], seeds[rows], weights, tangent[rows])
         tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
         return ad.DualArray(out, tangent)
+
+    def _result(self, count):
+        """A (count, 4, 4, b) result for _pass, its bottom rows (0, 0, 0, 1)."""
+        res = np.empty((count, 4, 4, self.batch_size), dtype=self.dtype)
+        res[:, 3] = _BOTTOM
+        return res
 
     def _workspace(self, rows):
         """The calling thread's _Workspace for blocks of ``rows`` rows, built on its first such block."""
@@ -567,8 +579,8 @@ class FkEngine:
         """The column pass (see the module docstring) of ``kind`` (see
         _compile) on a (rows, m) theta block: scales the block into the
         workspace's q, then replays the kind's program there, copying each
-        staged snapshot into out[:, i] after its segment.  Returns the
-        program.
+        snapshot's matrix rows into out[i, :3] of the (S, 4, 4, rows) block
+        of the result after its segment.  Returns the program.
 
         Inputs that overflow make inf and NaN silently; the callers that
         refuse non-finite output check it."""
@@ -576,10 +588,10 @@ class FkEngine:
         program = ws.programs.get(kind) or self._compile(ws, kind)
         np.multiply(flat2d.T, ws.scale, out=ws.q)
         with np.errstate(over="ignore", invalid="ignore"):
-            for ops, i in program[0]:
+            for ops, i, snapshot in program[0]:
                 _replay(ops)
                 if i is not None:
-                    out[:, i].reshape(-1, 16)[...] = ws.staged
+                    out[i, :3] = snapshot
         return program
 
     def _compile(self, ws, kind):
@@ -588,15 +600,15 @@ class FkEngine:
         engine or the workspace.  ``kind`` is (where, mode): ``where`` "finals", "intermediates" or (start, stop),
         the spans; ``mode`` None for values, "tangents" for the DualArray pass, "geometric" or "pose" for the
         Jacobians.  Each span (first, marks) starts a product at factor ``first``, with G_first's GEMM; for each of
-        its marks (f, i, pending^T, the axis it alone translates along or None) it stages the product of factors
-        first..f times the pending static, or the pending static alone where f < first, as out[:, i] (not in a
-        Jacobian).  A mode but None writes each factor's axis column, times its theta scale, and its origin column,
-        both read before its mix, into the derivatives' axes[:, :, c] of its theta column c.
+        its marks (f, i, pending^T, the axis it alone translates along or None) it ends a segment at the columns of
+        the product of factors first..f times the pending static, or of the pending static alone where f < first,
+        snapshot i (not in a Jacobian).  A mode but None writes each factor's axis column, times its theta scale,
+        and its origin column, both read before its mix, into the derivatives' axes[:, :, c] of its theta column c.
 
         Returns (segments, the last mark's (4, 3, rows) columns, and a Jacobian's tail or None): segments (calls,
-        i), each to be followed by the copy of the staged snapshot to out[:, i] unless i is None; a tail is the
-        Jacobian's calls up to its gimbal-lock test and those after it (see _jacobian), and the block's result
-        view (rows, 6, m)."""
+        i, snapshot), each to be followed by the copy of the snapshot's (3, 4, rows) matrix rows to out[i, :3]
+        unless i is None; a tail is the Jacobian's calls up to its gimbal-lock test and those after it (see
+        _jacobian), and the block's result view (6, m, rows)."""
         where, mode = kind
         if where == "finals":
             spans = ((0, self._final_marks),)
@@ -661,19 +673,18 @@ class FkEngine:
                 else:
                     ops.append((np.matmul, (pending, flat[p], flat[snap])))
                 if not jacobian:
-                    ops.append((ws.top.__setitem__, (Ellipsis, ws.rows[snap])))
-                    segments.append((tuple(ops), i))
+                    segments.append((tuple(ops), i, ws.snapshots[snap]))
                     ops = []
                 product = columns[snap]
         tail = None
         if jacobian:
-            segments.append((tuple(ops), None))
+            segments.append((tuple(ops), None, None))
             tail = self._compile_tail(ws, product, mode == "pose")
         return ws.programs.setdefault(kind, (tuple(segments), product, tail))
 
     def _compile_tail(self, ws, t, rates):
         """A Jacobian's calls after its pass, whose final columns are ``t``, up to its gimbal-lock test and after it
-        (see _jacobian), and the view of its block as (rows, 6, m)."""
+        (see _jacobian), and its block's (6, m, rows) result."""
         (w, origin), twists, prod, block, cb, coef = ws.derivatives
         r20, p = t[0, 2], t[3]
         # p_T - origin in the angular rows until the rates overwrite them
@@ -692,22 +703,24 @@ class FkEngine:
             rest = [(block[3:].__setitem__, (Ellipsis, w))]
         for c in self._trans_cols:
             rest += [(block[:3, c].__setitem__, (Ellipsis, w[:, c])), (block[3:, c].__setitem__, (Ellipsis, 0.0))]
-        return tuple(head), tuple(rest), block[..., : len(ws.staged)].transpose(2, 0, 1)
+        return tuple(head), tuple(rest), block[..., : ws.snapshots.shape[-1]]
 
     def _products_around(self, thetas, start, stop):
         """(head, tail), (b, 4, 4) each, of a theta batch: the product of
         factors 0..start-1 and that of factors stop..F-1 times the trailing
         static, so the final transform is head @ (factors start..stop-1) @
-        tail.  ``start`` is at least 1; an empty tail product is the
-        identity.  One pass per block makes both, and the head rounds as
-        forward's prefix products do."""
-        b = self.batch_size
-        flat2d = _theta_rows(thetas, self.m, b, self.dtype)
-        out = np.empty((b, 2, 4, 4), dtype=self.dtype)
-        for rows in _blocks(b, _BLOCK_ROWS):
-            self._pass(flat2d[rows], out[rows], ((start, stop), None))
-        # contiguous, as every identification step multiplies them
-        return out[:, 0].copy(), out[:, 1].copy()
+        tail, for 1 <= start <= stop <= F (a ValueError otherwise); an empty
+        tail product is the identity.  One pass per block makes both, and
+        the head rounds as forward's prefix products do."""
+        if not 1 <= start <= stop <= self.m:
+            raise ValueError(f"expected 1 <= start <= stop <= {self.m}, got start {start} and stop {stop}")
+        flat2d = _theta_rows(thetas, self.m, self.batch_size, self.dtype)
+        res = self._result(2)
+        for rows in _blocks(self.batch_size, _BLOCK_ROWS):
+            self._pass(flat2d[rows], res[..., rows], ((start, stop), None))
+        # C-contiguous copies, as every identification step multiplies them
+        head, tail = res.transpose(0, 3, 1, 2)
+        return head.copy(), tail.copy()
 
     def _tangent_block(self, ws, picked, frames, seeds, weights, out):
         """Tangents ``out`` (r, S, k, 4, 4) of the snapshots ``frames`` (r, S, 4, 4) of the rows ``picked`` of the
@@ -734,12 +747,13 @@ class FkEngine:
 
     def _jacobian(self, thetas, rates):
         """(b, 6, m) Jacobians of the final transforms (see the module docstring): geometric_jacobian's, or
-        with ``rates`` pose_jacobian's, every product on (m, rows) buffers of the workspace's derivatives.  The
+        with ``rates`` pose_jacobian's, every product on (m, rows) buffers of the workspace's derivatives, each
+        block copied as it is into a (6, m, b) result, of which this is a view.  The
         pass and the data-independent calls of the tail are the kind's program; the finiteness checks, the
         gimbal-lock test and its fallback run between its parts."""
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(thetas, m, b, self.dtype)
-        jac = np.empty((b, 6, m), dtype=self.dtype)
+        jac = np.empty((6, m, b), dtype=self.dtype)
         for rows in _blocks(b, _BLOCK_ROWS):
             ws = self._workspace(rows.stop - rows.start)
             _, t, (head, rest, result) = self._pass(flat2d[rows], None, ("finals", "pose" if rates else "geometric"))
@@ -764,8 +778,8 @@ class FkEngine:
                 block[..., locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(2, 0, 1)
             if not np.isfinite(block).all():
                 raise ValueError("non-finite derivative in jacobian output")
-            jac[rows] = result
-        return jac
+            jac[..., rows] = result
+        return jac.transpose(2, 0, 1)
 
 
 # -- module-level stages and derivatives ------------------------------------
@@ -797,7 +811,9 @@ def geometric_jacobian(engine: FkEngine, thetas):
     are w_c x p_T + v_c, the velocity of the final frame's origin, and rows
     3-5 are w_c, its angular velocity, so the Jacobian is defined at every
     configuration.  Columns follow the chain's theta layout; the Jacobian
-    has the engine's dtype.
+    has the engine's dtype.  It is a view of a (6, m, b) array, the batch
+    axis last in memory; np.ascontiguousarray gives it in C order, at the
+    cost of a transposed copy that the Jacobian does not make.
     """
     return engine._jacobian(thetas, rates=False)
 
@@ -809,7 +825,10 @@ def pose_jacobian(engine: FkEngine, thetas):
     the chain's theta layout.  Rows 0-2 are geometric_jacobian's; rows 3-5
     are its angular rows through the RPY rate map of the final rotation,
     and rows at gimbal lock take the pose extraction's derivatives (see the
-    module docstring).  The Jacobian has the engine's dtype.
+    module docstring).  The Jacobian has the engine's dtype.  It is a view
+    of a (6, m, b) array, the batch axis last in memory; np.ascontiguousarray
+    gives it in C order, at the cost of a transposed copy that the Jacobian
+    does not make.
     """
     return engine._jacobian(thetas, rates=True)
 

@@ -8,7 +8,12 @@ operand views afresh, on a workspace of its own.  It makes the same numpy
 calls on the same operands in the same order, so every result of the
 engine must be bitwise equal to this module's: forward finals and
 intermediates, the DualArray primal and tangents, both Jacobians and
-_products_around.
+_products_around.  Its results are C-contiguous, written as the engine
+wrote them before it kept the batch axis last: each snapshot staged as
+matrix rows in a (4, 4, rows) block whose bottom row is (0, 0, 0, 1), then
+copied into the result by a 2-D transposed copy, (rows, 16) <- (16, rows)^T,
+and each Jacobian block by a transposed copy; the engine's results equal
+them in C order (np.ascontiguousarray, or tobytes).
 """
 
 import weakref
@@ -39,9 +44,9 @@ def walk(engine, ws, flat2d, out, spans, axes=None):
     """The column pass on a (rows, m) theta block, walked: each span (first,
     marks) starts a product at factor ``first``; each mark (f, i, pending^T,
     shift) puts the product of factors first..f times the pending static
-    into out[:, i] (unless ``out`` is None).  Returns the last mark's
-    columns.  With ``axes``, writes every factor's scaled axis and origin
-    columns there."""
+    into out[:, i] through ws.staged (unless ``out`` is None).  Returns
+    the last mark's columns.  With ``axes``, writes every factor's scaled
+    axis and origin columns there."""
     columns, flat, grid, (t1, t2) = ws.columns, ws.flat, ws.grid, ws.mixed
     cos, sin = ws.cos, ws.sin
     skip = int(bool(engine._steps) and engine._steps[0][5] is not None)
@@ -101,8 +106,8 @@ def walk(engine, ws, flat2d, out, spans, axes=None):
                 else:
                     np.matmul(pending, flat[p], out=flat[snap])
                 if out is not None:
-                    ws.top[...] = ws.rows[snap]
-                    out[:, i].reshape(-1, 16)[...] = ws.staged
+                    ws.staged[:3] = columns[snap].transpose(1, 0, 2)
+                    out[:, i].reshape(-1, 16)[...] = ws.staged.reshape(16, -1).T[: len(out)]
                 product = columns[snap]
     return product
 
@@ -112,8 +117,14 @@ _SPACES = weakref.WeakKeyDictionary()
 
 
 def _workspace(engine, rows):
+    """A _Workspace for blocks of ``rows`` rows with, as ws.staged, the
+    walk's snapshot: (4, 4, rows), its bottom row (0, 0, 0, 1)."""
     spaces = _SPACES.setdefault(engine, {})
-    return spaces.get(rows) or spaces.setdefault(rows, kinematics._Workspace(engine, rows))
+    if rows not in spaces:
+        ws = spaces[rows] = kinematics._Workspace(engine, rows)
+        ws.staged = np.zeros((4, 4, ws.columns.shape[-1]), dtype=engine.dtype)
+        ws.staged[3, 3] = 1.0
+    return spaces[rows]
 
 
 def forward(engine, thetas, want_intermediates=False):

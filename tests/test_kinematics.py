@@ -461,9 +461,9 @@ def _stage_pipeline(eng, thetas):
 
 
 def _assert_bits_equal(got, want):
-    """Bitwise equality, signed zeros included."""
+    """Bitwise equality, signed zeros included, whatever either's memory order."""
     assert got.dtype == want.dtype and got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+    np.testing.assert_array_equal(*(np.ascontiguousarray(a).view(np.uint8) for a in (got, want)))
 
 
 # Bound of forward against the stage pipeline, which rounds differently: the
@@ -838,11 +838,11 @@ def test_engine_copies_build_their_own_workspaces(mixed_chain, rng):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("robot", ["arm4", "mixed"])
 def test_forward_builds_no_derivative_buffers(robot, dtype, arm4_chain, mixed_chain):
-    """A fresh engine's first forward of one block holds at most its (b, 4,
-    4) result and the workspace, 47 + m + 9 r items a row for r rotations:
-    two sets of columns (24), the snapshot (16), (1, q) (m + 1), the mixes'
-    temporaries (6), each rotation's (1, c, s) (3 r) and cos and sin over
-    three rows (6 r, but for a rotating factor 0, which no pass mixes), and
+    """A fresh engine's first forward of one block holds at most its (4, 4,
+    b) result and the workspace, 31 + m + 9 r items a row for r rotations:
+    two sets of columns (24), (1, q) (m + 1), the mixes' temporaries (6),
+    each rotation's (1, c, s) (3 r) and cos and sin over three rows (6 r,
+    but for a rotating factor 0, which no pass mixes), and
     the half angles apart from q beside a translation (r); plus 256 KB for
     numpy's ufunc buffers, the seeds and the workspace's views: the
     derivative passes' 19 m + 6 items a row are built by the thread's first
@@ -854,7 +854,7 @@ def test_forward_builds_no_derivative_buffers(robot, dtype, arm4_chain, mixed_ch
     rot = len(eng._rot_cols)
     # factor 0 is theta column 0, a rotation when the first rotation's column is 0
     mixed = rot - (rot > 0 and eng._rot_cols[0] == 0)
-    per_row = 16 + 47 + eng.m + 3 * rot + 6 * mixed + (rot if rot < eng.m else 0)
+    per_row = 16 + 31 + eng.m + 3 * rot + 6 * mixed + (rot if rot < eng.m else 0)
     per_row *= np.dtype(dtype).itemsize
     tracemalloc.start()
     try:
@@ -1418,6 +1418,58 @@ def test_programs_hold_no_reference_to_the_engine(arm4_chain, mixed_chain):
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_results_keep_the_batch_axis_last(arm4_chain, dtype, monkeypatch):
+    """forward's finals and intermediates, the DualArray primal and both
+    Jacobians are views whose batch axis is last in memory (its stride the
+    itemsize), and in C order (np.ascontiguousarray) they are bitwise the
+    reference walk's C-contiguous results; _products_around's are
+    C-contiguous copies, bitwise the walk's.  On arm4 with a gimbal-locked
+    tip (every 7th row locked), at b = 1, 2 and 300 in 128-row blocks and at
+    _BLOCK_ROWS + 44 in two blocks."""
+    chain = _gimbal_locked(arm4_chain, _LOCKED)
+    for b in (1, 2, 300, kinematics._BLOCK_ROWS + 44):
+        with monkeypatch.context() as patch:
+            if b <= 300:
+                patch.setattr(kinematics, "_BLOCK_ROWS", 128)
+            thetas, tangent = _oracle_thetas("arm4_locked", chain, b, dtype, b)
+            dual = ad.DualArray(thetas, tangent)
+            eng = FkEngine(chain, b, dtype)
+            finals = eng.forward(thetas)
+            assert (np.hypot(finals[::7, 0, 0], finals[::7, 1, 0]) <= transforms._GIMBAL_COS_TOL).all()
+            got = [finals, eng.forward(thetas, want_intermediates=True), eng.forward(dual).primal]
+            got += [eng.forward(dual, want_intermediates=True).primal]
+            got += [kinematics.geometric_jacobian(eng, thetas), kinematics.pose_jacobian(eng, thetas)]
+            want = [reference_pass.forward(eng, thetas), reference_pass.forward(eng, thetas, True)]
+            want += [reference_pass.forward(eng, dual).primal, reference_pass.forward(eng, dual, True).primal]
+            want += [reference_pass.jacobian(eng, thetas, False), reference_pass.jacobian(eng, thetas, True)]
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape and g.dtype == w.dtype == dtype and w.flags.c_contiguous
+                assert g.strides[0] == g.itemsize
+                assert np.ascontiguousarray(g).tobytes() == w.tobytes()
+            for g, w in zip(eng._products_around(thetas, 2, 3), reference_pass.products_around(eng, thetas, 2, 3)):
+                assert g.flags.c_contiguous and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_products_around_checks_its_range(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain):
+    """_products_around needs 1 <= start <= stop <= m and raises a
+    ValueError otherwise, so that the empty and the all-fixed chains (m = 0)
+    refuse every range: a head span with no factor to start its GEMM would
+    return the result's uninitialised memory."""
+    chains = _oracle_chains(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain)
+    for name in ("arm4", "empty", "all_fixed"):
+        chain = chains[name]
+        eng, m = FkEngine(chain, 3), chain.m
+        thetas = np.zeros((3, m))
+        for start, stop in ((0, 0), (0, 1), (1, 0), (2, 1), (1, m + 1), (m + 1, m + 1), (1, 1)):
+            if 1 <= start <= stop <= m:
+                head, tail = eng._products_around(thetas, start, stop)
+                assert head.shape == tail.shape == (3, 4, 4)
+            else:
+                with pytest.raises(ValueError, match=f"1 <= start <= stop <= {m}"):
+                    eng._products_around(thetas, start, stop)
 
 
 # Counts the minor page faults of 20 calls on arm4, on an engine of the last
