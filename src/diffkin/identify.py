@@ -1,18 +1,19 @@
 """Kinematic model identification.
 
-Protocol: a suspect link's parent joint is replaced by a zero-initialized
-Floating (6-DoF) joint; end-effector poses measured on the true robot (here:
-generated from the unmodified model) supervise Adam (Kingma & Ba 2015) on the
-six parameters until the substituted chain reproduces the measurements.  The
-parent joint's original origin is kept as the initialization hint, which for
-an identifiable geometry is also the ground truth the estimate should reach.
-Every residual is affine in the six-parameter transform's twelve free
-entries, so each dataset is reduced once to a 12x12 triangular factor and a
-step costs the same at any batch size (see ParamEstimator).
+Protocol: the origin of a suspect link's parent joint, six parameters
+[x, y, z, alpha, beta, gamma], is estimated from end-effector poses measured
+on the true robot (here: generated from the parsed model).  Adam (Kingma &
+Ba 2015) moves the six parameters from zero until the chain with that origin
+reproduces the measurements.  The origin as parsed is kept as the
+initialization hint, which for an identifiable geometry is also the ground
+truth the estimate should reach.  Every residual is affine in the origin
+transform's twelve free entries, so each dataset is reduced once to a 12x12
+triangular factor and a step costs the same at any batch size (see
+ParamEstimator).
 
-If the replaced joint had degrees of freedom of its own, those are subsumed
-by the Floating joint and held at zero while sampling: a per-configuration
-joint motion cannot be explained by one constant 6-DoF transform.
+If the joint has degrees of freedom of its own, they are held at zero, in
+the samples and in the model: a per-configuration joint motion cannot be
+explained by one constant 6-DoF transform.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import autodiff as ad
 from .kinematics import FkEngine, _integer_setting, _theta_rows
 from .metrics import phi5_squared_batch
 from .transforms import pose_batch_from_transforms, sixdof_batch_to_transforms
-from .urdf import RobotModel, extract_chain, substitute_link_with_joint
+from .urdf import RobotModel, _parent_joint, extract_chain
 
 __all__ = [
     "IdentifyConfig",
@@ -46,7 +47,7 @@ EPSILON = 1e-8
 # parameters sit at a stationary point that further steps cannot leave.
 GRAD_EPSILON = 1e-10
 
-_EYE3 = np.eye(3)
+_EYE3, _EYE4 = np.eye(3), np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class IdentifyConfig:
 @dataclass(frozen=True)
 class IdentificationResult:
     params: np.ndarray  # estimated six-vector [x, y, z, alpha, beta, gamma]
-    init_hint: np.ndarray  # the replaced joint's original origin
+    init_hint: np.ndarray  # the target joint's origin as parsed
     steps: int
     status: str  # 'converged' | 'budget_exhausted'
     final_loss: float
@@ -121,38 +122,39 @@ class SampleGenerator:
 
 
 class ParamEstimator:
-    """Adam estimator for one substituted joint's six parameters.
+    """Adam estimator for the six origin parameters of one joint of a chain.
 
     The loss is the batch mean of squared translation error plus the squared
     Frobenius deviation of the rotation (the square of the phi5 metric, so
     the surface is smooth at the optimum).  The parameters start at zero.
 
-    The floating joint's six factors are consecutive in the substituted
-    chain (see kinematics) and compose to M(p) = sixdof_to_transform(p), so
-    every final transform is T_b = A_b M(p) B_b: A_b the product of the
-    factors up to the first parameter factor's static, B_b that of the
-    factors after the sixth, times the trailing static.  M's bottom row is
+    With the joint's own dof (``target_dofs``, theta columns of the chain)
+    at zero, its segment i contributes its origin S_i alone, so every final
+    transform is T_b = A_b S_i B_b, and the model puts M(p) =
+    sixdof_to_transform(p) in S_i's place.  One forward pass with
+    intermediates over the chain makes both factors: A_b is intermediate
+    i - 1 (the identity for i = 0), and B_b = T_i^-1 T_b, with T_i
+    intermediate i and its rigid inverse [R^T | -R^T p], so that S_i cancels
+    and its value enters B_b's rounding only.  M's bottom row is
     (0, 0, 0, 1), so a configuration's 12 residuals, the 3x4
     [p_b - p*_b | I - R_b R*_b^T], are affine in x = vec(M[:3, :4]): they
     are A_b[:3, :3] M[:3, :4] W_b^T + [A_b[:3, 3] - p*_b | I], W_b the 4x4
     with rows B_b[:, 3] and -R*_b B_b[:, :3]^T.  Stacked, r = K x + k0 with
-    K (12b, 12).  On the first ``loss_gradient`` call for a dataset (one
-    float pass over the chain's factors for A and B) a QR of [K | k0]
-    reduces it, and the estimator keeps, while the next call's thetas and
-    target poses are equal by content: the 12x12 triangular factor R,
-    z = Q^T k0 and rho^2 = |k0 - Q z|^2, scaled by 1/b (1.3 KB), with A and
-    B (256 B a configuration) for the final pose check only.  It keeps the
-    dataset as read-only copies too, and a call given those very arrays
-    skips the content check (run_identification's steps).  A step then
-    costs one 4x4 M(p) and 12x12 products at any b (``loss_gradient``); no
-    DualArray is built.  ``loss_value`` evaluates the whole chain with
-    ``forward``.
+    K (12b, 12).  On the first ``loss_gradient`` call for a dataset (that
+    one pass for A and B) a QR of [K | k0] reduces it, and the estimator
+    keeps, while the next call's thetas and target poses are equal by
+    content: the 12x12 triangular factor R, z = Q^T k0 and
+    rho^2 = |k0 - Q z|^2, scaled by 1/b (1.3 KB), with A and B (256 B a
+    configuration) for the final pose check and ``loss_value`` only.  It
+    keeps the dataset as read-only copies too, and a call given those very
+    arrays skips the content check (run_identification's steps).  A step
+    then costs one 4x4 M(p) and 12x12 products at any b
+    (``loss_gradient``); no DualArray is built.  ``loss_value`` evaluates
+    the loss of the final transforms A M(p) B explicitly.
 
-    The estimator owns the substituted chain's layout, built from both
-    chains' dofs: its theta columns are the original chain's, with the
-    replaced joint's ``target_dofs`` columns (original-chain offsets) swapped
-    for the six parameters.  ``loss_value`` and ``loss_gradient`` read b
-    rows of the original chain's m dofs (see kinematics).
+    ``loss_value`` and ``loss_gradient`` read b rows of the chain's m dofs
+    (see kinematics); ``engine`` is the chain's one FkEngine, which
+    run_identification's sampler shares.
     """
 
     def __init__(
@@ -163,21 +165,15 @@ class ParamEstimator:
         end: str,
         batch_size: int,
     ):
-        model_sub = substitute_link_with_joint(model, target_link)
-        self.target_joint = model.parent_joint_of(target_link).name
-        self.init_hint = np.array(model_sub.init_hints[self.target_joint])
-        self.chain_orig = extract_chain(model, base, end)
-        self.chain = extract_chain(model_sub, base, end)
-
-        sub = [joint.name for joint, _ in self.chain.dofs]
-        orig = [joint.name for joint, _ in self.chain_orig.dofs]
-        if self.target_joint not in sub:
-            raise ValueError(f"substituted joint {self.target_joint!r} is not on the chain {base!r} -> {end!r}")
-        start = sub.index(self.target_joint)
-        self._param_cols = slice(start, start + 6)
-        self.target_dofs = tuple(c for c, name in enumerate(orig) if name == self.target_joint)
-        self._sub_cols = np.array([c for c, name in enumerate(sub) if name != self.target_joint], dtype=np.intp)
-        self._orig_cols = np.array([c for c, name in enumerate(orig) if name != self.target_joint], dtype=np.intp)
+        joint = _parent_joint(model, target_link)
+        self.target_joint = joint.name
+        self.init_hint = np.array(joint.origin_params())
+        self.chain = extract_chain(model, base, end)
+        names = [j.name for j in self.chain.joints]
+        if joint.name not in names:
+            raise ValueError(f"joint {joint.name!r} of link {target_link!r} is not on the chain {base!r} -> {end!r}")
+        self._segment = names.index(joint.name)
+        self.target_dofs = tuple(c for c, (j, _) in enumerate(self.chain.dofs) if j.name == joint.name)
         self.engine = FkEngine(self.chain, batch_size)
         self.params = np.zeros(6)
         self.steps_taken = 0
@@ -187,48 +183,42 @@ class ParamEstimator:
 
     def _check_shapes(self, thetas, target_poses):
         b = self.engine.batch_size
-        thetas = _theta_rows(thetas, self.chain_orig.m, b)
+        thetas = _theta_rows(thetas, self.chain.m, b)
         target_poses = ad.operand(target_poses)
         if target_poses.shape != (b, 4, 4):
             raise ValueError(f"expected target poses of shape {(b, 4, 4)}, got {target_poses.shape}")
         return thetas, target_poses
 
-    def _flat_sub_thetas(self, thetas, params_row):
-        """Substituted-chain theta batch with ``params_row`` (floats or a
-        DualArray) spliced in."""
-        out = np.empty((self.engine.batch_size, self.engine.m), dtype=params_row.dtype, like=params_row)
-        out[:, self._sub_cols] = thetas[:, self._orig_cols]
-        out[:, self._param_cols] = params_row
-        return out
-
-    def _loss(self, finals, target_poses):
-        dp = finals[:, :3, 3] - target_poses[:, :3, 3]
-        rot = phi5_squared_batch(finals, target_poses)
-        return (dp * dp).sum(axis=1).mean() + rot.mean()
-
     def loss_value(self, thetas, target_poses):
-        """Loss at the current parameters (plain float path)."""
-        thetas, target_poses = self._check_shapes(thetas, target_poses)
-        finals = self.engine.forward(self._flat_sub_thetas(thetas, self.params))
-        return float(self._loss(finals, target_poses))
+        """Loss at the current parameters, on the final transforms A M(p) B."""
+        _, targets, head, tail = self._dataset(thetas, target_poses)[:4]
+        finals = head @ sixdof_batch_to_transforms(self.params) @ tail
+        dp = finals[:, :3, 3] - targets[:, :3, 3]
+        return float((dp * dp).sum(axis=1).mean() + phi5_squared_batch(finals, targets).mean())
 
     def _dataset(self, thetas, target_poses):
-        """(A, B, R, z, rho^2) of a dataset (see the class docstring), kept
-        from the last call unless its thetas or target poses differ by
-        content; the kept copies themselves are not checked again.  A
-        non-finite model is refused before it is kept."""
+        """(thetas, targets, A, B, R, z, rho^2) of a dataset (see the class
+        docstring), kept from the last call unless its thetas or target
+        poses differ by content; the kept copies themselves are not checked
+        again.  A non-finite model is refused before it is kept."""
         kept = self._kept
         if kept is not None and thetas is kept[0] and target_poses is kept[1]:
-            return kept[2:]
+            return kept
         thetas, target_poses = self._check_shapes(thetas, target_poses)
         if kept is None or not (np.array_equal(thetas, kept[0]) and np.array_equal(target_poses, kept[1])):
-            start = self._param_cols.start
-            zeroed = self._flat_sub_thetas(thetas, np.zeros(6))
-            head, tail = self.engine._products_around(zeroed, start + 1, start + 6)
-            targets, b = target_poses.astype(np.float64), len(head)
+            i, b = self._segment, len(thetas)
+            zeroed = thetas.copy()
+            zeroed[:, list(self.target_dofs)] = 0.0
+            frames = self.engine.forward(zeroed, want_intermediates=True)
+            targets = target_poses.astype(np.float64)
+            head = frames[:, i - 1] if i else np.broadcast_to(_EYE4, (b, 4, 4))
+            tail = np.empty((b, 4, 4))  # B = T_i^-1 T = R_i^T [R | p - p_i] over (0, 0, 0, 1)
             mix = np.empty((b, 4, 4))  # W_b
             model = np.empty((b, 3, 4, 13))  # [K | k0], row (r, s) for residual entry [r, s]
             with np.errstate(all="ignore"):  # overflow and inf * 0 end in the refusal below, not in a warning
+                tail[:, :3], tail[:, 3] = frames[:, -1, :3], _EYE4[3]
+                tail[:, :3, 3] -= frames[:, i, :3, 3]
+                tail[:, :3] = frames[:, i, :3, :3].transpose(0, 2, 1) @ tail[:, :3]
                 mix[:, 0] = tail[:, :, 3]
                 mix[:, 1:] = -(targets[:, :3, :3] @ tail[:, :, :3].transpose(0, 2, 1))
                 model[..., :12] = (head[:, :3, None, :3, None] * mix[:, None, :, None, :]).reshape(b, 3, 4, 12)
@@ -241,7 +231,7 @@ class ParamEstimator:
             thetas = thetas.copy()
             thetas.flags.writeable = targets.flags.writeable = False
             kept = self._kept = (thetas, targets, head, tail, r[:12, :12].copy(), r[:12, 12].copy(), rho2)
-        return kept[2:]
+        return kept
 
     def loss_gradient(self, thetas, target_poses):
         """(loss, d loss / d params) at the current parameters, no update.
@@ -254,7 +244,7 @@ class ParamEstimator:
         w = R_M e_x alpha' + Rz(gamma) e_y beta' + e_z gamma'
         (R_M = Rz(gamma) Ry(beta) Rx(alpha)).
         """
-        r, z, rho2 = self._dataset(thetas, target_poses)[2:]
+        r, z, rho2 = self._dataset(thetas, target_poses)[4:]
         m = sixdof_batch_to_transforms(self.params)
         u = r @ m[:3].ravel() + z
         value = float(u @ u + rho2)
@@ -289,22 +279,18 @@ class ParamEstimator:
 
 
 def run_identification(model: RobotModel, target_link: str, base: str, end: str, config: IdentifyConfig = IdentifyConfig()) -> IdentificationResult:
-    """Substitute, sample, descend; see the module docstring for the protocol.
+    """Sample, reduce, descend; see the module docstring for the protocol.
 
     The dataset is ``config.batch_size`` joint samples drawn once from the
-    unmodified model with ``config.seed``, the replaced joint's own dof
-    pinned to zero; every step is a full-batch Adam update (``LEARNING_RATE``)
-    against it, until the post-update loss falls below ``EPSILON``, the
-    pre-update gradient norm below ``GRAD_EPSILON``, or
+    parsed model with ``config.seed``, on the estimator's engine, the target
+    joint's own dof pinned to zero; every step is a full-batch Adam update
+    (``LEARNING_RATE``) against it, until the post-update loss falls below
+    ``EPSILON``, the pre-update gradient norm below ``GRAD_EPSILON``, or
     ``config.max_steps`` steps are spent.
     """
     start = time.perf_counter()
     estimator = ParamEstimator(model, target_link, base, end, batch_size=config.batch_size)
-    generator = SampleGenerator(
-        FkEngine(estimator.chain_orig, config.batch_size),
-        np.random.default_rng(config.seed),
-        zero_dofs=estimator.target_dofs,
-    )
+    generator = SampleGenerator(estimator.engine, np.random.default_rng(config.seed), zero_dofs=estimator.target_dofs)
     thetas, targets = generator.sample_batch()
 
     loss, grad = estimator.loss_gradient(thetas, targets)
@@ -318,7 +304,7 @@ def run_identification(model: RobotModel, target_link: str, base: str, end: str,
             status = "converged"
             break
 
-    head, tail = estimator._dataset(thetas, targets)[:2]
+    head, tail = estimator._dataset(thetas, targets)[2:4]
     finals = head @ sixdof_batch_to_transforms(estimator.params) @ tail
     got, _ = pose_batch_from_transforms(finals)
     want, _ = pose_batch_from_transforms(targets)

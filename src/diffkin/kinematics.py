@@ -12,18 +12,17 @@ transforms; what follows the last factor is the trailing S_F.
 Every evaluation runs one column pass, block by block (FkEngine._pass).
 It keeps a block's running product P as its columns C, an array (4 columns,
 3 rows, rows), each entry contiguous over the rows; P's bottom row is
-(0, 0, 0, 1) in every product of these factors and is not stored.  A span
-of the pass (a product from some factor on) starts with one GEMM: factor
-f's static columns pushed through its motion are linear in (1, c, s) for a
-rotation and in (1, q) for a translation, so the span's first C is a
-constant (12 x 3) or (12 x 2) matrix G_f, each entry one of S_f's or its
-negative, times those rows of the block.  Every later factor is applied in
-two steps: P S_f is one constant GEMM S_f^T @ C, skipped where S_f = I,
-and P M_f mixes two columns.  A static that only translates, by d along
-one axis k (a common joint origin), is applied in place instead,
-C_3 <- C_3 + d C_k, as a translation factor is; so is the static pending
-at a span's last snapshot.  A rotation about axis a by q,
-(c, s) = (cos q, sin q), sets C_i, C_j <- c C_i + s C_j, c C_j - s C_i,
+(0, 0, 0, 1) in every product of these factors and is not stored.  The
+pass starts with one GEMM: factor 0's static columns pushed through its
+motion are linear in (1, c, s) for a rotation and in (1, q) for a
+translation, so the first C is a constant (12 x 3) or (12 x 2) matrix G_0,
+each entry one of S_0's or its negative, times those rows of the block.
+Every later factor is applied in two steps: P S_f is one constant GEMM
+S_f^T @ C, skipped where S_f = I, and P M_f mixes two columns.  A static
+that only translates, by d along one axis k (a common joint origin), is
+applied in place instead, C_3 <- C_3 + d C_k, as a translation factor is;
+so is the static pending at the last snapshot.  A rotation about axis a by
+q, (c, s) = (cos q, sin q), sets C_i, C_j <- c C_i + s C_j, c C_j - s C_i,
 (i, j) = (1, 2), (2, 0), (0, 1) for a = x, y, z, in six products and sums
 whose operands all have the (3, rows) shape of one column: the two columns,
 and c and s repeated over three rows.  numpy runs an elementwise op on
@@ -60,7 +59,7 @@ these stages; they are the oracle it is tested against, within a few ulps.
 
 One pass serves values and derivatives.  Factor f moves one theta column
 about or along axis a of the frame P_{f-1} S_f, whose axis column C_a and
-origin column C_3 the pass reads off before f's mix (after a span's first
+origin column C_3 the pass reads off before f's mix (after the first
 GEMM, which leaves a rotation's C_a and C_3 as they were; no derivative
 reads a translation's C_3), so that column's derivative of every later
 transform T is a twist of that frame applied to T: for a rotation with
@@ -264,9 +263,9 @@ _TWIST_MATRIX[[3, 4, 5], [3, 7, 11]] = 1.0
 
 
 def _seed_maps():
-    """(take, sign), (6, 12, 3) each, per slot: a span's first factor f makes its columns as G_f @ (1, q) (G_f's first
-    two columns) or G_f @ (1, c, s), G_f = sign * S_f^T.flat[take], column k's row r in G_f's row 3 k + r; a zero
-    takes S_f^T[0, 3], the bottom row's 0."""
+    """(take, sign), (6, 12, 3) each, per slot: the pass's first factor f makes its columns as G_f @ (1, q) (G_f's
+    first two columns) or G_f @ (1, c, s), G_f = sign * S_f^T.flat[take], column k's row r in G_f's row 3 k + r; a
+    zero takes S_f^T[0, 3], the bottom row's 0."""
     take, sign = np.full((6, 4, 3, 3), 3, dtype=np.intp), np.ones((6, 4, 3, 3))
     entry = 4 * np.arange(4)[:, None] + np.arange(3)  # S^T[k, r], column k's row r
     for a, (i, j) in enumerate(_PAIRS):
@@ -294,7 +293,7 @@ class _Workspace:
 
     def __init__(self, engine, rows):
         dt, m, rot, steps = engine.dtype, engine.m, len(engine._rot_cols), engine._steps
-        # a one-row block runs its row twice: a span's first GEMM on one row would be a matrix-vector product, which
+        # a one-row block runs its row twice: the pass's first GEMM on one row would be a matrix-vector product, which
         # OpenBLAS rounds differently from a matrix product, so that a row's result would depend on its block
         out_rows, rows = rows, max(rows, 2)
         self.columns = np.empty((2, 4, 3, rows), dtype=dt)
@@ -361,10 +360,10 @@ class FkEngine:
     GEMM (None where it is the identity), the axis it alone translates along
     if so, its theta column and its motion; and the static transforms
     pending at each snapshot, with the axis each alone translates along if
-    so.  Every evaluation (forward, its DualArray tangents, the Jacobians
-    and _products_around) runs the column pass _pass, one block of rows at
-    a time: each span of it starts with one GEMM, G_f on the block's
-    (1, c, s) or (1, q), and adds a trailing one-axis translation in place.
+    so.  Every evaluation (forward, its DualArray tangents and the
+    Jacobians) runs the column pass _pass, one block of rows at a time: it
+    starts with one GEMM, G_0 on the block's (1, c, s) or (1, q), and adds
+    a trailing one-axis translation in place.
     Results keep the batch axis last, as the pass's buffers do: forward
     copies each snapshot's columns straight into an (S, 4, 4, b) array, the
     Jacobians each block into a (6, m, b) array, and both return its view
@@ -445,7 +444,7 @@ class FkEngine:
         # every static as S^T for the column GEMM, None where it is I, from one stacked comparison; its count of
         # the entries that differ from I's, per column of S, also finds the statics that only translate, along one
         # axis k: a factor's is applied in place, C_3 += d C_k (d = S^T[3, k]), and so is a snapshot's pending one
-        # at a span's last mark
+        # at the last mark
         statics = [s for s, _, _ in factors] + [p for _, _, p in marks]
         given = [k for k, s in enumerate(statics) if s is not None]
         stack = np.array([statics[k] for k in given]).reshape(-1, 4, 4)
@@ -597,26 +596,20 @@ class FkEngine:
     def _compile(self, ws, kind):
         """The program of one kind of pass on ``ws``, kept there: the numpy calls of the pass, as (function,
         positional arguments) on views of ws's buffers and the engine's constants, and nothing that refers to the
-        engine or the workspace.  ``kind`` is (where, mode): ``where`` "finals", "intermediates" or (start, stop),
-        the spans; ``mode`` None for values, "tangents" for the DualArray pass, "geometric" or "pose" for the
-        Jacobians.  Each span (first, marks) starts a product at factor ``first``, with G_first's GEMM; for each of
-        its marks (f, i, pending^T, the axis it alone translates along or None) it ends a segment at the columns of
-        the product of factors first..f times the pending static, or of the pending static alone where f < first,
-        snapshot i (not in a Jacobian).  A mode but None writes each factor's axis column, times its theta scale,
-        and its origin column, both read before its mix, into the derivatives' axes[:, :, c] of its theta column c.
+        engine or the workspace.  ``kind`` is (where, mode): ``where`` "finals" or "intermediates", the marks;
+        ``mode`` None for values, "tangents" for the DualArray pass, "geometric" or "pose" for the Jacobians.  The
+        product starts at factor 0, with G_0's GEMM; for each mark (f, i, pending^T, the axis it alone translates
+        along or None) it ends a segment at the columns of the product of factors 0..f times the pending static, or
+        of the pending static alone where f < 0 (leading fixed segments), snapshot i (not in a Jacobian).  A mode
+        but None writes each factor's axis column, times its theta scale, and its origin column, both read before
+        its mix, into the derivatives' axes[:, :, c] of its theta column c.
 
         Returns (segments, the last mark's (4, 3, rows) columns, and a Jacobian's tail or None): segments (calls,
         i, snapshot), each to be followed by the copy of the snapshot's (3, 4, rows) matrix rows to out[i, :3]
         unless i is None; a tail is the Jacobian's calls up to its gimbal-lock test and those after it (see
         _jacobian), and the block's result view (6, m, rows)."""
         where, mode = kind
-        if where == "finals":
-            spans = ((0, self._final_marks),)
-        elif where == "intermediates":
-            spans = ((0, self._marks),)
-        else:
-            start, stop = where
-            spans = ((0, ((start - 1, 0, None, None),)), (stop, ((self.m - 1, 1) + self._final_marks[0][2:],)))
+        marks = self._final_marks if where == "finals" else self._marks
         axes, jacobian = None if mode is None else ws.derivatives[0], mode in ("geometric", "pose")
         columns, flat, grid, q, (t1, t2), trig, cos, sin = (
             ws.columns, ws.flat, ws.grid, ws.q, ws.mixed, ws.trig, ws.cos, ws.sin
@@ -627,55 +620,53 @@ class FkEngine:
         ops += [(np.tan, (ws.angles, sin)), (np.multiply, (sin, sin, cos)), (cos.__iadd__, (1.0,))]
         ops += [(np.divide, (2.0, cos, cos)), (sin.__imul__, (cos,)), (cos.__isub__, (1.0,))]
         ops += [(trig.__setitem__, (Ellipsis, ws.spread))]
-        segments, product = [], None
-        for first, marks in spans:
-            f, p = first, 0
-            for mark in marks:
-                last, i, pending, shift = mark
-                for static, col, negative, a, step_shift, k in self._steps[f : last + 1]:
+        segments, product, f, p = [], None, 0, 0
+        for mark in marks:
+            last, i, pending, shift = mark
+            for static, col, negative, a, step_shift, k in self._steps[f : last + 1]:
+                c = columns[p]
+                if f == 0:
+                    # G_0 (12 x 3 or 12 x 2, see _seed_maps) on (1, c, s) or (1, q): the seed holds the motion
+                    slot, entries = a if k is None else 3 + a, (_EYE if static is None else static).ravel()
+                    g = np.multiply(entries[_SEED_TAKE[slot]], _SEED_SIGN[slot], dtype=q.dtype)
+                    x = (g[:, :2], ws.ones_q[0 : col + 2 : col + 1]) if k is None else (g, ws.ucs[:, k])
+                    ops.append((np.matmul, (*x, grid[p])))
+                elif step_shift is not None:
+                    ops += _translate(c, step_shift, static[3, step_shift], t1)
+                elif static is not None:
+                    ops.append((np.matmul, (static, flat[p], flat[1 - p])))
+                    p = 1 - p
                     c = columns[p]
-                    if f == first:
-                        # G_f (12 x 3 or 12 x 2, see _seed_maps) on (1, c, s) or (1, q): the seed holds the motion
-                        slot, entries = a if k is None else 3 + a, (_EYE if static is None else static).ravel()
-                        g = np.multiply(entries[_SEED_TAKE[slot]], _SEED_SIGN[slot], dtype=q.dtype)
-                        x = (g[:, :2], ws.ones_q[0 : col + 2 : col + 1]) if k is None else (g, ws.ucs[:, k])
-                        ops.append((np.matmul, (*x, grid[p])))
-                    elif step_shift is not None:
-                        ops += _translate(c, step_shift, static[3, step_shift], t1)
-                    elif static is not None:
-                        ops.append((np.matmul, (static, flat[p], flat[1 - p])))
-                        p = 1 - p
-                        c = columns[p]
-                    if axes is not None:
-                        # the axis and origin columns (C_a, C_3) as one view
-                        ops.append((axes[:, :, col].__setitem__, (Ellipsis, c[a : 4 : 3 - a])))
-                        if negative:
-                            ops.append((np.negative, (c[a], axes[0, :, col])))
-                    if f != first and k is None:
-                        ops += _translate(c, a, q[col], t1)
-                    elif f != first:
-                        # C_i, C_j <- c C_i + s C_j, c C_j - s C_i, every operand one contiguous (3, rows)
-                        ci, cj = (c[e] for e in _PAIRS[a])
-                        cs, s = trig[:, k - ws.skip]
-                        ops += [(np.multiply, (s, cj, t1)), (np.multiply, (s, ci, t2)), (np.multiply, (ci, cs, ci))]
-                        ops += [(np.add, (ci, t1, ci)), (np.multiply, (cj, cs, cj)), (np.subtract, (cj, t2, cj))]
-                    f += 1
-                snap = 1 - p
-                if last < first:
-                    static = _EYE if pending is None else pending
-                    ops.append((columns[snap].__setitem__, (Ellipsis, static[:, :3, None])))
-                elif pending is None:
-                    snap = p
-                elif shift is not None and mark is marks[-1]:
-                    # the span's last product: nothing reads its columns again
-                    snap = p
-                    ops += _translate(columns[p], shift, pending[3, shift], t1)
-                else:
-                    ops.append((np.matmul, (pending, flat[p], flat[snap])))
-                if not jacobian:
-                    segments.append((tuple(ops), i, ws.snapshots[snap]))
-                    ops = []
-                product = columns[snap]
+                if axes is not None:
+                    # the axis and origin columns (C_a, C_3) as one view
+                    ops.append((axes[:, :, col].__setitem__, (Ellipsis, c[a : 4 : 3 - a])))
+                    if negative:
+                        ops.append((np.negative, (c[a], axes[0, :, col])))
+                if f != 0 and k is None:
+                    ops += _translate(c, a, q[col], t1)
+                elif f != 0:
+                    # C_i, C_j <- c C_i + s C_j, c C_j - s C_i, every operand one contiguous (3, rows)
+                    ci, cj = (c[e] for e in _PAIRS[a])
+                    cs, s = trig[:, k - ws.skip]
+                    ops += [(np.multiply, (s, cj, t1)), (np.multiply, (s, ci, t2)), (np.multiply, (ci, cs, ci))]
+                    ops += [(np.add, (ci, t1, ci)), (np.multiply, (cj, cs, cj)), (np.subtract, (cj, t2, cj))]
+                f += 1
+            snap = 1 - p
+            if last < 0:
+                static = _EYE if pending is None else pending
+                ops.append((columns[snap].__setitem__, (Ellipsis, static[:, :3, None])))
+            elif pending is None:
+                snap = p
+            elif shift is not None and mark is marks[-1]:
+                # the last product: nothing reads its columns again
+                snap = p
+                ops += _translate(columns[p], shift, pending[3, shift], t1)
+            else:
+                ops.append((np.matmul, (pending, flat[p], flat[snap])))
+            if not jacobian:
+                segments.append((tuple(ops), i, ws.snapshots[snap]))
+                ops = []
+            product = columns[snap]
         tail = None
         if jacobian:
             segments.append((tuple(ops), None, None))
@@ -704,23 +695,6 @@ class FkEngine:
         for c in self._trans_cols:
             rest += [(block[:3, c].__setitem__, (Ellipsis, w[:, c])), (block[3:, c].__setitem__, (Ellipsis, 0.0))]
         return tuple(head), tuple(rest), block[..., : ws.snapshots.shape[-1]]
-
-    def _products_around(self, thetas, start, stop):
-        """(head, tail), (b, 4, 4) each, of a theta batch: the product of
-        factors 0..start-1 and that of factors stop..F-1 times the trailing
-        static, so the final transform is head @ (factors start..stop-1) @
-        tail, for 1 <= start <= stop <= F (a ValueError otherwise); an empty
-        tail product is the identity.  One pass per block makes both, and
-        the head rounds as forward's prefix products do."""
-        if not 1 <= start <= stop <= self.m:
-            raise ValueError(f"expected 1 <= start <= stop <= {self.m}, got start {start} and stop {stop}")
-        flat2d = _theta_rows(thetas, self.m, self.batch_size, self.dtype)
-        res = self._result(2)
-        for rows in _blocks(self.batch_size, _BLOCK_ROWS):
-            self._pass(flat2d[rows], res[..., rows], ((start, stop), None))
-        # C-contiguous copies, as every identification step multiplies them
-        head, tail = res.transpose(0, 3, 1, 2)
-        return head.copy(), tail.copy()
 
     def _tangent_block(self, ws, picked, frames, seeds, weights, out):
         """Tangents ``out`` (r, S, k, 4, 4) of the snapshots ``frames`` (r, S, 4, 4) of the rows ``picked`` of the

@@ -364,6 +364,15 @@ def extract_chain(model: RobotModel, base_link: str, end_link: str) -> Kinematic
     return KinematicChain(base_link, end_link, segments)
 
 
+def _parent_joint(model: RobotModel, link: str) -> Joint:
+    """``link``'s parent joint; an unknown link and the root are a ChainError."""
+    if link not in set(model.link_names()):
+        raise ChainError(f"unknown link {link!r}")
+    if link == model.root_link:
+        raise ChainError(f"link {link!r} is the root and has no parent joint")
+    return model.parent_joint_of(link)
+
+
 def substitute_link_with_joint(model: RobotModel, target_link: str) -> RobotModel:
     """Replace the fixed geometry of ``target_link``'s parent joint with a
     free Floating joint.
@@ -373,11 +382,7 @@ def substitute_link_with_joint(model: RobotModel, target_link: str) -> RobotMode
     an identification run can compare its estimate against them.  Any DoF
     the original joint had are subsumed by the Floating joint.
     """
-    if target_link not in set(model.link_names()):
-        raise ChainError(f"unknown link {target_link!r}")
-    if target_link == model.root_link:
-        raise ChainError(f"link {target_link!r} is the root and has no parent joint")
-    parent = model.parent_joint_of(target_link)
+    parent = _parent_joint(model, target_link)
     replacement = Joint(
         name=parent.name,
         joint_type=JointType.FLOATING,

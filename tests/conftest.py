@@ -150,3 +150,15 @@ def two_arms():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+# cam_arm base -> camera with a link's parent joint substituted by a floating
+# joint at zero origin: the camera mount at the chain's end, and j2 mid-chain
+@pytest.fixture(scope="session")
+def cam_arm_camera(cam_arm):
+    return urdf.extract_chain(urdf.substitute_link_with_joint(cam_arm, "camera"), "base", "camera")
+
+
+@pytest.fixture(scope="session")
+def cam_arm_link2(cam_arm):
+    return urdf.extract_chain(urdf.substitute_link_with_joint(cam_arm, "link2"), "base", "camera")

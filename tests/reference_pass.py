@@ -7,13 +7,13 @@ replaced: every block walks the engine's factors (engine._steps) and marks
 operand views afresh, on a workspace of its own.  It makes the same numpy
 calls on the same operands in the same order, so every result of the
 engine must be bitwise equal to this module's: forward finals and
-intermediates, the DualArray primal and tangents, both Jacobians and
-_products_around.  Its results are C-contiguous, written as the engine
-wrote them before it kept the batch axis last: each snapshot staged as
-matrix rows in a (4, 4, rows) block whose bottom row is (0, 0, 0, 1), then
-copied into the result by a 2-D transposed copy, (rows, 16) <- (16, rows)^T,
-and each Jacobian block by a transposed copy; the engine's results equal
-them in C order (np.ascontiguousarray, or tobytes).
+intermediates, the DualArray primal and tangents, and both Jacobians.  Its
+results are C-contiguous, written as the engine wrote them before it kept
+the batch axis last: each snapshot staged as matrix rows in a (4, 4, rows)
+block whose bottom row is (0, 0, 0, 1), then copied into the result by a 2-D
+transposed copy, (rows, 16) <- (16, rows)^T, and each Jacobian block by a
+transposed copy; the engine's results equal them in C order
+(np.ascontiguousarray, or tobytes).
 """
 
 import weakref
@@ -40,13 +40,12 @@ def _seed(engine, ws, f):
     return (g[:, :2], ws.ones_q[0 : col + 2 : col + 1]) if k is None else (g, ws.ucs[:, k])
 
 
-def walk(engine, ws, flat2d, out, spans, axes=None):
-    """The column pass on a (rows, m) theta block, walked: each span (first,
-    marks) starts a product at factor ``first``; each mark (f, i, pending^T,
-    shift) puts the product of factors first..f times the pending static
-    into out[:, i] through ws.staged (unless ``out`` is None).  Returns
-    the last mark's columns.  With ``axes``, writes every factor's scaled
-    axis and origin columns there."""
+def walk(engine, ws, flat2d, out, marks, axes=None):
+    """The column pass on a (rows, m) theta block, walked: the product starts
+    at factor 0; each mark (f, i, pending^T, shift) puts the product of
+    factors 0..f times the pending static into out[:, i] through ws.staged
+    (unless ``out`` is None).  Returns the last mark's columns.  With
+    ``axes``, writes every factor's scaled axis and origin columns there."""
     columns, flat, grid, (t1, t2) = ws.columns, ws.flat, ws.grid, ws.mixed
     cos, sin = ws.cos, ws.sin
     skip = int(bool(engine._steps) and engine._steps[0][5] is not None)
@@ -62,53 +61,52 @@ def walk(engine, ws, flat2d, out, spans, axes=None):
         sin *= cos
         cos -= 1.0
         ws.trig[...] = ws.spread
-        for first, marks in spans:
-            f, p = first, 0
-            for mark in marks:
-                last, i, pending, shift = mark
-                for static, col, negative, a, step_shift, k in engine._steps[f : last + 1]:
+        f, p = 0, 0
+        for mark in marks:
+            last, i, pending, shift = mark
+            for static, col, negative, a, step_shift, k in engine._steps[f : last + 1]:
+                c = columns[p]
+                if f == 0:
+                    np.matmul(*_seed(engine, ws, f), out=grid[p])
+                elif step_shift is not None:
+                    c[3] += np.multiply(c[step_shift], static[3, step_shift], out=t1)
+                elif static is not None:
+                    np.matmul(static, flat[p], out=flat[1 - p])
+                    p = 1 - p
                     c = columns[p]
-                    if f == first:
-                        np.matmul(*_seed(engine, ws, f), out=grid[p])
-                    elif step_shift is not None:
-                        c[3] += np.multiply(c[step_shift], static[3, step_shift], out=t1)
-                    elif static is not None:
-                        np.matmul(static, flat[p], out=flat[1 - p])
-                        p = 1 - p
-                        c = columns[p]
-                    if axes is not None:
-                        axes[:, :, col] = c[a : 4 : 3 - a]
-                        if negative:
-                            np.negative(c[a], out=axes[0, :, col])
-                    if f == first:
-                        pass
-                    elif k is None:
-                        c[3] += np.multiply(c[a], ws.q[col], out=t1)
-                    else:
-                        i_, j_ = _PAIRS[a]
-                        ci, cj = c[i_], c[j_]
-                        s, co = ws.trig[1, k - skip], ws.trig[0, k - skip]
-                        np.multiply(s, cj, out=t1)
-                        np.multiply(s, ci, out=t2)
-                        np.multiply(ci, co, out=ci)
-                        np.add(ci, t1, out=ci)
-                        np.multiply(cj, co, out=cj)
-                        np.subtract(cj, t2, out=cj)
-                    f += 1
-                snap = 1 - p
-                if last < first:
-                    columns[snap] = (_EYE if pending is None else pending)[:, :3, None]
-                elif pending is None:
-                    snap = p
-                elif shift is not None and mark is marks[-1]:
-                    snap = p
-                    columns[p, 3] += np.multiply(columns[p, shift], pending[3, shift], out=t1)
+                if axes is not None:
+                    axes[:, :, col] = c[a : 4 : 3 - a]
+                    if negative:
+                        np.negative(c[a], out=axes[0, :, col])
+                if f == 0:
+                    pass
+                elif k is None:
+                    c[3] += np.multiply(c[a], ws.q[col], out=t1)
                 else:
-                    np.matmul(pending, flat[p], out=flat[snap])
-                if out is not None:
-                    ws.staged[:3] = columns[snap].transpose(1, 0, 2)
-                    out[:, i].reshape(-1, 16)[...] = ws.staged.reshape(16, -1).T[: len(out)]
-                product = columns[snap]
+                    i_, j_ = _PAIRS[a]
+                    ci, cj = c[i_], c[j_]
+                    s, co = ws.trig[1, k - skip], ws.trig[0, k - skip]
+                    np.multiply(s, cj, out=t1)
+                    np.multiply(s, ci, out=t2)
+                    np.multiply(ci, co, out=ci)
+                    np.add(ci, t1, out=ci)
+                    np.multiply(cj, co, out=cj)
+                    np.subtract(cj, t2, out=cj)
+                f += 1
+            snap = 1 - p
+            if last < 0:
+                columns[snap] = (_EYE if pending is None else pending)[:, :3, None]
+            elif pending is None:
+                snap = p
+            elif shift is not None and mark is marks[-1]:
+                snap = p
+                columns[p, 3] += np.multiply(columns[p, shift], pending[3, shift], out=t1)
+            else:
+                np.matmul(pending, flat[p], out=flat[snap])
+            if out is not None:
+                ws.staged[:3] = columns[snap].transpose(1, 0, 2)
+                out[:, i].reshape(-1, 16)[...] = ws.staged.reshape(16, -1).T[: len(out)]
+            product = columns[snap]
     return product
 
 
@@ -139,7 +137,7 @@ def forward(engine, thetas, want_intermediates=False):
         snapshots, marks = out[:, None], engine._final_marks
     if not isinstance(thetas, ad.DualArray):
         for rows in _blocks(b, kinematics._BLOCK_ROWS):
-            walk(engine, _workspace(engine, rows.stop - rows.start), flat2d[rows], snapshots[rows], ((0, marks),))
+            walk(engine, _workspace(engine, rows.stop - rows.start), flat2d[rows], snapshots[rows], marks)
         return out
     k = thetas.width
     seeds = thetas.tangent.astype(dt, copy=False).reshape(k, b, m).transpose(1, 0, 2)[:, None]
@@ -147,21 +145,10 @@ def forward(engine, thetas, want_intermediates=False):
     weights = engine._twist_weights if want_intermediates else 1.0
     for rows in _blocks(b, kinematics._TANGENT_ROWS):
         ws = _workspace(engine, rows.stop - rows.start)
-        walk(engine, ws, flat2d[rows], snapshots[rows], ((0, marks),), ws.derivatives[0])
+        walk(engine, ws, flat2d[rows], snapshots[rows], marks, ws.derivatives[0])
         engine._tangent_block(ws, slice(rows.stop - rows.start), snapshots[rows], seeds[rows], weights, tangent[rows])
     tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
     return ad.DualArray(out, tangent)
-
-
-def products_around(engine, thetas, start, stop):
-    """engine._products_around, walked."""
-    b = engine.batch_size
-    flat2d = _theta_rows(thetas, engine.m, b, engine.dtype)
-    out = np.empty((b, 2, 4, 4), dtype=engine.dtype)
-    spans = ((0, ((start - 1, 0, None, None),)), (stop, ((engine.m - 1, 1) + engine._final_marks[0][2:],)))
-    for rows in _blocks(b, kinematics._BLOCK_ROWS):
-        walk(engine, _workspace(engine, rows.stop - rows.start), flat2d[rows], out[rows], spans)
-    return out[:, 0].copy(), out[:, 1].copy()
 
 
 def jacobian(engine, thetas, rates):
@@ -172,7 +159,7 @@ def jacobian(engine, thetas, rates):
     for rows in _blocks(b, kinematics._BLOCK_ROWS):
         ws = _workspace(engine, rows.stop - rows.start)
         axes, twists, prod, block, cb, coef = ws.derivatives
-        t = walk(engine, ws, flat2d[rows], None, ((0, engine._final_marks),), axes)
+        t = walk(engine, ws, flat2d[rows], None, engine._final_marks, axes)
         if not np.isfinite(t).all():
             raise ValueError("non-finite value in jacobian output")
         r20, p = t[0, 2], t[3]

@@ -1,11 +1,14 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diffkin import autodiff as ad
-from diffkin import identify, kinematics, metrics, transforms, urdf
+from diffkin import cli, identify, kinematics, metrics, transforms, urdf
 from diffkin.identify import IdentifyConfig, ParamEstimator, SampleGenerator
+
+from conftest import CAM_ARM
 
 
 def test_recover_fixed_mount(cam_arm):
@@ -42,24 +45,31 @@ def test_single_configuration_identifies_mount(target, cam_arm):
 
 @pytest.mark.parametrize("max_steps, status", [(5000, "converged"), (3, "budget_exhausted")])
 def test_one_model_evaluation_per_step(max_steps, status, cam_arm, monkeypatch):
-    """Each step evaluates the model once, as A M(p) B: a solve runs the
-    estimator engine's column pass once, for the dataset's A and B, and no
-    step makes a DualArray pass or calls the float loss."""
-    calls = {"dual": 0, "estimator_pass": 0, "loss_value": 0}
-    evaluate, column_pass, loss_value = kinematics.FkEngine._evaluate, kinematics.FkEngine._pass, ParamEstimator.loss_value
+    """Each step evaluates the model once, as A M(p) B: a solve builds one
+    FkEngine, which samples the dataset with one finals pass and splits the
+    chain into A and B with one intermediates pass, and no step makes a
+    DualArray pass or calls the explicit loss."""
+    calls, passes = {"engines": 0, "dual": 0, "loss_value": 0}, []
+    init, evaluate, column_pass = kinematics.FkEngine.__init__, kinematics.FkEngine._evaluate, kinematics.FkEngine._pass
+    loss_value = ParamEstimator.loss_value
+
+    def counting_init(self, *args, **kwargs):
+        calls["engines"] += 1
+        return init(self, *args, **kwargs)
 
     def counting_evaluate(self, thetas, *args, **kwargs):
         calls["dual"] += isinstance(thetas, ad.DualArray)
         return evaluate(self, thetas, *args, **kwargs)
 
-    def counting_pass(self, *args, **kwargs):
-        calls["estimator_pass"] += self.m == 9  # j1 j2 j3 | six parameters
-        return column_pass(self, *args, **kwargs)
+    def counting_pass(self, flat2d, out, kind):
+        passes.append(kind)
+        return column_pass(self, flat2d, out, kind)
 
     def counting_loss_value(self, *args):
         calls["loss_value"] += 1
         return loss_value(self, *args)
 
+    monkeypatch.setattr(kinematics.FkEngine, "__init__", counting_init)
     monkeypatch.setattr(kinematics.FkEngine, "_evaluate", counting_evaluate)
     monkeypatch.setattr(kinematics.FkEngine, "_pass", counting_pass)
     monkeypatch.setattr(ParamEstimator, "loss_value", counting_loss_value)
@@ -68,7 +78,8 @@ def test_one_model_evaluation_per_step(max_steps, status, cam_arm, monkeypatch):
     )
     assert res.status == status
     assert res.steps > 1
-    assert calls == {"dual": 0, "estimator_pass": 1, "loss_value": 0}
+    assert calls == {"engines": 1, "dual": 0, "loss_value": 0}
+    assert passes == [("finals", None), ("intermediates", None)]
 
 
 @pytest.mark.parametrize("target", ["camera", "link2"])
@@ -130,11 +141,13 @@ def test_loss_zero_at_truth(cam_arm):
     assert 0 <= value < 1e-20
 
 
-def test_loss_is_translation_plus_phi5_squared(cam_arm):
+@pytest.mark.parametrize("target", ["camera", "link2"])
+def test_loss_is_translation_plus_phi5_squared(target, cam_arm):
+    """On the substituted chain's final transforms (the oracle's)."""
     thetas, targets = _dataset(cam_arm, 4, seed=6)
-    est = ParamEstimator(cam_arm, "camera", "base", "camera", 4)
+    est = ParamEstimator(cam_arm, target, "base", "camera", 4)
     est.params = np.array([0.1, 0.2, -0.1, 0.3, 0.0, -0.2])
-    finals = est.engine.forward(est._flat_sub_thetas(thetas, est.params))
+    finals = _substituted_finals(cam_arm, target, "camera", thetas, est.params)
     dp = finals[:, :3, 3] - targets[:, :3, 3]
     want = (dp * dp).sum(axis=1).mean() + (metrics.phi5_loss(finals, targets) ** 2).mean()
     assert est.loss_value(thetas, targets) == pytest.approx(want, rel=1e-12)
@@ -229,9 +242,26 @@ def test_config_from_mapping_rejects_unknown():
         IdentifyConfig.from_mapping({"stepsize": 0.1})
 
 
-def test_estimator_rejects_off_chain_target(cam_arm):
-    with pytest.raises(ValueError, match="not on the chain"):
-        ParamEstimator(cam_arm, "camera", "base", "link2", 4)
+@pytest.mark.parametrize(
+    "target, end, error, match, code",
+    [("base", "camera", urdf.ChainError, "is the root and has no parent joint", 3),
+     ("ghost", "camera", urdf.ChainError, "unknown link", 3),
+     ("camera", "ghost", urdf.ChainError, "unknown link", 3),
+     ("camera", "link2", ValueError, "not on the chain", 4)],
+)
+def test_estimator_and_cli_refuse_bad_targets(target, end, error, match, code, cam_arm, capsys, tmp_path):
+    """A root or unknown target link and an unknown chain end are ChainErrors
+    (exit 3), a target joint off the chain a ValueError (exit 4), from the
+    estimator and from ``diffkin identify`` alike."""
+    with pytest.raises(error, match=match) as raised:
+        ParamEstimator(cam_arm, target, "base", end, 4)
+    assert isinstance(raised.value, urdf.ChainError) == (error is urdf.ChainError)
+    urdf_path, cfg = tmp_path / "cam.urdf", tmp_path / "id.json"
+    urdf_path.write_text(CAM_ARM)
+    cfg.write_text(json.dumps({"target_link": target, "base": "base", "end": end}))
+    assert cli.main(["identify", str(urdf_path), str(cfg)]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and match in err
 
 
 def test_optimizer_key_is_rejected():
@@ -262,50 +292,40 @@ def test_num_configurations_key_is_rejected():
         IdentifyConfig.from_mapping({"num_configurations": 12})
 
 
-def test_splice_of_mid_chain_joint(cam_arm):
-    """link2's parent joint j2 has a dof of its own in mid-chain: the six
-    parameters take its column, the sampled columns keep their order."""
-    thetas, _ = _dataset(cam_arm, 5, seed=1)
-    est = ParamEstimator(cam_arm, "link2", "base", "camera", 5)
-    assert est.target_dofs == (1,)
-    assert est.engine.m == 8  # j1 | six parameters | j3
-    params = np.array([0.1, -0.2, 0.3, 0.4, -0.5, 0.6])
-    flat = est._flat_sub_thetas(thetas, ad.seed_array(params))
-    np.testing.assert_array_equal(flat.primal[:, [0, 7]], thetas[:, [0, 2]])
-    np.testing.assert_array_equal(flat.primal[:, 1:7], np.tile(params, (5, 1)))
-    np.testing.assert_array_equal(est._flat_sub_thetas(thetas, params), flat.primal)
-    # tangent j is 1 on parameter column 1 + j and 0 everywhere else
-    expected = np.zeros((6, 5, 8))
-    for j in range(6):
-        expected[j, :, 1 + j] = 1.0
-    np.testing.assert_array_equal(flat.tangent, expected)
-
-
 # Loss and gradient of the kept QR reduction against the DualArray pass
-# through the whole chain, relative to max(1, loss) and max(1, |g|_inf),
-# and its loss against the explicit residual sum of A M(p) B: the largest
-# seen are 7.2e-16 (loss) and 1.7e-15 (gradient) at b <= 10, and 1.0e-15
-# and 1.3e-14 at b = 513 (1.1e-15 against the explicit sum), growing with b
-# as the batch sums do.
+# through the whole substituted chain, relative to max(1, loss) and
+# max(1, |g|_inf), and its loss against loss_value, the explicit loss of
+# A M(p) B: the largest seen are 1.2e-15 (loss) and 2.8e-15 (gradient) at
+# b <= 10, and 1.5e-15 and 1.1e-14 at b = 513 (1.2e-15 against
+# loss_value), growing with b as the batch sums do.
 _ORACLE_REL = 1e-13
 
 
-def _dual_loss_gradient(est, thetas, targets):
-    """(loss, gradient) from one k=6 seed_array pass over the whole
-    substituted chain and the vectorized loss on its DualArray."""
-    thetas, targets = est._check_shapes(thetas, targets)
-    loss = est._loss(est.engine._evaluate(est._flat_sub_thetas(thetas, ad.seed_array(est.params))), targets)
+def _substituted_finals(model, target, end, thetas, params):
+    """The oracle's final transforms: the chain base -> end with ``target``'s
+    parent joint substituted by a floating joint at zero origin
+    (urdf.substitute_link_with_joint), its six theta columns spliced in
+    place of the joint's own with ``params`` (floats or a DualArray of six),
+    evaluated by one forward pass."""
+    joint = model.parent_joint_of(target).name
+    chain = urdf.extract_chain(model, "base", end)
+    sub_chain = urdf.extract_chain(urdf.substitute_link_with_joint(model, target), "base", end)
+    sub, orig = ([j.name for j, _ in c.dofs] for c in (sub_chain, chain))
+    kept = [np.array([c for c, name in enumerate(names) if name != joint], dtype=np.intp) for names in (sub, orig)]
+    spliced = np.empty((len(thetas), len(sub)), dtype=params.dtype, like=params)
+    spliced[:, kept[0]] = thetas[:, kept[1]]
+    spliced[:, sub.index(joint) : sub.index(joint) + 6] = params
+    return kinematics.FkEngine(sub_chain, len(thetas)).forward(spliced)
+
+
+def _dual_loss_gradient(model, target, end, thetas, targets, params):
+    """(loss, gradient) at ``params`` from one k=6 seed_array pass over the
+    whole substituted chain (_substituted_finals) and the vectorized loss on
+    its DualArray."""
+    finals = _substituted_finals(model, target, end, thetas, ad.seed_array(params))
+    dp = finals[:, :3, 3] - targets[:, :3, 3]
+    loss = (dp * dp).sum(axis=1).mean() + metrics.phi5_squared_batch(finals, targets).mean()
     return float(loss.primal), loss.tangent
-
-
-def _explicit_loss(est, thetas, targets):
-    """The loss summed over the (b, 4, 4) final transforms A M(p) B, the
-    residual sum the kept reduction replaces."""
-    head, tail = est._dataset(thetas, targets)[:2]
-    finals = head @ transforms.sixdof_batch_to_transforms(est.params) @ tail
-    e = finals[:, :3, 3] - targets[:, :3, 3]
-    d = np.eye(3) - finals[:, :3, :3] @ targets[:, :3, :3].transpose(0, 2, 1)
-    return ((e * e).sum() + (d * d).sum()) / len(finals)
 
 
 def _robot_dataset(model, est, end, batch_size, rng):
@@ -323,30 +343,77 @@ def _robot_dataset(model, est, end, batch_size, rng):
 @pytest.mark.parametrize("batch_size", [1, 10, 513])
 def test_closed_form_gradient_matches_dual_oracle(robot, end, target, batch_size, request):
     """``loss_gradient`` (the kept QR reduction, closed-form gradient)
-    agrees with the DualArray pass through the whole chain at random
-    parameters, to _ORACLE_REL * max(1, |g|_inf) in the gradient and
-    _ORACLE_REL * max(1, loss) in the loss, and with the explicit residual
-    sum of A M(p) B in the loss.  On mixed the
-    substituted joint is the first, a mid-chain off-axis prismatic and an
-    off-axis planar one, with a floating joint and aligned statics after it;
-    513 rows span two blocks of A and B."""
+    agrees with the DualArray pass through the whole substituted chain (the
+    oracle) at random parameters, to _ORACLE_REL * max(1, |g|_inf) in the
+    gradient and _ORACLE_REL * max(1, loss) in the loss, and with
+    loss_value, the explicit loss of A M(p) B, in the loss.  On mixed the
+    target joint is the first, a mid-chain off-axis prismatic and an
+    off-axis planar one, with a floating joint and aligned statics after it.
+    A and B come from one 4096-row block; 513 rows span two of the oracle's
+    512-row tangent blocks.  Larger b is not taken: the QR's sums grow with
+    b, and reached 1.03e-13 at b = 4140 on arm4 tool."""
     model = request.getfixturevalue(robot)
     rng = np.random.default_rng(batch_size)
     est = ParamEstimator(model, target, "base", end, batch_size)
     thetas, targets = _robot_dataset(model, est, end, batch_size, rng)
     for _ in range(4):
         est.params = rng.uniform(-1.5, 1.5, 6)
-        want_loss, want = _dual_loss_gradient(est, thetas, targets)
+        want_loss, want = _dual_loss_gradient(model, target, end, thetas, targets, est.params)
         loss, grad = est.loss_gradient(thetas, targets)
         scale = max(1.0, np.abs(want).max())
         assert abs(loss - want_loss) <= _ORACLE_REL * max(1.0, want_loss)
-        assert abs(loss - _explicit_loss(est, thetas, targets)) <= _ORACLE_REL * max(1.0, loss)
+        assert abs(loss - est.loss_value(thetas, targets)) <= _ORACLE_REL * max(1.0, loss)
         assert np.abs(grad - want).max() <= _ORACLE_REL * scale
         assert grad.shape == (6,) and grad.dtype == np.float64
 
 
 def _same(got, want):
     assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+# A S_i B against forward's final, in units of eps times max(1, max |entry|),
+# and B against the identity at the chain's last segment, in eps: the largest
+# seen are 5.9 and 7.0, both at b = _BLOCK_ROWS + 44 on arm4 tool.
+_SPLIT_ULPS = 16
+
+
+@pytest.mark.parametrize(
+    "robot, end, target",
+    [("cam_arm", "camera", "link1"), ("cam_arm", "camera", "link2"), ("cam_arm", "camera", "camera"),
+     ("arm4", "tool", "l1"), ("arm4", "tool", "tool"), ("mixed", "l6", "l4")],
+)
+@pytest.mark.parametrize("batch_size", [1, 10, kinematics._BLOCK_ROWS + 44])
+def test_dataset_splits_the_chain_at_the_target(robot, end, target, batch_size, request):
+    """The dataset's A and B come from forward's intermediates with the
+    target joint's own dof at zero: A is exactly the identity at segment 0
+    (link1, l1) and bitwise intermediate i - 1 elsewhere, B is the identity
+    within _SPLIT_ULPS at the last segment (camera, tool), and A S_i B, S_i
+    the joint's origin, is forward's final within _SPLIT_ULPS; at
+    _BLOCK_ROWS + 44 rows the pass runs two blocks.  Values in the target's
+    own theta columns (one on link1, link2 and l1, two on mixed's planar l4)
+    change no bit of loss_gradient."""
+    model = request.getfixturevalue(robot)
+    rng = np.random.default_rng(batch_size)
+    est = ParamEstimator(model, target, "base", end, batch_size)
+    thetas, targets = _robot_dataset(model, est, end, batch_size, rng)
+    head, tail = est._dataset(thetas, targets)[2:4]
+    inters = est.engine.forward(thetas, want_intermediates=True)
+    i = [joint.name for joint in est.chain.joints].index(est.target_joint)
+    want_head = np.broadcast_to(np.eye(4) if i == 0 else inters[:, i - 1], head.shape)
+    assert np.ascontiguousarray(head).tobytes() == np.ascontiguousarray(want_head).tobytes()
+    eps = np.finfo(np.float64).eps
+    if i == est.chain.n - 1:
+        assert np.abs(tail - np.eye(4)).max() <= _SPLIT_ULPS * eps
+    finals = inters[:, -1]
+    split = head @ transforms.sixdof_batch_to_transforms(est.init_hint) @ tail
+    assert np.abs(split - finals).max() <= _SPLIT_ULPS * eps * max(1.0, np.abs(finals).max())
+
+    est.params = rng.uniform(-1.5, 1.5, 6)
+    want = est.loss_gradient(thetas, targets)
+    moved, dofs = thetas.copy(), list(est.target_dofs)
+    moved[:, dofs] = rng.uniform(-1.0, 1.0, (batch_size, len(dofs)))
+    assert len(dofs) == (0 if i == est.chain.n - 1 else 2 if robot == "mixed" else 1)
+    _same(est.loss_gradient(moved, targets), want)
 
 
 def test_kept_dataset_follows_its_content(cam_arm):

@@ -282,8 +282,8 @@ def test_theta_shape_is_flat_or_batch_by_dof(cam_arm, rng):
     dtype with every value finite, and every entry that takes
     configurations reads them by that one rule: forward on floats,
     DualArrays and object arrays, the reference scatter, pose_jacobian, the
-    estimator's loss_value and loss_gradient (b rows of the original
-    chain's m) and limit_violations (any b).  A transposed (m, b) batch and
+    estimator's loss_value and loss_gradient (b rows of the chain's m) and
+    limit_violations (any b).  A transposed (m, b) batch and
     a (2, b*m/2) array have the right size but neither shape, and are not
     read as (b, m); a complex batch would lose its imaginary part, a string
     batch would parse and a bool batch read as 0 and 1, so none is cast."""
@@ -643,15 +643,15 @@ def _check_twist_tangents(chain, b, rng):
 
 @pytest.mark.parametrize("b", [1, 255, 256, 257, 700])
 @pytest.mark.parametrize("case", ["arm4", "cam_arm_camera", "cam_arm_link2", "mixed", "all_fixed", "empty"])
-def test_twist_tangents_match_stage_pipeline(case, b, arm4_chain, cam_arm, mixed, mixed_chain):
+def test_twist_tangents_match_stage_pipeline(case, b, arm4_chain, cam_arm_camera, cam_arm_link2, mixed, mixed_chain):
     """forward on a DualArray: primals bitwise the float forward, tangents
     within _TANGENT_ULPS of the stage pipeline on a DualArray, in both
     dtypes, finals and intermediates, for full, floating-column, empty and
     random seeds."""
     chain = {
         "arm4": lambda: arm4_chain,
-        "cam_arm_camera": lambda: identify.ParamEstimator(cam_arm, "camera", "base", "camera", 1).chain,
-        "cam_arm_link2": lambda: identify.ParamEstimator(cam_arm, "link2", "base", "camera", 1).chain,
+        "cam_arm_camera": lambda: cam_arm_camera,
+        "cam_arm_link2": lambda: cam_arm_link2,
         "mixed": lambda: mixed_chain,
         "all_fixed": lambda: urdf.extract_chain(urdf.parse_urdf(_FIXED_ONLY), "a", "c"),
         "empty": lambda: urdf.extract_chain(mixed, "l2", "l2"),
@@ -1018,14 +1018,16 @@ def _check_closed_form_jacobians(chain, b, dtype, rng):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("b", [1, kinematics._BLOCK_ROWS + 1])
 @pytest.mark.parametrize("case", ["arm4", "cam_arm_camera", "cam_arm_link2", "mixed", "all_fixed", "empty"])
-def test_closed_form_jacobians_match_dual_oracle(case, b, dtype, arm4_chain, cam_arm, mixed, mixed_chain):
+def test_closed_form_jacobians_match_dual_oracle(
+    case, b, dtype, arm4_chain, cam_arm_camera, cam_arm_link2, mixed, mixed_chain
+):
     """pose_jacobian and geometric_jacobian, one block or two, both dtypes,
     every 7th row gimbal-locked, against the DualArray pass within
     _JACOBIAN_ULPS; all_fixed and empty have m = 0."""
     chain = {
         "arm4": lambda: arm4_chain,
-        "cam_arm_camera": lambda: identify.ParamEstimator(cam_arm, "camera", "base", "camera", 1).chain,
-        "cam_arm_link2": lambda: identify.ParamEstimator(cam_arm, "link2", "base", "camera", 1).chain,
+        "cam_arm_camera": lambda: cam_arm_camera,
+        "cam_arm_link2": lambda: cam_arm_link2,
         "mixed": lambda: mixed_chain,
         "all_fixed": lambda: urdf.extract_chain(urdf.parse_urdf(_FIXED_ONLY), "a", "c"),
         "empty": lambda: urdf.extract_chain(mixed, "l2", "l2"),
@@ -1114,9 +1116,7 @@ def test_single_axis_statics_match_oracles(single_axis_chain, monkeypatch):
     dtypes, the DualArray primal bitwise the float forward and its tangents
     within _TANGENT_ULPS, both Jacobians against their DualArray oracles,
     pose_jacobian against central differences (geometric_jacobian's are in
-    test_geometric_jacobian_matches_central_differences), and
-    _products_around bitwise forward's prefix from a span that starts at an
-    in-place static (j8's)."""
+    test_geometric_jacobian_matches_central_differences)."""
     chain, b = single_axis_chain, 300
     rng = np.random.default_rng(22)
     for dtype in (np.float64, np.float32):
@@ -1132,9 +1132,6 @@ def test_single_axis_statics_match_oracles(single_axis_chain, monkeypatch):
         inters = eng.forward(thetas, want_intermediates=True)
         _assert_within_stage_ulps(inters, _stage_pipeline(eng, thetas))
         _assert_bits_equal(finals, inters[:, -1])
-        head, tail = eng._products_around(thetas, 7, 7)
-        _assert_bits_equal(head, inters[:, 7])
-        _assert_within_stage_ulps(head @ tail, finals)
         _check_closed_form_jacobians(chain, b, dtype, rng)
     _check_twist_tangents(chain, b, rng)
 
@@ -1172,13 +1169,12 @@ def _central_jacobians(single, theta, h=1e-6):
     return geo / (2 * h), pose / (2 * h)
 
 
-# Chains whose first factor, which starts every span of forward with one
-# GEMM, sits under a turned origin: a rotation about -y (theta scale -1), a
-# prismatic joint, a planar joint (two translations) or a floating joint (six
-# factors, so that _products_around spans start on translations and
-# rotations with S = I); then a revolute joint under a turned origin, a
-# prismatic one under a one-axis origin, and a trailing fixed joint that
-# translates along one axis (applied in place) or also turns (a GEMM).
+# Chains whose first factor, which starts every pass with one GEMM, sits
+# under a turned origin: a rotation about -y (theta scale -1), a prismatic
+# joint, a planar joint (two translations) or a floating joint (six factors);
+# then a revolute joint under a turned origin, a prismatic one under a
+# one-axis origin, and a trailing fixed joint that translates along one axis
+# (applied in place) or also turns (a GEMM).
 _SEEDED = """<robot name="seeded">
   <link name="base"/><link name="l1"/><link name="l2"/><link name="l3"/><link name="tool"/>
   <joint name="j1" type="{first}"><parent link="base"/><child link="l1"/>
@@ -1201,14 +1197,13 @@ _SEEDED_FIRST = {
 @pytest.mark.parametrize("trailing", ["one_axis", "turned"])
 @pytest.mark.parametrize("first", ["mixed", *_SEEDED_FIRST])
 def test_seeded_spans_match_oracles(first, trailing, mixed_chain):
-    """Spans that start with their first factor's GEMM: forward within
+    """Passes that start with their first factor's GEMM: forward within
     _STAGE_ULPS of the stage pipeline in both dtypes, its finals bitwise its
     last intermediate, the DualArray primal bitwise the float forward and
-    its tangents within _TANGENT_ULPS, _products_around around every
-    factor (a tail span starts there) within _STAGE_ULPS of the finals, and
-    both Jacobians against their DualArray oracles and central differences.
-    mixed_chain's first factor turns about an arbitrary axis under a turned
-    origin; its trailing j6 turns, or is followed by a one-axis fixed joint."""
+    its tangents within _TANGENT_ULPS, and both Jacobians against their
+    DualArray oracles and central differences.  mixed_chain's first factor
+    turns about an arbitrary axis under a turned origin; its trailing j6
+    turns, or is followed by a one-axis fixed joint."""
     if first == "mixed":
         chain = mixed_chain
         if trailing == "one_axis":
@@ -1229,9 +1224,6 @@ def test_seeded_spans_match_oracles(first, trailing, mixed_chain):
         _assert_within_stage_ulps(inters, _stage_pipeline(eng, thetas))
         finals = eng.forward(thetas)
         _assert_bits_equal(finals, inters[:, -1])
-        for start in range(1, chain.m + 1):
-            head, tail = eng._products_around(thetas, start, start)
-            _assert_within_stage_ulps(head @ tail, finals)
         _check_closed_form_jacobians(chain, b, dtype, rng)
     _check_twist_tangents(chain, 3, rng)
 
@@ -1270,21 +1262,18 @@ def test_random_tree_rows_independent_of_blocks(monkeypatch):
 
 
 # The engine's programs (FkEngine._compile) and the reference walk they replay
-# (tests/reference_pass.py), as the same three calls.
+# (tests/reference_pass.py), as the same two calls.
 _REPLAY = types.SimpleNamespace(
     forward=lambda eng, thetas, inter: eng.forward(thetas, want_intermediates=inter),
     jacobian=lambda eng, thetas, rates: eng._jacobian(thetas, rates),
-    products_around=lambda eng, thetas, start, stop: eng._products_around(thetas, start, stop),
 )
 
 
 def _every_output(walk, eng, thetas, tangent):
     """Every output of ``eng`` on ``thetas`` by ``walk`` (_REPLAY or
     reference_pass): forward finals and intermediates, the DualArray primal
-    and tangents of both with input tangents ``tangent``, both Jacobians (a
-    ValueError's message where one raises), and _products_around from the
-    first, a middle and the last factor, with the factors before the last
-    in the middle or none."""
+    and tangents of both with input tangents ``tangent``, and both Jacobians
+    (a ValueError's message where one raises)."""
     out = []
     for inter in (False, True):
         out.append(walk.forward(eng, thetas, inter))
@@ -1295,9 +1284,6 @@ def _every_output(walk, eng, thetas, tangent):
             out.append(walk.jacobian(eng, thetas, rates))
         except ValueError as error:
             out.append(str(error))
-    for start in sorted({1, (eng.m + 1) // 2, eng.m}) if eng.m else ():
-        for stop in sorted({start, eng.m}):
-            out += walk.products_around(eng, thetas, start, stop)
     return out
 
 
@@ -1315,22 +1301,22 @@ def _assert_outputs_equal(got, want):
 _LOCKED = np.array([0.3, 1.0, -0.4, 0.2])
 
 
-def _oracle_chains(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain):
-    """The named chains of the program tests: arm4 and arm4 with a tip at
-    pitch pi/2 in configuration _LOCKED (gimbal lock), cam_arm and both its
-    substitutions, mixed_chain, single_axis, and the all-fixed and empty
-    chains."""
-    cam = urdf.extract_chain(cam_arm, "base", "camera")
+def _oracle_chains(request):
+    """The named chains of the program tests, from the test's fixtures: arm4
+    and arm4 with a tip at pitch pi/2 in configuration _LOCKED (gimbal
+    lock), cam_arm and both its substitutions, mixed_chain, single_axis, and
+    the all-fixed and empty chains."""
+    get = request.getfixturevalue
     return {
-        "arm4": arm4_chain,
-        "arm4_locked": _gimbal_locked(arm4_chain, _LOCKED),
-        "cam_arm": cam,
-        "cam_arm_camera": identify.ParamEstimator(cam_arm, "camera", "base", "camera", 1).chain,
-        "cam_arm_link2": identify.ParamEstimator(cam_arm, "link2", "base", "camera", 1).chain,
-        "mixed": mixed_chain,
-        "single_axis": single_axis_chain,
+        "arm4": get("arm4_chain"),
+        "arm4_locked": _gimbal_locked(get("arm4_chain"), _LOCKED),
+        "cam_arm": urdf.extract_chain(get("cam_arm"), "base", "camera"),
+        "cam_arm_camera": get("cam_arm_camera"),
+        "cam_arm_link2": get("cam_arm_link2"),
+        "mixed": get("mixed_chain"),
+        "single_axis": get("single_axis_chain"),
         "all_fixed": urdf.extract_chain(urdf.parse_urdf(_FIXED_ONLY), "a", "c"),
-        "empty": urdf.extract_chain(mixed, "l2", "l2"),
+        "empty": urdf.extract_chain(get("mixed"), "l2", "l2"),
     }
 
 
@@ -1344,16 +1330,16 @@ def _oracle_thetas(name, chain, b, dtype, seed):
     return thetas.astype(dtype), rng.normal(size=(2, b, chain.m)).astype(dtype)
 
 
-def test_programs_match_reference_walk(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain, monkeypatch):
+def test_programs_match_reference_walk(request, monkeypatch):
     """Every output of the compiled programs is bitwise the reference
     walk's (tests/reference_pass.py), the interpreter they replaced: forward
-    finals and intermediates, the DualArray primal and tangents, both
-    Jacobians and _products_around, on the named chains (_oracle_chains) and
+    finals and intermediates, the DualArray primal and tangents and both
+    Jacobians, on the named chains (_oracle_chains) and
     200 random trees, in both dtypes, at b = 1, 2 and 300 in 128-row
     blocks."""
     monkeypatch.setattr(kinematics, "_BLOCK_ROWS", 128)
     monkeypatch.setattr(kinematics, "_TANGENT_ROWS", 128)
-    chains = _oracle_chains(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain)
+    chains = _oracle_chains(request)
     for seed in range(200):
         _, model, leaf = treegen.random_tree(seed)
         chains[f"tree{seed}"] = urdf.extract_chain(model, model.root_link, leaf)
@@ -1366,13 +1352,13 @@ def test_programs_match_reference_walk(arm4_chain, cam_arm, mixed, mixed_chain, 
                 _assert_outputs_equal(_every_output(_REPLAY, eng, thetas, tangent), want)
 
 
-def test_programs_keep_no_state_between_calls(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain):
+def test_programs_keep_no_state_between_calls(request):
     """On one engine and one thread, every evaluation kind interleaved over
     two batches, one with a gimbal-locked row and one that overflows (the
     Jacobians raise on it), gives each result bitwise as a fresh engine
     does."""
     b, raised = 9, set()
-    for name, chain in _oracle_chains(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain).items():
+    for name, chain in _oracle_chains(request).items():
         for dtype in (np.float64, np.float32):
             locked, tangent = _oracle_thetas(name, chain, b, dtype, 5)
             huge = np.full_like(locked, np.finfo(dtype).max)
@@ -1402,7 +1388,6 @@ def test_programs_hold_no_reference_to_the_engine(arm4_chain, mixed_chain):
         lambda eng, th: eng.forward(ad.seed_array(th), want_intermediates=True),
         lambda eng, th: kinematics.geometric_jacobian(eng, th),
         lambda eng, th: kinematics.pose_jacobian(eng, th),
-        lambda eng, th: eng._products_around(th, 2, 3),
     )
     enabled = gc.isenabled()
     gc.disable()
@@ -1425,8 +1410,7 @@ def test_results_keep_the_batch_axis_last(arm4_chain, dtype, monkeypatch):
     """forward's finals and intermediates, the DualArray primal and both
     Jacobians are views whose batch axis is last in memory (its stride the
     itemsize), and in C order (np.ascontiguousarray) they are bitwise the
-    reference walk's C-contiguous results; _products_around's are
-    C-contiguous copies, bitwise the walk's.  On arm4 with a gimbal-locked
+    reference walk's C-contiguous results.  On arm4 with a gimbal-locked
     tip (every 7th row locked), at b = 1, 2 and 300 in 128-row blocks and at
     _BLOCK_ROWS + 44 in two blocks."""
     chain = _gimbal_locked(arm4_chain, _LOCKED)
@@ -1449,27 +1433,6 @@ def test_results_keep_the_batch_axis_last(arm4_chain, dtype, monkeypatch):
                 assert g.shape == w.shape and g.dtype == w.dtype == dtype and w.flags.c_contiguous
                 assert g.strides[0] == g.itemsize
                 assert np.ascontiguousarray(g).tobytes() == w.tobytes()
-            for g, w in zip(eng._products_around(thetas, 2, 3), reference_pass.products_around(eng, thetas, 2, 3)):
-                assert g.flags.c_contiguous and g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
-def test_products_around_checks_its_range(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain):
-    """_products_around needs 1 <= start <= stop <= m and raises a
-    ValueError otherwise, so that the empty and the all-fixed chains (m = 0)
-    refuse every range: a head span with no factor to start its GEMM would
-    return the result's uninitialised memory."""
-    chains = _oracle_chains(arm4_chain, cam_arm, mixed, mixed_chain, single_axis_chain)
-    for name in ("arm4", "empty", "all_fixed"):
-        chain = chains[name]
-        eng, m = FkEngine(chain, 3), chain.m
-        thetas = np.zeros((3, m))
-        for start, stop in ((0, 0), (0, 1), (1, 0), (2, 1), (1, m + 1), (m + 1, m + 1), (1, 1)):
-            if 1 <= start <= stop <= m:
-                head, tail = eng._products_around(thetas, start, stop)
-                assert head.shape == tail.shape == (3, 4, 4)
-            else:
-                with pytest.raises(ValueError, match=f"1 <= start <= stop <= {m}"):
-                    eng._products_around(thetas, start, stop)
 
 
 # Counts the minor page faults of 20 calls on arm4, on an engine of the last
