@@ -18,6 +18,7 @@ explained by one constant 6-DoF transform.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -148,9 +149,11 @@ class ParamEstimator:
     configuration) for the final pose check and ``loss_value`` only.  It
     keeps the dataset as read-only copies too, and a call given those very
     arrays skips the content check (run_identification's steps).  A step
-    then costs one 4x4 M(p) and 12x12 products at any b
-    (``loss_gradient``); no DualArray is built.  ``loss_value`` evaluates
-    the loss of the final transforms A M(p) B explicitly.
+    then costs one 4x4 M(p), built on Python floats (see transforms), and
+    12x12 products at any b (``loss_gradient``); no DualArray is built.
+    Adam's update runs on six Python floats, bitwise numpy's on (6,)
+    arrays (``step``).  ``loss_value`` evaluates the loss of the final
+    transforms A M(p) B explicitly.
 
     ``loss_value`` and ``loss_gradient`` read b rows of the chain's m dofs
     (see kinematics); ``engine`` is the chain's one FkEngine, which
@@ -177,8 +180,8 @@ class ParamEstimator:
         self.engine = FkEngine(self.chain, batch_size)
         self.params = np.zeros(6)
         self.steps_taken = 0
-        self._adam_m = np.zeros(6)
-        self._adam_v = np.zeros(6)
+        self._adam_m = [0.0] * 6  # Adam's moments, as floats (see step)
+        self._adam_v = [0.0] * 6
         self._kept = None  # (thetas, targets, A, B, R, z, rho^2) of the last dataset
 
     def _check_shapes(self, thetas, target_poses):
@@ -248,30 +251,36 @@ class ParamEstimator:
         m = sixdof_batch_to_transforms(self.params)
         u = r @ m[:3].ravel() + z
         value = float(u @ u + rho2)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"non-finite identification loss at params {self.params.tolist()}")
         h = (2.0 * u @ r).reshape(3, 4)
         rot = m[:3, :3]
         q = rot @ h[:, :3].T
         v = (q - q.T)[[1, 2, 0], [2, 0, 1]]
-        gamma = self.params[5]
-        grad = np.array([h[0, 3], h[1, 3], h[2, 3], rot[:, 0] @ v, np.cos(gamma) * v[1] - np.sin(gamma) * v[0], v[2]])
+        gamma = float(self.params[5])
+        grad = np.array([h[0, 3], h[1, 3], h[2, 3], rot[:, 0] @ v, math.cos(gamma) * v[1] - math.sin(gamma) * v[0], v[2]])
         return value, grad
 
     def step(self, thetas, target_poses, grad):
         """One Adam update of the six parameters from ``grad``, the gradient
         at the current parameters.
 
-        Returns ``loss_gradient`` at the updated parameters, the next step's
+        The update loops over six Python floats and is bitwise numpy's on
+        (6,) float64 arrays: each float operation is the one numpy applies
+        elementwise, in numpy's order.  ``params`` stays such an array and
+        the source of truth, read and replaced whole every step.  Returns
+        ``loss_gradient`` at the updated parameters, the next step's
         gradient included.
         """
         self.steps_taken += 1
         t = self.steps_taken
-        self._adam_m = 0.9 * self._adam_m + 0.1 * grad
-        self._adam_v = 0.999 * self._adam_v + 0.001 * grad * grad
-        m_hat = self._adam_m / (1.0 - 0.9**t)
-        v_hat = self._adam_v / (1.0 - 0.999**t)
-        self.params = self.params - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + 1e-8)
+        m_scale, v_scale = 1.0 - 0.9**t, 1.0 - 0.999**t
+        m, v, params = self._adam_m, self._adam_v, self.params.tolist()
+        for i, g in enumerate(grad.tolist()):
+            m[i] = m_i = 0.9 * m[i] + 0.1 * g
+            v[i] = v_i = 0.999 * v[i] + 0.001 * g * g
+            params[i] -= LEARNING_RATE * (m_i / m_scale) / (math.sqrt(v_i / v_scale) + 1e-8)
+        self.params = np.array(params)
         return self.loss_gradient(thetas, target_poses)
 
 
@@ -298,7 +307,7 @@ def run_identification(model: RobotModel, target_link: str, base: str, end: str,
     thetas, targets = estimator._kept[:2]
     status = "budget_exhausted"
     while estimator.steps_taken < config.max_steps:
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a vector, without its checks
         loss, grad = estimator.step(thetas, targets, grad)
         if loss < EPSILON or grad_norm < GRAD_EPSILON:
             status = "converged"

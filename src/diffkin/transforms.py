@@ -15,6 +15,16 @@ pose_from_transform, pose_values_from_transform, quaternion_from_rotation)
 then convert to float64, refusing a DualArray, check their input and call
 the kernel on it.
 
+sixdof_batch_to_transforms builds one float64 row, (6,) or (1, 6), on
+Python floats instead: math.cos and math.sin, then the kernel's products in
+the kernel's order (one helper, _rotation, holds the nine rotation entries
+for both), so the transform is bitwise the kernel's row, without the
+kernel's forty-odd numpy calls on six values.  That rests on numpy's
+float64 cos and sin being the C library's, as math's are (the tests check
+it on a grid of angles).  An infinite angle, which math.cos refuses,
+float32 and DualArray input, and batches of more than one row run the
+kernel.
+
 Quaternions come from the symmetric 4x4 matrix K = 4 q q^T (order x, y, z,
 w), whose entries are linear in the rotation matrix: row i of K is
 4 q_i q, and its diagonal holds the four Shepperd candidates 4 q_i^2.  The
@@ -23,6 +33,7 @@ row with the largest diagonal entry, normalized, is +-q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +58,8 @@ __all__ = [
 # cos(pitch) below this is treated as the gimbal-locked configuration.
 _GIMBAL_COS_TOL = 1e-6
 _ORTHONORMAL_TOL = 1e-6
+# the shapes of one row, which sixdof_batch_to_transforms builds on floats
+_ONE_ROW = ((6,), (1, 6))
 
 
 @dataclass(frozen=True)
@@ -111,30 +124,51 @@ def sixdof_to_transform(params):
     return sixdof_batch_to_transforms(np.asarray(ad.operand(params), dtype=np.float64))
 
 
+def _rotation(ca, sa, cb, sb, cg, sg):
+    """The nine entries of Rz(gamma) Ry(beta) Rx(alpha), row by row, from
+    the cosines and sines of (alpha, beta, gamma): floats or arrays."""
+    return (
+        cg * cb,
+        cg * sb * sa - sg * ca,
+        cg * sb * ca + sg * sa,
+        sg * cb,
+        sg * sb * sa + cg * ca,
+        sg * sb * ca - cg * sa,
+        -sb,
+        cb * sa,
+        cb * ca,
+    )
+
+
+def _sixdof_row(params):
+    """sixdof_batch_to_transforms of one float64 row, (6,) or (1, 6), on
+    Python floats; math.cos/math.sin raise ValueError on an infinite angle."""
+    x, y, z, alpha, beta, gamma = params.ravel().tolist()
+    r = _rotation(math.cos(alpha), math.sin(alpha), math.cos(beta), math.sin(beta), math.cos(gamma), math.sin(gamma))
+    out = np.array((*r[:3], x, *r[3:6], y, *r[6:], z, 0.0, 0.0, 0.0, 1.0))
+    return out.reshape(params.shape[:-1] + (4, 4))
+
+
 def sixdof_batch_to_transforms(params):
     """Vectorized transform construction, (..., 6) -> (..., 4, 4).
 
-    ``params`` is a float array or a DualArray; the result is of the same kind.
+    ``params`` is a float array or a DualArray; the result is of the same
+    kind.  One float64 row, (6,) or (1, 6), with finite angles is built on
+    Python floats instead (see the module docstring).
     """
     params = ad.operand(params)
+    if type(params) is np.ndarray and params.dtype == np.float64 and params.shape in _ONE_ROW:
+        try:
+            return _sixdof_row(params)
+        except ValueError:  # an infinite angle: numpy's cos and sin return nan for it
+            pass
     lead = params.shape[:-1]
-    x, y, z = params[..., 0], params[..., 1], params[..., 2]
-    ca, sa = np.cos(params[..., 3]), np.sin(params[..., 3])
-    cb, sb = np.cos(params[..., 4]), np.sin(params[..., 4])
-    cg, sg = np.cos(params[..., 5]), np.sin(params[..., 5])
+    a, b, g = params[..., 3], params[..., 4], params[..., 5]
+    r = _rotation(np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(g), np.sin(g))
     out = np.zeros(lead + (4, 4), dtype=params.dtype, like=params)
-    out[..., 0, 0] = cg * cb
-    out[..., 0, 1] = cg * sb * sa - sg * ca
-    out[..., 0, 2] = cg * sb * ca + sg * sa
-    out[..., 0, 3] = x
-    out[..., 1, 0] = sg * cb
-    out[..., 1, 1] = sg * sb * sa + cg * ca
-    out[..., 1, 2] = sg * sb * ca - cg * sa
-    out[..., 1, 3] = y
-    out[..., 2, 0] = -sb
-    out[..., 2, 1] = cb * sa
-    out[..., 2, 2] = cb * ca
-    out[..., 2, 3] = z
+    for k, entry in enumerate(r):
+        out[..., k // 3, k % 3] = entry
+    out[..., :3, 3] = params[..., :3]
     out[..., 3, 3] = 1.0
     return out
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,47 @@ def test_solve_checks_its_dataset_once(target, cam_arm, monkeypatch):
     assert (once.status, once.steps, once.final_loss) == (every.status, every.steps, every.final_loss)
     for name in ("params", "pose_error", "param_error"):
         assert getattr(once, name).tobytes() == getattr(every, name).tobytes()
+
+
+def _numpy_adam_step(self, thetas, target_poses, grad):
+    """ParamEstimator.step as numpy arithmetic on (6,) arrays, the update
+    the float loop replaced; M(p) comes from the batch kernel, which runs
+    on a batch of more than one row, and the gradient norm is checked to be
+    np.linalg.norm's."""
+    assert float(np.linalg.norm(grad)) == math.sqrt(grad.dot(grad))
+    moments = self.__dict__.setdefault("numpy_moments", [np.zeros(6), np.zeros(6)])
+    self.steps_taken += 1
+    t = self.steps_taken
+    moments[0] = 0.9 * moments[0] + 0.1 * grad
+    moments[1] = 0.999 * moments[1] + 0.001 * grad * grad
+    m_hat = moments[0] / (1.0 - 0.9**t)
+    v_hat = moments[1] / (1.0 - 0.999**t)
+    self.params = self.params - identify.LEARNING_RATE * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return self.loss_gradient(thetas, target_poses)
+
+
+def _batch_kernel_transform(params):
+    return transforms.sixdof_batch_to_transforms(np.stack([params, params]))[0]
+
+
+def test_float_adam_is_the_numpy_update(cam_arm, monkeypatch):
+    """Every solve on the grid (three targets, seeds 0-9, b = 1, 10, 100)
+    is bitwise the solve whose steps run the numpy update on (6,) arrays
+    and build M(p) with the batch kernel: params, pose and param errors,
+    steps, status and final loss."""
+    solves = {}
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(ParamEstimator, "step", _numpy_adam_step)
+            monkeypatch.setattr(identify, "sixdof_batch_to_transforms", _batch_kernel_transform)
+        for target in ("camera", "link2", "link3"):
+            for seed in range(10):
+                for b in (1, 10, 100):
+                    res = identify.run_identification(cam_arm, target, "base", "camera", IdentifyConfig(batch_size=b, seed=seed))
+                    key = (target, seed, b)
+                    got = (res.params.tobytes(), res.pose_error.tobytes(), res.param_error.tobytes(), res.steps, res.status, res.final_loss)
+                    assert solves.setdefault(key, got) == got, key
+    assert len(solves) == 90
 
 
 def test_budget_exhausted(cam_arm):

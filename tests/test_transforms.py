@@ -67,6 +67,52 @@ def test_sixdof_batch_matches_scalar(rng):
             np.testing.assert_allclose(batch[i, j], tf.sixdof_to_transform(q[i, j]), atol=1e-15)
 
 
+def _one_row_grid():
+    """Rows for the one-row oracle: random poses, every pairing of the
+    special angles +-0, +-pi and +-1e6 over (alpha, beta, gamma) and angles
+    up to 1e6."""
+    rng = np.random.default_rng(27)
+    special = np.array([0.0, -0.0, np.pi, -np.pi, 1e6, -1e6])
+    pick = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    corners = np.concatenate([rng.uniform(-1, 1, (len(pick), 3)), special[pick]], axis=1)
+    random = rng.uniform(-np.pi, np.pi, (200, 6))
+    large = np.concatenate([rng.uniform(-5, 5, (100, 3)), rng.uniform(-1e6, 1e6, (100, 3))], axis=1)
+    return np.concatenate([corners, random, large])
+
+
+def test_one_row_is_the_batch_kernel_row():
+    """One float64 row, (6,) or (1, 6), is built on Python floats; its
+    transform is bitwise the row the batch kernel makes for it inside a
+    larger batch.  A nan angle gives nan where the kernel does (the sign of
+    a nan is not kept, there or in the kernel), and an infinite one, which
+    math.cos refuses, runs the kernel.  Integer rows take the same path as
+    float64; float32 and DualArray rows keep their kind."""
+    rows = _one_row_grid()
+    for row, want in zip(rows, tf.sixdof_batch_to_transforms(rows)):
+        one, single = tf.sixdof_batch_to_transforms(row), tf.sixdof_batch_to_transforms(row[None])
+        assert one.shape == (4, 4) and single.shape == (1, 4, 4) and one.dtype == single.dtype == np.float64
+        np.testing.assert_array_equal(_bits(one), _bits(want))
+        np.testing.assert_array_equal(_bits(single), _bits(want))
+    odd = np.array([[0.1, 0.2, 0.3, np.nan, 0.5, 0.6], [0.1, 0.2, 0.3, 0.4, np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):  # cos and sin of an infinite angle
+        for row, want in zip(odd, tf.sixdof_batch_to_transforms(odd)):
+            np.testing.assert_array_equal(tf.sixdof_batch_to_transforms(row), want)
+    ints = np.array([[1, -2, 3, 4, -5, 6], [0, 0, 0, -3, 7, 100], [2, 0, 0, 0, 0, 0]])
+    for row, want in zip(ints, tf.sixdof_batch_to_transforms(ints.astype(np.float64))):
+        for given in (row, row.tolist(), row[None]):
+            np.testing.assert_array_equal(_bits(tf.sixdof_batch_to_transforms(given)), _bits(want))
+        np.testing.assert_array_equal(_bits(tf.sixdof_to_transform(row.tolist())), _bits(want))
+    narrow = rows[:50].astype(np.float32)
+    for row, want in zip(narrow, tf.sixdof_batch_to_transforms(narrow)):
+        got = tf.sixdof_batch_to_transforms(row)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    for row in rows[:50]:
+        dual = tf.sixdof_batch_to_transforms(ad.seed_array(row))
+        assert isinstance(dual, ad.DualArray) and dual.primal.shape == (4, 4)
+        np.testing.assert_array_equal(_bits(dual.primal), _bits(tf.sixdof_batch_to_transforms(row)))
+
+
 def test_pose_roundtrip_batch(rng):
     count = 10_000
     poses = np.column_stack(
