@@ -39,14 +39,16 @@ copied as matrix rows straight into the result, which keeps the batch axis
 last in memory as the columns do: a (S, 4, 4, b) array for S snapshots,
 whose bottom rows (0, 0, 0, 1) are filled once a call, returned as its
 (b, S, 4, 4) view, so that no snapshot is staged or transposed.  The
-buffers are the calling thread's workspace (see FkEngine); every entry is
-written before it is read, so no result depends on them or on the block a
-row runs in.  Each kind of pass is compiled once per workspace, on its
-first use, into the straight-line list of numpy calls that this walk over
-the factors makes, every operand and output a view made then
-(FkEngine._compile); a block scales its thetas into the workspace and
+buffers are the calling thread's workspace (see FkEngine); every entry a
+result reads is written before it is read, so no result depends on them or
+on the block a row runs in.  Each kind of pass is compiled once per
+workspace, on its first use, into the straight-line list of numpy calls
+that this walk over the factors makes, every operand and output a view made
+then (FkEngine._compile); a block scales its thetas into the workspace and
 replays the list, so that a call pays no per-factor branching or view
-making.
+making.  A Jacobian reads less of the pass than a value does, so its list
+keeps only the calls that a backward liveness sweep over the entries each
+call reads and writes finds live (see the Jacobians below).
 
 The reference pipeline is the scatter/map/scan form of the same chain: a
 flat theta batch (b*m,) is scattered through the index matrix P into the
@@ -81,11 +83,18 @@ the rate map of R_T = Rz(gamma) Ry(beta) Rx(alpha) (Siciliano et al. 2009,
 sec. 3.6): with c = cos(beta) = sqrt(r00^2 + r10^2),
 alpha' = (r00 wx + r10 wy) / c^2, beta' = (r00 wy - r10 wx) / c and
 gamma' = wz - r20 alpha'.  Both run forward's blocks, every product on
-(m, rows) buffers of the thread's workspace.  Rows at gimbal lock
+(m, rows) buffers of the thread's workspace.  They read of the pass only
+the axis and origin columns, T's origin column and, for the pose, T's
+first column, so their pass leaves out every call that only feeds other
+columns (on arm4 the last joint's roll and half of the mix before it), and
+the trig of trailing rotations that no kept call reads; factor 0's axis and
+origin columns, which its motion leaves as they were, are written once,
+when the program is compiled.  Rows at gimbal lock
 (c <= transforms._GIMBAL_COS_TOL), where the rate map is singular, take the
-pose extraction's derivatives instead: _tangent_block applies their twists
-to T, and pose_batch_from_transforms runs on that DualArray, so they keep
-the float pose's convention (alpha = 0).  That extraction tests hypot(r00,
+pose extraction's derivatives instead: the finals pass, replayed on the same
+workspace, gives their full T, _tangent_block applies their twists to it,
+and pose_batch_from_transforms runs on that DualArray, so they keep the
+float pose's convention (alpha = 0).  That extraction tests hypot(r00,
 r10), so the two can lock different rows only where c is within an ulp of
 the tolerance.
 
@@ -347,9 +356,16 @@ def _cross(a, b, out, prod):
     return ops
 
 
-def _translate(c, k, d, t):
-    """The calls that add d C_k to the origin column C_3 of columns ``c``, the product in ``t``."""
-    return [(np.multiply, (c[k], d, t)), (c[3].__iadd__, (t,))]
+def _live(calls, live):
+    """A backward liveness sweep: of ``calls``, (function, arguments, entries read, entries written) each, in
+    order, the ones that write an entry live after them, ``live`` being the entries read after the last; and the
+    entries live before the first."""
+    kept = []
+    for call in reversed(calls):
+        if not live.isdisjoint(call[3]):
+            kept.append(call)
+            live = live.difference(call[3]).union(call[2])
+    return kept[::-1], live
 
 
 class FkEngine:
@@ -375,9 +391,15 @@ class FkEngine:
     products and threads can share an engine.  Each kind of pass is compiled
     once per workspace, on its first block (_compile), into a program of
     numpy calls on views of the workspace, which every later block of that
-    kind replays (_pass).  A program holds no reference to the engine or the
-    workspace, so a dropped engine is freed at once.  A pickled or copied
-    engine is built again.
+    kind replays (_pass).  Every entry that a result reads is written in the
+    block before it is read: a value program writes every column of every
+    snapshot, and a Jacobian's program only the entries that a backward
+    liveness sweep from its tail's reads keeps, so that the other columns
+    hold whatever an earlier pass left.  Its gimbal-lock fallback, which
+    needs the full final frame, replays the finals program on the same
+    workspace, compiled on first use.  A program holds no reference to the
+    engine or the workspace, so a dropped engine is freed at once.  A
+    pickled or copied engine is built again.
 
     scatter_thetas, combine_link_joint, index_matrix and link_transforms,
     with the module's joint_transforms and scan_compose, are the reference
@@ -549,7 +571,7 @@ class FkEngine:
         out = snapshots if want_intermediates else snapshots[:, 0]
         if not isinstance(thetas, ad.DualArray):
             for rows in _blocks(b, _BLOCK_ROWS):
-                self._pass(flat2d[rows], res[..., rows], (where, None))
+                self._pass(self._workspace(rows.stop - rows.start), flat2d[rows], res[..., rows], (where, None))
             return out
         k = thetas.width
         # (b, 1, k, m): each row's input tangents, one matrix row per tangent
@@ -558,7 +580,7 @@ class FkEngine:
         weights = self._twist_weights if want_intermediates else 1.0
         for rows in _blocks(b, _TANGENT_ROWS):
             ws = self._workspace(rows.stop - rows.start)
-            self._pass(flat2d[rows], res[..., rows], (where, "tangents"))
+            self._pass(ws, flat2d[rows], res[..., rows], (where, "tangents"))
             self._tangent_block(ws, slice(rows.stop - rows.start), snapshots[rows], seeds[rows], weights, tangent[rows])
         tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
         return ad.DualArray(out, tangent)
@@ -574,22 +596,22 @@ class FkEngine:
         spaces = self._local.__dict__
         return spaces.get(rows) or spaces.setdefault(rows, _Workspace(self, rows))
 
-    def _pass(self, flat2d, out, kind):
+    def _pass(self, ws, flat2d, out, kind):
         """The column pass (see the module docstring) of ``kind`` (see
-        _compile) on a (rows, m) theta block: scales the block into the
-        workspace's q, then replays the kind's program there, copying each
-        snapshot's matrix rows into out[i, :3] of the (S, 4, 4, rows) block
-        of the result after its segment.  Returns the program.
+        _compile) on a (rows, m) theta block, on the caller's workspace
+        ``ws`` for blocks of that size: scales the block into its q, then
+        replays the kind's program there, copying each snapshot's matrix rows
+        into out[i, :3] of the (S, 4, 4, rows) block of the result after its
+        segment, unless ``out`` is None.  Returns the program.
 
         Inputs that overflow make inf and NaN silently; the callers that
         refuse non-finite output check it."""
-        ws = self._workspace(len(flat2d))
         program = ws.programs.get(kind) or self._compile(ws, kind)
         np.multiply(flat2d.T, ws.scale, out=ws.q)
         with np.errstate(over="ignore", invalid="ignore"):
             for ops, i, snapshot in program[0]:
                 _replay(ops)
-                if i is not None:
+                if out is not None:
                     out[i, :3] = snapshot
         return program
 
@@ -604,23 +626,34 @@ class FkEngine:
         but None writes each factor's axis column, times its theta scale, and its origin column, both read before
         its mix, into the derivatives' axes[:, :, c] of its theta column c.
 
+        A value program reads every column of every snapshot, but a Jacobian's tail reads only the axes, the final
+        C_3 and, for the pose, the final C_0.  So every call of the pass records the entries it reads and writes,
+        and a Jacobian keeps only the calls that a backward sweep from the tail's entries finds live (_live); its
+        trig runs on the rows up to the last live rotation's.  Where factor 0 rotates, its axis and origin columns
+        are S_0's whatever the angle: a Jacobian writes them once, here, from its GEMM at angle 0, as only
+        derivative passes write the axes and all of them write the same there.
+
         Returns (segments, the last mark's (4, 3, rows) columns, and a Jacobian's tail or None): segments (calls,
-        i, snapshot), each to be followed by the copy of the snapshot's (3, 4, rows) matrix rows to out[i, :3]
-        unless i is None; a tail is the Jacobian's calls up to its gimbal-lock test and those after it (see
-        _jacobian), and the block's result view (6, m, rows)."""
+        i, snapshot), each to be followed by the copy of the snapshot's (3, 4, rows) matrix rows to out[i, :3] (not
+        in a Jacobian); a tail is the Jacobian's calls up to its gimbal-lock test and those after it (see
+        _jacobian), the block's result view (6, m, rows) and the final columns that its pass computes."""
         where, mode = kind
         marks = self._final_marks if where == "finals" else self._marks
         axes, jacobian = None if mode is None else ws.derivatives[0], mode in ("geometric", "pose")
-        columns, flat, grid, q, (t1, t2), trig, cos, sin = (
-            ws.columns, ws.flat, ws.grid, ws.q, ws.mixed, ws.trig, ws.cos, ws.sin
-        )
-        ops = [] if ws.angles is q else [(np.take, (q, self._rot_cols, 0, ws.angles))]
-        # t = tan(q/2) in sin's row, k = 2/(1 + t^2) in cos's, then sin = t k and cos = k - 1, each copied from there
-        # to its three rows
-        ops += [(np.tan, (ws.angles, sin)), (np.multiply, (sin, sin, cos)), (cos.__iadd__, (1.0,))]
-        ops += [(np.divide, (2.0, cos, cos)), (sin.__imul__, (cos,)), (cos.__isub__, (1.0,))]
-        ops += [(trig.__setitem__, (Ellipsis, ws.spread))]
-        segments, product, f, p = [], None, 0, 0
+        columns, flat, grid, q, (t1, t2), trig = ws.columns, ws.flat, ws.grid, ws.q, ws.mixed, ws.trig
+        # a call is (function, arguments, entries read, entries written), an entry (p, k) for column k of
+        # columns[p], ("t", 1) or ("t", 2) for t1 or t2, ("trig", k) for rotation k's cos and sin rows or
+        # ("axes", c) for theta column c's slot; a partial write reads its entry too
+        T1, T2 = ("t", 1), ("t", 2)
+
+        def whole(p):
+            return [(p, e) for e in range(4)]
+
+        def translate(p, k, d):
+            c = columns[p]
+            return [(np.multiply, (c[k], d, t1), [(p, k)], [T1]), (c[3].__iadd__, (t1,), [(p, 3), T1], [(p, 3)])]
+
+        segments, calls, fixed, product, f, p = [], [], [], None, 0, 0
         for mark in marks:
             last, i, pending, shift = mark
             for static, col, negative, a, step_shift, k in self._steps[f : last + 1]:
@@ -630,52 +663,75 @@ class FkEngine:
                     slot, entries = a if k is None else 3 + a, (_EYE if static is None else static).ravel()
                     g = np.multiply(entries[_SEED_TAKE[slot]], _SEED_SIGN[slot], dtype=q.dtype)
                     x = (g[:, :2], ws.ones_q[0 : col + 2 : col + 1]) if k is None else (g, ws.ucs[:, k])
-                    ops.append((np.matmul, (*x, grid[p])))
+                    seed = (np.matmul, (*x, grid[p]))
+                    calls.append((*seed, [] if k is None else [("trig", k)], whole(p)))
                 elif step_shift is not None:
-                    ops += _translate(c, step_shift, static[3, step_shift], t1)
+                    calls += translate(p, step_shift, static[3, step_shift])
                 elif static is not None:
-                    ops.append((np.matmul, (static, flat[p], flat[1 - p])))
+                    calls.append((np.matmul, (static, flat[p], flat[1 - p]), whole(p), whole(1 - p)))
                     p = 1 - p
                     c = columns[p]
                 if axes is not None:
                     # the axis and origin columns (C_a, C_3) as one view
-                    ops.append((axes[:, :, col].__setitem__, (Ellipsis, c[a : 4 : 3 - a])))
+                    own = ("axes", col)
+                    copy = [(axes[:, :, col].__setitem__, (Ellipsis, c[a : 4 : 3 - a]), [(p, a), (p, 3)], [own])]
                     if negative:
-                        ops.append((np.negative, (c[a], axes[0, :, col])))
+                        copy.append((np.negative, (c[a], axes[0, :, col]), [(p, a), own], [own]))
+                    (fixed if jacobian and f == 0 and k is not None else calls).extend(copy)
                 if f != 0 and k is None:
-                    ops += _translate(c, a, q[col], t1)
+                    calls += translate(p, a, q[col])
                 elif f != 0:
                     # C_i, C_j <- c C_i + s C_j, c C_j - s C_i, every operand one contiguous (3, rows)
-                    ci, cj = (c[e] for e in _PAIRS[a])
-                    cs, s = trig[:, k - ws.skip]
-                    ops += [(np.multiply, (s, cj, t1)), (np.multiply, (s, ci, t2)), (np.multiply, (ci, cs, ci))]
-                    ops += [(np.add, (ci, t1, ci)), (np.multiply, (cj, cs, cj)), (np.subtract, (cj, t2, cj))]
+                    (ei, ej), r = ((p, e) for e in _PAIRS[a]), ("trig", k)
+                    ci, cj, (cs, s) = c[ei[1]], c[ej[1]], trig[:, k - ws.skip]
+                    calls += [(np.multiply, (s, cj, t1), [r, ej], [T1]), (np.multiply, (s, ci, t2), [r, ei], [T2])]
+                    calls += [(np.multiply, (ci, cs, ci), [ei, r], [ei]), (np.add, (ci, t1, ci), [ei, T1], [ei])]
+                    calls += [(np.multiply, (cj, cs, cj), [ej, r], [ej]), (np.subtract, (cj, t2, cj), [ej, T2], [ej])]
                 f += 1
             snap = 1 - p
             if last < 0:
                 static = _EYE if pending is None else pending
-                ops.append((columns[snap].__setitem__, (Ellipsis, static[:, :3, None])))
+                calls.append((columns[snap].__setitem__, (Ellipsis, static[:, :3, None]), [], whole(snap)))
             elif pending is None:
                 snap = p
             elif shift is not None and mark is marks[-1]:
                 # the last product: nothing reads its columns again
                 snap = p
-                ops += _translate(columns[p], shift, pending[3, shift], t1)
+                calls += translate(p, shift, pending[3, shift])
             else:
-                ops.append((np.matmul, (pending, flat[p], flat[snap])))
+                calls.append((np.matmul, (pending, flat[p], flat[snap]), whole(p), whole(snap)))
             if not jacobian:
-                segments.append((tuple(ops), i, ws.snapshots[snap]))
-                ops = []
+                segments.append([calls, i, ws.snapshots[snap]])
+                calls = []
             product = columns[snap]
-        tail = None
+        rotations, tail = len(self._rot_cols), None
         if jacobian:
-            segments.append((tuple(ops), None, None))
+            final = [0, 3] if mode == "pose" else [3]
+            calls, live = _live(calls, {("axes", c) for c in range(self.m)} | {(snap, e) for e in final})
+            rotations = 1 + max((k for tag, k in live if tag == "trig"), default=-1)
+            segments.append([calls, None, None])
             tail = self._compile_tail(ws, product, mode == "pose")
-        return ws.programs.setdefault(kind, (tuple(segments), product, tail))
+            if fixed:
+                # factor 0's GEMM at angle 0 (cos 1, sin 0), then its axis copy
+                ws.ucs[1:, 0] = ((1.0,), (0.0,))
+                _replay([seed] + [call[:2] for call in fixed])
+        # the trig of the first ``rotations``: t = tan(q/2) in sin's rows, k = 2/(1 + t^2) in cos's, then sin = t k
+        # and cos = k - 1, each copied from there to its three rows where a pass mixes it
+        angles, cos, sin = ws.angles[:rotations], ws.cos[:rotations], ws.sin[:rotations]
+        mixes = slice(max(rotations - ws.skip, 0))
+        ops = [] if ws.angles is q else [(np.take, (q, self._rot_cols[:rotations], 0, angles))]
+        ops += [(np.tan, (angles, sin)), (np.multiply, (sin, sin, cos)), (cos.__iadd__, (1.0,))]
+        ops += [(np.divide, (2.0, cos, cos)), (sin.__imul__, (cos,)), (cos.__isub__, (1.0,))]
+        ops += [(trig[:, mixes].__setitem__, (Ellipsis, ws.spread[:, mixes]))]
+        if segments:
+            segments[0][0] = [*ops, *segments[0][0]]
+        segments = tuple((tuple(call[:2] for call in calls), i, snapshot) for calls, i, snapshot in segments)
+        return ws.programs.setdefault(kind, (segments, product, tail))
 
     def _compile_tail(self, ws, t, rates):
         """A Jacobian's calls after its pass, whose final columns are ``t``, up to its gimbal-lock test and after it
-        (see _jacobian), and its block's (6, m, rows) result."""
+        (see _jacobian), its block's (6, m, rows) result, and the columns of ``t`` that it reads and its pass
+        computes: C_3, and C_0 with ``rates``."""
         (w, origin), twists, prod, block, cb, coef = ws.derivatives
         r20, p = t[0, 2], t[3]
         # p_T - origin in the angular rows until the rates overwrite them
@@ -694,7 +750,7 @@ class FkEngine:
             rest = [(block[3:].__setitem__, (Ellipsis, w))]
         for c in self._trans_cols:
             rest += [(block[:3, c].__setitem__, (Ellipsis, w[:, c])), (block[3:, c].__setitem__, (Ellipsis, 0.0))]
-        return tuple(head), tuple(rest), block[..., : ws.snapshots.shape[-1]]
+        return tuple(head), tuple(rest), block[..., : ws.snapshots.shape[-1]], t[0 if rates else 3 :: 3]
 
     def _tangent_block(self, ws, picked, frames, seeds, weights, out):
         """Tangents ``out`` (r, S, k, 4, 4) of the snapshots ``frames`` (r, S, 4, 4) of the rows ``picked`` of the
@@ -724,14 +780,17 @@ class FkEngine:
         with ``rates`` pose_jacobian's, every product on (m, rows) buffers of the workspace's derivatives, each
         block copied as it is into a (6, m, b) result, of which this is a view.  The
         pass and the data-independent calls of the tail are the kind's program; the finiteness checks, the
-        gimbal-lock test and its fallback run between its parts."""
+        gimbal-lock test and its fallback run between its parts.  The pass computes only the final columns that
+        the tail reads (C_3, and C_0 for the pose; see _compile), and only those are checked: a rotation column
+        goes non-finite only through an origin column that already is, and stays so.  A block with a locked row
+        replays the finals program on the same workspace for the full frames that the fallback needs."""
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(thetas, m, b, self.dtype)
-        jac = np.empty((6, m, b), dtype=self.dtype)
+        jac, kind = np.empty((6, m, b), dtype=self.dtype), ("finals", "pose" if rates else "geometric")
         for rows in _blocks(b, _BLOCK_ROWS):
             ws = self._workspace(rows.stop - rows.start)
-            _, t, (head, rest, result) = self._pass(flat2d[rows], None, ("finals", "pose" if rates else "geometric"))
-            if not np.isfinite(t).all():
+            head, rest, result, final = self._pass(ws, flat2d[rows], None, kind)[2]
+            if not np.isfinite(final).all():
                 raise ValueError("non-finite value in jacobian output")
             _replay(head)
             block, cb = ws.derivatives[3:5]
@@ -743,6 +802,7 @@ class FkEngine:
             if len(locked):
                 # the rate map is singular: these rows take the pose extraction's
                 # derivatives, on a DualArray of their tangents
+                t = self._pass(ws, flat2d[rows], None, ("finals", None))[1]
                 frames = np.empty((len(locked), 1, 4, 4), dtype=self.dtype)
                 frames[:, 0, :3], frames[:, 0, 3] = t[..., locked].transpose(2, 1, 0), _EYE[3]
                 tangent = np.empty((len(locked), 1, m, 4, 4), dtype=self.dtype)

@@ -62,9 +62,9 @@ def test_one_model_evaluation_per_step(max_steps, status, cam_arm, monkeypatch):
         calls["dual"] += isinstance(thetas, ad.DualArray)
         return evaluate(self, thetas, *args, **kwargs)
 
-    def counting_pass(self, flat2d, out, kind):
+    def counting_pass(self, ws, flat2d, out, kind):
         passes.append(kind)
-        return column_pass(self, flat2d, out, kind)
+        return column_pass(self, ws, flat2d, out, kind)
 
     def counting_loss_value(self, *args):
         calls["loss_value"] += 1

@@ -23,6 +23,7 @@ from diffkin.kinematics import FkEngine, ShapeError
 
 import reference_pass
 import treegen
+from conftest import ARM4
 
 
 def test_two_link_closed_form(arm2r_chain):
@@ -742,7 +743,11 @@ def test_rotation_mix_operands_share_one_shape(call, arm4_chain, monkeypatch, rn
     a sum and a difference for each of j2-j4 (j1's rotation is in the
     span's first GEMM), and one product for each of j2-j4's origins and the
     flange, all along x (their sums are in place), in every entry that runs
-    the pass."""
+    the pass.  The Jacobians keep only the mixes' calls that the final C_0
+    and C_3 need (FkEngine._compile): j2's six, the two products and the
+    difference that update j3's C_0, and none of j4's, a roll about x; so
+    their trig runs on three rotations, and its t^2 is a product of (3,
+    rows) operands too."""
     b = 300
     eng = FkEngine(arm4_chain, batch_size=b)
     thetas = rng.uniform(-1.0, 1.0, size=(b, eng.m))
@@ -758,8 +763,9 @@ def test_rotation_mix_operands_share_one_shape(call, arm4_chain, monkeypatch, rn
         _counting(monkeypatch, name, calls)
     run()
     both = ((3, b), (3, b))
-    want = [("multiply", both, True)] * 12 + [("add", both, True)] * 3 + [("subtract", both, True)] * 3
-    want += [("multiply", ((3, b), ()), True)] * 4
+    products, sums, differences = (6 + 1, 1, 2) if call.endswith("jacobian") else (12, 3, 3)
+    want = [("multiply", both, True)] * products + [("add", both, True)] * sums
+    want += [("subtract", both, True)] * differences + [("multiply", ((3, b), ()), True)] * 4
     assert sorted(c for c in calls if (3, b) in c[1]) == sorted(want)
 
 
@@ -1373,6 +1379,148 @@ def test_programs_keep_no_state_between_calls(request):
                 name == "arm4_locked"
             )
     assert ("mixed", "non-finite value in jacobian output") in raised
+
+
+def _poison(ws, derivatives, constants):
+    """Fill every buffer of ``ws`` that a program writes with NaN: the
+    columns, the mixes' temporaries, q and the half angles, the cos and sin
+    rows and their three-row copies, and with ``derivatives`` every
+    derivative buffer, then put back the values that a Jacobian's program
+    wrote when it was compiled, ``constants`` ((view, values) pairs by
+    workspace).  The ones rows stay."""
+    buffers = [ws.columns, ws.mixed, ws.q, ws.angles, ws.ucs[1:], ws.trig]
+    for buffer in buffers + list(ws.derivatives if derivatives else ()):
+        buffer[...] = np.nan
+    for view, values in constants.get(ws, ()):
+        view[...] = values
+
+
+def test_dropped_calls_are_never_read(request, monkeypatch):
+    """The Jacobians' programs drop the calls whose results no Jacobian row
+    reads (FkEngine._compile), and no later call reads what they would
+    have written: with every buffer that a program writes filled with NaN
+    before every block pass (_poison; the value buffers alone before the
+    gimbal-lock fallback's finals pass), but for the axis and origin
+    columns of a rotating factor 0 as a Jacobian's program wrote them when
+    it was compiled, every output and every error message stays bitwise
+    the reference walk's: forward finals and intermediates, the DualArray
+    primal and tangents and both Jacobians, on the named chains
+    (_oracle_chains) and 200 random trees, in both dtypes, at b = 1, 2 and
+    300 in 128-row blocks, and on the named chains for a batch that
+    overflows."""
+    monkeypatch.setattr(kinematics, "_BLOCK_ROWS", 128)
+    monkeypatch.setattr(kinematics, "_TANGENT_ROWS", 128)
+    column_pass, compile_pass, constants = FkEngine._pass, FkEngine._compile, weakref.WeakKeyDictionary()
+
+    def poisoned_pass(self, ws, flat2d, out, kind):
+        _poison(ws, kind[1] is not None, constants)
+        return column_pass(self, ws, flat2d, out, kind)
+
+    def recorded_compile(self, ws, kind):
+        program = compile_pass(self, ws, kind)
+        if kind[1] in ("geometric", "pose") and self._steps and self._steps[0][5] is not None:
+            fixed = ws.derivatives[0][:, :, self._steps[0][1]]
+            constants[ws] = ((fixed, fixed.copy()),)
+        return program
+
+    monkeypatch.setattr(FkEngine, "_pass", poisoned_pass)
+    monkeypatch.setattr(FkEngine, "_compile", recorded_compile)
+    chains, raised = _oracle_chains(request), set()
+    named = set(chains)
+    for seed in range(200):
+        _, model, leaf = treegen.random_tree(seed)
+        chains[f"tree{seed}"] = urdf.extract_chain(model, model.root_link, leaf)
+    for k, (name, chain) in enumerate(chains.items()):
+        for dtype in (np.float64, np.float32):
+            for b in (1, 2, 300):
+                thetas, tangent = _oracle_thetas(name, chain, b, dtype, k)
+                batches = [thetas, np.full_like(thetas, np.finfo(dtype).max)] if name in named else [thetas]
+                for batch in batches:
+                    eng = FkEngine(chain, b, dtype)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = _every_output(reference_pass, eng, batch, tangent)
+                        got = _every_output(_REPLAY, eng, batch, tangent)
+                    _assert_outputs_equal(got, want)
+                    raised.update((name, out) for out in got if isinstance(out, str))
+    assert ("mixed", "non-finite value in jacobian output") in raised
+
+
+def _pass_calls(eng, rows, kind):
+    """The pass calls of ``kind``'s program on ``eng``'s workspace for
+    ``rows`` rows, each as its function's name and its operands: an array
+    of the workspace by its address, shape and strides, any other by its
+    value."""
+    ws = eng._local.__dict__[rows]
+    buffers = [v for v in vars(ws).values() if isinstance(v, np.ndarray)] + list(ws.derivatives)
+
+    def operand(x):
+        if not isinstance(x, np.ndarray):
+            return x
+        if any(np.shares_memory(x, buffer) for buffer in buffers):
+            return x.__array_interface__["data"][0], x.shape, x.strides
+        return x.shape, x.tobytes()
+
+    return [
+        (fn.__name__, operand(getattr(fn, "__self__", None)), tuple(operand(x) for x in args))
+        for ops, _, _ in ws.programs[kind][0]
+        for fn, args in ops
+    ]
+
+
+# The calls of arm4's tangents pass after its trig, each factor's: factor 0's
+# GEMM and axis copy, then per factor j2-j4 the static's in-place translation
+# (2 calls), the axis copy and the rotation mix (6: the product into t1, the
+# one into t2, then C_i's product and sum, C_j's product and difference), and
+# the flange's translation.
+_MIX = {"j2": 5, "j3": 14, "j4": 23}
+_C_I, _C_J = (0, 2, 3), (1, 4, 5)
+
+
+@pytest.mark.parametrize("robot", ["arm4", "roll_z", "roll_z_bare"])
+def test_jacobian_programs_drop_the_calls_no_row_reads(robot, arm4_chain):
+    """A Jacobian's pass is the tangents pass of the finals but for the
+    calls that no entry of its tail reads (FkEngine._compile); the finals,
+    intermediates and tangents programs keep every call (34, 34, 38 and 38
+    with a flange, 2 fewer each without).  Both Jacobians drop factor 0's axis copy, which the
+    program writes once when it is compiled.  On arm4 (j2 and j3 pitch
+    about y, j4 rolls about x): j4's mix, which turns C_1 and C_2, and the
+    three calls of j3's that update C_2, so 28 calls of 38, and the trig
+    runs on the first three rotations.  With j4 rolling about z and a
+    flange along z, or with no flange: the pose keeps the three calls of
+    j4's mix that update C_0, the geometric Jacobian none of the six."""
+    if robot == "arm4":
+        chain = arm4_chain
+    else:
+        text = ARM4.replace('<axis xyz="1 0 0"/>', '<axis xyz="0 0 1"/>').replace('"0.1 0 0"', '"0 0 0.1"')
+        chain = urdf.extract_chain(urdf.parse_urdf(text), "base", "tool" if robot == "roll_z" else "l4")
+    b = 5
+    eng = FkEngine(chain, b)
+    thetas = np.random.default_rng(b).uniform(-1.0, 1.0, size=(b, eng.m))
+    for inter in (False, True):
+        eng.forward(thetas, want_intermediates=inter)
+        eng.forward(ad.seed_array(thetas), want_intermediates=inter)
+    kinematics.pose_jacobian(eng, thetas)
+    kinematics.geometric_jacobian(eng, thetas)
+    calls = {kind: _pass_calls(eng, b, kind) for kind in eng._local.__dict__[b].programs}
+    flange = 2 * (robot != "roll_z_bare")
+    assert [len(calls[kind]) for kind in [("finals", None), ("intermediates", None)]] == [32 + flange] * 2
+    assert [len(calls[kind]) for kind in [("finals", "tangents"), ("intermediates", "tangents")]] == [36 + flange] * 2
+    if robot == "arm4":
+        dropped = {"pose": [1, *(_MIX["j3"] + e for e in _C_I), *(_MIX["j4"] + e for e in range(6))]}
+        dropped["geometric"], rotations = dropped["pose"], {"pose": 3, "geometric": 3}
+    else:
+        dropped = {"pose": [1, *(_MIX["j4"] + e for e in _C_J)], "geometric": [1, *(_MIX["j4"] + e for e in range(6))]}
+        rotations = {"pose": 4, "geometric": 3}
+    tangents = calls[("finals", "tangents")]
+    for mode in ("pose", "geometric"):
+        got = calls[("finals", mode)]
+        assert len(got) == len(tangents) - len(dropped[mode])
+        assert got[7:] == [call for n, call in enumerate(tangents[7:]) if n not in dropped[mode]]
+        # the trig: the same calls on the first rotations' rows
+        assert [call[0] for call in got[:7]] == [call[0] for call in tangents[:7]]
+        assert got[0][2][0][1] == (rotations[mode], b)
+    if robot == "arm4":
+        assert len(calls[("finals", "pose")]) == len(calls[("finals", "geometric")]) == 28
 
 
 def test_programs_hold_no_reference_to_the_engine(arm4_chain, mixed_chain):
