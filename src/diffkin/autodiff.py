@@ -4,14 +4,15 @@
 Derivatives*, 2008, section 3) that the library's kernels run on: one primal
 ndarray plus a tangent ndarray with the tangent axis leading, shape
 ``(k,) + primal.shape``.  It implements numpy's ``__array_ufunc__`` and
-``__array_function__`` protocols for exactly the operations the pose,
-quaternion and metric kernels use, so those kernels run unchanged on it;
-every other ufunc or function, and any conversion to a plain ndarray,
-raises instead of silently dropping the tangent.  The operators come from
-numpy's ``NDArrayOperatorsMixin``, so ``a + b`` runs ``np.add`` and its
-rule in ``_UFUNC_RULES``.  Primals are computed by the same numpy calls as
-the float kernels, so they are bitwise equal to a float run.
-``FkEngine.forward`` takes a DualArray too, but builds the tangents of its
+``__array_function__`` protocols for the operations the pose, quaternion
+and metric kernels use, so those kernels run unchanged on it, and for a few
+that callers and the tests use on its results (``arccos``, ``maximum``,
+``mean`` and ``astype``); every other ufunc or function, and any conversion
+to a plain ndarray, raises instead of silently dropping the tangent.  The
+operators come from numpy's ``NDArrayOperatorsMixin``, so ``a + b`` runs
+``np.add`` and its rule in ``_UFUNC_RULES``.  Primals are computed by the
+same numpy calls as the float kernels, so they are bitwise equal to a float
+run.  ``FkEngine.forward`` takes a DualArray too, but builds the tangents of its
 factor product from the twists of the float prefix products instead of
 pushing them through every 4x4 product (see ``kinematics``); run through
 the reference stages (``scan_compose`` and the rest) that the tests drive,

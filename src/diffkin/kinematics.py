@@ -51,13 +51,17 @@ keeps only the calls that a backward liveness sweep over the entries each
 call reads and writes finds live (see the Jacobians below).
 
 The reference pipeline is the scatter/map/scan form of the same chain: a
-flat theta batch (b*m,) is scattered through the index matrix P into the
-6-DoF parameter tensor Q (b, n, 6) (scatter_thetas), every Q row is expanded
-into a joint transform (joint_transforms), premultiplied by its segment's
-static link transform (combine_link_joint), and an inclusive cumulative
-product along the chain axis (scan_compose), then the post-corrections,
-gives every intermediate and the final transform.  forward does not call
-these stages; they are the oracle it is tested against, within a few ulps.
+flat theta batch (b*m,) is scattered into the 6-DoF parameter tensor Q
+(b, n, 6), each theta into its joint's row and parameter slot
+(scatter_thetas), every Q row is expanded into a joint transform
+(joint_transforms), premultiplied by its segment's static link transform
+(combine_link_joint), and an inclusive cumulative product along the chain
+axis (scan_compose), followed by R_align^T at each joint with an arbitrary
+axis (see below), gives every intermediate and the final transform.
+forward does not call these stages.  They stay because the benchmark in
+perfbench/ times each of them as a layer, and the tests use them as the
+oracle that forward matches within a few ulps; what only that oracle would
+read (the scatter's index and the post-corrections) is built in the tests.
 
 One pass serves values and derivatives.  Factor f moves one theta column
 about or along axis a of the frame P_{f-1} S_f, whose axis column C_a and
@@ -82,21 +86,23 @@ velocity (geometric_jacobian).  pose_jacobian maps the angular rows through
 the rate map of R_T = Rz(gamma) Ry(beta) Rx(alpha) (Siciliano et al. 2009,
 sec. 3.6): with c = cos(beta) = sqrt(r00^2 + r10^2),
 alpha' = (r00 wx + r10 wy) / c^2, beta' = (r00 wy - r10 wx) / c and
-gamma' = wz - r20 alpha'.  Both run forward's blocks, every product on
-(m, rows) buffers of the thread's workspace.  They read of the pass only
-the axis and origin columns, T's origin column and, for the pose, T's
-first column, so their pass leaves out every call that only feeds other
-columns (on arm4 the last joint's roll and half of the mix before it), and
-the trig of trailing rotations that no kept call reads; factor 0's axis and
-origin columns, which its motion leaves as they were, are written once,
-when the program is compiled.  Rows at gimbal lock
-(c <= transforms._GIMBAL_COS_TOL), where the rate map is singular, take the
-pose extraction's derivatives instead: the finals pass, replayed on the same
-workspace, gives their full T, _tangent_block applies their twists to it,
-and pose_batch_from_transforms runs on that DualArray, so they keep the
-float pose's convention (alpha = 0).  That extraction tests hypot(r00,
-r10), so the two can lock different rows only where c is within an ulp of
-the tolerance.
+gamma' = wz - r20 alpha'.  Both run forward's blocks, each block one
+program: the pass, then these rows (the tail), every product on (m, rows)
+buffers of the thread's workspace.  The tail reads of the pass only the
+axis and origin columns, T's origin column and, for the pose, T's first
+column, so the pass leaves out every call that only feeds other columns
+(on arm4 the last joint's roll and half of the mix before it), and the trig
+of trailing rotations that no kept call reads; factor 0's axis and origin
+columns, which its motion leaves as they were, are written once, when the
+program is compiled.  The rate map runs on every row, also those at gimbal
+lock (c <= transforms._GIMBAL_COS_TOL), where it is singular (c may be 0,
+and the row inf or NaN).  Their six rows are then overwritten with the pose
+extraction's derivatives: the finals pass, replayed on the same workspace,
+gives their full T, _tangent_block applies their twists to it, and
+pose_batch_from_transforms runs on that DualArray, so they keep the float
+pose's convention (alpha = 0).  That extraction tests hypot(r00, r10), so
+the two can lock different rows only where c is within an ulp of the
+tolerance.
 
 Joints with an arbitrary axis are handled by conjugation: motion about axis
 ``a`` equals R_align . canonical-slot-motion . R_align^T, where R_align maps
@@ -394,16 +400,16 @@ class FkEngine:
     kind replays (_pass).  Every entry that a result reads is written in the
     block before it is read: a value program writes every column of every
     snapshot, and a Jacobian's program only the entries that a backward
-    liveness sweep from its tail's reads keeps, so that the other columns
-    hold whatever an earlier pass left.  Its gimbal-lock fallback, which
-    needs the full final frame, replays the finals program on the same
-    workspace, compiled on first use.  A program holds no reference to the
-    engine or the workspace, so a dropped engine is freed at once.  A
+    liveness sweep from its tail's reads keeps, then runs the tail, so that
+    the other columns hold whatever an earlier pass left.  Its gimbal-lock
+    fallback, which needs the full final frame, replays the finals program on
+    the same workspace, compiled on first use.  A program holds no reference
+    to the engine or the workspace, so a dropped engine is freed at once.  A
     pickled or copied engine is built again.
 
-    scatter_thetas, combine_link_joint, index_matrix and link_transforms,
-    with the module's joint_transforms and scan_compose, are the reference
-    pipeline; forward does not call them.
+    scatter_thetas and combine_link_joint, with the module's
+    joint_transforms and scan_compose, are the reference pipeline (see the
+    module docstring); forward does not call them.
     """
 
     def __init__(self, chain: KinematicChain, batch_size: int, dtype=np.float64):
@@ -422,7 +428,7 @@ class FkEngine:
         origins[:], origins[:, :3, 3] = _UNTURNED, params[:, :3]
         if np.count_nonzero(turned):
             origins[turned] = transforms.sixdof_batch_to_transforms(params[turned])
-        tl, posts, dof_rows, dof_slots, dof_scales = [], [], [], [], []
+        tl, dof_rows, dof_slots, dof_scales = [], [], [], []
         factors = []  # (static or None for I, theta column, slot) in product order, one per dof
         marks = []  # (last factor so far, segment, static pending after it or None)
         carry = None  # alignment inverse awaiting the next static transform
@@ -433,8 +439,7 @@ class FkEngine:
             carry = None
             if align is not None:
                 pre = pre @ align
-                carry = align.T.copy()
-                posts.append((i, carry.astype(self.dtype)))
+                carry = align.T
             tl.append(pre)
             if joint_slots:
                 col = len(dof_slots)
@@ -460,8 +465,6 @@ class FkEngine:
         self._rows_per_dof = np.array(dof_rows, dtype=np.intp)
         self._slots_per_dof = np.array(dof_slots, dtype=np.intp)
         self._scale_per_dof = np.array(dof_scales, dtype=dt)
-        # per-row post-corrections, applied after the reference pipeline's scan
-        self._posts = tuple(posts)
 
         # every static as S^T for the column GEMM, None where it is I, from one stacked comparison; its count of
         # the entries that differ from I's, per column of S, also finds the statics that only translate, along one
@@ -503,23 +506,6 @@ class FkEngine:
         col_factor = np.argsort([col for _, col, *_ in self._steps])
         marked = np.array([mark[0] for mark in self._marks], dtype=np.intp)
         return (col_factor <= marked[:, None, None]).astype(self.dtype)
-
-    @property
-    def index_matrix(self):
-        """(b*m, 3) rows of (batch index, joint row, parameter slot)."""
-        b = self.batch_size
-        return np.column_stack(
-            [
-                np.repeat(np.arange(b, dtype=np.intp), self.m),
-                np.tile(self._rows_per_dof, b),
-                np.tile(self._slots_per_dof, b),
-            ]
-        )
-
-    @property
-    def link_transforms(self):
-        """The precomputed static per-segment transforms, shape (n, 4, 4)."""
-        return self._tl.copy()
 
     # -- reference pipeline stages --------------------------------------------
 
@@ -604,11 +590,14 @@ class FkEngine:
         into out[i, :3] of the (S, 4, 4, rows) block of the result after its
         segment, unless ``out`` is None.  Returns the program.
 
-        Inputs that overflow make inf and NaN silently; the callers that
-        refuse non-finite output check it."""
+        Inputs that overflow make inf and NaN silently, and so does a
+        Jacobian's rate map on a gimbal-locked row, which may divide 0 by 0,
+        or by a c^2 that underflows to 0 in float32 (the value programs
+        divide only by 1 + t^2 >= 1); the callers that refuse non-finite
+        output check it, and the Jacobians overwrite the locked rows."""
         program = ws.programs.get(kind) or self._compile(ws, kind)
         np.multiply(flat2d.T, ws.scale, out=ws.q)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for ops, i, snapshot in program[0]:
                 _replay(ops)
                 if out is not None:
@@ -635,8 +624,9 @@ class FkEngine:
 
         Returns (segments, the last mark's (4, 3, rows) columns, and a Jacobian's tail or None): segments (calls,
         i, snapshot), each to be followed by the copy of the snapshot's (3, 4, rows) matrix rows to out[i, :3] (not
-        in a Jacobian); a tail is the Jacobian's calls up to its gimbal-lock test and those after it (see
-        _jacobian), the block's result view (6, m, rows) and the final columns that its pass computes."""
+        in a Jacobian, whose one segment ends with the calls of its tail, which the sweep starts from and keeps
+        whole); a tail is the block's result view (6, m, rows) and the final columns that the pass computes
+        (_compile_tail)."""
         where, mode = kind
         marks = self._final_marks if where == "finals" else self._marks
         axes, jacobian = None if mode is None else ws.derivatives[0], mode in ("geometric", "pose")
@@ -709,8 +699,9 @@ class FkEngine:
             final = [0, 3] if mode == "pose" else [3]
             calls, live = _live(calls, {("axes", c) for c in range(self.m)} | {(snap, e) for e in final})
             rotations = 1 + max((k for tag, k in live if tag == "trig"), default=-1)
-            segments.append([calls, None, None])
-            tail = self._compile_tail(ws, product, mode == "pose")
+            # the tail runs whole: its reads are where the sweep starts
+            tail_calls, *tail = self._compile_tail(ws, product, mode == "pose")
+            segments.append([calls + tail_calls, None, None])
             if fixed:
                 # factor 0's GEMM at angle 0 (cos 1, sin 0), then its axis copy
                 ws.ucs[1:, 0] = ((1.0,), (0.0,))
@@ -729,28 +720,28 @@ class FkEngine:
         return ws.programs.setdefault(kind, (segments, product, tail))
 
     def _compile_tail(self, ws, t, rates):
-        """A Jacobian's calls after its pass, whose final columns are ``t``, up to its gimbal-lock test and after it
-        (see _jacobian), its block's (6, m, rows) result, and the columns of ``t`` that it reads and its pass
-        computes: C_3, and C_0 with ``rates``."""
+        """(calls, result, final): a Jacobian's calls after its pass, whose final columns are ``t``, which make its
+        block's (6, m, rows) ``result`` on every row, gimbal-locked ones too (see _jacobian), and the columns of
+        ``t`` that they read and the pass computes: C_3, and C_0 with ``rates``."""
         (w, origin), twists, prod, block, cb, coef = ws.derivatives
         r20, p = t[0, 2], t[3]
         # p_T - origin in the angular rows until the rates overwrite them
-        head = [(np.subtract, (p[:, None], origin, block[3:]))] + _cross(w, block[3:], block[:3], prod)
+        calls = [(np.subtract, (p[:, None], origin, block[3:]))] + _cross(w, block[3:], block[:3], prod)
         if rates:
             # c^2 = r00^2 + r10^2 (squares in coef, which the coefficients overwrite) and c = sqrt(c^2)
-            head += [(np.multiply, (t[0, :2], t[0, :2], coef[0])), (np.add, (coef[0, 0], coef[0, 1], cb[0]))]
-            head += [(np.sqrt, (cb[0], cb[1]))]
+            calls += [(np.multiply, (t[0, :2], t[0, :2], coef[0])), (np.add, (coef[0, 0], coef[0, 1], cb[0]))]
+            calls += [(np.sqrt, (cb[0], cb[1]))]
             # per-row coefficients (r00, r10) / c^2 and / c, then one product and one sum or difference a rate
             terms = twists[:2]
-            rest = [(np.divide, (t[0, :2], cb[:, None], coef)), (np.multiply, (w[:2], coef[0, :, None], terms))]
-            rest += [(np.add, (terms[0], terms[1], block[3])), (np.multiply, (w[1::-1], coef[1, :, None], terms))]
-            rest += [(np.subtract, (terms[0], terms[1], block[4])), (np.multiply, (r20, block[3], prod))]
-            rest += [(np.subtract, (w[2], prod, block[5]))]
+            calls += [(np.divide, (t[0, :2], cb[:, None], coef)), (np.multiply, (w[:2], coef[0, :, None], terms))]
+            calls += [(np.add, (terms[0], terms[1], block[3])), (np.multiply, (w[1::-1], coef[1, :, None], terms))]
+            calls += [(np.subtract, (terms[0], terms[1], block[4])), (np.multiply, (r20, block[3], prod))]
+            calls += [(np.subtract, (w[2], prod, block[5]))]
         else:
-            rest = [(block[3:].__setitem__, (Ellipsis, w))]
+            calls += [(block[3:].__setitem__, (Ellipsis, w))]
         for c in self._trans_cols:
-            rest += [(block[:3, c].__setitem__, (Ellipsis, w[:, c])), (block[3:, c].__setitem__, (Ellipsis, 0.0))]
-        return tuple(head), tuple(rest), block[..., : ws.snapshots.shape[-1]], t[0 if rates else 3 :: 3]
+            calls += [(block[:3, c].__setitem__, (Ellipsis, w[:, c])), (block[3:, c].__setitem__, (Ellipsis, 0.0))]
+        return calls, block[..., : ws.snapshots.shape[-1]], t[0 if rates else 3 :: 3]
 
     def _tangent_block(self, ws, picked, frames, seeds, weights, out):
         """Tangents ``out`` (r, S, k, 4, 4) of the snapshots ``frames`` (r, S, 4, 4) of the rows ``picked`` of the
@@ -778,30 +769,28 @@ class FkEngine:
     def _jacobian(self, thetas, rates):
         """(b, 6, m) Jacobians of the final transforms (see the module docstring): geometric_jacobian's, or
         with ``rates`` pose_jacobian's, every product on (m, rows) buffers of the workspace's derivatives, each
-        block copied as it is into a (6, m, b) result, of which this is a view.  The
-        pass and the data-independent calls of the tail are the kind's program; the finiteness checks, the
-        gimbal-lock test and its fallback run between its parts.  The pass computes only the final columns that
-        the tail reads (C_3, and C_0 for the pose; see _compile), and only those are checked: a rotation column
-        goes non-finite only through an origin column that already is, and stays so.  A block with a locked row
-        replays the finals program on the same workspace for the full frames that the fallback needs."""
+        block copied as it is into a (6, m, b) result, of which this is a view.  A block is one replay of the
+        kind's program, the pass and then the tail (_pass, _compile), followed by the checks and the gimbal-lock
+        fallback.  The pass computes only the final columns that the tail reads (C_3, and C_0 for the pose), so
+        only those are checked of the final pose: a rotation column goes non-finite only through an origin column
+        that already is, and stays so.  Both checks are needed: the block's catches derivatives that overflow from a
+        finite pose, and the final's a pose that overflows while the block stays finite, as on a chain of
+        prismatic joints only, whose columns are their axes over zeros.  The fallback overwrites all six rows of
+        every locked row, which the rate map made too, and replays the finals program on the same workspace for
+        the full frames that it needs."""
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(thetas, m, b, self.dtype)
         jac, kind = np.empty((6, m, b), dtype=self.dtype), ("finals", "pose" if rates else "geometric")
         for rows in _blocks(b, _BLOCK_ROWS):
             ws = self._workspace(rows.stop - rows.start)
-            head, rest, result, final = self._pass(ws, flat2d[rows], None, kind)[2]
+            result, final = self._pass(ws, flat2d[rows], None, kind)[2]
             if not np.isfinite(final).all():
                 raise ValueError("non-finite value in jacobian output")
-            _replay(head)
             block, cb = ws.derivatives[3:5]
-            locked = ()
             if rates and cb[1].min() <= transforms._GIMBAL_COS_TOL:
-                locked = np.flatnonzero(cb[1] <= transforms._GIMBAL_COS_TOL)
-                cb[:, locked] = 1.0
-            _replay(rest)
-            if len(locked):
                 # the rate map is singular: these rows take the pose extraction's
-                # derivatives, on a DualArray of their tangents
+                # derivatives, on a DualArray of their tangents, over all six rows
+                locked = np.flatnonzero(cb[1] <= transforms._GIMBAL_COS_TOL)
                 t = self._pass(ws, flat2d[rows], None, ("finals", None))[1]
                 frames = np.empty((len(locked), 1, 4, 4), dtype=self.dtype)
                 frames[:, 0, :3], frames[:, 0, 3] = t[..., locked].transpose(2, 1, 0), _EYE[3]

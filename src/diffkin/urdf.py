@@ -12,7 +12,7 @@ import enum
 import functools
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "UrdfError",
@@ -102,9 +102,6 @@ class RobotModel:
     links: tuple
     joints: tuple
     root_link: str
-    # joint name -> original origin six-tuple, recorded by link substitution
-    # as the initialization hint for identification.
-    init_hints: dict = field(default_factory=dict)
 
     def link_names(self):
         return [link.name for link in self.links]
@@ -378,9 +375,9 @@ def substitute_link_with_joint(model: RobotModel, target_link: str) -> RobotMode
     free Floating joint.
 
     The joint's origin is zeroed and its six parameters become the trainable
-    quantity; the original origin values are recorded in ``init_hints`` so
-    an identification run can compare its estimate against them.  Any DoF
-    the original joint had are subsumed by the Floating joint.
+    quantity: at the original joint's origin_params() they give back its
+    origin transform.  Any DoF the original joint had are subsumed by the
+    Floating joint.
     """
     parent = _parent_joint(model, target_link)
     replacement = Joint(
@@ -394,6 +391,4 @@ def substitute_link_with_joint(model: RobotModel, target_link: str) -> RobotMode
         limits=None,
     )
     joints = tuple(replacement if j.name == parent.name else j for j in model.joints)
-    hints = dict(model.init_hints)
-    hints[parent.name] = parent.origin_params()
-    return RobotModel(model.name, model.links, joints, model.root_link, hints)
+    return RobotModel(model.name, model.links, joints, model.root_link)

@@ -290,7 +290,7 @@ def test_criterion_6_round_trips():
     sub = urdf.substitute_link_with_joint(model, "camera")
     chain_orig = urdf.extract_chain(model, "base", "camera")
     chain_sub = urdf.extract_chain(sub, "base", "camera")
-    hint = sub.init_hints[sub.parent_joint_of("camera").name]
+    hint = model.parent_joint_of("camera").origin_params()
     b = 100
     thetas = treegen.sample_thetas(chain_orig, b, rng)
     flat_sub = []

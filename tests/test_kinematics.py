@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import warnings
 import weakref
 from pathlib import Path
 
@@ -133,27 +134,16 @@ def test_dual_forward_matches_float_and_central_differences(case, dtype, want_in
         np.testing.assert_allclose(dual.tangent[j], (up - dn) / (2 * h), rtol=0, atol=tol)
 
 
-def test_index_matrix_shape_and_invariants(mixed_chain):
-    b = 3
-    eng = FkEngine(mixed_chain, batch_size=b)
-    p = eng.index_matrix
-    assert p.shape == (b * eng.m, 3)
-    # rows unique: each theta lands in its own cell
-    assert len({tuple(r) for r in p.tolist()}) == len(p)
-    # batch index varies slowest, matching flat theta layout
-    np.testing.assert_array_equal(p[:, 0], np.repeat(np.arange(b), eng.m))
-    assert p[:, 1].min() >= 0 and p[:, 1].max() < eng.n
-    assert p[:, 2].min() >= 0 and p[:, 2].max() < 6
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 3000), st.integers(1, 5))
 def test_index_matrix_slots_respect_joint_types(seed, b):
+    """The scatter writes each theta into a cell of its own, (batch, joint
+    row, parameter slot), in a slot of its joint's type."""
     _, model, leaf = treegen.random_tree(seed)
     chain = urdf.extract_chain(model, model.root_link, leaf)
     eng = FkEngine(chain, batch_size=b)
-    p = eng.index_matrix
-    assert len({tuple(r) for r in p.tolist()}) == len(p)
+    p = np.argwhere(eng.scatter_thetas(np.ones(b * eng.m)))
+    assert len(p) == b * eng.m
     rotation_slots = {3, 4, 5}
     translation_slots = {0, 1, 2}
     cursor = 0
@@ -450,14 +440,19 @@ def test_pipeline_stage_functions(arm2r_chain, rng):
 
 def _stage_pipeline(eng, thetas):
     """The reference pipeline: scatter -> joint transforms -> combine -> scan,
-    then the post-corrections.  ``thetas`` is a (b, m) float or DualArray."""
-    b, p = eng.batch_size, eng.index_matrix
-    scale = eng.scatter_thetas(np.ones(b * eng.m))[p[:, 0], p[:, 1], p[:, 2]]
+    then the post-corrections, R_align^T after the scan at each joint with an
+    arbitrary axis (kinematics._joint_motion).  ``thetas`` is a (b, m) float
+    or DualArray."""
+    b, m = eng.batch_size, eng.m
+    cell = (np.repeat(np.arange(b), m), np.tile(eng._rows_per_dof, b), np.tile(eng._slots_per_dof, b))
+    scale = eng.scatter_thetas(np.ones(b * m))[cell]
     q = np.zeros((b, eng.n, 6), dtype=eng.dtype, like=thetas)
-    q[p[:, 0], p[:, 1], p[:, 2]] = thetas.reshape(b * eng.m) * scale
+    q[cell] = thetas.reshape(b * m) * scale
     cum = kinematics.scan_compose(eng.combine_link_joint(kinematics.joint_transforms(q)))
-    for i, post in eng._posts:
-        cum[:, i] = cum[:, i] @ post
+    for i, (_, joint) in enumerate(eng.chain.segments):
+        align = kinematics._joint_motion(joint)[0]
+        if align is not None:
+            cum[:, i] = cum[:, i] @ align.T.astype(eng.dtype)
     return cum
 
 
@@ -888,7 +883,7 @@ def test_origins_are_the_kernel_transforms():
     )
     chain = urdf.extract_chain(robot, "a", "e")
     params = np.array([joint.origin_params() for _, joint in chain.segments])
-    _assert_bits_equal(FkEngine(chain, batch_size=1).link_transforms, transforms.sixdof_batch_to_transforms(params))
+    _assert_bits_equal(FkEngine(chain, batch_size=1)._tl, transforms.sixdof_batch_to_transforms(params))
 
 
 def test_aligned_axis_tolerance():
@@ -897,15 +892,6 @@ def test_aligned_axis_tolerance():
     assert kinematics._aligned_axis((-1.0 + 1e-10, -1e-10, 0.0)) == (0, -1.0)
     assert kinematics._aligned_axis((1e-8, 0.0, 1.0)) is None
     assert kinematics._aligned_axis((0.6, 0.8, 0.0)) is None
-
-
-def test_link_transforms_property(arm2r_chain):
-    eng = FkEngine(arm2r_chain, batch_size=1)
-    tl = eng.link_transforms
-    assert tl.shape == (arm2r_chain.n, 4, 4)
-    np.testing.assert_allclose(tl[1][:3, 3], [1, 0, 0])
-    tl[0, 0, 0] = 99.0  # caller copy; engine state must not change
-    np.testing.assert_allclose(eng.link_transforms[0, 0, 0], 1.0)
 
 
 def test_pose_jacobian_matches_finite_differences(arm4_chain, rng):
@@ -1381,6 +1367,57 @@ def test_programs_keep_no_state_between_calls(request):
     assert ("mixed", "non-finite value in jacobian output") in raised
 
 
+# Two pitch joints about y, then a prismatic joint along x: the final's first
+# column is (cos(q1 + q2), 0, -sin(q1 + q2)) as the pass rounds it.
+_PITCH_PITCH_SLIDE = """
+<robot name="pps"><link name="a"/><link name="b"/><link name="c"/><link name="d"/>
+<joint name="p1" type="revolute"><parent link="a"/><child link="b"/><origin xyz="0 0 0.5"/><axis xyz="0 1 0"/></joint>
+<joint name="p2" type="revolute"><parent link="b"/><child link="c"/><origin xyz="0.3 0 0"/><axis xyz="0 1 0"/></joint>
+<joint name="s" type="prismatic"><parent link="c"/><child link="d"/><origin xyz="0 0 0.2"/><axis xyz="1 0 0"/></joint>
+</robot>"""
+
+
+@pytest.mark.parametrize(
+    "dtype, locked",
+    [(np.float64, (2.47653346366633, -0.9057371368714335)), (np.float32, (1.8796213865280151, -0.30882513523101807))],
+)
+def test_exactly_locked_rows_match_reference_walk(dtype, locked):
+    """At a configuration (q1 + q2 within a few ulps of pi/2) where the
+    pass's cos(beta) is exactly 0, the pose's rate map divides 0 by 0 on
+    that row, which the gimbal-lock fallback then overwrites: both
+    Jacobians are bitwise the reference walk's, which never divides there,
+    alone and beside unlocked rows, and no numpy warning is raised."""
+    chain = urdf.extract_chain(urdf.parse_urdf(_PITCH_PITCH_SLIDE), "a", "d")
+    for thetas in ([[*locked, 0.1]], [[*locked, 0.1], [0.3, -0.2, 0.4], [*locked, -0.7]]):
+        thetas = np.array(thetas, dtype=dtype)
+        eng = FkEngine(chain, len(thetas), dtype)
+        first = eng.forward(thetas)[::2, :2, 0]
+        assert (first == 0.0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rates in (False, True):
+                _assert_bits_equal(eng._jacobian(thetas, rates), reference_pass.jacobian(eng, thetas, rates))
+
+
+@pytest.mark.parametrize("dtype, value", [(np.float64, 1e308), (np.float32, 3e38)])
+def test_overflowing_prismatic_chain_raises(dtype, value):
+    """On a chain of prismatic joints only, a batch that overflows makes the
+    final origin infinite while every Jacobian entry stays finite (a
+    translation column is its axis over zeros), so the check of the final
+    columns alone catches it: both Jacobians raise."""
+    robot = urdf.parse_urdf(
+        """<robot name="slides"><link name="a"/><link name="b"/><link name="c"/>
+        <joint name="s1" type="prismatic"><parent link="a"/><child link="b"/><axis xyz="1 0 0"/></joint>
+        <joint name="s2" type="prismatic"><parent link="b"/><child link="c"/><axis xyz="1 0 0"/></joint>
+        </robot>"""
+    )
+    eng = FkEngine(urdf.extract_chain(robot, "a", "c"), 2, dtype)
+    for jacobian in (kinematics.geometric_jacobian, kinematics.pose_jacobian):
+        with pytest.raises(ValueError, match="^non-finite value in jacobian output$"):
+            jacobian(eng, np.full((2, 2), value, dtype=dtype))
+        assert np.isfinite(eng._local.__dict__[2].derivatives[3]).all()
+
+
 def _poison(ws, derivatives, constants):
     """Fill every buffer of ``ws`` that a program writes with NaN: the
     columns, the mixes' temporaries, q and the half angles, the cos and sin
@@ -1474,12 +1511,23 @@ def _pass_calls(eng, rows, kind):
 # the flange's translation.
 _MIX = {"j2": 5, "j3": 14, "j4": 23}
 _C_I, _C_J = (0, 2, 3), (1, 4, 5)
+# The tail that a Jacobian's program runs after its pass, by function name
+# (FkEngine._compile_tail, on a chain of rotations only): p_T - origin and its
+# cross product with the axes, then the pose's c^2, c and rate map, or the
+# geometric Jacobian's copy of the axes.
+_CROSS = ["subtract"] + ["multiply", "multiply", "__isub__"] * 3
+_TAIL = {
+    "pose": _CROSS + ["multiply", "add", "sqrt", "divide", "multiply", "add", "multiply", "subtract", "multiply"]
+    + ["subtract"],
+    "geometric": _CROSS + ["__setitem__"],
+}
 
 
 @pytest.mark.parametrize("robot", ["arm4", "roll_z", "roll_z_bare"])
 def test_jacobian_programs_drop_the_calls_no_row_reads(robot, arm4_chain):
-    """A Jacobian's pass is the tangents pass of the finals but for the
-    calls that no entry of its tail reads (FkEngine._compile); the finals,
+    """A Jacobian's program is the tangents pass of the finals but for the
+    calls that no entry of its tail reads (FkEngine._compile), followed by
+    the tail's calls (_TAIL); the finals,
     intermediates and tangents programs keep every call (34, 34, 38 and 38
     with a flange, 2 fewer each without).  Both Jacobians drop factor 0's axis copy, which the
     program writes once when it is compiled.  On arm4 (j2 and j3 pitch
@@ -1513,14 +1561,16 @@ def test_jacobian_programs_drop_the_calls_no_row_reads(robot, arm4_chain):
         rotations = {"pose": 4, "geometric": 3}
     tangents = calls[("finals", "tangents")]
     for mode in ("pose", "geometric"):
-        got = calls[("finals", mode)]
+        got, tail = calls[("finals", mode)], len(_TAIL[mode])
+        assert [call[0] for call in got[-tail:]] == _TAIL[mode]
+        got = got[:-tail]
         assert len(got) == len(tangents) - len(dropped[mode])
         assert got[7:] == [call for n, call in enumerate(tangents[7:]) if n not in dropped[mode]]
         # the trig: the same calls on the first rotations' rows
         assert [call[0] for call in got[:7]] == [call[0] for call in tangents[:7]]
         assert got[0][2][0][1] == (rotations[mode], b)
     if robot == "arm4":
-        assert len(calls[("finals", "pose")]) == len(calls[("finals", "geometric")]) == 28
+        assert [len(calls[("finals", mode)]) for mode in ("pose", "geometric")] == [28 + 20, 28 + 11]
 
 
 def test_programs_hold_no_reference_to_the_engine(arm4_chain, mixed_chain):
