@@ -195,9 +195,13 @@ class ParamEstimator:
     def loss_value(self, thetas, target_poses):
         """Loss at the current parameters, on the final transforms A M(p) B."""
         _, targets, head, tail = self._dataset(thetas, target_poses)[:4]
-        finals = head @ sixdof_batch_to_transforms(self.params) @ tail
-        dp = finals[:, :3, 3] - targets[:, :3, 3]
-        return float((dp * dp).sum(axis=1).mean() + phi5_squared_batch(finals, targets).mean())
+        with np.errstate(over="ignore", invalid="ignore"):  # a kept dataset can still overflow the loss
+            finals = head @ sixdof_batch_to_transforms(self.params) @ tail
+            dp = finals[:, :3, 3] - targets[:, :3, 3]
+            value = float((dp * dp).sum(axis=1).mean() + phi5_squared_batch(finals, targets).mean())
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite identification loss at params {self.params.tolist()}")
+        return value
 
     def _dataset(self, thetas, target_poses):
         """(thetas, targets, A, B, R, z, rho^2) of a dataset (see the class
@@ -249,8 +253,9 @@ class ParamEstimator:
         """
         r, z, rho2 = self._dataset(thetas, target_poses)[4:]
         m = sixdof_batch_to_transforms(self.params)
-        u = r @ m[:3].ravel() + z
-        value = float(u @ u + rho2)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in loss_value
+            u = r @ m[:3].ravel() + z
+            value = float(u @ u + rho2)
         if not math.isfinite(value):
             raise ValueError(f"non-finite identification loss at params {self.params.tolist()}")
         h = (2.0 * u @ r).reshape(3, 4)

@@ -96,12 +96,13 @@ of trailing rotations that no kept call reads; factor 0's axis and origin
 columns, which its motion leaves as they were, are written once, when the
 program is compiled.  The rate map runs on every row, also those at gimbal
 lock (c <= transforms._GIMBAL_COS_TOL), where it is singular (c may be 0,
-and the row inf or NaN).  Their six rows are then overwritten with the pose
-extraction's derivatives: the finals pass, replayed on the same workspace,
-gives their full T, _tangent_block applies their twists to it, and
-pose_batch_from_transforms runs on that DualArray, so they keep the float
-pose's convention (alpha = 0).  That extraction tests hypot(r00, r10), so
-the two can lock different rows only where c is within an ulp of the
+and the row inf or NaN).  Their angular rows are then overwritten with the
+pose extraction's derivatives: the finals pass, replayed on the same
+workspace, gives their full R_T, whose tangents are w_c x R_T's columns
+(0 for a translation), and pose_batch_from_transforms runs on that
+DualArray, so they keep the float pose's convention (alpha = 0); their
+rows 0-2 stay geometric_jacobian's.  That extraction tests hypot(r00, r10),
+so the two can lock different rows only where c is within an ulp of the
 tolerance.
 
 Joints with an arbitrary axis are handled by conjugation: motion about axis
@@ -277,22 +278,20 @@ _TWIST_MATRIX[[2, 1, 2, 0, 1, 0], [1, 2, 4, 6, 8, 9]] = [-1.0, 1.0, 1.0, -1.0, -
 _TWIST_MATRIX[[3, 4, 5], [3, 7, 11]] = 1.0
 
 
-def _seed_maps():
-    """(take, sign), (6, 12, 3) each, per slot: the pass's first factor f makes its columns as G_f @ (1, q) (G_f's
-    first two columns) or G_f @ (1, c, s), G_f = sign * S_f^T.flat[take], column k's row r in G_f's row 3 k + r; a
-    zero takes S_f^T[0, 3], the bottom row's 0."""
-    take, sign = np.full((6, 4, 3, 3), 3, dtype=np.intp), np.ones((6, 4, 3, 3))
-    entry = 4 * np.arange(4)[:, None] + np.arange(3)  # S^T[k, r], column k's row r
-    for a, (i, j) in enumerate(_PAIRS):
-        # a translation keeps every column and adds q C_a to C_3; a rotation keeps C_a and C_3 and mixes C_i, C_j
-        take[a, :, :, 0], take[a, 3, :, 1] = entry, entry[a]
-        take[3 + a, [a, 3], :, 0] = entry[[a, 3]]
-        take[3 + a, [i, j], :, 1], take[3 + a, [i, j], :, 2] = entry[[i, j]], entry[[j, i]]
-        sign[3 + a, j, :, 2] = -1.0
-    return take.reshape(6, 12, 3), sign.reshape(6, 12, 3)
-
-
-_SEED_TAKE, _SEED_SIGN = _seed_maps()
+def _seed(static, slot, dtype):
+    """G_0, (12, 3): the pass's first factor, S_0^T ``static`` (None for I) then the motion of ``slot``, makes its
+    columns as G_0 @ (1, q) (G_0's first two columns) or G_0 @ (1, c, s), column k's row r in G_0's row 3 k + r."""
+    cols, a = (_EYE if static is None else static)[:, :3].astype(dtype), slot % 3
+    g = np.zeros((4, 3, 3), dtype=dtype)
+    if slot < 3:
+        # a translation keeps every column and adds q C_a to C_3
+        g[:, :, 0], g[3, :, 1] = cols, cols[a]
+    else:
+        # a rotation keeps C_a and C_3 and mixes C_i, C_j
+        i, j = _PAIRS[a]
+        g[[a, 3], :, 0], g[[i, j], :, 1] = cols[[a, 3]], cols[[i, j]]
+        g[i, :, 2], g[j, :, 2] = cols[j], -cols[i]
+    return g.reshape(12, 3)
 
 
 def _blocks(b, rows):
@@ -334,7 +333,7 @@ class _Workspace:
         self.skip = int(bool(steps) and steps[0][5] is not None)
         self.trig = np.empty((2, rot - self.skip, 3, rows), dtype=dt)
         self.spread = ucs[1:, self.skip :, None]  # the trig's source, (2, rot - skip, 1, rows)
-        self.spare = np.empty(0, dtype=dt)  # FkEngine._tangent_block's products, regrown when a block needs more
+        self.spare = np.empty(0, dtype=dt)  # the DualArray tangents' products (_tangent_block), regrown as needed
         self.programs = {}
 
     @functools.cached_property
@@ -402,10 +401,11 @@ class FkEngine:
     snapshot, and a Jacobian's program only the entries that a backward
     liveness sweep from its tail's reads keeps, then runs the tail, so that
     the other columns hold whatever an earlier pass left.  Its gimbal-lock
-    fallback, which needs the full final frame, replays the finals program on
-    the same workspace, compiled on first use.  A program holds no reference
-    to the engine or the workspace, so a dropped engine is freed at once.  A
-    pickled or copied engine is built again.
+    fallback, which needs the full final rotation, replays the finals program
+    on the same workspace, compiled on first use, and reads the axes that the
+    Jacobian's pass wrote there.  A program holds no reference to the engine
+    or the workspace, so a dropped engine is freed at once.  A pickled or
+    copied engine is built again.
 
     scatter_thetas and combine_link_joint, with the module's
     joint_transforms and scan_compose, are the reference pipeline (see the
@@ -542,17 +542,12 @@ class FkEngine:
         """
         arr = thetas if isinstance(thetas, (np.ndarray, ad.DualArray)) else np.asarray(thetas)
         if arr.dtype == object:
-            return self._evaluate(ad.DualArray.from_scalars(arr), want_intermediates).to_scalars()
-        return self._evaluate(thetas, want_intermediates)
-
-    def _evaluate(self, thetas, want_intermediates=False):
-        """forward() on a float ndarray or DualArray batch: both run the
-        float pass on the primal; a DualArray also has it read off the
-        twists and turns them into tangents (_tangent_block)."""
+            return self.forward(ad.DualArray.from_scalars(arr), want_intermediates).to_scalars()
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(ad.primal_of(thetas), m, b, self.dtype)
         where = "intermediates" if want_intermediates else "finals"
-        res = self._result(self.n if want_intermediates else 1)
+        res = np.empty((self.n if want_intermediates else 1, 4, 4, b), dtype=self.dtype)
+        res[:, 3] = _BOTTOM
         snapshots = res.transpose(3, 0, 1, 2)
         out = snapshots if want_intermediates else snapshots[:, 0]
         if not isinstance(thetas, ad.DualArray):
@@ -567,15 +562,9 @@ class FkEngine:
         for rows in _blocks(b, _TANGENT_ROWS):
             ws = self._workspace(rows.stop - rows.start)
             self._pass(ws, flat2d[rows], res[..., rows], (where, "tangents"))
-            self._tangent_block(ws, slice(rows.stop - rows.start), snapshots[rows], seeds[rows], weights, tangent[rows])
+            self._tangent_block(ws, snapshots[rows], seeds[rows], weights, tangent[rows])
         tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
         return ad.DualArray(out, tangent)
-
-    def _result(self, count):
-        """A (count, 4, 4, b) result for _pass, its bottom rows (0, 0, 0, 1)."""
-        res = np.empty((count, 4, 4, self.batch_size), dtype=self.dtype)
-        res[:, 3] = _BOTTOM
-        return res
 
     def _workspace(self, rows):
         """The calling thread's _Workspace for blocks of ``rows`` rows, built on its first such block."""
@@ -649,9 +638,8 @@ class FkEngine:
             for static, col, negative, a, step_shift, k in self._steps[f : last + 1]:
                 c = columns[p]
                 if f == 0:
-                    # G_0 (12 x 3 or 12 x 2, see _seed_maps) on (1, c, s) or (1, q): the seed holds the motion
-                    slot, entries = a if k is None else 3 + a, (_EYE if static is None else static).ravel()
-                    g = np.multiply(entries[_SEED_TAKE[slot]], _SEED_SIGN[slot], dtype=q.dtype)
+                    # G_0 (12 x 3 or 12 x 2, see _seed) on (1, c, s) or (1, q): the seed holds the motion
+                    g = _seed(static, a if k is None else 3 + a, q.dtype)
                     x = (g[:, :2], ws.ones_q[0 : col + 2 : col + 1]) if k is None else (g, ws.ucs[:, k])
                     seed = (np.matmul, (*x, grid[p]))
                     calls.append((*seed, [] if k is None else [("trig", k)], whole(p)))
@@ -743,13 +731,13 @@ class FkEngine:
             calls += [(block[:3, c].__setitem__, (Ellipsis, w[:, c])), (block[3:, c].__setitem__, (Ellipsis, 0.0))]
         return calls, block[..., : ws.snapshots.shape[-1]], t[0 if rates else 3 :: 3]
 
-    def _tangent_block(self, ws, picked, frames, seeds, weights, out):
-        """Tangents ``out`` (r, S, k, 4, 4) of the snapshots ``frames`` (r, S, 4, 4) of the rows ``picked`` of the
-        last derivative pass on ``ws``: the twists (w, v) per unit of theta of its axis and origin columns (w the
-        axis times the theta scale and v = origin x w for a rotation, (0, w) for a translation, so that dT = [w, v]^
-        T) contracted with the input tangents ``seeds`` (r, 1, k, m) times ``weights`` (1, or _twist_weights), then
-        as 4x4 twist matrices applied to ``frames``, every product in ws.spare.  For seed_array input the
-        contraction copies exactly."""
+    def _tangent_block(self, ws, frames, seeds, weights, out):
+        """Tangents ``out`` (r, S, k, 4, 4) of the snapshots ``frames`` (r, S, 4, 4) of the r-row block of the last
+        tangents pass on ``ws``: the twists (w, v) per unit of theta of its axis and origin columns (w the axis times
+        the theta scale and v = origin x w for a rotation, (0, w) for a translation, so that dT = [w, v]^ T)
+        contracted with the input tangents ``seeds`` (r, 1, k, m) times ``weights`` (1, or _twist_weights), then as
+        4x4 twist matrices applied to ``frames``, every product in ws.spare.  For seed_array input the contraction
+        copies exactly."""
         axes, twists, prod = ws.derivatives[:3]
         w, origin = axes
         twists[:3] = w
@@ -762,7 +750,7 @@ class FkEngine:
             ws.spare = np.empty(n * (m + 22), dtype=self.dtype)
         seeded, spatial, mats = ws.spare[: n * m], ws.spare[n * m : n * (m + 6)], ws.spare[n * (m + 6) : n * (m + 22)]
         seeded = np.multiply(seeds, weights, out=seeded.reshape(rows, snaps, k, m))
-        np.matmul(seeded, twists[..., picked].T[:, None], out=spatial.reshape(rows, snaps, k, 6))
+        np.matmul(seeded, twists[..., :rows].T[:, None], out=spatial.reshape(rows, snaps, k, 6))
         np.matmul(spatial.reshape(n, 6), _TWIST_MATRIX.astype(self.dtype, copy=False), out=mats.reshape(n, 16))
         np.matmul(mats.reshape(rows, snaps, 4 * k, 4), frames, out=out.reshape(rows, snaps, 4 * k, 4))
 
@@ -775,9 +763,10 @@ class FkEngine:
         only those are checked of the final pose: a rotation column goes non-finite only through an origin column
         that already is, and stays so.  Both checks are needed: the block's catches derivatives that overflow from a
         finite pose, and the final's a pose that overflows while the block stays finite, as on a chain of
-        prismatic joints only, whose columns are their axes over zeros.  The fallback overwrites all six rows of
-        every locked row, which the rate map made too, and replays the finals program on the same workspace for
-        the full frames that it needs."""
+        prismatic joints only, whose columns are their axes over zeros.  The fallback overwrites the angular rows
+        of every locked row, which the rate map made too, from the axes of the block's pass and the full final
+        rotations, for which it replays the finals program on the same workspace (the pose program leaves C_1
+        out, which gamma' reads)."""
         b, m = self.batch_size, self.m
         flat2d = _theta_rows(thetas, m, b, self.dtype)
         jac, kind = np.empty((6, m, b), dtype=self.dtype), ("finals", "pose" if rates else "geometric")
@@ -788,17 +777,17 @@ class FkEngine:
                 raise ValueError("non-finite value in jacobian output")
             block, cb = ws.derivatives[3:5]
             if rates and cb[1].min() <= transforms._GIMBAL_COS_TOL:
-                # the rate map is singular: these rows take the pose extraction's
-                # derivatives, on a DualArray of their tangents, over all six rows
+                # the rate map is singular: these rows' angular rows take the pose extraction's derivatives, on a
+                # DualArray of their frames' matrix rows whose tangents are dR = [w]x R (0 for a translation)
                 locked = np.flatnonzero(cb[1] <= transforms._GIMBAL_COS_TOL)
                 t = self._pass(ws, flat2d[rows], None, ("finals", None))[1]
-                frames = np.empty((len(locked), 1, 4, 4), dtype=self.dtype)
-                frames[:, 0, :3], frames[:, 0, 3] = t[..., locked].transpose(2, 1, 0), _EYE[3]
-                tangent = np.empty((len(locked), 1, m, 4, 4), dtype=self.dtype)
-                seeds = np.eye(m, dtype=self.dtype)[None, None]
-                self._tangent_block(ws, locked, frames, seeds, 1.0, tangent)
-                dual = ad.DualArray(frames[:, 0], tangent[:, 0].transpose(1, 0, 2, 3))
-                block[..., locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(2, 0, 1)
+                w = ws.derivatives[0][0][..., locked].transpose(1, 2, 0)[..., None]
+                w[list(self._trans_cols)] = 0.0
+                dual = np.zeros((1 + m, len(locked), 3, 4), dtype=self.dtype)
+                dual[0] = t[..., locked].transpose(2, 1, 0)
+                dual[1:, ..., :3] = np.cross(w, dual[:1, ..., :3], axis=2)
+                pose = transforms.pose_batch_from_transforms(ad.DualArray(dual[0], dual[1:]))[0]
+                block[3:, :, locked] = pose.tangent[..., 3:].transpose(2, 0, 1)
             if not np.isfinite(block).all():
                 raise ValueError("non-finite derivative in jacobian output")
             jac[..., rows] = result
@@ -845,13 +834,13 @@ def pose_jacobian(engine: FkEngine, thetas):
     """(b, 6, m) pose Jacobians, one per batch configuration.
 
     Rows follow the pose layout (x, y, z, alpha, beta, gamma); columns follow
-    the chain's theta layout.  Rows 0-2 are geometric_jacobian's; rows 3-5
-    are its angular rows through the RPY rate map of the final rotation,
-    and rows at gimbal lock take the pose extraction's derivatives (see the
-    module docstring).  The Jacobian has the engine's dtype.  It is a view
-    of a (6, m, b) array, the batch axis last in memory; np.ascontiguousarray
-    gives it in C order, at the cost of a transposed copy that the Jacobian
-    does not make.
+    the chain's theta layout.  Rows 0-2 are geometric_jacobian's, bit for
+    bit; rows 3-5 are its angular rows through the RPY rate map of the
+    final rotation, or at gimbal lock the pose extraction's derivatives
+    (see the module docstring).  The Jacobian has the engine's dtype.  It
+    is a view of a (6, m, b) array, the batch axis last in memory;
+    np.ascontiguousarray gives it in C order, at the cost of a transposed
+    copy that the Jacobian does not make.
     """
     return engine._jacobian(thetas, rates=True)
 

@@ -13,7 +13,8 @@ the batch axis last: each snapshot staged as matrix rows in a (4, 4, rows)
 block whose bottom row is (0, 0, 0, 1), then copied into the result by a 2-D
 transposed copy, (rows, 16) <- (16, rows)^T, and each Jacobian block by a
 transposed copy; the engine's results equal them in C order
-(np.ascontiguousarray, or tobytes).
+(np.ascontiguousarray, or tobytes).  The walk takes G_0 from the index
+tables (_seed_maps) that kinematics._seed replaced.
 """
 
 import weakref
@@ -22,7 +23,31 @@ import numpy as np
 
 from diffkin import autodiff as ad
 from diffkin import kinematics, transforms
-from diffkin.kinematics import _EYE, _PAIRS, _SEED_SIGN, _SEED_TAKE, _blocks, _theta_rows
+from diffkin.kinematics import _EYE, _PAIRS, _blocks, _theta_rows
+
+
+def _seed_maps():
+    """(take, sign), (6, 12, 3) each, per slot: the pass's first factor f makes its columns as G_f @ (1, q) (G_f's
+    first two columns) or G_f @ (1, c, s), G_f = sign * S_f^T.flat[take], column k's row r in G_f's row 3 k + r; a
+    zero takes S_f^T[0, 3], the bottom row's 0."""
+    take, sign = np.full((6, 4, 3, 3), 3, dtype=np.intp), np.ones((6, 4, 3, 3))
+    entry = 4 * np.arange(4)[:, None] + np.arange(3)  # S^T[k, r], column k's row r
+    for a, (i, j) in enumerate(_PAIRS):
+        # a translation keeps every column and adds q C_a to C_3; a rotation keeps C_a and C_3 and mixes C_i, C_j
+        take[a, :, :, 0], take[a, 3, :, 1] = entry, entry[a]
+        take[3 + a, [a, 3], :, 0] = entry[[a, 3]]
+        take[3 + a, [i, j], :, 1], take[3 + a, [i, j], :, 2] = entry[[i, j]], entry[[j, i]]
+        sign[3 + a, j, :, 2] = -1.0
+    return take.reshape(6, 12, 3), sign.reshape(6, 12, 3)
+
+
+_SEED_TAKE, _SEED_SIGN = _seed_maps()
+
+
+def seed_matrix(static, slot, dtype):
+    """G_f of a first factor with S_f^T ``static`` (None for I) and ``slot``, from the index tables."""
+    entries = (_EYE if static is None else static).ravel()[_SEED_TAKE[slot]]
+    return np.multiply(entries, _SEED_SIGN[slot], dtype=dtype)
 
 
 def _cross(a, b, out, prod):
@@ -34,9 +59,7 @@ def _cross(a, b, out, prod):
 def _seed(engine, ws, f):
     """Factor f's span-starting operands, (G_f, (1, q)) or (G_f, (1, c, s))."""
     static, col, _, a, _, k = engine._steps[f]
-    kind = a if k is None else 3 + a
-    entries = (_EYE if static is None else static).ravel()[_SEED_TAKE[kind]]
-    g = np.multiply(entries, _SEED_SIGN[kind], dtype=ws.q.dtype)
+    g = seed_matrix(static, a if k is None else 3 + a, ws.q.dtype)
     return (g[:, :2], ws.ones_q[0 : col + 2 : col + 1]) if k is None else (g, ws.ucs[:, k])
 
 
@@ -146,7 +169,7 @@ def forward(engine, thetas, want_intermediates=False):
     for rows in _blocks(b, kinematics._TANGENT_ROWS):
         ws = _workspace(engine, rows.stop - rows.start)
         walk(engine, ws, flat2d[rows], snapshots[rows], marks, ws.derivatives[0])
-        engine._tangent_block(ws, slice(rows.stop - rows.start), snapshots[rows], seeds[rows], weights, tangent[rows])
+        engine._tangent_block(ws, snapshots[rows], seeds[rows], weights, tangent[rows])
     tangent = tangent.transpose(2, 0, 1, 3, 4) if want_intermediates else tangent[:, 0].transpose(1, 0, 2, 3)
     return ad.DualArray(out, tangent)
 
@@ -183,13 +206,14 @@ def jacobian(engine, thetas, rates):
         for c in engine._trans_cols:
             block[:3, c], block[3:, c] = w[:, c], 0.0
         if len(locked):
-            frames = np.empty((len(locked), 1, 4, 4), dtype=dt)
-            frames[:, 0, :3], frames[:, 0, 3] = t[..., locked].transpose(2, 1, 0), _EYE[3]
-            tangent = np.empty((len(locked), 1, m, 4, 4), dtype=dt)
-            seeds = np.eye(m, dtype=dt)[None, None]
-            engine._tangent_block(ws, locked, frames, seeds, 1.0, tangent)
-            dual = ad.DualArray(frames[:, 0], tangent[:, 0].transpose(1, 0, 2, 3))
-            block[..., locked] = transforms.pose_batch_from_transforms(dual)[0].tangent.transpose(2, 0, 1)
+            # the locked rows' angular rows: the pose extraction on their frames' matrix rows, tangents dR = [w]x R
+            frames = t[..., locked].transpose(2, 1, 0)
+            axes_locked, tangent = w[..., locked], np.zeros((m, *frames.shape), dtype=dt)
+            axes_locked[:, list(engine._trans_cols)] = 0.0
+            for c in range(m):
+                tangent[c, ..., :3] = np.cross(axes_locked[:, c].T[:, :, None], frames[..., :3], axis=1)
+            pose = transforms.pose_batch_from_transforms(ad.DualArray(frames, tangent))[0]
+            block[3:, :, locked] = pose.tangent[..., 3:].transpose(2, 0, 1)
         if not np.isfinite(block).all():
             raise ValueError("non-finite derivative in jacobian output")
         jac[rows] = block[..., : rows.stop - rows.start].transpose(2, 0, 1)

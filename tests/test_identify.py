@@ -51,16 +51,16 @@ def test_one_model_evaluation_per_step(max_steps, status, cam_arm, monkeypatch):
     chain into A and B with one intermediates pass, and no step makes a
     DualArray pass or calls the explicit loss."""
     calls, passes = {"engines": 0, "dual": 0, "loss_value": 0}, []
-    init, evaluate, column_pass = kinematics.FkEngine.__init__, kinematics.FkEngine._evaluate, kinematics.FkEngine._pass
+    init, forward, column_pass = kinematics.FkEngine.__init__, kinematics.FkEngine.forward, kinematics.FkEngine._pass
     loss_value = ParamEstimator.loss_value
 
     def counting_init(self, *args, **kwargs):
         calls["engines"] += 1
         return init(self, *args, **kwargs)
 
-    def counting_evaluate(self, thetas, *args, **kwargs):
+    def counting_forward(self, thetas, *args, **kwargs):
         calls["dual"] += isinstance(thetas, ad.DualArray)
-        return evaluate(self, thetas, *args, **kwargs)
+        return forward(self, thetas, *args, **kwargs)
 
     def counting_pass(self, ws, flat2d, out, kind):
         passes.append(kind)
@@ -71,7 +71,7 @@ def test_one_model_evaluation_per_step(max_steps, status, cam_arm, monkeypatch):
         return loss_value(self, *args)
 
     monkeypatch.setattr(kinematics.FkEngine, "__init__", counting_init)
-    monkeypatch.setattr(kinematics.FkEngine, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(kinematics.FkEngine, "forward", counting_forward)
     monkeypatch.setattr(kinematics.FkEngine, "_pass", counting_pass)
     monkeypatch.setattr(ParamEstimator, "loss_value", counting_loss_value)
     res = identify.run_identification(
@@ -499,6 +499,20 @@ def test_non_finite_target_is_refused_without_a_warning(row, col, value, cam_arm
     with pytest.raises(ValueError, match="non-finite identification loss"):
         est.loss_gradient(thetas, bad)
     assert est._kept is None
+
+
+def test_overflowing_loss_is_refused_without_a_warning(cam_arm):
+    """Finite targets at 1e200 make a finite model, so the dataset is kept,
+    but a loss that overflows: loss_gradient and loss_value both raise the
+    non-finite loss error, and no RuntimeWarning (an error under the suite's
+    warning filter) comes from their products."""
+    est = ParamEstimator(cam_arm, "camera", "base", "camera", 3)
+    thetas, targets = _dataset(cam_arm, 3)
+    far = np.full_like(targets, 1e200)
+    for loss in (est.loss_gradient, est.loss_value):
+        with pytest.raises(ValueError, match="non-finite identification loss"):
+            loss(thetas, far)
+        assert est._kept is not None
 
 
 def test_kept_dataset_keeps_the_input_refusals(cam_arm):

@@ -1000,7 +1000,7 @@ def _check_closed_form_jacobians(chain, b, dtype, rng):
 
     geo = kinematics.geometric_jacobian(eng, thetas)
     assert geo.dtype == dtype and geo.shape == (b, 6, eng.m)
-    np.testing.assert_array_equal(geo[~locked, :3], jac[~locked, :3])
+    np.testing.assert_array_equal(geo[:, :3], jac[:, :3])
     tangent = eng.forward(ad.seed_array(thetas)).tangent
     twists = np.concatenate([tangent[..., :3, 3], _vee(tangent[..., :3, :3] @ finals[:, :3, :3].swapaxes(-1, -2))], -1)
     err = np.abs(geo - twists.transpose(1, 2, 0)).max(axis=(1, 2), initial=0.0)
@@ -1377,10 +1377,14 @@ _PITCH_PITCH_SLIDE = """
 </robot>"""
 
 
-@pytest.mark.parametrize(
-    "dtype, locked",
-    [(np.float64, (2.47653346366633, -0.9057371368714335)), (np.float32, (1.8796213865280151, -0.30882513523101807))],
-)
+# (q1, q2) of _PITCH_PITCH_SLIDE at which the pass's cos(beta) is exactly 0, per dtype
+_EXACTLY_LOCKED = [
+    (np.float64, (2.47653346366633, -0.9057371368714335)),
+    (np.float32, (1.8796213865280151, -0.30882513523101807)),
+]
+
+
+@pytest.mark.parametrize("dtype, locked", _EXACTLY_LOCKED)
 def test_exactly_locked_rows_match_reference_walk(dtype, locked):
     """At a configuration (q1 + q2 within a few ulps of pi/2) where the
     pass's cos(beta) is exactly 0, the pose's rate map divides 0 by 0 on
@@ -1397,6 +1401,46 @@ def test_exactly_locked_rows_match_reference_walk(dtype, locked):
             warnings.simplefilter("error")
             for rates in (False, True):
                 _assert_bits_equal(eng._jacobian(thetas, rates), reference_pass.jacobian(eng, thetas, rates))
+
+
+def test_pose_jacobian_positions_are_geometric_jacobians(request):
+    """pose_jacobian's rows 0-2 are geometric_jacobian's bit for bit on
+    every row, gimbal-locked ones too, whose fallback overwrites the
+    angular rows alone: on the named chains (_oracle_chains, every 7th row
+    of arm4_locked locked) and on _PITCH_PITCH_SLIDE with every 7th row
+    where cos(beta) is exactly 0, in both dtypes."""
+    chains = _oracle_chains(request)
+    chains["exactly_locked"] = urdf.extract_chain(urdf.parse_urdf(_PITCH_PITCH_SLIDE), "a", "d")
+    b, locked_rows = 50, 0
+    for k, (name, chain) in enumerate(chains.items()):
+        for dtype, exact in _EXACTLY_LOCKED:
+            thetas, _ = _oracle_thetas(name, chain, b, dtype, k)
+            if name == "exactly_locked":
+                thetas[::7] = [*exact, 0.1]
+            eng = FkEngine(chain, b, dtype)
+            finals = eng.forward(thetas)
+            locked_rows += np.count_nonzero(np.hypot(finals[:, 0, 0], finals[:, 1, 0]) <= transforms._GIMBAL_COS_TOL)
+            pose, geo = kinematics.pose_jacobian(eng, thetas), kinematics.geometric_jacobian(eng, thetas)
+            _assert_bits_equal(pose[:, :3], geo[:, :3])
+    assert locked_rows == 4 * len(range(0, b, 7))
+
+
+def test_seed_matches_the_index_tables():
+    """kinematics._seed, factor 0's G_0, is bitwise the G that the
+    reference walk takes from its index tables (reference_pass.seed_matrix),
+    signed zeros included: for all six slots, on the identity (None),
+    turned statics and random ones with signed zeros, in both dtypes.  Every
+    S^T's last column is S's bottom row (0, 0, 0, 1)."""
+    rng = np.random.default_rng(30)
+    turned = [transforms.sixdof_to_transform(rng.uniform(-3.0, 3.0, size=6)).T.copy() for _ in range(20)]
+    random = rng.normal(size=(200, 4, 4))
+    random[rng.random(size=random.shape) < 0.3] = 0.0
+    random[rng.random(size=random.shape) < 0.3] *= -1.0
+    random[:, :, 3] = (0.0, 0.0, 0.0, 1.0)
+    for dtype in (np.float64, np.float32):
+        for slot in range(6):
+            for static in [None, np.eye(4), *turned, *random]:
+                _assert_bits_equal(kinematics._seed(static, slot, dtype), reference_pass.seed_matrix(static, slot, dtype))
 
 
 @pytest.mark.parametrize("dtype, value", [(np.float64, 1e308), (np.float32, 3e38)])
@@ -1416,6 +1460,29 @@ def test_overflowing_prismatic_chain_raises(dtype, value):
         with pytest.raises(ValueError, match="^non-finite value in jacobian output$"):
             jacobian(eng, np.full((2, 2), value, dtype=dtype))
         assert np.isfinite(eng._local.__dict__[2].derivatives[3]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_overflowing_lever_arm_raises(dtype):
+    """A slide back, a turn and two slides forward, each by 0.9 times the
+    dtype's largest value, keep the final pose finite, but the turn's lever
+    arm p_T - o, 1.8 times that value, overflows, so the check of the block
+    catches it: both Jacobians raise."""
+    robot = urdf.parse_urdf(
+        """<robot name="lever"><link name="a"/><link name="b"/><link name="c"/><link name="d"/><link name="e"/>
+        <joint name="s1" type="prismatic"><parent link="a"/><child link="b"/><axis xyz="1 0 0"/></joint>
+        <joint name="r" type="revolute"><parent link="b"/><child link="c"/><axis xyz="0 0 1"/></joint>
+        <joint name="s2" type="prismatic"><parent link="c"/><child link="d"/><axis xyz="1 0 0"/></joint>
+        <joint name="s3" type="prismatic"><parent link="d"/><child link="e"/><axis xyz="1 0 0"/></joint>
+        </robot>"""
+    )
+    eng = FkEngine(urdf.extract_chain(robot, "a", "e"), 1, dtype)
+    far = 0.9 * np.finfo(dtype).max
+    thetas = np.array([[-far, 0.0, far, far]], dtype=dtype)
+    assert np.isfinite(eng.forward(thetas)).all()
+    for jacobian in (kinematics.geometric_jacobian, kinematics.pose_jacobian):
+        with pytest.raises(ValueError, match="^non-finite derivative in jacobian output$"):
+            jacobian(eng, thetas)
 
 
 def _poison(ws, derivatives, constants):

@@ -161,7 +161,19 @@ def test_cycle_has_no_root():
     <joint name="j1" type="fixed"><parent link="a"/><child link="b"/></joint>
     <joint name="j2" type="fixed"><parent link="b"/><child link="a"/></joint>
     </robot>"""
-    with pytest.raises(UrdfError):
+    with pytest.raises(UrdfError, match="no root link"):
+        urdf.parse_urdf(text)
+
+
+def test_cycle_off_the_root_is_unreachable():
+    """A cycle b -> c -> b beside link a leaves a the only root, and the
+    cycle is refused as unreachable from it, its lowest link named."""
+    text = """
+    <robot name="r"><link name="a"/><link name="b"/><link name="c"/>
+    <joint name="j1" type="fixed"><parent link="b"/><child link="c"/></joint>
+    <joint name="j2" type="fixed"><parent link="c"/><child link="b"/></joint>
+    </robot>"""
+    with pytest.raises(UrdfError, match=r"^link 'b' is not reachable from root 'a' \(disconnected or cyclic\)$"):
         urdf.parse_urdf(text)
 
 
